@@ -34,7 +34,7 @@ from ove.experiments import (
 )
 from ove.fields import ComplexField, Grid2D, LayeredElement, MappingTask, normalize, overlap
 from ove.propagation import PropagationSpec, bpm, free_space, layered
-from ove.sources import FiberSpec, gaussian, plane_wave, spot_target
+from ove.sources import FiberSpec, gaussian, plane_wave, tilt_angles
 
 FIXTURE_PATH = os.path.join(os.path.dirname(__file__), "..", "tests", "fixtures",
                             "baselines.json")
@@ -43,17 +43,11 @@ LANTERN_GRID = dict(nx=64, ny=64, dx=0.5, dy=0.5)
 LANTERN_ANGLE_BINS = (-1.0, 1.0)
 
 
-def lantern_angles(grid: Grid2D, wavelength_um: float) -> list[tuple[float, float]]:
-    """x-tilts at +-1 FFT bin, the same fan the CLI would build."""
-    window = grid.nx * grid.dx
-    return [(math.asin(b * wavelength_um / window), 0.0) for b in LANTERN_ANGLE_BINS]
-
-
 def lantern_block() -> dict:
     fiber = FiberSpec(core_radius_um=5.0, n_core=1.45, n_clad=1.444,
                       wavelength_um=1.55)
     grid = Grid2D(**LANTERN_GRID)
-    run, report = lantern_experiment(fiber, lantern_angles(grid, 1.55))
+    run, report = lantern_experiment(fiber, tilt_angles(grid, 1.55, LANTERN_ANGLE_BINS))
     return {
         "config": {
             "fiber": {"core_radius_um": 5.0, "n_core": 1.45, "n_clad": 1.444},

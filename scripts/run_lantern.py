@@ -6,7 +6,6 @@ modes of a step-index fiber through one 64x64x48 GRIN volume.
 """
 
 import argparse
-import math
 import os
 import sys
 
@@ -19,7 +18,7 @@ from ove.experiments import lantern_experiment
 from ove.fields import Grid2D
 from ove.io import export_volume, render_field, write_csv
 from ove.propagation import PropagationSpec, bpm
-from ove.sources import FiberSpec, lp_modes
+from ove.sources import FiberSpec, lp_modes, tilt_angles
 
 
 def main() -> int:
@@ -32,8 +31,7 @@ def main() -> int:
     fiber = FiberSpec(core_radius_um=5.0, n_core=1.45, n_clad=1.444,
                       wavelength_um=1.55)
     grid = Grid2D(64, 64, 0.5, 0.5)
-    window = grid.nx * grid.dx
-    angles = [(math.asin(b * 1.55 / window), 0.0) for b in (-1.0, 1.0)]
+    angles = tilt_angles(grid, 1.55, (-1.0, 1.0))
 
     opt = OptimizerConfig(step_size=2e-3, max_iters=args.iters, seed=args.seed)
     run, report = lantern_experiment(fiber, angles, optimizer=opt)

@@ -22,11 +22,13 @@ from .config import ConfigError, DesignConfig, default_config, parse_config, ser
 from .design import DesignRun, optimize, seeded_initial_volume
 from .experiments import (
     CrosstalkReport,
+    haar_grin_task,
+    lantern_inputs,
     optimized_curve,
     ring_positions,
     superposed_curve,
 )
-from .fields import Grid2D, IndexVolume, LayeredElement, MappingTask
+from .fields import IndexVolume, LayeredElement, MappingTask
 from .interconnect import footprint_scaling, haar_filter_bank
 from .io import (
     atomic_write_text,
@@ -37,8 +39,8 @@ from .io import (
     render_field,
     write_csv,
 )
-from .propagation import absorber_mask, propagate
-from .sources import HAAR_KINDS, gaussian, haar_mask_field, lp_modes, plane_wave, spot_target
+from .propagation import propagate
+from .sources import HAAR_KINDS, gaussian, lp_modes, plane_wave, spot_target, tilt_angles
 
 __all__ = ["main"]
 
@@ -61,58 +63,37 @@ def _ensure_outdir(path: str) -> str:
     return path
 
 
-def _tilt_angles(num: int, step_bins: float, grid: Grid2D,
-                 wavelength_um: float) -> list[tuple[float, float]]:
-    """Symmetric fan of x-tilts spaced by FFT bins."""
-    angles = []
-    for k in range(num):
-        bins = (k - (num - 1) / 2.0) * step_bins
-        s = bins * wavelength_um / (grid.nx * grid.dx)
-        if abs(s) >= 1.0:
-            raise ValueError(f"aliased source: tilt of {bins} bins needs |sin| = {abs(s):.3g}")
-        angles.append((math.asin(s), 0.0))
-    return angles
-
-
-def _apodization(cfg: DesignConfig):
-    if cfg.propagation.boundary == "absorber":
-        return absorber_mask(cfg.grid, cfg.propagation.absorber_width)
-    return None
+def _fan_angles(cfg: DesignConfig) -> list[tuple[float, float]]:
+    """Symmetric fan of x-tilts spaced by ``task_angle_step_bins`` FFT bins."""
+    num = cfg.task_num_pairs
+    bins = [(k - (num - 1) / 2.0) * cfg.task_angle_step_bins for k in range(num)]
+    return tilt_angles(cfg.grid, cfg.wavelength_um, bins)
 
 
 def _build_task(cfg: DesignConfig) -> MappingTask:
     grid, lam = cfg.grid, cfg.wavelength_um
-    env = _apodization(cfg)
+    if cfg.task_kind == "haar-grin":
+        return haar_grin_task(grid, lam, patch_extent_um=cfg.task_patch_extent_um,
+                              spot_ring_um=cfg.task_spot_ring_um,
+                              spot_radius_um=cfg.task_spot_radius_um)
     if cfg.task_kind == "lantern":
         modes = lp_modes(cfg.fiber, grid)
-        angles = _tilt_angles(cfg.task_num_pairs, cfg.task_angle_step_bins, grid, lam)
+        angles = _fan_angles(cfg)
         if len(angles) > len(modes):
             raise ValueError(
                 f"task overdetermined for fiber: {len(angles)} inputs but only "
                 f"{len(modes)} guided modes at V={cfg.fiber.v_number:.3f}"
             )
-        inputs = [plane_wave(grid, lam, tx, ty, envelope=env) for tx, ty in angles]
+        inputs = lantern_inputs(grid, lam, angles, cfg.propagation)
         targets = [m.field for m in modes[: len(angles)]]
-    elif cfg.task_kind == "haar-grin":
-        inputs, targets = [], []
-        lobes = []
-        for kind in HAAR_KINDS:
-            masks = haar_mask_field(grid, lam, kind, cfg.task_patch_extent_um)
-            lobes.append(masks.plus)
-            if masks.minus is not None:
-                lobes.append(masks.minus)
-        spots = [spot_target(grid, lam, c, cfg.task_spot_radius_um)
-                 for c in ring_positions(len(lobes), cfg.task_spot_ring_um)]
-        inputs, targets = lobes, spots
     elif cfg.task_kind == "fanout":
-        source = plane_wave(grid, lam, envelope=env)
+        source = lantern_inputs(grid, lam, [(0.0, 0.0)], cfg.propagation)[0]
         spots = [spot_target(grid, lam, c, cfg.task_spot_radius_um)
                  for c in ring_positions(cfg.task_fan, cfg.task_spot_ring_um)]
         inputs, targets = [source] * cfg.task_fan, spots
     elif cfg.task_kind == "custom":
         # Mode sorter: tilted plane waves to their own focal spots.
-        angles = _tilt_angles(cfg.task_num_pairs, cfg.task_angle_step_bins, grid, lam)
-        inputs = [plane_wave(grid, lam, tx, ty, envelope=env) for tx, ty in angles]
+        inputs = lantern_inputs(grid, lam, _fan_angles(cfg), cfg.propagation)
         targets = [spot_target(grid, lam, c, cfg.task_spot_radius_um)
                    for c in ring_positions(len(inputs), cfg.task_spot_ring_um)]
     else:
@@ -234,7 +215,7 @@ def _cmd_scaling(args) -> int:
     outdir = _ensure_outdir(args.out)
     rows = []
     for n in n_values:
-        r = footprint_scaling(n, args.pitch, args.fan)
+        r = footprint_scaling(n, args.pitch)
         rows.append((r.n_neurons, r.elements_2d, r.planes_3d, r.elements_per_plane_3d,
                      r.pitch_um, r.footprint_2d_um2, r.footprint_3d_um2))
     write_csv(os.path.join(outdir, "scaling.csv"),
@@ -315,7 +296,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scaling", help="2D vs 3D interconnect footprint counts")
     p.add_argument("--n", default="15,225", help="comma-separated neuron counts")
     p.add_argument("--pitch", type=float, default=20.0, help="element pitch in um")
-    p.add_argument("--fan", type=int, default=1)
     p.add_argument("--out", default="ove-out")
     p.set_defaults(fn=_cmd_scaling)
 

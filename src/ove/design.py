@@ -1,9 +1,13 @@
-"""Inverse design by adjoint gradients through the split-step model.
+"""Inverse design by adjoint gradients through the step-chain model.
 
-The forward model is the scalar beam propagation in propagation.py; the
-adjoint pass reuses the same cached transfer functions, so the gradient
-is exact for the discretized model (matches finite differences to
-roundoff-limited accuracy, not just to O(dz)).
+The forward model is the step chain of propagation.py: each step is a
+drift, a thin phase kick and a drift, for volume slices and for layers
+alike. The adjoint sweep walks the same steps in reverse; per step it
+applies the boundary mask first and then the conjugate transfer, and
+undoes the kick with its conjugate. It reuses the forward pass's
+transfer functions and kicks, so the gradient is exact for the
+discretized model (matches finite differences to roundoff-limited
+accuracy, not just to O(dz)).
 
 Gradients are with respect to the real parameters (index contrast dn for
 volumes, per-layer phase for layered elements) of a real loss of complex
@@ -19,14 +23,12 @@ import numpy as np
 
 from .fields import ComplexField, IndexVolume, LayeredElement, MappingTask, overlap
 from .propagation import (
+    Chain,
     PropagationSpec,
-    absorber_mask,
-    bpm_with_trace,
     drift_adjoint,
-    layered_with_trace,
-    phase_screen,
+    element_chain,
+    forward_sweep,
     propagate,
-    transfer_function,
 )
 
 __all__ = [
@@ -182,64 +184,43 @@ def _with_params(design: IndexVolume | LayeredElement,
     return design.with_layers(tuple(params[k] for k in range(params.shape[0])))
 
 
-def _volume_adjoint(volume: IndexVolume, task: MappingTask, spec: LossSpec,
-                    prop: PropagationSpec) -> tuple[float, np.ndarray]:
-    grid = task.grid
-    lam = task.wavelength_um
-    gamma_dz = (2.0 * np.pi / lam) * volume.dz
-    h_half = transfer_function(grid, lam, volume.n0, volume.dz / 2.0,
-                               prop.transfer_model, prop.evanescent_policy)
-    mask = absorber_mask(grid, prop.absorber_width) if prop.boundary == "absorber" else None
-    kicks = np.exp(1j * phase_screen(volume, lam))
-
-    total = 0.0
-    grad = np.zeros_like(volume.dn)
-    for inp, target, weight in task.pairs:
-        out, trace = bpm_with_trace(volume, inp, prop)
-        pair_loss, g = _pair_loss_and_seed(out, target, weight, spec.kind)
-        total += pair_loss
-        for k in reversed(range(volume.nz)):
-            g_b = drift_adjoint(g, h_half, mask)
-            grad[:, :, k] += 2.0 * gamma_dz * np.imag(np.conj(trace[k]) * g_b)
-            g = np.conj(kicks[:, :, k]) * g_b
-            g = drift_adjoint(g, h_half, mask)
-    return total, grad
+def _gradient_per_step(design: IndexVolume | LayeredElement,
+                       wavelength_um: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Zeroed gradient, its view indexed by chain step, and the factor
+    2 d(kick phase)/d(parameter): 2 k0 dz for dn, 2 for a layer phase."""
+    if isinstance(design, IndexVolume):
+        grad = np.zeros_like(design.dn)
+        return grad, np.moveaxis(grad, -1, 0), 2.0 * ((2.0 * np.pi / wavelength_um) * design.dz)
+    grad = np.zeros((design.num_layers, design.grid.nx, design.grid.ny))
+    return grad, grad, 2.0
 
 
-def _layered_adjoint(element: LayeredElement, task: MappingTask, spec: LossSpec,
-                     prop: PropagationSpec) -> tuple[float, np.ndarray]:
-    grid = task.grid
-    lam = task.wavelength_um
-    mask = absorber_mask(grid, prop.absorber_width) if prop.boundary == "absorber" else None
-    hs = [
-        transfer_function(grid, lam, element.n_gap, gap,
-                          prop.transfer_model, prop.evanescent_policy)
-        if gap > 0 else None
-        for gap in element.gaps
-    ]
-    phases = [np.exp(1j * layer) for layer in element.layers]
+def _adjoint_sweep(chain: Chain, trace: list[np.ndarray], g: np.ndarray,
+                   grad_steps: np.ndarray, scale: float):
+    """Walk the chain in reverse from the seed ``g`` = dL/d(conj(out)).
 
-    total = 0.0
-    grad = np.zeros((element.num_layers, grid.nx, grid.ny))
-    for inp, target, weight in task.pairs:
-        out, trace = layered_with_trace(element, inp, prop)
-        pair_loss, g = _pair_loss_and_seed(out, target, weight, spec.kind)
-        total += pair_loss
-        for k in reversed(range(element.num_layers)):
-            if hs[k] is not None:
-                g = drift_adjoint(g, hs[k], mask)
-            grad[k] += 2.0 * np.imag(np.conj(trace[k]) * g)
-            g = np.conj(phases[k]) * g
-    return total, grad
+    Each step undoes its post drift, adds ``scale * Im(conj(u_k) g)`` to
+    ``grad_steps[k]`` (u_k is the traced field after kick k), then undoes
+    the kick and the pre drift.
+    """
+    for k in reversed(range(len(chain.steps))):
+        pre, kick, post = chain.steps[k]
+        if post is not None:
+            g = drift_adjoint(g, post, chain.mask)
+        grad_steps[k] += scale * np.imag(np.conj(trace[k]) * g)
+        g = np.conj(kick) * g
+        if pre is not None:
+            g = drift_adjoint(g, pre, chain.mask)
 
 
 def loss(design: IndexVolume | LayeredElement, task: MappingTask,
          spec: LossSpec = LossSpec(), prop: PropagationSpec = PropagationSpec()) -> float:
     """Scalar objective for a design against a mapping task."""
+    chain = element_chain(design, task.grid, task.wavelength_um, prop)
     total = 0.0
     for inp, target, weight in task.pairs:
-        out = propagate(design, inp, prop)
-        pair_loss, _ = _pair_loss_and_seed(out.values, target, weight, spec.kind)
+        out = forward_sweep(chain, inp.values)
+        pair_loss, _ = _pair_loss_and_seed(out, target, weight, spec.kind)
         total += pair_loss
     if spec.tv_weight > 0.0:
         tv, _ = total_variation(_design_params(design))
@@ -254,14 +235,19 @@ def loss_and_gradient(design: IndexVolume | LayeredElement, task: MappingTask,
     """Loss and its exact gradient for the discretized model.
 
     The gradient has the shape of the design parameters: (nx, ny, nz)
-    for a volume's dn, (num_layers, nx, ny) for layer phases.
+    for a volume's dn, (num_layers, nx, ny) for layer phases. Each pair
+    runs its forward sweep and then its adjoint sweep, so only one
+    pair's trace is live at a time.
     """
-    if isinstance(design, IndexVolume):
-        total, grad = _volume_adjoint(design, task, spec, prop)
-    elif isinstance(design, LayeredElement):
-        total, grad = _layered_adjoint(design, task, spec, prop)
-    else:
-        raise TypeError(f"cannot differentiate through {type(design).__name__}")
+    chain = element_chain(design, task.grid, task.wavelength_um, prop)
+    grad, grad_steps, scale = _gradient_per_step(design, task.wavelength_um)
+    total = 0.0
+    for inp, target, weight in task.pairs:
+        trace: list[np.ndarray] = []
+        out = forward_sweep(chain, inp.values, trace)
+        pair_loss, g = _pair_loss_and_seed(out, target, weight, spec.kind)
+        total += pair_loss
+        _adjoint_sweep(chain, trace, g, grad_steps, scale)
     if spec.tv_weight > 0.0:
         tv, tv_grad = total_variation(_design_params(design))
         total += spec.tv_weight * tv

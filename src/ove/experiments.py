@@ -37,6 +37,7 @@ from .sources import (
     lp_modes,
     plane_wave,
     spot_target,
+    tilt_angles,
 )
 
 __all__ = [
@@ -155,14 +156,12 @@ def spot_centroid(field: ComplexField, window_radius_um: float) -> tuple[float, 
 # ---------------------------------------------------------------------------
 
 def weak_grating_efficiency(dn_amplitude: float, thickness_um: float,
-                            wavelength_um: float, n0: float = 1.5) -> float:
+                            wavelength_um: float) -> float:
     """First-order efficiency (pi dn L / lambda)^2 of one weak grating.
 
     Valid only deep in the weak-coupling regime; rejected above an
     efficiency of 0.05 where the quadratic truncation of the coupled
-    sin^2 solution is no longer trustworthy. ``n0`` sets the medium in
-    the numerical counterpart of this formula and is carried here for
-    interface symmetry only.
+    sin^2 solution is no longer trustworthy.
     """
     if dn_amplitude < 0 or thickness_um <= 0 or wavelength_um <= 0:
         raise ValueError(
@@ -248,7 +247,7 @@ def multiplexed_grating_volume(m: int, dn_budget: float,
     bins = _carrier_bins(m, setup)
     amplitude = dn_budget / m
     # Guard: each grating must individually sit in the weak regime.
-    weak_grating_efficiency(amplitude, setup.thickness_um, setup.wavelength_um, setup.n0)
+    weak_grating_efficiency(amplitude, setup.thickness_um, setup.wavelength_um)
     grid = setup.grid
     x = grid.axes()[0][:, None, None]
     z = ((np.arange(setup.nz) + 0.5) * setup.dz)[None, None, :]
@@ -461,8 +460,7 @@ def toy_sorter_experiment(grid: Grid2D | None = None, wavelength_um: float = 1.5
     if optimizer is None:
         optimizer = OptimizerConfig(step_size=0.04 * dn_max, max_iters=300, seed=5)
 
-    window = grid.nx * grid.dx
-    angles = [(math.asin(b * wavelength_um / window), 0.0) for b in angle_bins]
+    angles = tilt_angles(grid, wavelength_um, angle_bins)
     inputs = lantern_inputs(grid, wavelength_um, angles, prop)
     targets = [spot_target(grid, wavelength_um, c, spot_radius_um)
                for c in ring_positions(len(angles), spot_ring_um)]

@@ -78,7 +78,7 @@ class CouplingMatrix:
         return self.entries.shape[1]
 
 
-def fanout_matrix(n_in: int, fan: int, geometry: str = "grid") -> CouplingMatrix:
+def fanout_matrix(n_in: int, fan: int) -> CouplingMatrix:
     """Ideal incoherent 1-to-fan splitter bank on a square grid.
 
     Inputs form a sqrt(n_in) x sqrt(n_in) grid; each input owns a
@@ -87,8 +87,6 @@ def fanout_matrix(n_in: int, fan: int, geometry: str = "grid") -> CouplingMatrix
     (sqrt(n_in * fan))^2 output grid, so the matrix is a permuted block
     structure rather than block-diagonal.
     """
-    if geometry != "grid":
-        raise ValueError(f"unknown geometry {geometry!r}")
     s = math.isqrt(n_in)
     t = math.isqrt(fan)
     if n_in <= 0 or s * s != n_in:
@@ -190,21 +188,17 @@ class ScalingReport:
     footprint_3d_um2: float
 
 
-def footprint_scaling(n_neurons: int, pitch_um: float, fan: int = 1) -> ScalingReport:
+def footprint_scaling(n_neurons: int, pitch_um: float) -> ScalingReport:
     """Counts for routing n^2 connections in a plane vs through a volume.
 
     A 2D layout needs one routing element per connection (n^2 of them at
     the given pitch); stacking n planes of n elements realizes the same
-    connectivity in 3D with an n-element footprint per plane. The fan
-    argument is accepted for interface symmetry with fanout_matrix but
-    does not change these simplest-organization counts.
+    connectivity in 3D with an n-element footprint per plane.
     """
     if n_neurons < 1:
         raise ValueError(f"n_neurons must be >= 1, got {n_neurons}")
     if pitch_um <= 0 or not math.isfinite(pitch_um):
         raise ValueError(f"pitch_um must be finite and positive, got {pitch_um}")
-    if fan < 1:
-        raise ValueError(f"fan must be >= 1, got {fan}")
     n = n_neurons
     return ScalingReport(
         n_neurons=n,

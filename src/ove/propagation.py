@@ -1,5 +1,12 @@
-"""Forward scalar propagation: angular-spectrum steps, split-step BPM
-through index volumes, and thin-mask propagation through layered elements.
+"""Forward scalar propagation: angular-spectrum steps, and one step chain
+that covers both element families.
+
+Both families are chains of ``(pre transfer, kick, post transfer)``
+steps: drift, multiply by a thin phase screen, drift. A volume slice is
+a split-step BPM step, ``(H(dz/2), exp(i k0 dz dn[:, :, k]), H(dz/2))``
+in the background index; a layer is ``(None, exp(i phase_k), H(gap_k))``
+in the gap medium, where a zero gap gives ``None`` and skips its drift. :func:`element_chain` builds the chain and
+:func:`forward_sweep` is the one loop that runs a field through it.
 
 Sign convention: time dependence exp(-i w t), forward propagation phase
 exp(+i kz z). A plane wave propagated a whole number of wavelengths in a
@@ -10,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -156,6 +164,63 @@ def phase_screen(volume: IndexVolume, wavelength_um: float) -> np.ndarray:
     return (2.0 * np.pi / wavelength_um) * volume.dz * volume.dn
 
 
+class Chain(NamedTuple):
+    """``(pre transfer, kick, post transfer)`` steps, ``None`` skipping a
+    drift, and the boundary mask every drift applies (``None`` if off)."""
+
+    steps: list[tuple[np.ndarray | None, np.ndarray, np.ndarray | None]]
+    mask: np.ndarray | None
+
+
+def element_chain(design: IndexVolume | LayeredElement, grid: Grid2D,
+                  wavelength_um: float, spec: PropagationSpec) -> Chain:
+    """The chain of ``design`` (see the module docstring) seen by fields
+    on ``grid`` at ``wavelength_um``."""
+    if not isinstance(design, (IndexVolume, LayeredElement)):
+        raise TypeError(f"cannot propagate through {type(design).__name__}")
+    if grid != design.grid:
+        raise ValueError(f"grid mismatch: field {grid} vs design {design.grid}")
+
+    def transfer(n_medium: float, distance_um: float) -> np.ndarray:
+        return transfer_function(grid, wavelength_um, n_medium, distance_um,
+                                 spec.transfer_model, spec.evanescent_policy)
+
+    if isinstance(design, IndexVolume):
+        h_half = transfer(design.n0, 0.5 * design.dz)
+        kick = np.exp(1j * phase_screen(design, wavelength_um))
+        steps = [(h_half, kick[:, :, k], h_half) for k in range(design.nz)]
+    else:
+        steps = [(None, np.exp(1j * phase), transfer(design.n_gap, gap) if gap > 0 else None)
+                 for phase, gap in zip(design.layers, design.gaps)]
+    return Chain(steps, _spec_mask(grid, spec))
+
+
+def forward_sweep(chain: Chain, values: np.ndarray,
+                  trace: list[np.ndarray] | None = None) -> np.ndarray:
+    """Run ``values`` through every step of ``chain``.
+
+    When ``trace`` is given, the field right after each kick is appended
+    to it: that is what the adjoint sweep needs.
+    """
+    u = values
+    for pre, kick, post in chain.steps:
+        if pre is not None:
+            u = drift(u, pre, chain.mask)
+        u = kick * u
+        if trace is not None:
+            trace.append(u)
+        if post is not None:
+            u = drift(u, post, chain.mask)
+    return u
+
+
+def propagate(design: IndexVolume | LayeredElement, field: ComplexField,
+              spec: PropagationSpec = PropagationSpec()) -> ComplexField:
+    """Forward pass through either design family."""
+    chain = element_chain(design, field.grid, field.wavelength_um, spec)
+    return field.with_values(forward_sweep(chain, field.values))
+
+
 def bpm(volume: IndexVolume, field: ComplexField,
         spec: PropagationSpec = PropagationSpec()) -> ComplexField:
     """Symmetric split-step propagation through an index volume.
@@ -164,31 +229,7 @@ def bpm(volume: IndexVolume, field: ComplexField,
     phase kick exp(i (2 pi / lambda) dn dz), half drift. Deterministic for
     fixed inputs.
     """
-    out, _ = bpm_with_trace(volume, field, spec, keep_trace=False)
-    return field.with_values(out)
-
-
-def bpm_with_trace(volume: IndexVolume, field: ComplexField, spec: PropagationSpec,
-                   keep_trace: bool = True) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Split-step forward pass, optionally recording the field right after
-    each phase screen (what the adjoint sweep needs)."""
-    if field.grid != volume.grid:
-        raise ValueError(f"grid mismatch: field {field.grid} vs volume {volume.grid}")
-    h_half = transfer_function(volume.grid, field.wavelength_um, volume.n0,
-                               0.5 * volume.dz, spec.transfer_model,
-                               spec.evanescent_policy)
-    mask = _spec_mask(volume.grid, spec)
-    kick = np.exp(1j * phase_screen(volume, field.wavelength_um))
-
-    u = field.values
-    trace: list[np.ndarray] = []
-    for k in range(volume.nz):
-        u = drift(u, h_half, mask)
-        u = kick[:, :, k] * u
-        if keep_trace:
-            trace.append(u)
-        u = drift(u, h_half, mask)
-    return u, trace
+    return propagate(volume, field, spec)
 
 
 def layered(element: LayeredElement, field: ComplexField,
@@ -199,34 +240,4 @@ def layered(element: LayeredElement, field: ComplexField,
     drift over its gap in the gap medium. Zero gaps skip the drift, so a
     zero-phase layer with zero gap is an exact identity.
     """
-    out, _ = layered_with_trace(element, field, spec, keep_trace=False)
-    return field.with_values(out)
-
-
-def layered_with_trace(element: LayeredElement, field: ComplexField, spec: PropagationSpec,
-                       keep_trace: bool = True) -> tuple[np.ndarray, list[np.ndarray]]:
-    if field.grid != element.grid:
-        raise ValueError(f"grid mismatch: field {field.grid} vs element {element.grid}")
-    mask = _spec_mask(element.grid, spec)
-
-    u = field.values
-    trace: list[np.ndarray] = []
-    for phase, gap in zip(element.layers, element.gaps):
-        u = np.exp(1j * phase) * u
-        if keep_trace:
-            trace.append(u)
-        if gap > 0:
-            h = transfer_function(element.grid, field.wavelength_um, element.n_gap,
-                                  gap, spec.transfer_model, spec.evanescent_policy)
-            u = drift(u, h, mask)
-    return u, trace
-
-
-def propagate(design: IndexVolume | LayeredElement, field: ComplexField,
-              spec: PropagationSpec = PropagationSpec()) -> ComplexField:
-    """Forward pass through either design family."""
-    if isinstance(design, IndexVolume):
-        return bpm(design, field, spec)
-    if isinstance(design, LayeredElement):
-        return layered(design, field, spec)
-    raise TypeError(f"cannot propagate through {type(design).__name__}")
+    return propagate(element, field, spec)

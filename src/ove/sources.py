@@ -6,6 +6,8 @@ Everything returned here carries unit power on its grid.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +20,7 @@ __all__ = [
     "FiberSpec",
     "LPMode",
     "plane_wave",
+    "tilt_angles",
     "lp_modes",
     "gaussian",
     "spot_target",
@@ -103,6 +106,23 @@ def plane_wave(grid: Grid2D, wavelength_um: float, theta_x: float = 0.0,
     if envelope is not None:
         vals = vals * envelope
     return normalize(ComplexField(grid, wavelength_um, vals))
+
+
+def tilt_angles(grid: Grid2D, wavelength_um: float,
+                bins: Sequence[float]) -> list[tuple[float, float]]:
+    """x-tilts ``(theta_x, 0)`` spaced in FFT bins of the window.
+
+    sin(theta_x) = bins * lambda / (nx dx), so a whole number of bins
+    gives a plane wave that is exactly periodic on the grid. A tilt that
+    needs |sin| >= 1 is rejected.
+    """
+    angles = []
+    for b in bins:
+        s = b * wavelength_um / (grid.nx * grid.dx)
+        if abs(s) >= 1.0:
+            raise ValueError(f"aliased source: tilt of {b} bins needs |sin| = {abs(s):.3g}")
+        angles.append((math.asin(s), 0.0))
+    return angles
 
 
 def gaussian(grid: Grid2D, wavelength_um: float, waist_um: float,

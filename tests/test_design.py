@@ -42,23 +42,35 @@ def small_volume(seed=5, grid=SMALL, nz=8) -> IndexVolume:
     return smooth_random_volume(grid, nz=nz, dz=1.0, seed=seed)
 
 
-def small_element(seed=21, grid=SMALL) -> LayeredElement:
+def small_element(seed=21, grid=SMALL, gaps=(4.0, 4.0, 6.0)) -> LayeredElement:
     phases = band_limited_phases(grid, 3, seed=seed, amplitude=0.8, k_cut=2.0)
-    return LayeredElement(grid=grid, layers=tuple(phases), gaps=(4.0, 4.0, 6.0))
+    return LayeredElement(grid=grid, layers=tuple(phases), gaps=gaps)
 
 
-def fd_volume(vol, task, spec, v, h=1e-6):
+# FD checks run every loss kind with the absorber off and on (the
+# default spec); layered elements also with a zero gap, which skips a
+# drift. The plain absorber-off ids carry the loss kind alone.
+FD_SPECS = (("", NO_ABSORBER), ("-absorber", PropagationSpec()))
+FD_KINDS = ("mode-coupling", "intensity-mse")
+VOLUME_FD_CASES = [pytest.param(kind, prop, id=kind + spec_id)
+                   for spec_id, prop in FD_SPECS for kind in FD_KINDS]
+LAYERED_FD_CASES = [pytest.param(kind, prop, gaps, id=kind + spec_id + gap_id)
+                    for gap_id, gaps in (("", (4.0, 4.0, 6.0)), ("-zero-gap", (4.0, 0.0, 6.0)))
+                    for spec_id, prop in FD_SPECS for kind in FD_KINDS]
+
+
+def fd_volume(vol, task, spec, v, prop, h=1e-6):
     dn_p = vol.dn.copy()
     dn_p[v] += h
     dn_m = vol.dn.copy()
     dn_m[v] -= h
     mk = lambda dn: IndexVolume(grid=vol.grid, nz=vol.nz, dz=vol.dz, n0=vol.n0,
                                 dn=dn, dn_min=-1.0, dn_max=1.0)
-    return (loss(mk(dn_p), task, spec, NO_ABSORBER)
-            - loss(mk(dn_m), task, spec, NO_ABSORBER)) / (2.0 * h)
+    return (loss(mk(dn_p), task, spec, prop)
+            - loss(mk(dn_m), task, spec, prop)) / (2.0 * h)
 
 
-def fd_layered(el, task, spec, v, h=1e-6):
+def fd_layered(el, task, spec, v, prop, h=1e-6):
     li, i, j = v
     plus = [p.copy() for p in el.layers]
     plus[li][i, j] += h
@@ -66,8 +78,8 @@ def fd_layered(el, task, spec, v, h=1e-6):
     minus[li][i, j] -= h
     mk = lambda ls: LayeredElement(grid=el.grid, layers=tuple(ls), gaps=el.gaps,
                                    n_gap=el.n_gap)
-    return (loss(mk(plus), task, spec, NO_ABSORBER)
-            - loss(mk(minus), task, spec, NO_ABSORBER)) / (2.0 * h)
+    return (loss(mk(plus), task, spec, prop)
+            - loss(mk(minus), task, spec, prop)) / (2.0 * h)
 
 
 # ---------------------------------------------------------------------------
@@ -135,29 +147,29 @@ class TestLoss:
 # ---------------------------------------------------------------------------
 
 class TestGradient:
-    @pytest.mark.parametrize("kind", ["mode-coupling", "intensity-mse"])
-    def test_volume_matches_fd(self, kind):
+    @pytest.mark.parametrize("kind,prop", VOLUME_FD_CASES)
+    def test_volume_matches_fd(self, kind, prop):
         task = small_task()
         vol = small_volume()
         spec = LossSpec(kind=kind)
-        adj = gradient(vol, task, spec, NO_ABSORBER)
+        adj = gradient(vol, task, spec, prop)
         rng = np.random.default_rng(0)
         for _ in range(20):
             v = tuple(int(rng.integers(0, s)) for s in adj.shape)
-            fd = fd_volume(vol, task, spec, v)
+            fd = fd_volume(vol, task, spec, v, prop)
             assert abs(fd - adj[v]) <= 1e-4 * max(abs(fd), abs(adj[v]))
 
-    @pytest.mark.parametrize("kind", ["mode-coupling", "intensity-mse"])
-    def test_layered_matches_fd(self, kind):
+    @pytest.mark.parametrize("kind,prop,gaps", LAYERED_FD_CASES)
+    def test_layered_matches_fd(self, kind, prop, gaps):
         task = small_task()
-        el = small_element()
+        el = small_element(gaps=gaps)
         spec = LossSpec(kind=kind)
-        adj = gradient(el, task, spec, NO_ABSORBER)
+        adj = gradient(el, task, spec, prop)
         assert adj.shape == (3, SMALL.nx, SMALL.ny)
         rng = np.random.default_rng(1)
         for _ in range(20):
             v = tuple(int(rng.integers(0, s)) for s in adj.shape)
-            fd = fd_layered(el, task, spec, v)
+            fd = fd_layered(el, task, spec, v, prop)
             assert abs(fd - adj[v]) <= 1e-4 * max(abs(fd), abs(adj[v]))
 
     def test_directional_derivative(self):

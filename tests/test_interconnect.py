@@ -52,10 +52,6 @@ class TestFanoutMatrix:
         with pytest.raises(ValueError):
             fanout_matrix(n_in, fan)
 
-    def test_unknown_geometry_rejected(self):
-        with pytest.raises(ValueError, match="geometry"):
-            fanout_matrix(4, 4, geometry="hex")
-
 
 class TestCouplingMatrix:
     def test_passivity_enforced_incoherent(self):
@@ -247,7 +243,6 @@ class TestFootprintScaling:
         dict(n_neurons=0, pitch_um=1.0),
         dict(n_neurons=4, pitch_um=0.0),
         dict(n_neurons=4, pitch_um=math.inf),
-        dict(n_neurons=4, pitch_um=1.0, fan=0),
     ])
     def test_invalid_arguments(self, kwargs):
         with pytest.raises(ValueError):

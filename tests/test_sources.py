@@ -16,6 +16,7 @@ from ove.sources import (
     lp_modes,
     plane_wave,
     spot_target,
+    tilt_angles,
 )
 from testutil import mirror_values
 
@@ -87,6 +88,17 @@ class TestPlaneWave:
         f = plane_wave(GRID, LAM, envelope=env)
         assert np.all(f.values[:16, :] == 0)
         assert power(f) == pytest.approx(1.0, abs=1e-9)
+
+
+class TestTiltAngles:
+    def test_matches_reference(self):
+        bins = [-1.5, -1.0, 0.0, 2.0]
+        expected = [(one_bin_angle(bins=b), 0.0) for b in bins]
+        assert tilt_angles(GRID, LAM, bins) == expected
+
+    def test_tilt_past_grazing_rejected(self):
+        with pytest.raises(ValueError, match="aliased source"):
+            tilt_angles(GRID, LAM, [0.0, 30.0])
 
 
 # ---------------------------------------------------------------------------
