@@ -22,10 +22,11 @@ from .config import ConfigError, DesignConfig, default_config, parse_config, ser
 from .design import DesignRun, optimize, seeded_initial_volume
 from .experiments import (
     CrosstalkReport,
+    fanout_fields,
     haar_grin_task,
-    lantern_inputs,
+    lantern_fields,
     optimized_curve,
-    ring_positions,
+    sorter_fields,
     superposed_curve,
 )
 from .fields import IndexVolume, LayeredElement, MappingTask
@@ -40,7 +41,7 @@ from .io import (
     write_csv,
 )
 from .propagation import propagate
-from .sources import HAAR_KINDS, gaussian, lp_modes, plane_wave, spot_target, tilt_angles
+from .sources import HAAR_KINDS, gaussian, plane_wave, tilt_angles
 
 __all__ = ["main"]
 
@@ -72,33 +73,16 @@ def _fan_angles(cfg: DesignConfig) -> list[tuple[float, float]]:
 
 def _build_task(cfg: DesignConfig) -> MappingTask:
     grid, lam = cfg.grid, cfg.wavelength_um
+    ring, radius = cfg.task_spot_ring_um, cfg.task_spot_radius_um
     if cfg.task_kind == "haar-grin":
-        return haar_grin_task(grid, lam, patch_extent_um=cfg.task_patch_extent_um,
-                              spot_ring_um=cfg.task_spot_ring_um,
-                              spot_radius_um=cfg.task_spot_radius_um)
+        return haar_grin_task(grid, lam, HAAR_KINDS, cfg.task_patch_extent_um, ring, radius)
     if cfg.task_kind == "lantern":
-        modes = lp_modes(cfg.fiber, grid)
-        angles = _fan_angles(cfg)
-        if len(angles) > len(modes):
-            raise ValueError(
-                f"task overdetermined for fiber: {len(angles)} inputs but only "
-                f"{len(modes)} guided modes at V={cfg.fiber.v_number:.3f}"
-            )
-        inputs = lantern_inputs(grid, lam, angles, cfg.propagation)
-        targets = [m.field for m in modes[: len(angles)]]
+        fields = lantern_fields(cfg.fiber, grid, _fan_angles(cfg), cfg.propagation)
     elif cfg.task_kind == "fanout":
-        source = lantern_inputs(grid, lam, [(0.0, 0.0)], cfg.propagation)[0]
-        spots = [spot_target(grid, lam, c, cfg.task_spot_radius_um)
-                 for c in ring_positions(cfg.task_fan, cfg.task_spot_ring_um)]
-        inputs, targets = [source] * cfg.task_fan, spots
-    elif cfg.task_kind == "custom":
-        # Mode sorter: tilted plane waves to their own focal spots.
-        inputs = lantern_inputs(grid, lam, _fan_angles(cfg), cfg.propagation)
-        targets = [spot_target(grid, lam, c, cfg.task_spot_radius_um)
-                   for c in ring_positions(len(inputs), cfg.task_spot_ring_um)]
-    else:
-        raise ValueError(f"unhandled task kind {cfg.task_kind!r}")
-    return MappingTask.from_fields(inputs, targets)
+        fields = fanout_fields(grid, lam, cfg.task_fan, ring, radius, cfg.propagation)
+    else:  # custom, the mode sorter; config parsing rejects any other kind
+        fields = sorter_fields(grid, lam, _fan_angles(cfg), ring, radius, cfg.propagation)
+    return MappingTask.from_fields(*fields)
 
 
 def _initial_design(cfg: DesignConfig):

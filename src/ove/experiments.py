@@ -29,7 +29,7 @@ from .design import (
     seeded_initial_volume,
 )
 from .fields import ComplexField, Grid2D, IndexVolume, LayeredElement, MappingTask, power
-from .propagation import PropagationSpec, absorber_mask, bpm
+from .propagation import PropagationSpec, boundary_mask, bpm
 from .sources import (
     HAAR_KINDS,
     FiberSpec,
@@ -57,8 +57,14 @@ __all__ = [
     "toy_sorter_experiment",
     "haar_grin_experiment",
     "ring_positions",
+    "lantern_inputs",
+    "lantern_fields",
+    "sorter_fields",
+    "fanout_fields",
+    "haar_grin_task",
 ]
 
+TaskFields = tuple[list[ComplexField], list[ComplexField]]  # raw, as MappingTask ingests
 _UNIT_POWER_TOL = 1e-6
 _WEAK_ETA_LIMIT = 0.05
 
@@ -96,12 +102,8 @@ class CrosstalkReport:
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "CrosstalkReport":
         mat = np.asarray(matrix, dtype=float)
-        k = min(mat.shape)
-        diag = np.array([mat[i, i] for i in range(k)])
-        off_mask = np.ones(mat.shape, dtype=bool)
-        for i in range(k):
-            off_mask[i, i] = False
-        off = mat[off_mask]
+        diag = np.diagonal(mat)
+        off = mat[~np.eye(*mat.shape, dtype=bool)]
         if off.size == 0:
             off_mean, worst = math.nan, math.inf
         else:
@@ -309,17 +311,15 @@ def optimized_fanout_efficiency(m: int, dn_budget: float,
         # the loss monotone even at this rate.
         optimizer = OptimizerConfig(step_size=0.04 * dn_budget, max_iters=400, seed=7)
 
-    grid, lam = setup.grid, setup.wavelength_um
-    source = plane_wave(grid, lam)
-    spots = [spot_target(grid, lam, c, setup.spot_radius_um)
-             for c in ring_positions(m, setup.spot_ring_um)]
-    task = MappingTask.from_fields([source] * m, spots)
+    inputs, spots = fanout_fields(setup.grid, setup.wavelength_um, m, setup.spot_ring_um,
+                                  setup.spot_radius_um, setup.prop)
+    task = MappingTask.from_fields(inputs, spots)
 
-    initial = seeded_initial_volume(grid, setup.nz, setup.dz, setup.n0,
+    initial = seeded_initial_volume(setup.grid, setup.nz, setup.dz, setup.n0,
                                     dn_min=-dn_budget, dn_max=dn_budget,
                                     seed=optimizer.seed)
     run = optimize(task, initial, LossSpec(kind="mode-coupling"), optimizer, setup.prop)
-    etas = coupling_matrix(run.result, [source], spots, setup.prop)[:, 0]
+    etas = coupling_matrix(run.result, inputs[:1], spots, setup.prop)[:, 0]
     return etas, run
 
 
@@ -400,8 +400,48 @@ def lantern_inputs(grid: Grid2D, wavelength_um: float,
     Apodizing keeps the optimization from chasing power that the
     absorber will remove anyway.
     """
-    env = absorber_mask(grid, prop.absorber_width) if prop.boundary == "absorber" else None
+    env = boundary_mask(grid, prop)
     return [plane_wave(grid, wavelength_um, tx, ty, envelope=env) for tx, ty in angles]
+
+
+def lantern_fields(fiber: FiberSpec, grid: Grid2D, angles: list[tuple[float, float]],
+                   prop: PropagationSpec = PropagationSpec()) -> TaskFields:
+    """Tilted plane waves and the guided LP modes, in (l, m, parity) order."""
+    modes = lp_modes(fiber, grid)
+    if len(angles) > len(modes):
+        raise ValueError(f"task overdetermined for fiber: {len(angles)} inputs but only "
+                         f"{len(modes)} guided modes at V={fiber.v_number:.3f}")
+    return (lantern_inputs(grid, fiber.wavelength_um, angles, prop),
+            [mode.field for mode in modes[: len(angles)]])
+
+
+def sorter_fields(grid: Grid2D, wavelength_um: float, angles: list[tuple[float, float]],
+                  spot_ring_um: float, spot_radius_um: float,
+                  prop: PropagationSpec = PropagationSpec()) -> TaskFields:
+    """Mode sorter: tilted plane waves to their own spots on a ring."""
+    return (lantern_inputs(grid, wavelength_um, angles, prop),
+            [spot_target(grid, wavelength_um, c, spot_radius_um)
+             for c in ring_positions(len(angles), spot_ring_um)])
+
+
+def fanout_fields(grid: Grid2D, wavelength_um: float, fan: int, spot_ring_um: float,
+                  spot_radius_um: float, prop: PropagationSpec = PropagationSpec()) -> TaskFields:
+    """One normal plane wave, repeated ``fan`` times, to ``fan`` spots on a ring."""
+    source = lantern_inputs(grid, wavelength_um, [(0.0, 0.0)], prop)
+    return source * fan, [spot_target(grid, wavelength_um, c, spot_radius_um)
+                          for c in ring_positions(fan, spot_ring_um)]
+
+
+def _volume_run(inputs: list[ComplexField], targets: list[ComplexField], nz: int, dz: float,
+                n0: float, dn_max: float, optimizer: OptimizerConfig, prop: PropagationSpec,
+                task: MappingTask | None = None) -> tuple[DesignRun, CrosstalkReport]:
+    """Mode-coupling run from a seeded volume on [0, dn_max], and the crosstalk
+    report of ``inputs`` onto ``targets``; ``task`` defaults to theirs."""
+    task = MappingTask.from_fields(inputs, targets) if task is None else task
+    initial = seeded_initial_volume(task.grid, nz, dz, n0, dn_min=0.0, dn_max=dn_max,
+                                    seed=optimizer.seed)
+    run = optimize(task, initial, LossSpec(kind="mode-coupling"), optimizer, prop)
+    return run, crosstalk(run.result, inputs, targets, prop)
 
 
 def lantern_experiment(fiber: FiberSpec, angles: list[tuple[float, float]],
@@ -423,21 +463,8 @@ def lantern_experiment(fiber: FiberSpec, angles: list[tuple[float, float]],
     if optimizer is None:
         optimizer = OptimizerConfig(step_size=0.04 * dn_max, max_iters=400, seed=11)
 
-    modes = lp_modes(fiber, grid)
-    if len(angles) > len(modes):
-        raise ValueError(
-            f"task overdetermined for fiber: {len(angles)} inputs but only "
-            f"{len(modes)} guided modes at V={fiber.v_number:.3f}"
-        )
-    inputs = lantern_inputs(grid, fiber.wavelength_um, angles, prop)
-    targets = [mode.field for mode in modes[: len(angles)]]
-    task = MappingTask.from_fields(inputs, targets)
-
-    initial = seeded_initial_volume(grid, nz, dz, n0, dn_min=0.0, dn_max=dn_max,
-                                    seed=optimizer.seed)
-    run = optimize(task, initial, LossSpec(kind="mode-coupling"), optimizer, prop)
-    report = crosstalk(run.result, inputs, targets, prop)
-    return run, report
+    return _volume_run(*lantern_fields(fiber, grid, angles, prop),
+                       nz, dz, n0, dn_max, optimizer, prop)
 
 
 def toy_sorter_experiment(grid: Grid2D | None = None, wavelength_um: float = 1.55,
@@ -460,17 +487,9 @@ def toy_sorter_experiment(grid: Grid2D | None = None, wavelength_um: float = 1.5
     if optimizer is None:
         optimizer = OptimizerConfig(step_size=0.04 * dn_max, max_iters=300, seed=5)
 
-    angles = tilt_angles(grid, wavelength_um, angle_bins)
-    inputs = lantern_inputs(grid, wavelength_um, angles, prop)
-    targets = [spot_target(grid, wavelength_um, c, spot_radius_um)
-               for c in ring_positions(len(angles), spot_ring_um)]
-    task = MappingTask.from_fields(inputs, targets)
-
-    initial = seeded_initial_volume(grid, nz, dz, n0, dn_min=0.0, dn_max=dn_max,
-                                    seed=optimizer.seed)
-    run = optimize(task, initial, LossSpec(kind="mode-coupling"), optimizer, prop)
-    report = crosstalk(run.result, inputs, targets, prop)
-    return run, report
+    fields = sorter_fields(grid, wavelength_um, tilt_angles(grid, wavelength_um, angle_bins),
+                           spot_ring_um, spot_radius_um, prop)
+    return _volume_run(*fields, nz, dz, n0, dn_max, optimizer, prop)
 
 
 # ---------------------------------------------------------------------------
@@ -520,10 +539,5 @@ def haar_grin_experiment(grid: Grid2D | None = None, wavelength_um: float = 1.55
 
     task = haar_grin_task(grid, wavelength_um, kinds, patch_extent_um,
                           spot_ring_um, spot_radius_um)
-    initial = seeded_initial_volume(grid, nz, dz, n0, dn_min=0.0, dn_max=dn_max,
-                                    seed=optimizer.seed)
-    run = optimize(task, initial, LossSpec(kind="mode-coupling"), optimizer, prop)
-    inputs = [p[0] for p in task.pairs]
-    targets = [p[1] for p in task.pairs]
-    report = crosstalk(run.result, inputs, targets, prop)
-    return run, report
+    return _volume_run([p[0] for p in task.pairs], [p[1] for p in task.pairs],
+                       nz, dz, n0, dn_max, optimizer, prop, task)

@@ -30,6 +30,7 @@ __all__ = [
     "layered",
     "propagate",
     "absorber_mask",
+    "boundary_mask",
     "transfer_function",
 ]
 
@@ -126,7 +127,8 @@ def absorber_mask(grid: Grid2D, width_fraction: float) -> np.ndarray | None:
     return mask
 
 
-def _spec_mask(grid: Grid2D, spec: PropagationSpec) -> np.ndarray | None:
+def boundary_mask(grid: Grid2D, spec: PropagationSpec) -> np.ndarray | None:
+    """The absorber mask ``spec`` applies on ``grid``, or None when off."""
     if spec.boundary != "absorber":
         return None
     return absorber_mask(grid, spec.absorber_width)
@@ -156,7 +158,7 @@ def free_space(field: ComplexField, distance_um: float, n_medium: float = 1.0,
         return field
     h = transfer_function(field.grid, field.wavelength_um, n_medium, distance_um,
                           spec.transfer_model, spec.evanescent_policy)
-    return field.with_values(drift(field.values, h, _spec_mask(field.grid, spec)))
+    return field.with_values(drift(field.values, h, boundary_mask(field.grid, spec)))
 
 
 def phase_screen(volume: IndexVolume, wavelength_um: float) -> np.ndarray:
@@ -192,7 +194,7 @@ def element_chain(design: IndexVolume | LayeredElement, grid: Grid2D,
     else:
         steps = [(None, np.exp(1j * phase), transfer(design.n_gap, gap) if gap > 0 else None)
                  for phase, gap in zip(design.layers, design.gaps)]
-    return Chain(steps, _spec_mask(grid, spec))
+    return Chain(steps, boundary_mask(grid, spec))
 
 
 def forward_sweep(chain: Chain, values: np.ndarray,

@@ -11,8 +11,16 @@ import numpy as np
 import pytest
 
 from ove.cli import main
+from ove.config import parse_config
+from ove.experiments import (
+    haar_grin_experiment,
+    lantern_experiment,
+    optimized_fanout_efficiency,
+    toy_sorter_experiment,
+)
 from ove.fields import Grid2D, IndexVolume
 from ove.io import export_volume, import_field, import_volume, read_pgm
+from ove.sources import FiberSpec, tilt_angles
 from testutil import haar_bank_oracle
 
 TINY_DESIGN = "\n".join([
@@ -193,6 +201,48 @@ class TestLanternAndHaarSubcommands:
         # Seven lobes: 3 signed kinds x 2 lobes + uniform's single lobe.
         coupling_lines = read_csv_lines(tmp_path / "h" / "coupling.csv")
         assert len(coupling_lines) == 1 + 49
+
+
+# Each canned experiment: the `ove design` keys that reproduce its
+# library defaults, and the experiment run under a given optimizer.
+CANNED = {
+    "lantern": (
+        ["optimizer.step_size = 0.002", "optimizer.seed = 11"],
+        lambda opt: lantern_experiment(
+            FiberSpec(core_radius_um=5.0, n_core=1.45, n_clad=1.444, wavelength_um=1.55),
+            tilt_angles(Grid2D(64, 64, 0.5, 0.5), 1.55, (-1.0, 1.0)), optimizer=opt)[0],
+    ),
+    "haar-grin": (
+        ["task.kind = haar-grin", "volume.dz_um = 1.5", "optimizer.step_size = 0.006",
+         "optimizer.seed = 13"],
+        lambda opt: haar_grin_experiment(optimizer=opt)[0],
+    ),
+    "custom": (
+        ["task.kind = custom", "task.angle_step_bins = 3.0", "task.spot_ring_um = 5.0",
+         "task.spot_radius_um = 2.0", "volume.nz = 32", "volume.dz_um = 1.5",
+         "optimizer.step_size = 0.002", "optimizer.seed = 5"],
+        lambda opt: toy_sorter_experiment(optimizer=opt)[0],
+    ),
+    "fanout": (
+        ["task.kind = fanout", "task.fan = 4", "task.spot_ring_um = 8.0",
+         "task.spot_radius_um = 2.0", "volume.nz = 32", "volume.dz_um = 0.5",
+         "dn_min = -0.05", "dn_max = 0.05", "propagation.absorber_width = 0",
+         "optimizer.step_size = 0.002", "optimizer.seed = 7"],
+        lambda opt: optimized_fanout_efficiency(4, 0.05, optimizer=opt)[1],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CANNED))
+def test_design_reproduces_canned_experiment(tmp_path, kind):
+    keys, experiment = CANNED[kind]
+    text = "\n".join(keys + ["optimizer.max_iters = 2"]) + "\n"
+    path = tmp_path / "run.cfg"
+    path.write_text(text, encoding="utf-8")
+    assert main(["design", str(path), "--out", "d"]) == 0
+    got = [float(ln.split(",")[1]) for ln in read_csv_lines(tmp_path / "d" / "loss.csv")[1:]]
+    run = experiment(parse_config(text).optimizer)
+    assert got == [run.initial_loss, *run.loss_history]
 
 
 class TestPropagate:
