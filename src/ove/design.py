@@ -12,6 +12,13 @@ accuracy, not just to O(dz)).
 Gradients are with respect to the real parameters (index contrast dn for
 volumes, per-layer phase for layered elements) of a real loss of complex
 fields, i.e. Wirtinger cogradients folded back onto the real axis.
+
+One evaluation (:func:`_evaluate`) gives a design's loss, its gradient
+and its coupling matrix from a single pass over the task's pairs.
+Consecutive pairs with the same input share one forward sweep; each
+pair still runs its own adjoint sweep, so the gradient sums in pair
+order. The optimizer evaluates each candidate once, with a speculative
+gradient: an accepted candidate brings the next iteration's gradient.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ComplexField, IndexVolume, LayeredElement, MappingTask, overlap
+from .fields import ComplexField, IndexVolume, LayeredElement, MappingTask
 from .propagation import (
     Chain,
     PropagationSpec,
@@ -213,19 +220,56 @@ def _adjoint_sweep(chain: Chain, trace: list[np.ndarray], g: np.ndarray,
             g = drift_adjoint(g, pre, chain.mask)
 
 
+def _coupled_power(out: np.ndarray, target: ComplexField) -> float:
+    """|overlap(out, target)|^2 exactly as :func:`fields.overlap` forms it,
+    on a raw array, so non-finite values reach the optimizer's check
+    instead of a field's."""
+    return abs(complex(np.sum(np.conj(out) * target.values) * target.grid.cell_area)) ** 2
+
+
+def _evaluate(design: IndexVolume | LayeredElement, task: MappingTask, spec: LossSpec,
+              prop: PropagationSpec, with_gradient: bool,
+              ) -> tuple[float, np.ndarray | None, np.ndarray]:
+    """Loss, gradient (None unless ``with_gradient``) and the (targets,
+    inputs) coupling matrix of ``design``, from one pass over the pairs.
+
+    Pairs run in order. A pair whose input equals the previous pair's
+    reuses that pair's forward sweep, output and trace; every pair runs
+    its own adjoint sweep. Only one trace is live at a time.
+    """
+    chain = element_chain(design, task.grid, task.wavelength_um, prop)
+    grad = None
+    if with_gradient:
+        grad, grad_steps, scale = _gradient_per_step(design, task.wavelength_um)
+    targets = [tgt for _, tgt, _ in task.pairs]
+    coupling = np.empty((len(targets), len(targets)))
+    total = 0.0
+    previous = None
+    for i, (inp, target, weight) in enumerate(task.pairs):
+        if previous is not None and np.array_equal(inp.values, previous):
+            coupling[:, i] = coupling[:, i - 1]
+        else:
+            trace = [] if with_gradient else None
+            out = forward_sweep(chain, inp.values, trace)
+            for ti, tgt in enumerate(targets):
+                coupling[ti, i] = _coupled_power(out, tgt)
+        previous = inp.values
+        pair_loss, g = _pair_loss_and_seed(out, target, weight, spec.kind)
+        total += pair_loss
+        if with_gradient:
+            _adjoint_sweep(chain, trace, g, grad_steps, scale)
+    if spec.tv_weight > 0.0:
+        tv, tv_grad = total_variation(_design_params(design))
+        total += spec.tv_weight * tv
+        if with_gradient:
+            grad = grad + spec.tv_weight * tv_grad
+    return float(total), grad, coupling
+
+
 def loss(design: IndexVolume | LayeredElement, task: MappingTask,
          spec: LossSpec = LossSpec(), prop: PropagationSpec = PropagationSpec()) -> float:
     """Scalar objective for a design against a mapping task."""
-    chain = element_chain(design, task.grid, task.wavelength_um, prop)
-    total = 0.0
-    for inp, target, weight in task.pairs:
-        out = forward_sweep(chain, inp.values)
-        pair_loss, _ = _pair_loss_and_seed(out, target, weight, spec.kind)
-        total += pair_loss
-    if spec.tv_weight > 0.0:
-        tv, _ = total_variation(_design_params(design))
-        total += spec.tv_weight * tv
-    return float(total)
+    return _evaluate(design, task, spec, prop, with_gradient=False)[0]
 
 
 def loss_and_gradient(design: IndexVolume | LayeredElement, task: MappingTask,
@@ -235,24 +279,9 @@ def loss_and_gradient(design: IndexVolume | LayeredElement, task: MappingTask,
     """Loss and its exact gradient for the discretized model.
 
     The gradient has the shape of the design parameters: (nx, ny, nz)
-    for a volume's dn, (num_layers, nx, ny) for layer phases. Each pair
-    runs its forward sweep and then its adjoint sweep, so only one
-    pair's trace is live at a time.
+    for a volume's dn, (num_layers, nx, ny) for layer phases.
     """
-    chain = element_chain(design, task.grid, task.wavelength_um, prop)
-    grad, grad_steps, scale = _gradient_per_step(design, task.wavelength_um)
-    total = 0.0
-    for inp, target, weight in task.pairs:
-        trace: list[np.ndarray] = []
-        out = forward_sweep(chain, inp.values, trace)
-        pair_loss, g = _pair_loss_and_seed(out, target, weight, spec.kind)
-        total += pair_loss
-        _adjoint_sweep(chain, trace, g, grad_steps, scale)
-    if spec.tv_weight > 0.0:
-        tv, tv_grad = total_variation(_design_params(design))
-        total += spec.tv_weight * tv
-        grad = grad + spec.tv_weight * tv_grad
-    return float(total), grad
+    return _evaluate(design, task, spec, prop, with_gradient=True)[:2]
 
 
 def gradient(design: IndexVolume | LayeredElement, task: MappingTask,
@@ -317,7 +346,8 @@ def coupling_matrix(design: IndexVolume | LayeredElement,
     mat = np.empty((len(targets), len(inputs)))
     for ti, tgt in enumerate(targets):
         for ii, out in enumerate(outs):
-            mat[ti, ii] = abs(overlap(out, tgt)) ** 2
+            out.check_compatible(tgt)
+            mat[ti, ii] = _coupled_power(out.values, tgt)
     return mat
 
 
@@ -349,17 +379,20 @@ def optimize(task: MappingTask, initial_design: IndexVolume | LayeredElement,
     60 times) and the proposal recomputed from the same moments. The
     returned history is therefore non-increasing. Non-finite loss or
     gradient aborts with the iteration index in the message.
+
+    Each candidate is evaluated once. Before the last iteration that
+    evaluation also computes the gradient, speculatively: an accepted
+    candidate brings the gradient of the next iteration, a rejected one
+    wastes one adjoint sweep per pair. The same evaluations give the
+    coupling matrices before and after, so they cost no extra pass.
     """
     pm = _Parameterization(initial_design, config.projection)
     z = pm.to_optimizer(_design_params(initial_design))
-    design = _with_params(initial_design, pm.to_physical(z))
-
-    inputs = [p[0] for p in task.pairs]
-    targets = [p[1] for p in task.pairs]
-    coupling_before = coupling_matrix(design, inputs, targets, prop)
-
-    current_loss, grad_phys = loss_and_gradient(design, task, loss_spec, prop)
+    current_loss, grad_phys, coupling_before = _evaluate(
+        _with_params(initial_design, pm.to_physical(z)), task, loss_spec, prop,
+        with_gradient=config.max_iters > 0)
     initial_loss = current_loss
+    coupling = coupling_before
     if not math.isfinite(current_loss):
         raise ArithmeticError(f"non-finite loss at iteration 0: {current_loss}")
 
@@ -374,40 +407,40 @@ def optimize(task: MappingTask, initial_design: IndexVolume | LayeredElement,
             raise ArithmeticError(f"non-finite gradient at iteration {t - 1}")
         m = config.beta1 * m + (1.0 - config.beta1) * g
         v = config.beta2 * v + (1.0 - config.beta2) * g * g
-        m_hat = m / (1.0 - config.beta1**t)
-        v_hat = v / (1.0 - config.beta2**t)
-        direction = m_hat / (np.sqrt(v_hat) + config.eps)
+        direction = (m / (1.0 - config.beta1**t)) / (np.sqrt(v / (1.0 - config.beta2**t))
+                                                      + config.eps)
+        # The line search needs neither. Freeing them, and a rejected
+        # candidate's gradient below, keeps one gradient live while a
+        # candidate is evaluated.
+        del g, grad_phys
 
         accepted = False
         for _ in range(_MAX_HALVINGS):
             z_new = z - lr * direction
-            cand = _with_params(design, pm.to_physical(z_new))
-            cand_loss = loss(cand, task, loss_spec, prop)
+            cand_loss, cand_grad, cand_coupling = _evaluate(
+                _with_params(initial_design, pm.to_physical(z_new)), task, loss_spec, prop,
+                with_gradient=t < config.max_iters)
             if not math.isfinite(cand_loss):
                 raise ArithmeticError(f"non-finite loss at iteration {t}")
             if cand_loss <= current_loss:
                 z = z_new
-                design = cand
-                current_loss = cand_loss
+                current_loss, grad_phys, coupling = cand_loss, cand_grad, cand_coupling
                 accepted = True
                 break
+            del cand_grad
             lr *= 0.5
         history.append(current_loss)
         if not accepted:
             # Step size exhausted; remaining iterations cannot move.
             history.extend([current_loss] * (config.max_iters - t))
             break
-        if t < config.max_iters:
-            current_loss, grad_phys = loss_and_gradient(design, task, loss_spec, prop)
-            history[-1] = current_loss  # identical value, recomputed form
 
-    coupling_after = coupling_matrix(design, inputs, targets, prop)
     return DesignRun(
         config=config,
         loss_spec=loss_spec,
         initial_loss=initial_loss,
         loss_history=tuple(history),
-        result=design,
+        result=_with_params(initial_design, pm.to_physical(z)),
         coupling_before=coupling_before,
-        coupling_after=coupling_after,
+        coupling_after=coupling,
     )

@@ -7,10 +7,16 @@ import math
 import numpy as np
 import pytest
 
+import ove.design
 from ove.design import (
+    _MAX_HALVINGS,
     DesignRun,
     LossSpec,
     OptimizerConfig,
+    _design_params,
+    _Parameterization,
+    _with_params,
+    coupling_matrix,
     gradient,
     loss,
     loss_and_gradient,
@@ -38,6 +44,13 @@ def small_task(seeds=(1, 2, 3, 4), grid=SMALL) -> MappingTask:
     return MappingTask.from_fields(ins, tgts)
 
 
+def inputs_task(seeds) -> MappingTask:
+    """One band-limited input per seed, each onto its own target."""
+    ins = [band_limited_field(SMALL, LAM, s, k_fraction=0.5) for s in seeds]
+    tgts = [band_limited_field(SMALL, LAM, 3 + k, k_fraction=0.5) for k in range(len(seeds))]
+    return MappingTask.from_fields(ins, tgts)
+
+
 def small_volume(seed=5, grid=SMALL, nz=8) -> IndexVolume:
     return smooth_random_volume(grid, nz=nz, dz=1.0, seed=seed)
 
@@ -48,15 +61,26 @@ def small_element(seed=21, grid=SMALL, gaps=(4.0, 4.0, 6.0)) -> LayeredElement:
 
 
 # FD checks run every loss kind with the absorber off and on (the
-# default spec); layered elements also with a zero gap, which skips a
-# drift. The plain absorber-off ids carry the loss kind alone.
-FD_SPECS = (("", NO_ABSORBER), ("-absorber", PropagationSpec()))
+# default spec). With the absorber on they also run on a task whose
+# inputs repeat, so pairs share a forward sweep; with a TV term; and
+# under the paraxial transfer that keeps evanescent components. Layered
+# elements also run the first two with a zero gap, which skips a drift.
+# The plain absorber-off ids carry the loss kind alone.
+PARAXIAL_KEEP = PropagationSpec(transfer_model="fresnel-paraxial", evanescent_policy="keep")
+FD_VARIANTS = (  # (id suffix, propagation spec, task builder, tv_weight)
+    ("", NO_ABSORBER, small_task, 0.0),
+    ("-absorber", PropagationSpec(), small_task, 0.0),
+    ("-repeated", PropagationSpec(), lambda: inputs_task((1, 1, 2)), 0.0),
+    ("-tv", PropagationSpec(), small_task, 1e-3),
+    ("-paraxial-keep", PARAXIAL_KEEP, small_task, 0.0),
+)
 FD_KINDS = ("mode-coupling", "intensity-mse")
-VOLUME_FD_CASES = [pytest.param(kind, prop, id=kind + spec_id)
-                   for spec_id, prop in FD_SPECS for kind in FD_KINDS]
-LAYERED_FD_CASES = [pytest.param(kind, prop, gaps, id=kind + spec_id + gap_id)
-                    for gap_id, gaps in (("", (4.0, 4.0, 6.0)), ("-zero-gap", (4.0, 0.0, 6.0)))
-                    for spec_id, prop in FD_SPECS for kind in FD_KINDS]
+VOLUME_FD_CASES = [pytest.param(kind, prop, make_task, tv, id=kind + var_id)
+                   for var_id, prop, make_task, tv in FD_VARIANTS for kind in FD_KINDS]
+LAYERED_FD_CASES = [pytest.param(kind, prop, make_task, tv, gaps, id=kind + var_id + gap_id)
+                    for gap_id, gaps, variants in (("", (4.0, 4.0, 6.0), FD_VARIANTS),
+                                                   ("-zero-gap", (4.0, 0.0, 6.0), FD_VARIANTS[:2]))
+                    for var_id, prop, make_task, tv in variants for kind in FD_KINDS]
 
 
 def fd_volume(vol, task, spec, v, prop, h=1e-6):
@@ -147,11 +171,11 @@ class TestLoss:
 # ---------------------------------------------------------------------------
 
 class TestGradient:
-    @pytest.mark.parametrize("kind,prop", VOLUME_FD_CASES)
-    def test_volume_matches_fd(self, kind, prop):
-        task = small_task()
+    @pytest.mark.parametrize("kind,prop,make_task,tv_weight", VOLUME_FD_CASES)
+    def test_volume_matches_fd(self, kind, prop, make_task, tv_weight):
+        task = make_task()
         vol = small_volume()
-        spec = LossSpec(kind=kind)
+        spec = LossSpec(kind=kind, tv_weight=tv_weight)
         adj = gradient(vol, task, spec, prop)
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -159,11 +183,11 @@ class TestGradient:
             fd = fd_volume(vol, task, spec, v, prop)
             assert abs(fd - adj[v]) <= 1e-4 * max(abs(fd), abs(adj[v]))
 
-    @pytest.mark.parametrize("kind,prop,gaps", LAYERED_FD_CASES)
-    def test_layered_matches_fd(self, kind, prop, gaps):
-        task = small_task()
+    @pytest.mark.parametrize("kind,prop,make_task,tv_weight,gaps", LAYERED_FD_CASES)
+    def test_layered_matches_fd(self, kind, prop, make_task, tv_weight, gaps):
+        task = make_task()
         el = small_element(gaps=gaps)
-        spec = LossSpec(kind=kind)
+        spec = LossSpec(kind=kind, tv_weight=tv_weight)
         adj = gradient(el, task, spec, prop)
         assert adj.shape == (3, SMALL.nx, SMALL.ny)
         rng = np.random.default_rng(1)
@@ -225,6 +249,84 @@ class TestGradient:
 # ---------------------------------------------------------------------------
 # optimize
 # ---------------------------------------------------------------------------
+
+def reference_optimize(task, initial_design, loss_spec, config, prop):
+    """The optimizer loop as written before evaluations were shared: loss()
+    per candidate, loss_and_gradient() again after acceptance, and a
+    coupling_matrix() pass before and after. Returns the run's fields and
+    the number of rejected candidates."""
+    pm = _Parameterization(initial_design, config.projection)
+    z = pm.to_optimizer(_design_params(initial_design))
+    design = _with_params(initial_design, pm.to_physical(z))
+    inputs = [p[0] for p in task.pairs]
+    targets = [p[1] for p in task.pairs]
+    coupling_before = coupling_matrix(design, inputs, targets, prop)
+    current_loss, grad_phys = loss_and_gradient(design, task, loss_spec, prop)
+    initial_loss = current_loss
+    m = np.zeros_like(z)
+    v = np.zeros_like(z)
+    lr = config.step_size
+    history = []
+    rejected = 0
+    for t in range(1, config.max_iters + 1):
+        g = pm.chain_gradient(grad_phys, z)
+        m = config.beta1 * m + (1.0 - config.beta1) * g
+        v = config.beta2 * v + (1.0 - config.beta2) * g * g
+        m_hat = m / (1.0 - config.beta1**t)
+        v_hat = v / (1.0 - config.beta2**t)
+        direction = m_hat / (np.sqrt(v_hat) + config.eps)
+        accepted = False
+        for _ in range(_MAX_HALVINGS):
+            z_new = z - lr * direction
+            cand = _with_params(design, pm.to_physical(z_new))
+            cand_loss = loss(cand, task, loss_spec, prop)
+            if cand_loss <= current_loss:
+                z, design, current_loss = z_new, cand, cand_loss
+                accepted = True
+                break
+            rejected += 1
+            lr *= 0.5
+        history.append(current_loss)
+        if not accepted:
+            history.extend([current_loss] * (config.max_iters - t))
+            break
+        if t < config.max_iters:
+            current_loss, grad_phys = loss_and_gradient(design, task, loss_spec, prop)
+    coupling_after = coupling_matrix(design, inputs, targets, prop)
+    return (_design_params(design), initial_loss, tuple(history), coupling_before,
+            coupling_after), rejected
+
+
+def perfect_flat_case():
+    """Flat volume already at its task's optimum: every step makes it worse."""
+    src = gaussian(SMALL, LAM, waist_um=2.0)
+    task = MappingTask.from_fields([src], [free_space(src, 8.0, 1.5, PropagationSpec())])
+    vol = IndexVolume(grid=SMALL, nz=8, dz=1.0, n0=1.5, dn=np.zeros((16, 16, 8)),
+                      dn_min=-0.05, dn_max=0.05)
+    return task, vol
+
+
+# (task, design, loss spec, optimizer, whether the run rejects a candidate)
+REFERENCE_CASES = {
+    "volume-absorber": lambda: (small_task(), small_volume(), LossSpec(),
+                                OptimizerConfig(step_size=2e-3, max_iters=5), False),
+    "layered-zero-gap-halving": lambda: (small_task(), small_element(gaps=(4.0, 0.0, 6.0)),
+                                         LossSpec(), OptimizerConfig(step_size=2.0, max_iters=5),
+                                         True),
+    "inputs-aaab": lambda: (inputs_task((1, 1, 1, 2)), small_volume(),
+                            LossSpec(kind="intensity-mse"),
+                            OptimizerConfig(step_size=2e-3, max_iters=5), False),
+    "sigmoid-tv": lambda: (small_task(), small_volume(), LossSpec(tv_weight=1e-3),
+                           OptimizerConfig(step_size=0.5, max_iters=5,
+                                           projection="sigmoid-reparameterization"), False),
+    "halvings-run-out": lambda: (*perfect_flat_case(), LossSpec(),
+                                 OptimizerConfig(step_size=1e20, max_iters=3), True),
+    "max-iters-0": lambda: (inputs_task((1, 1, 1, 2)), small_volume(), LossSpec(),
+                            OptimizerConfig(step_size=2e-3, max_iters=0), False),
+    "max-iters-1": lambda: (inputs_task((1, 1, 1, 2)), small_volume(), LossSpec(),
+                            OptimizerConfig(step_size=2e-3, max_iters=1), False),
+}
+
 
 class TestOptimize:
     def test_zero_step_returns_initial(self):
@@ -328,6 +430,46 @@ class TestOptimize:
         ga = gradient(vol, fwd, LossSpec(), NO_ABSORBER)
         gb = gradient(vol, rev, LossSpec(), NO_ABSORBER)
         np.testing.assert_allclose(ga, gb, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_matches_reference_loop_bit_for_bit(self, case):
+        task, design, spec, cfg, rejects = REFERENCE_CASES[case]()
+        want, rejected = reference_optimize(task, design, spec, cfg, PropagationSpec())
+        assert (rejected > 0) == rejects
+        if case == "halvings-run-out":
+            assert rejected == _MAX_HALVINGS
+        run = optimize(task, design, spec, cfg, PropagationSpec())
+        got = (_design_params(run.result), run.initial_loss, run.loss_history,
+               run.coupling_before, run.coupling_after)
+        np.testing.assert_array_equal(got[0], want[0], strict=True)
+        assert got[1] == want[1]
+        assert got[2] == want[2]
+        np.testing.assert_array_equal(got[3], want[3], strict=True)
+        np.testing.assert_array_equal(got[4], want[4], strict=True)
+
+    @pytest.mark.parametrize("seeds", [(1, 1, 1, 1), (1, 2, 3)], ids=["repeated", "distinct"])
+    @pytest.mark.parametrize("iters", [0, 3])
+    def test_pass_counts(self, monkeypatch, seeds, iters):
+        # One forward sweep per run of equal consecutive inputs per
+        # evaluation; one adjoint sweep per pair for every evaluation but
+        # the last. Every step of this run is accepted.
+        calls = {"forward": 0, "adjoint": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ove.design, "forward_sweep",
+                            counted("forward", ove.design.forward_sweep))
+        monkeypatch.setattr(ove.design, "_adjoint_sweep",
+                            counted("adjoint", ove.design._adjoint_sweep))
+        run = optimize(inputs_task(seeds), small_volume(), LossSpec(),
+                       OptimizerConfig(step_size=2e-3, max_iters=iters), PropagationSpec())
+        assert len(run.loss_history) == iters
+        distinct = len(set(seeds))
+        assert calls == {"forward": distinct * (1 + iters), "adjoint": len(seeds) * iters}
 
 
 # ---------------------------------------------------------------------------
