@@ -42,11 +42,9 @@ from .fields import (
     IndexVolume,
     LayeredElement,
     MappingTask,
-    default_grid,
     normalize,
     overlap,
     power,
-    zero_volume,
 )
 from .interconnect import (
     CouplingMatrix,
@@ -83,7 +81,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ComplexField", "Grid2D", "IndexVolume", "LayeredElement", "MappingTask",
-    "default_grid", "normalize", "overlap", "power", "zero_volume",
+    "normalize", "overlap", "power",
     "PropagationSpec", "bpm", "free_space", "layered", "propagate", "transfer_function",
     "FiberSpec", "LPMode", "HaarFields", "gaussian", "haar_mask_field", "haar_pattern",
     "lp_modes", "plane_wave", "spot_target",

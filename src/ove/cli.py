@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Every run echoes the fully resolved configuration to stdout and writes
-all artifacts (including a ``resolved.cfg`` copy of that echo) under the
-chosen output directory. Nothing depends on wall-clock time, so
-re-running a command reproduces its outputs byte for byte.
+Every run writes all its artifacts under the chosen output directory.
+Design and propagate runs also echo the fully resolved configuration to
+stdout and write a ``resolved.cfg`` copy of that echo; holography echoes
+the default configuration, not its own setup. Nothing depends on
+wall-clock time, so re-running a command reproduces its outputs byte for
+byte.
 
 Exit codes: 0 success, 1 run/validation failure, 2 usage error.
 """
@@ -108,7 +110,7 @@ def _export_design(design, outdir: str):
     lo, hi = float(stack.min()), float(stack.max())
     volume = IndexVolume(
         grid=design.grid, nz=design.num_layers,
-        dz=max(design.gaps[0], 1e-6) if design.gaps else 1.0,
+        dz=max(design.gaps[0], 1e-6),
         n0=design.n_gap, dn=stack, dn_min=lo, dn_max=max(hi, lo + 1e-12),
     )
     export_volume(volume, path)

@@ -117,6 +117,9 @@ class DesignRun:
 
     loss_history[t] is the loss after the accepted update of iteration t,
     so it is non-increasing and its last entry is the loss of ``result``.
+    coupling_before and coupling_after are the (targets, inputs) coupling
+    matrices of the initial design and of ``result``, from the first and
+    the final evaluation, so reporting them needs no further pass.
     """
 
     config: OptimizerConfig

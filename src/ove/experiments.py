@@ -1,9 +1,14 @@
 """End-to-end numerical experiments.
 
-crosstalk          coupling-matrix report for any design
+crosstalk          coupling-matrix report for a design that has no run
 holography         multiplexed-grating vs optimized-fanout efficiency
 lantern            plane-wave tilts routed into fiber LP modes
 haar_grin          Haar mask lobes routed to detector spots
+
+An optimized experiment reports from its run: the crosstalk report and
+the fanout efficiencies are read from ``DesignRun.coupling_after``, the
+coupling of the final design from the optimizer's last evaluation, so
+the finished design is not propagated again.
 
 The holography pair is the quantitative heart of the package: M
 superposed weak gratings share one index budget so each diffracted
@@ -311,16 +316,15 @@ def optimized_fanout_efficiency(m: int, dn_budget: float,
         # the loss monotone even at this rate.
         optimizer = OptimizerConfig(step_size=0.04 * dn_budget, max_iters=400, seed=7)
 
-    inputs, spots = fanout_fields(setup.grid, setup.wavelength_um, m, setup.spot_ring_um,
-                                  setup.spot_radius_um, setup.prop)
-    task = MappingTask.from_fields(inputs, spots)
-
+    task = MappingTask.from_fields(*fanout_fields(setup.grid, setup.wavelength_um, m,
+                                                  setup.spot_ring_um, setup.spot_radius_um,
+                                                  setup.prop))
     initial = seeded_initial_volume(setup.grid, setup.nz, setup.dz, setup.n0,
                                     dn_min=-dn_budget, dn_max=dn_budget,
                                     seed=optimizer.seed)
     run = optimize(task, initial, LossSpec(kind="mode-coupling"), optimizer, setup.prop)
-    etas = coupling_matrix(run.result, inputs[:1], spots, setup.prop)[:, 0]
-    return etas, run
+    # Every input is the same plane wave, so all m columns are equal.
+    return run.coupling_after[:, 0], run
 
 
 @dataclass(frozen=True)
@@ -432,16 +436,15 @@ def fanout_fields(grid: Grid2D, wavelength_um: float, fan: int, spot_ring_um: fl
                           for c in ring_positions(fan, spot_ring_um)]
 
 
-def _volume_run(inputs: list[ComplexField], targets: list[ComplexField], nz: int, dz: float,
-                n0: float, dn_max: float, optimizer: OptimizerConfig, prop: PropagationSpec,
-                task: MappingTask | None = None) -> tuple[DesignRun, CrosstalkReport]:
+def _volume_run(task: MappingTask, nz: int, dz: float, n0: float, dn_max: float,
+                optimizer: OptimizerConfig, prop: PropagationSpec,
+                ) -> tuple[DesignRun, CrosstalkReport]:
     """Mode-coupling run from a seeded volume on [0, dn_max], and the crosstalk
-    report of ``inputs`` onto ``targets``; ``task`` defaults to theirs."""
-    task = MappingTask.from_fields(inputs, targets) if task is None else task
+    report of its final design (from ``run.coupling_after``)."""
     initial = seeded_initial_volume(task.grid, nz, dz, n0, dn_min=0.0, dn_max=dn_max,
                                     seed=optimizer.seed)
     run = optimize(task, initial, LossSpec(kind="mode-coupling"), optimizer, prop)
-    return run, crosstalk(run.result, inputs, targets, prop)
+    return run, CrosstalkReport.from_matrix(run.coupling_after)
 
 
 def lantern_experiment(fiber: FiberSpec, angles: list[tuple[float, float]],
@@ -463,7 +466,7 @@ def lantern_experiment(fiber: FiberSpec, angles: list[tuple[float, float]],
     if optimizer is None:
         optimizer = OptimizerConfig(step_size=0.04 * dn_max, max_iters=400, seed=11)
 
-    return _volume_run(*lantern_fields(fiber, grid, angles, prop),
+    return _volume_run(MappingTask.from_fields(*lantern_fields(fiber, grid, angles, prop)),
                        nz, dz, n0, dn_max, optimizer, prop)
 
 
@@ -489,7 +492,7 @@ def toy_sorter_experiment(grid: Grid2D | None = None, wavelength_um: float = 1.5
 
     fields = sorter_fields(grid, wavelength_um, tilt_angles(grid, wavelength_um, angle_bins),
                            spot_ring_um, spot_radius_um, prop)
-    return _volume_run(*fields, nz, dz, n0, dn_max, optimizer, prop)
+    return _volume_run(MappingTask.from_fields(*fields), nz, dz, n0, dn_max, optimizer, prop)
 
 
 # ---------------------------------------------------------------------------
@@ -539,5 +542,4 @@ def haar_grin_experiment(grid: Grid2D | None = None, wavelength_um: float = 1.55
 
     task = haar_grin_task(grid, wavelength_um, kinds, patch_extent_um,
                           spot_ring_um, spot_radius_um)
-    return _volume_run([p[0] for p in task.pairs], [p[1] for p in task.pairs],
-                       nz, dz, n0, dn_max, optimizer, prop, task)
+    return _volume_run(task, nz, dz, n0, dn_max, optimizer, prop)

@@ -75,11 +75,6 @@ class Grid2D:
         return np.meshgrid(x, y, indexing="ij")
 
 
-def default_grid(nx: int = 128, ny: int = 128, window_um: float = 32.0) -> Grid2D:
-    """128x128 samples over a 32x32 um window unless told otherwise."""
-    return Grid2D(nx=nx, ny=ny, dx=window_um / nx, dy=window_um / ny)
-
-
 @dataclass(frozen=True)
 class ComplexField:
     """Scalar complex amplitude sampled on a :class:`Grid2D`.
@@ -188,14 +183,6 @@ class IndexVolume:
             grid=self.grid, nz=self.nz, dz=self.dz, n0=self.n0,
             dn=dn, dn_min=self.dn_min, dn_max=self.dn_max,
         )
-
-
-def zero_volume(grid: Grid2D, nz: int, dz: float, n0: float,
-                dn_min: float = 0.0, dn_max: float = 0.05) -> IndexVolume:
-    return IndexVolume(
-        grid=grid, nz=nz, dz=dz, n0=n0,
-        dn=np.zeros((grid.nx, grid.ny, nz)), dn_min=dn_min, dn_max=dn_max,
-    )
 
 
 @dataclass(frozen=True)

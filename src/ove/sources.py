@@ -241,14 +241,12 @@ def lp_modes(fiber: FiberSpec, grid: Grid2D) -> list[LPMode]:
         if not roots:
             if l > 0:
                 break
-            # l = 0 always guides LP01 for V > 0; an empty scan means the
-            # bracketing grid missed a root hugging the n_core edge.
-            if fiber.v_number > 0 and l == 0:
-                raise RuntimeError(
-                    f"LP root scan found no l=0 mode despite V={fiber.v_number:.3f}; "
-                    "bracketing grid too coarse"
-                )
-            break
+            # l = 0 always guides LP01 (FiberSpec guarantees V > 0); an empty
+            # scan means the bracketing grid missed a root hugging the n_core edge.
+            raise RuntimeError(
+                f"LP root scan found no l=0 mode despite V={fiber.v_number:.3f}; "
+                "bracketing grid too coarse"
+            )
         for m, n_eff in enumerate(roots, start=1):
             if l == 0:
                 found.append((l, m, None, n_eff))

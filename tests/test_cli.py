@@ -204,31 +204,32 @@ class TestLanternAndHaarSubcommands:
 
 
 # Each canned experiment: the `ove design` keys that reproduce its
-# library defaults, and the experiment run under a given optimizer.
+# library defaults, and the experiment run under a given optimizer, as
+# (run, report); fanout's report is its per-output efficiency.
 CANNED = {
     "lantern": (
         ["optimizer.step_size = 0.002", "optimizer.seed = 11"],
         lambda opt: lantern_experiment(
             FiberSpec(core_radius_um=5.0, n_core=1.45, n_clad=1.444, wavelength_um=1.55),
-            tilt_angles(Grid2D(64, 64, 0.5, 0.5), 1.55, (-1.0, 1.0)), optimizer=opt)[0],
+            tilt_angles(Grid2D(64, 64, 0.5, 0.5), 1.55, (-1.0, 1.0)), optimizer=opt),
     ),
     "haar-grin": (
         ["task.kind = haar-grin", "volume.dz_um = 1.5", "optimizer.step_size = 0.006",
          "optimizer.seed = 13"],
-        lambda opt: haar_grin_experiment(optimizer=opt)[0],
+        lambda opt: haar_grin_experiment(optimizer=opt),
     ),
     "custom": (
         ["task.kind = custom", "task.angle_step_bins = 3.0", "task.spot_ring_um = 5.0",
          "task.spot_radius_um = 2.0", "volume.nz = 32", "volume.dz_um = 1.5",
          "optimizer.step_size = 0.002", "optimizer.seed = 5"],
-        lambda opt: toy_sorter_experiment(optimizer=opt)[0],
+        lambda opt: toy_sorter_experiment(optimizer=opt),
     ),
     "fanout": (
         ["task.kind = fanout", "task.fan = 4", "task.spot_ring_um = 8.0",
          "task.spot_radius_um = 2.0", "volume.nz = 32", "volume.dz_um = 0.5",
          "dn_min = -0.05", "dn_max = 0.05", "propagation.absorber_width = 0",
          "optimizer.step_size = 0.002", "optimizer.seed = 7"],
-        lambda opt: optimized_fanout_efficiency(4, 0.05, optimizer=opt)[1],
+        lambda opt: optimized_fanout_efficiency(4, 0.05, optimizer=opt)[::-1],
     ),
 }
 
@@ -241,8 +242,21 @@ def test_design_reproduces_canned_experiment(tmp_path, kind):
     path.write_text(text, encoding="utf-8")
     assert main(["design", str(path), "--out", "d"]) == 0
     got = [float(ln.split(",")[1]) for ln in read_csv_lines(tmp_path / "d" / "loss.csv")[1:]]
-    run = experiment(parse_config(text).optimizer)
+    run, report = experiment(parse_config(text).optimizer)
     assert got == [run.initial_loss, *run.loss_history]
+
+    # The CLI and the experiment report the same numbers, exactly.
+    rows = [ln.split(",") for ln in read_csv_lines(tmp_path / "d" / "coupling.csv")[1:]]
+    after = np.zeros(run.coupling_after.shape)
+    for t, i, _before, value in rows:
+        after[int(t), int(i)] = float(value)
+    if kind == "fanout":
+        assert after[:, 0].tolist() == report.tolist()
+        return
+    assert after.tolist() == report.matrix.tolist()
+    metrics = dict(ln.split(",") for ln in read_csv_lines(tmp_path / "d" / "metrics.csv")[1:])
+    for name in ("diagonal_mean", "offdiag_mean", "worst_extinction_db"):
+        assert float(metrics[name]) == getattr(report, name), name
 
 
 class TestPropagate:

@@ -196,6 +196,30 @@ class TestGradient:
             fd = fd_layered(el, task, spec, v, prop)
             assert abs(fd - adj[v]) <= 1e-4 * max(abs(fd), abs(adj[v]))
 
+    @pytest.mark.parametrize("kind", FD_KINDS)
+    def test_sigmoid_chain_rule_matches_fd(self, kind):
+        # The optimizer's sigmoid path, dn = lo + (hi - lo) sigmoid(z): the
+        # chained gradient in z against central differences in z, absorber
+        # on. Along a random direction, as in the test below: a unit step
+        # in z moves dn by at most (hi - lo) / 4, so single z entries reach
+        # 1e-7 and their FD drowns in cancellation noise at this step.
+        task = small_task()
+        vol = small_volume()
+        spec = LossSpec(kind=kind)
+        prop = PropagationSpec()
+        pm = _Parameterization(vol, "sigmoid-reparameterization")
+        z = pm.to_optimizer(vol.dn)
+        at = lambda zz: _with_params(vol, pm.to_physical(zz))
+        adj = pm.chain_gradient(gradient(at(z), task, spec, prop), z)
+        rng = np.random.default_rng(2)
+        direction = rng.standard_normal(z.shape)
+        direction /= np.linalg.norm(direction)
+        h = 1e-6
+        fd = (loss(at(z + h * direction), task, spec, prop)
+              - loss(at(z - h * direction), task, spec, prop)) / (2 * h)
+        proj = float(np.sum(adj * direction))
+        assert abs(fd - proj) <= 1e-4 * max(abs(fd), abs(proj))
+
     def test_directional_derivative(self):
         # Projecting the gradient on a random direction agrees with the
         # FD of the whole volume moved along it; immune to single-voxel

@@ -16,7 +16,20 @@ from ove.fields import (
     overlap,
     power,
 )
-from ove.propagation import PropagationSpec, bpm, free_space, layered, propagate
+from ove.propagation import (
+    BOUNDARIES,
+    EVANESCENT_POLICIES,
+    TRANSFER_MODELS,
+    PropagationSpec,
+    boundary_mask,
+    bpm,
+    drift,
+    drift_adjoint,
+    free_space,
+    layered,
+    propagate,
+    transfer_function,
+)
 from ove.sources import gaussian, plane_wave
 from testutil import (
     NO_ABSORBER,
@@ -33,6 +46,27 @@ LAM = 1.55
 def uniform_unit(grid, wavelength=LAM):
     vals = np.ones((grid.nx, grid.ny), complex)
     return normalize(ComplexField(grid, wavelength, vals))
+
+
+# ---------------------------------------------------------------------------
+# drift and its adjoint
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("policy", EVANESCENT_POLICIES)
+@pytest.mark.parametrize("model", TRANSFER_MODELS)
+def test_drift_adjoint_dot_product(model, policy, boundary):
+    # <drift x, y> = <x, drift_adjoint y>. At dx = 0.5 um the grid corners
+    # are evanescent, and the absorber skirt covers the outermost samples.
+    grid = Grid2D(16, 16, 0.5, 0.5)
+    spec = PropagationSpec(transfer_model=model, evanescent_policy=policy, boundary=boundary)
+    h = transfer_function(grid, LAM, 1.5, 2.0, model, policy)
+    mask = boundary_mask(grid, spec)
+    rng = np.random.default_rng(0)
+    x, y = rng.standard_normal((2, 16, 16)) + 1j * rng.standard_normal((2, 16, 16))
+    lhs = np.vdot(drift(x, h, mask), y)
+    rhs = np.vdot(x, drift_adjoint(y, h, mask))
+    assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(y)
 
 
 # ---------------------------------------------------------------------------
