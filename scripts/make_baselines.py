@@ -8,9 +8,11 @@ and scipy 1.17.1, where every pin passes, all five blocks of the
 committed file came out different, thin_lens (no optimizer) included,
 with a worst relative difference of 9.6e-12. The ``provenance`` block
 records the versions, the FFT module ove calls and the platform, so a
-pin failure can be told apart from a platform change. Run this only when
-a deliberate physics or configuration change invalidates the committed
-numbers, and review the diff before committing.
+pin failure can be told apart from a platform change. Every pin that
+differs from the file being replaced is printed as old -> new with its
+relative difference. Run this only when a deliberate physics or
+configuration change invalidates the committed numbers, and review the
+printed changes before committing.
 """
 
 import json
@@ -248,6 +250,39 @@ def provenance() -> dict:
     }
 
 
+def _leaves(node, path: str = ""):
+    """(path, value) for every scalar in a nested dict/list, in file order."""
+    if isinstance(node, dict):
+        for key in sorted(node):
+            yield from _leaves(node[key], f"{path}/{key}" if path else key)
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            yield from _leaves(item, f"{path}[{i}]")
+    else:
+        yield path, node
+
+
+def changed_pins(old: dict, new: dict) -> list[str]:
+    """One line per leaf that differs: ``path: old -> new`` and, for two
+    numbers, their relative difference."""
+    before = dict(_leaves(old))
+    lines = []
+    for path, value in _leaves(new):
+        prior = before.pop(path, "(absent)")
+        if prior == value:
+            continue
+        line = f"{path}: {prior!r} -> {value!r}"
+        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                      for v in (prior, value))
+        if numbers:
+            scale = max(abs(prior), abs(value))
+            rel = abs(value - prior) / scale if scale else 0.0
+            line += f" (rel {rel:.2e})"
+        lines.append(line)
+    lines += [f"{path}: {value!r} -> (absent)" for path, value in before.items()]
+    return lines
+
+
 def main() -> int:
     baselines = {
         "provenance": provenance(),
@@ -257,6 +292,13 @@ def main() -> int:
         "toy_sorter": toy_sorter_block(),
         "thin_lens": lens_block(),
     }
+    # Round-trip through JSON, so the comparison sees what the file holds.
+    baselines = json.loads(json.dumps(baselines))
+    old = {}
+    if os.path.exists(FIXTURE_PATH):
+        with open(FIXTURE_PATH, encoding="utf-8") as fh:
+            old = json.load(fh)
+    changes = changed_pins(old, baselines)
     with open(FIXTURE_PATH, "w", encoding="utf-8") as fh:
         json.dump(baselines, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -264,6 +306,9 @@ def main() -> int:
     for name, block in baselines.items():
         keys = ", ".join(k for k in block if k != "config")
         print(f"  {name}: {keys}")
+    print(f"{len(changes)} pins changed (old -> new):")
+    for line in changes:
+        print(f"  {line}")
     return 0
 
 

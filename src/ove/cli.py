@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Every run writes all its artifacts under the chosen output directory.
-Design and propagate runs also echo the fully resolved configuration to
-stdout and write a ``resolved.cfg`` copy of that echo; holography echoes
-the default configuration, not its own setup. Nothing depends on
-wall-clock time, so re-running a command reproduces its outputs byte for
-byte.
+Design, propagate and holography runs also echo the fully resolved
+configuration to stdout and write a ``resolved.cfg`` copy of that echo;
+for holography that is its ``HolographySetup`` as a fanout design at the
+largest M. Nothing depends on wall-clock time, so re-running a command
+reproduces its outputs byte for byte.
 
 Exit codes: 0 success, 1 run/validation failure, 2 usage error.
 """
@@ -24,7 +24,9 @@ from .config import ConfigError, DesignConfig, default_config, parse_config, ser
 from .design import DesignRun, optimize, seeded_initial_volume
 from .experiments import (
     CrosstalkReport,
+    HolographySetup,
     fanout_fields,
+    fanout_optimizer,
     haar_grin_task,
     lantern_fields,
     optimized_curve,
@@ -141,11 +143,11 @@ def _write_run_outputs(run: DesignRun, task: MappingTask, cfg: DesignConfig, out
         ("worst_extinction_db", report.worst_extinction_db),
     ])
 
+    outs = [propagate(run.result, inp, cfg.propagation) for inp in task.inputs]
     for k, (inp, target, _w) in enumerate(task.pairs):
-        out = propagate(run.result, inp, cfg.propagation)
         render_field(inp, os.path.join(outdir, f"input_{k:02d}.pgm"))
         render_field(target, os.path.join(outdir, f"target_{k:02d}.pgm"))
-        render_field(out, os.path.join(outdir, f"output_{k:02d}.pgm"))
+        render_field(outs[task.input_index[k]], os.path.join(outdir, f"output_{k:02d}.pgm"))
 
 
 def _cmd_design(args) -> int:
@@ -177,15 +179,31 @@ def _cmd_propagate(args) -> int:
     return 0
 
 
+def _holography_config(setup: HolographySetup, budget: float, fan: int) -> DesignConfig:
+    """The holography runs as a design config: ``setup``'s geometry and
+    propagation, dn bounds of +-``budget``, the 1-to-``fan`` fanout task
+    and the optimizer of the optimized scheme."""
+    prop = setup.prop
+    if prop.boundary == "none":  # the config spells "no absorber" as width 0
+        prop = dataclasses.replace(prop, absorber_width=0.0)
+    return dataclasses.replace(
+        default_config(), wavelength_um=setup.wavelength_um, n0=setup.n0,
+        dn_min=-budget, dn_max=budget, grid=setup.grid,
+        volume_nz=setup.nz, volume_dz_um=setup.dz, task_kind="fanout", task_fan=fan,
+        task_spot_ring_um=setup.spot_ring_um, task_spot_radius_um=setup.spot_radius_um,
+        optimizer=fanout_optimizer(budget), propagation=prop)
+
+
 def _cmd_holography(args) -> int:
     m_values = _parse_int_list(args.m)
     outdir = _ensure_outdir(args.out)
-    cfg = default_config()
+    setup = HolographySetup()
+    cfg = _holography_config(setup, args.budget, max(m_values))
     _emit_config(cfg, outdir)
     if args.scheme == "superposed":
-        curve = superposed_curve(m_values, args.budget)
+        curve = superposed_curve(m_values, args.budget, setup)
     else:
-        curve, _runs = optimized_curve(m_values, args.budget)
+        curve, _runs = optimized_curve(m_values, args.budget, setup, cfg.optimizer)
     write_csv(os.path.join(outdir, "efficiency.csv"), ["m", "eta_per_output"],
               list(zip(curve.m_values, curve.eta_per_output)))
     write_csv(os.path.join(outdir, "metrics.csv"), ["metric", "value"], [

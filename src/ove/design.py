@@ -14,11 +14,11 @@ volumes, per-layer phase for layered elements) of a real loss of complex
 fields, i.e. Wirtinger cogradients folded back onto the real axis.
 
 One evaluation (:func:`_evaluate`) gives a design's loss, its gradient
-and its coupling matrix from a single pass over the task's pairs.
-Consecutive pairs with the same input share one forward sweep; each
-pair still runs its own adjoint sweep, so the gradient sums in pair
-order. The optimizer evaluates each candidate once, with a speculative
-gradient: an accepted candidate brings the next iteration's gradient.
+and its coupling matrix from one forward and one adjoint sweep per
+distinct input of the task. Pairs that share an input (a fanout) sum
+their adjoint seeds and run back once. The optimizer evaluates each
+candidate once, with a speculative gradient: an accepted candidate
+brings the next iteration's gradient.
 """
 
 from __future__ import annotations
@@ -234,39 +234,48 @@ def _evaluate(design: IndexVolume | LayeredElement, task: MappingTask, spec: Los
               prop: PropagationSpec, with_gradient: bool,
               ) -> tuple[float, np.ndarray | None, np.ndarray]:
     """Loss, gradient (None unless ``with_gradient``) and the (targets,
-    inputs) coupling matrix of ``design``, from one pass over the pairs.
+    pairs) coupling matrix of ``design``, from one pass over the task's
+    distinct inputs.
 
-    Pairs run in order. A pair whose input equals the previous pair's
-    reuses that pair's forward sweep, output and trace; every pair runs
-    its own adjoint sweep. Only one trace is live at a time.
+    Each distinct input runs one forward sweep and one adjoint sweep. The
+    adjoint is linear in its seed, so the seed is the sum of the seeds of
+    every pair that uses the input; a lone pair's seed goes in as it is.
+    Pair losses are summed in pair order, and pairs that share an input
+    get copies of its coupling column. Only one trace is live at a time.
     """
     chain = element_chain(design, task.grid, task.wavelength_um, prop)
     grad = None
     if with_gradient:
         grad, grad_steps, scale = _gradient_per_step(design, task.wavelength_um)
     targets = [tgt for _, tgt, _ in task.pairs]
-    coupling = np.empty((len(targets), len(targets)))
-    total = 0.0
-    previous = None
-    for i, (inp, target, weight) in enumerate(task.pairs):
-        if previous is not None and np.array_equal(inp.values, previous):
-            coupling[:, i] = coupling[:, i - 1]
-        else:
-            trace = [] if with_gradient else None
-            out = forward_sweep(chain, inp.values, trace)
-            for ti, tgt in enumerate(targets):
-                coupling[ti, i] = _coupled_power(out, tgt)
-        previous = inp.values
-        pair_loss, g = _pair_loss_and_seed(out, target, weight, spec.kind)
-        total += pair_loss
+    coupling = np.empty((len(targets), len(task.inputs)))
+    pair_losses = [0.0] * len(task.pairs)
+    for i, inp in enumerate(task.inputs):
+        trace = [] if with_gradient else None
+        out = forward_sweep(chain, inp.values, trace)
+        for ti, tgt in enumerate(targets):
+            coupling[ti, i] = _coupled_power(out, tgt)
+        seed = None
+        for k, (_, target, weight) in enumerate(task.pairs):
+            if task.input_index[k] != i:
+                continue
+            pair_losses[k], g = _pair_loss_and_seed(out, target, weight, spec.kind)
+            if seed is None:
+                seed = g
+            else:
+                seed += g
+            del g
         if with_gradient:
-            _adjoint_sweep(chain, trace, g, grad_steps, scale)
+            _adjoint_sweep(chain, trace, seed, grad_steps, scale)
+    total = 0.0
+    for pair_loss in pair_losses:  # in pair order; sum() compensates on Python >= 3.12
+        total += pair_loss
     if spec.tv_weight > 0.0:
         tv, tv_grad = total_variation(_design_params(design))
         total += spec.tv_weight * tv
         if with_gradient:
             grad = grad + spec.tv_weight * tv_grad
-    return float(total), grad, coupling
+    return float(total), grad, coupling[:, task.input_index]
 
 
 def loss(design: IndexVolume | LayeredElement, task: MappingTask,
@@ -386,8 +395,9 @@ def optimize(task: MappingTask, initial_design: IndexVolume | LayeredElement,
     Each candidate is evaluated once. Before the last iteration that
     evaluation also computes the gradient, speculatively: an accepted
     candidate brings the gradient of the next iteration, a rejected one
-    wastes one adjoint sweep per pair. The same evaluations give the
-    coupling matrices before and after, so they cost no extra pass.
+    wastes one adjoint sweep per distinct input. The same evaluations
+    give the coupling matrices before and after, so they cost no extra
+    pass.
     """
     pm = _Parameterization(initial_design, config.projection)
     z = pm.to_optimizer(_design_params(initial_design))

@@ -54,6 +54,7 @@ __all__ = [
     "weak_grating_efficiency",
     "multiplexed_grating_volume",
     "superposed_grating_efficiency",
+    "fanout_optimizer",
     "optimized_fanout_efficiency",
     "superposed_curve",
     "optimized_curve",
@@ -297,6 +298,17 @@ def ring_positions(count: int, ring_radius_um: float,
             for a in ang]
 
 
+def fanout_optimizer(dn_budget: float) -> OptimizerConfig:
+    """Default optimizer of the optimized fanout under a |dn| budget.
+
+    Aggressive but safeguarded: the step halving in optimize() keeps the
+    loss monotone even at this rate.
+    """
+    if dn_budget <= 0:
+        raise ValueError(f"dn budget must be positive, got {dn_budget}")
+    return OptimizerConfig(step_size=0.04 * dn_budget, max_iters=400, seed=7)
+
+
 def optimized_fanout_efficiency(m: int, dn_budget: float,
                                 setup: HolographySetup = HolographySetup(),
                                 optimizer: OptimizerConfig | None = None,
@@ -312,9 +324,7 @@ def optimized_fanout_efficiency(m: int, dn_budget: float,
     if dn_budget <= 0:
         raise ValueError(f"dn budget must be positive, got {dn_budget}")
     if optimizer is None:
-        # Aggressive but safeguarded: the step halving in optimize() keeps
-        # the loss monotone even at this rate.
-        optimizer = OptimizerConfig(step_size=0.04 * dn_budget, max_iters=400, seed=7)
+        optimizer = fanout_optimizer(dn_budget)
 
     task = MappingTask.from_fields(*fanout_fields(setup.grid, setup.wavelength_um, m,
                                                   setup.spot_ring_um, setup.spot_radius_um,

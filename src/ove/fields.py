@@ -13,7 +13,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -231,15 +231,24 @@ class MappingTask:
 
     Inputs and targets are normalized to unit power on ingest; all
     fields must share one grid and wavelength.
+
+    ``inputs`` holds the distinct normalized inputs in order of first
+    appearance and ``input_index[k]`` is the index in ``inputs`` of pair
+    k's input, so pairs that share an input (a fanout lists one input
+    once per target) can share its forward and adjoint sweeps.
     """
 
     pairs: tuple[tuple[ComplexField, ComplexField, float], ...]
+    inputs: tuple[ComplexField, ...] = field(init=False, repr=False, compare=False)
+    input_index: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.pairs:
             raise ValueError("task needs at least one pair")
         ref_in = self.pairs[0][0]
         norm_pairs = []
+        inputs: list[ComplexField] = []
+        index = []
         total_w = 0.0
         for k, (fin, ftgt, w) in enumerate(self.pairs):
             w = float(w)
@@ -247,11 +256,21 @@ class MappingTask:
                 raise ValueError(f"pair {k} has negative weight {w}")
             ref_in.check_compatible(fin)
             ref_in.check_compatible(ftgt)
-            norm_pairs.append((normalize(fin), normalize(ftgt), w))
+            fin = normalize(fin)
+            for i, seen in enumerate(inputs):
+                if np.array_equal(seen.values, fin.values):
+                    break
+            else:
+                i = len(inputs)
+                inputs.append(fin)
+            index.append(i)
+            norm_pairs.append((fin, normalize(ftgt), w))
             total_w += w
         if total_w <= 0:
             raise ValueError("pair weights must sum to a positive value")
         object.__setattr__(self, "pairs", tuple(norm_pairs))
+        object.__setattr__(self, "inputs", tuple(inputs))
+        object.__setattr__(self, "input_index", tuple(index))
 
     @classmethod
     def from_fields(cls, inputs: Sequence[ComplexField], targets: Sequence[ComplexField],

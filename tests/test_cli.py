@@ -10,6 +10,7 @@ import os
 import numpy as np
 import pytest
 
+import ove.cli
 from ove.cli import main
 from ove.config import parse_config
 from ove.experiments import (
@@ -20,6 +21,7 @@ from ove.experiments import (
 )
 from ove.fields import Grid2D, IndexVolume
 from ove.io import export_volume, import_field, import_volume, read_pgm
+from ove.propagation import propagate
 from ove.sources import FiberSpec, tilt_angles
 from testutil import haar_bank_oracle
 
@@ -110,6 +112,23 @@ class TestHolography:
             assert read_bytes(tmp_path / "a" / name) == \
                 read_bytes(tmp_path / "b" / name)
 
+    def test_resolved_config_is_the_setup_that_ran(self, tmp_path):
+        # The HolographySetup, not the design defaults (nz 48, dz 1.0,
+        # absorber 0.1): `ove design` on the file, cut to two iterations,
+        # reruns the optimized fanout at the largest M.
+        assert main(["holography", "--m", "1,2", "--out", "h"]) == 0
+        text = (tmp_path / "h" / "resolved.cfg").read_text(encoding="utf-8")
+        lines = text.splitlines()
+        for line in ("volume.nz = 32", "volume.dz_um = 0.5", "propagation.absorber_width = 0.0",
+                     "task.kind = fanout", "task.fan = 2", "dn_min = -0.005", "dn_max = 0.005"):
+            assert line in lines, line
+        short = text.replace("optimizer.max_iters = 400", "optimizer.max_iters = 2")
+        (tmp_path / "run.cfg").write_text(short, encoding="utf-8")
+        assert main(["design", str(tmp_path / "run.cfg"), "--out", "d"]) == 0
+        got = [float(ln.split(",")[1]) for ln in read_csv_lines(tmp_path / "d" / "loss.csv")[1:]]
+        _, run = optimized_fanout_efficiency(2, 0.005, optimizer=parse_config(short).optimizer)
+        assert got == [run.initial_loss, *run.loss_history]
+
 
 class TestDesign:
     def write_config(self, tmp_path, text=TINY_DESIGN) -> str:
@@ -161,6 +180,30 @@ class TestDesign:
                      "resolved.cfg", "output_00.pgm", "output_01.pgm"):
             assert read_bytes(tmp_path / "a" / name) == \
                 read_bytes(tmp_path / "b" / name), name
+
+    @pytest.mark.parametrize("kind,pairs,distinct", [("custom", 2, 2), ("fanout", 3, 1)])
+    def test_renders_one_pass_per_distinct_input(self, tmp_path, monkeypatch, kind,
+                                                 pairs, distinct):
+        # A 1-to-3 fanout lists one input three times: one render pass,
+        # and each pair's output render is the pass of its own input.
+        passes, rendered = [], {}
+
+        def counted(design, field, spec):
+            out = propagate(design, field, spec)
+            passes.append((field.values, out.values))
+            return out
+
+        monkeypatch.setattr(ove.cli, "propagate", counted)
+        monkeypatch.setattr(ove.cli, "render_field",
+                            lambda f, path: rendered.update({os.path.basename(path): f.values}))
+        text = (TINY_DESIGN.replace("task.kind = custom", f"task.kind = {kind}")
+                .replace("optimizer.max_iters = 3", "optimizer.max_iters = 0"))
+        cfg = self.write_config(tmp_path, text + "task.fan = 3\n")
+        assert main(["design", cfg, "--out", "d"]) == 0
+        assert len(passes) == distinct
+        for k in range(pairs):
+            (out,) = [o for i, o in passes if np.array_equal(i, rendered[f"input_{k:02d}.pgm"])]
+            np.testing.assert_array_equal(rendered[f"output_{k:02d}.pgm"], out)
 
     def test_bad_config_exits_one_with_diagnostic(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

@@ -13,7 +13,12 @@ from ove.design import (
     DesignRun,
     LossSpec,
     OptimizerConfig,
+    _adjoint_sweep,
+    _coupled_power,
     _design_params,
+    _evaluate,
+    _gradient_per_step,
+    _pair_loss_and_seed,
     _Parameterization,
     _with_params,
     coupling_matrix,
@@ -25,7 +30,14 @@ from ove.design import (
     total_variation,
 )
 from ove.fields import ComplexField, Grid2D, IndexVolume, LayeredElement, MappingTask
-from ove.propagation import PropagationSpec, bpm, free_space, propagate
+from ove.propagation import (
+    PropagationSpec,
+    bpm,
+    element_chain,
+    forward_sweep,
+    free_space,
+    propagate,
+)
 from ove.sources import gaussian
 from testutil import (
     NO_ABSORBER,
@@ -61,16 +73,18 @@ def small_element(seed=21, grid=SMALL, gaps=(4.0, 4.0, 6.0)) -> LayeredElement:
 
 
 # FD checks run every loss kind with the absorber off and on (the
-# default spec). With the absorber on they also run on a task whose
-# inputs repeat, so pairs share a forward sweep; with a TV term; and
-# under the paraxial transfer that keeps evanescent components. Layered
-# elements also run the first two with a zero gap, which skips a drift.
-# The plain absorber-off ids carry the loss kind alone.
+# default spec). With the absorber on they also run on tasks whose
+# inputs repeat, next to each other or not, so pairs share a forward
+# and an adjoint sweep; with a TV term; and under the paraxial transfer
+# that keeps evanescent components. Layered elements also run the first
+# two with a zero gap, which skips a drift. The plain absorber-off ids
+# carry the loss kind alone.
 PARAXIAL_KEEP = PropagationSpec(transfer_model="fresnel-paraxial", evanescent_policy="keep")
 FD_VARIANTS = (  # (id suffix, propagation spec, task builder, tv_weight)
     ("", NO_ABSORBER, small_task, 0.0),
     ("-absorber", PropagationSpec(), small_task, 0.0),
     ("-repeated", PropagationSpec(), lambda: inputs_task((1, 1, 2)), 0.0),
+    ("-repeated-split", PropagationSpec(), lambda: inputs_task((1, 2, 1)), 0.0),
     ("-tv", PropagationSpec(), small_task, 1e-3),
     ("-paraxial-keep", PARAXIAL_KEEP, small_task, 0.0),
 )
@@ -104,6 +118,26 @@ def fd_layered(el, task, spec, v, prop, h=1e-6):
                                    n_gap=el.n_gap)
     return (loss(mk(plus), task, spec, prop)
             - loss(mk(minus), task, spec, prop)) / (2.0 * h)
+
+
+def assert_directional_fd(design, task, spec, prop, h=1e-6):
+    """The adjoint gradient projected on a random unit direction against a
+    central difference of the loss along it. The whole design moves, so
+    the difference is far above FD cancellation noise even where single
+    entries of the gradient are near zero."""
+    unbounded = design
+    if isinstance(design, IndexVolume):
+        unbounded = IndexVolume(grid=design.grid, nz=design.nz, dz=design.dz, n0=design.n0,
+                                dn=design.dn, dn_min=-1.0, dn_max=1.0)
+    params = _design_params(unbounded)
+    adj = gradient(unbounded, task, spec, prop)
+    rng = np.random.default_rng(4)
+    direction = rng.standard_normal(params.shape)
+    direction /= np.linalg.norm(direction)
+    at = lambda x: loss(_with_params(unbounded, x), task, spec, prop)
+    fd = (at(params + h * direction) - at(params - h * direction)) / (2.0 * h)
+    proj = float(np.sum(adj * direction))
+    assert abs(fd - proj) <= 1e-5 * max(abs(fd), abs(proj))
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +230,16 @@ class TestGradient:
             fd = fd_layered(el, task, spec, v, prop)
             assert abs(fd - adj[v]) <= 1e-4 * max(abs(fd), abs(adj[v]))
 
+    @pytest.mark.parametrize("kind,prop,make_task,tv_weight", VOLUME_FD_CASES)
+    def test_volume_matches_directional_fd(self, kind, prop, make_task, tv_weight):
+        assert_directional_fd(small_volume(), make_task(),
+                              LossSpec(kind=kind, tv_weight=tv_weight), prop)
+
+    @pytest.mark.parametrize("kind,prop,make_task,tv_weight,gaps", LAYERED_FD_CASES)
+    def test_layered_matches_directional_fd(self, kind, prop, make_task, tv_weight, gaps):
+        assert_directional_fd(small_element(gaps=gaps), make_task(),
+                              LossSpec(kind=kind, tv_weight=tv_weight), prop)
+
     @pytest.mark.parametrize("kind", FD_KINDS)
     def test_sigmoid_chain_rule_matches_fd(self, kind):
         # The optimizer's sigmoid path, dn = lo + (hi - lo) sigmoid(z): the
@@ -268,6 +312,79 @@ class TestGradient:
         assert val == pytest.approx(loss(vol, task, LossSpec(), NO_ABSORBER), rel=1e-12)
         np.testing.assert_allclose(grad, gradient(vol, task, LossSpec(), NO_ABSORBER),
                                    rtol=0, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# one evaluation
+# ---------------------------------------------------------------------------
+
+def reference_evaluate(design, task, spec, prop, with_gradient):
+    """_evaluate as written before pairs that share an input were grouped:
+    pairs in order, a pair whose input equals the previous pair's reuses
+    its forward sweep, and every pair runs its own adjoint sweep."""
+    chain = element_chain(design, task.grid, task.wavelength_um, prop)
+    grad = None
+    if with_gradient:
+        grad, grad_steps, scale = _gradient_per_step(design, task.wavelength_um)
+    targets = [tgt for _, tgt, _ in task.pairs]
+    coupling = np.empty((len(targets), len(targets)))
+    total = 0.0
+    previous = None
+    for i, (inp, target, weight) in enumerate(task.pairs):
+        if previous is not None and np.array_equal(inp.values, previous):
+            coupling[:, i] = coupling[:, i - 1]
+        else:
+            trace = [] if with_gradient else None
+            out = forward_sweep(chain, inp.values, trace)
+            for ti, tgt in enumerate(targets):
+                coupling[ti, i] = _coupled_power(out, tgt)
+        previous = inp.values
+        pair_loss, g = _pair_loss_and_seed(out, target, weight, spec.kind)
+        total += pair_loss
+        if with_gradient:
+            _adjoint_sweep(chain, trace, g, grad_steps, scale)
+    if spec.tv_weight > 0.0:
+        tv, tv_grad = total_variation(_design_params(design))
+        total += spec.tv_weight * tv
+        if with_gradient:
+            grad = grad + spec.tv_weight * tv_grad
+    return float(total), grad, coupling
+
+
+EVALUATE_DESIGNS = {
+    "volume": small_volume,
+    "layered-zero-gap": lambda: small_element(gaps=(4.0, 0.0, 6.0)),
+}
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("tv_weight", [0.0, 1e-3])
+    @pytest.mark.parametrize("kind", FD_KINDS)
+    @pytest.mark.parametrize("design", sorted(EVALUATE_DESIGNS))
+    def test_distinct_inputs_match_per_pair_loop_bit_for_bit(self, design, kind, tv_weight):
+        # Every input is its own group, so each seed runs back unchanged.
+        args = (EVALUATE_DESIGNS[design](), small_task(),
+                LossSpec(kind=kind, tv_weight=tv_weight), PropagationSpec())
+        got = _evaluate(*args, with_gradient=True)
+        want = reference_evaluate(*args, with_gradient=True)
+        assert got[0] == want[0]
+        np.testing.assert_array_equal(got[1], want[1], strict=True)
+        np.testing.assert_array_equal(got[2], want[2], strict=True)
+
+    @pytest.mark.parametrize("seeds", [(1, 1, 1, 2), (1, 2, 1)], ids=["aaab", "aba"])
+    @pytest.mark.parametrize("kind", FD_KINDS)
+    @pytest.mark.parametrize("design", sorted(EVALUATE_DESIGNS))
+    def test_shared_inputs_match_per_pair_loop(self, design, kind, seeds):
+        # Summed seeds reorder the gradient's additions, so it agrees to
+        # rounding; the loss (pair losses summed in pair order) and the
+        # coupling come from the same outputs and stay equal.
+        args = (EVALUATE_DESIGNS[design](), inputs_task(seeds), LossSpec(kind=kind),
+                PropagationSpec())
+        got = _evaluate(*args, with_gradient=True)
+        want = reference_evaluate(*args, with_gradient=True)
+        assert got[0] == want[0]
+        assert np.linalg.norm(got[1] - want[1]) <= 1e-12 * np.linalg.norm(want[1])
+        np.testing.assert_array_equal(got[2], want[2], strict=True)
 
 
 # ---------------------------------------------------------------------------
@@ -471,12 +588,13 @@ class TestOptimize:
         np.testing.assert_array_equal(got[3], want[3], strict=True)
         np.testing.assert_array_equal(got[4], want[4], strict=True)
 
-    @pytest.mark.parametrize("seeds", [(1, 1, 1, 1), (1, 2, 3)], ids=["repeated", "distinct"])
+    @pytest.mark.parametrize("seeds", [(1, 1, 1, 1), (1, 2, 3), (1, 2, 1)],
+                             ids=["repeated", "distinct", "repeated-split"])
     @pytest.mark.parametrize("iters", [0, 3])
     def test_pass_counts(self, monkeypatch, seeds, iters):
-        # One forward sweep per run of equal consecutive inputs per
-        # evaluation; one adjoint sweep per pair for every evaluation but
-        # the last. Every step of this run is accepted.
+        # One forward sweep per distinct input per evaluation, and one
+        # adjoint sweep per distinct input for every evaluation but the
+        # last. Every step of this run is accepted.
         calls = {"forward": 0, "adjoint": 0}
 
         def counted(name, fn):
@@ -493,7 +611,7 @@ class TestOptimize:
                        OptimizerConfig(step_size=2e-3, max_iters=iters), PropagationSpec())
         assert len(run.loss_history) == iters
         distinct = len(set(seeds))
-        assert calls == {"forward": distinct * (1 + iters), "adjoint": len(seeds) * iters}
+        assert calls == {"forward": distinct * (1 + iters), "adjoint": distinct * iters}
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,17 @@ class TestMappingTask:
         assert power(tgt) == pytest.approx(1.0, abs=1e-12)
         assert w == 1.0
 
+    def test_groups_pairs_by_distinct_input(self):
+        g = Grid2D(8, 8, 0.5, 0.5)
+        a, b = random_field(g, 1.55, seed=1), random_field(g, 1.55, seed=2)
+        task = MappingTask.from_fields([a, b, a, a], [a, b, b, a])
+        assert len(task.pairs) == 4
+        assert task.input_index == (0, 1, 0, 0)
+        assert len(task.inputs) == 2
+        for (inp, _tgt, _w), i in zip(task.pairs, task.input_index):
+            np.testing.assert_array_equal(inp.values, task.inputs[i].values)
+        assert power(task.inputs[1]) == pytest.approx(1.0, abs=1e-12)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             MappingTask(pairs=())
