@@ -38,6 +38,7 @@ from .interconnect import footprint_scaling, haar_filter_bank
 from .io import (
     atomic_write_text,
     export_field,
+    export_layers,
     export_volume,
     import_volume,
     read_pgm,
@@ -102,20 +103,12 @@ def _initial_design(cfg: DesignConfig):
 
 
 def _export_design(design, outdir: str):
-    """Volumes go out as ivol-1; layered phases reuse the same container
-    with radians in place of index contrast (documented in the README)."""
+    """Volumes go out as ivol-1, layered elements as layers-1."""
     path = os.path.join(outdir, "design.ivol")
     if isinstance(design, IndexVolume):
         export_volume(design, path)
-        return
-    stack = np.stack(design.layers, axis=-1)
-    lo, hi = float(stack.min()), float(stack.max())
-    volume = IndexVolume(
-        grid=design.grid, nz=design.num_layers,
-        dz=max(design.gaps[0], 1e-6),
-        n0=design.n_gap, dn=stack, dn_min=lo, dn_max=max(hi, lo + 1e-12),
-    )
-    export_volume(volume, path)
+    else:
+        export_layers(design, path)
 
 
 def _write_run_outputs(run: DesignRun, task: MappingTask, cfg: DesignConfig, outdir: str):

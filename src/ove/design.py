@@ -168,17 +168,19 @@ def total_variation(x: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def _pair_loss_and_seed(out_values: np.ndarray, target: ComplexField, weight: float,
-                        kind: str) -> tuple[float, np.ndarray]:
-    """Pair loss and its cogradient dL/d(conj(out)) as an array."""
+                        kind: str, with_seed: bool) -> tuple[float, np.ndarray | None]:
+    """Pair loss and, if ``with_seed``, its cogradient dL/d(conj(out)) as
+    an array (else None)."""
     area = target.grid.cell_area
     o, t = out_values, target.values
     if kind == "mode-coupling":
         c = np.sum(np.conj(o) * t) * area
-        return weight * (1.0 - abs(c) ** 2), -weight * np.conj(c) * t * area
+        seed = -weight * np.conj(c) * t * area if with_seed else None
+        return weight * (1.0 - abs(c) ** 2), seed
     # intensity-mse
     diff = np.abs(o) ** 2 - np.abs(t) ** 2
-    return (weight * float(np.sum(diff**2)) * area,
-            2.0 * weight * diff * o * area)
+    seed = 2.0 * weight * diff * o * area if with_seed else None
+    return weight * float(np.sum(diff**2)) * area, seed
 
 
 def _design_params(design: IndexVolume | LayeredElement) -> np.ndarray:
@@ -197,10 +199,14 @@ def _with_params(design: IndexVolume | LayeredElement,
 def _gradient_per_step(design: IndexVolume | LayeredElement,
                        wavelength_um: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Zeroed gradient, its view indexed by chain step, and the factor
-    2 d(kick phase)/d(parameter): 2 k0 dz for dn, 2 for a layer phase."""
+    2 d(kick phase)/d(parameter): 2 k0 dz for dn, 2 for a layer phase.
+
+    A volume's gradient is stored slice-major, so each ``grad_steps[k]``
+    is contiguous; the (nx, ny, nz) gradient is a view of it."""
     if isinstance(design, IndexVolume):
-        grad = np.zeros_like(design.dn)
-        return grad, np.moveaxis(grad, -1, 0), 2.0 * ((2.0 * np.pi / wavelength_um) * design.dz)
+        grad_steps = np.zeros((design.nz, design.grid.nx, design.grid.ny))
+        return (np.moveaxis(grad_steps, 0, -1), grad_steps,
+                2.0 * ((2.0 * np.pi / wavelength_um) * design.dz))
     grad = np.zeros((design.num_layers, design.grid.nx, design.grid.ny))
     return grad, grad, 2.0
 
@@ -237,9 +243,10 @@ def _evaluate(design: IndexVolume | LayeredElement, task: MappingTask, spec: Los
     pairs) coupling matrix of ``design``, from one pass over the task's
     distinct inputs.
 
-    Each distinct input runs one forward sweep and one adjoint sweep. The
-    adjoint is linear in its seed, so the seed is the sum of the seeds of
-    every pair that uses the input; a lone pair's seed goes in as it is.
+    Each distinct input runs one forward sweep and, with a gradient, one
+    adjoint sweep. The adjoint is linear in its seed, so the seed is the
+    sum of the seeds of every pair that uses the input; a lone pair's seed
+    goes in as it is. Without a gradient no seed is built.
     Pair losses are summed in pair order, and pairs that share an input
     get copies of its coupling column. Only one trace is live at a time.
     """
@@ -255,11 +262,12 @@ def _evaluate(design: IndexVolume | LayeredElement, task: MappingTask, spec: Los
         out = forward_sweep(chain, inp.values, trace)
         for ti, tgt in enumerate(targets):
             coupling[ti, i] = _coupled_power(out, tgt)
-        seed = None
+        seed = None  # stays None without a gradient: no seed is built
         for k, (_, target, weight) in enumerate(task.pairs):
             if task.input_index[k] != i:
                 continue
-            pair_losses[k], g = _pair_loss_and_seed(out, target, weight, spec.kind)
+            pair_losses[k], g = _pair_loss_and_seed(out, target, weight, spec.kind,
+                                                    with_gradient)
             if seed is None:
                 seed = g
             else:

@@ -2,6 +2,10 @@
 
 Volumes:  raw little-endian float32 dn voxels, x fastest, plus a
           ``<path>.meta`` sidecar of ``key=value`` lines (format ivol-1).
+Layers:   raw little-endian float32 phases in radians, x fastest and
+          layer slowest, same sidecar scheme with the gaps and the gap
+          index (format layers-1). Write-only; ``import_volume`` rejects
+          it, so a layered design cannot pass for a volume.
 Fields:   raw little-endian float64 interleaved re/im, x fastest, same
           sidecar scheme (format cfield-1).
 Renders:  binary 8-bit PGM (P5) of |field|, peak-normalized.
@@ -21,13 +25,14 @@ import tempfile
 
 import numpy as np
 
-from .fields import ComplexField, Grid2D, IndexVolume
+from .fields import ComplexField, Grid2D, IndexVolume, LayeredElement
 
 __all__ = [
     "atomic_write_bytes",
     "atomic_write_text",
     "export_volume",
     "import_volume",
+    "export_layers",
     "export_field",
     "import_field",
     "render_field",
@@ -36,6 +41,7 @@ __all__ = [
 ]
 
 VOLUME_FORMAT = "ivol-1"
+LAYERS_FORMAT = "layers-1"
 FIELD_FORMAT = "cfield-1"
 
 
@@ -171,6 +177,27 @@ def import_volume(path: str) -> IndexVolume:
     return IndexVolume(grid=grid, nz=nz, dz=dz, n0=n0,
                        dn=np.clip(dn, dn_min, dn_max),
                        dn_min=dn_min, dn_max=dn_max)
+
+
+# ---------------------------------------------------------------------------
+# Layered elements (layers-1)
+# ---------------------------------------------------------------------------
+
+def export_layers(element: LayeredElement, path: str):
+    """float32 little-endian phases, x fastest and layer slowest, with
+    the grid, the gaps and the gap index in the sidecar."""
+    payload = np.stack(element.layers, axis=-1).astype("<f4").ravel(order="F").tobytes()
+    atomic_write_bytes(path, payload)
+    _write_meta(path, {
+        "format": LAYERS_FORMAT,
+        "nx": element.grid.nx,
+        "ny": element.grid.ny,
+        "num_layers": element.num_layers,
+        "dx_um": element.grid.dx,
+        "dy_um": element.grid.dy,
+        "gaps_um": ",".join(repr(float(g)) for g in element.gaps),
+        "n_gap": element.n_gap,
+    })
 
 
 # ---------------------------------------------------------------------------

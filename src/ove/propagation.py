@@ -5,8 +5,14 @@ Both families are chains of ``(pre transfer, kick, post transfer)``
 steps: drift, multiply by a thin phase screen, drift. A volume slice is
 a split-step BPM step, ``(H(dz/2), exp(i k0 dz dn[:, :, k]), H(dz/2))``
 in the background index; a layer is ``(None, exp(i phase_k), H(gap_k))``
-in the gap medium, where a zero gap gives ``None`` and skips its drift. :func:`element_chain` builds the chain and
-:func:`forward_sweep` is the one loop that runs a field through it.
+in the gap medium, where a zero gap gives ``None`` and skips its drift.
+Without a boundary mask the half-drifts of neighbouring volume slices
+merge into one H(dz): slice k > 0 has no pre drift and every slice but
+the last ends with H(dz), so a pass runs nz + 1 drifts instead of 2 nz.
+With the absorber on, the mask applied after each half-drift sits
+between them, and the chain keeps both. :func:`element_chain` builds the
+chain and :func:`forward_sweep` is the one loop that runs a field
+through it.
 
 Sign convention: time dependence exp(-i w t), forward propagation phase
 exp(+i kz z). A plane wave propagated a whole number of wavelengths in a
@@ -161,14 +167,15 @@ def free_space(field: ComplexField, distance_um: float, n_medium: float = 1.0,
     return field.with_values(drift(field.values, h, boundary_mask(field.grid, spec)))
 
 
-def phase_screen(volume: IndexVolume, wavelength_um: float) -> np.ndarray:
-    """Per-voxel phase accumulated over one axial step, (nx, ny, nz) radians."""
-    return (2.0 * np.pi / wavelength_um) * volume.dz * volume.dn
-
-
 class Chain(NamedTuple):
     """``(pre transfer, kick, post transfer)`` steps, ``None`` skipping a
-    drift, and the boundary mask every drift applies (``None`` if off)."""
+    drift, and the boundary mask every drift applies (``None`` if off).
+
+    With no mask, volume slices share their half-drifts: the first step
+    is ``(H(dz/2), kick_0, H(dz))``, middle ones ``(None, kick_k, H(dz))``
+    and the last ``(None, kick_{nz-1}, H(dz/2))``; one slice keeps
+    ``(H(dz/2), kick_0, H(dz/2))``. Kicks are C-contiguous (nx, ny)
+    slices."""
 
     steps: list[tuple[np.ndarray | None, np.ndarray, np.ndarray | None]]
     mask: np.ndarray | None
@@ -187,14 +194,25 @@ def element_chain(design: IndexVolume | LayeredElement, grid: Grid2D,
         return transfer_function(grid, wavelength_um, n_medium, distance_um,
                                  spec.transfer_model, spec.evanescent_policy)
 
+    mask = boundary_mask(grid, spec)
     if isinstance(design, IndexVolume):
+        # Slice-major, so each kick is contiguous. cos/sin cost less than
+        # exp(1j * phase) and give the same bits (the tests check ==).
+        phase = ((2.0 * np.pi / wavelength_um) * design.dz
+                 * np.ascontiguousarray(np.moveaxis(design.dn, -1, 0)))
+        kicks = np.empty(phase.shape, dtype=complex)
+        np.cos(phase, out=kicks.real)
+        np.sin(phase, out=kicks.imag)
         h_half = transfer(design.n0, 0.5 * design.dz)
-        kick = np.exp(1j * phase_screen(design, wavelength_um))
-        steps = [(h_half, kick[:, :, k], h_half) for k in range(design.nz)]
+        # A mask between two half-drifts keeps them apart.
+        inner = (h_half, h_half) if mask is not None else (None, transfer(design.n0, design.dz))
+        last = design.nz - 1
+        steps = [(h_half if k == 0 else inner[0], kicks[k], h_half if k == last else inner[1])
+                 for k in range(design.nz)]
     else:
         steps = [(None, np.exp(1j * phase), transfer(design.n_gap, gap) if gap > 0 else None)
                  for phase, gap in zip(design.layers, design.gaps)]
-    return Chain(steps, boundary_mask(grid, spec))
+    return Chain(steps, mask)
 
 
 def forward_sweep(chain: Chain, values: np.ndarray,
@@ -228,8 +246,9 @@ def bpm(volume: IndexVolume, field: ComplexField,
     """Symmetric split-step propagation through an index volume.
 
     Per slice: half drift over dz/2 in the background index, pointwise
-    phase kick exp(i (2 pi / lambda) dn dz), half drift. Deterministic for
-    fixed inputs.
+    phase kick exp(i (2 pi / lambda) dn dz), half drift. Without an
+    absorber the half-drifts between two slices run as one drift over dz.
+    Deterministic for fixed inputs.
     """
     return propagate(volume, field, spec)
 

@@ -333,6 +333,25 @@ class TestPropagate:
         assert main(["propagate", "--volume", "nope.ivol", "--out", "p"]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_layered_design_is_not_a_volume(self, tmp_path, capsys):
+        # A layered design's artifact records its gaps; read as a volume
+        # it would run a different element, so propagate refuses it.
+        cfg = tmp_path / "layered.cfg"
+        cfg.write_text("\n".join([
+            "element.kind = layered", "grid.nx = 32", "grid.ny = 32",
+            "layered.num_layers = 3", "layered.gap_um = 50.0",
+            "task.kind = custom", "task.num_pairs = 2",
+            "task.spot_ring_um = 3.0", "task.spot_radius_um = 1.5",
+            "optimizer.max_iters = 2", "optimizer.step_size = 0.05",
+        ]) + "\n", encoding="utf-8")
+        assert main(["design", str(cfg), "--out", "d"]) == 0
+        capsys.readouterr()
+        path = str(tmp_path / "d" / "design.ivol")
+        assert main(["propagate", "--volume", path, "--out", "p"]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {path}: format 'layers-1' is not 'ivol-1'\n"
+        assert not (tmp_path / "p").exists()
+
 
 class TestHaarBank:
     def write_edge_image(self, tmp_path) -> str:

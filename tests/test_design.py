@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import ove.design
+import ove.propagation
 from ove.design import (
     _MAX_HALVINGS,
     DesignRun,
@@ -32,15 +33,20 @@ from ove.design import (
 from ove.fields import ComplexField, Grid2D, IndexVolume, LayeredElement, MappingTask
 from ove.propagation import (
     PropagationSpec,
+    boundary_mask,
     bpm,
+    drift,
+    drift_adjoint,
     element_chain,
     forward_sweep,
     free_space,
     propagate,
+    transfer_function,
 )
 from ove.sources import gaussian
 from testutil import (
     NO_ABSORBER,
+    UNITARY,
     band_limited_field,
     band_limited_phases,
     smooth_random_volume,
@@ -76,9 +82,11 @@ def small_element(seed=21, grid=SMALL, gaps=(4.0, 4.0, 6.0)) -> LayeredElement:
 # default spec). With the absorber on they also run on tasks whose
 # inputs repeat, next to each other or not, so pairs share a forward
 # and an adjoint sweep; with a TV term; and under the paraxial transfer
-# that keeps evanescent components. Layered elements also run the first
-# two with a zero gap, which skips a drift. The plain absorber-off ids
-# carry the loss kind alone.
+# that keeps evanescent components. With the absorber off they also run
+# with evanescent components kept and decaying, through the fused
+# H(dz) drifts of a volume. Layered elements also run the first two with
+# a zero gap, which skips a drift. The plain absorber-off ids carry the
+# loss kind alone.
 PARAXIAL_KEEP = PropagationSpec(transfer_model="fresnel-paraxial", evanescent_policy="keep")
 FD_VARIANTS = (  # (id suffix, propagation spec, task builder, tv_weight)
     ("", NO_ABSORBER, small_task, 0.0),
@@ -87,6 +95,7 @@ FD_VARIANTS = (  # (id suffix, propagation spec, task builder, tv_weight)
     ("-repeated-split", PropagationSpec(), lambda: inputs_task((1, 2, 1)), 0.0),
     ("-tv", PropagationSpec(), small_task, 1e-3),
     ("-paraxial-keep", PARAXIAL_KEEP, small_task, 0.0),
+    ("-unitary", UNITARY, small_task, 0.0),
 )
 FD_KINDS = ("mode-coupling", "intensity-mse")
 VOLUME_FD_CASES = [pytest.param(kind, prop, make_task, tv, id=kind + var_id)
@@ -339,7 +348,7 @@ def reference_evaluate(design, task, spec, prop, with_gradient):
             for ti, tgt in enumerate(targets):
                 coupling[ti, i] = _coupled_power(out, tgt)
         previous = inp.values
-        pair_loss, g = _pair_loss_and_seed(out, target, weight, spec.kind)
+        pair_loss, g = _pair_loss_and_seed(out, target, weight, spec.kind, True)
         total += pair_loss
         if with_gradient:
             _adjoint_sweep(chain, trace, g, grad_steps, scale)
@@ -385,6 +394,91 @@ class TestEvaluate:
         assert got[0] == want[0]
         assert np.linalg.norm(got[1] - want[1]) <= 1e-12 * np.linalg.norm(want[1])
         np.testing.assert_array_equal(got[2], want[2], strict=True)
+
+
+# ---------------------------------------------------------------------------
+# the volume chain against the split-step formula
+# ---------------------------------------------------------------------------
+
+def reference_volume_sweeps(vol, task, spec, prop):
+    """Outputs, loss and gradient of ``vol`` from the split-step formula
+    alone, without ``element_chain``: kicks exp(1j k0 dz dn)[:, :, k] with
+    a half-drift on each side of every one, the adjoint walking the same
+    slices back, and one forward and one adjoint sweep per pair."""
+    phase = (2.0 * np.pi / task.wavelength_um) * vol.dz * vol.dn
+    kick = np.exp(1j * phase)
+    h_half = transfer_function(task.grid, task.wavelength_um, vol.n0, 0.5 * vol.dz,
+                               prop.transfer_model, prop.evanescent_policy)
+    mask = boundary_mask(task.grid, prop)
+    scale = 2.0 * ((2.0 * np.pi / task.wavelength_um) * vol.dz)
+    grad = np.zeros(vol.dn.shape)
+    outs, total = [], 0.0
+    for inp, target, weight in task.pairs:
+        u, trace = inp.values, []
+        for k in range(vol.nz):
+            u = drift(u, h_half, mask)
+            u = kick[:, :, k] * u
+            trace.append(u)
+            u = drift(u, h_half, mask)
+        outs.append(u)
+        pair_loss, g = _pair_loss_and_seed(u, target, weight, spec.kind, True)
+        total += pair_loss
+        for k in reversed(range(vol.nz)):
+            g = drift_adjoint(g, h_half, mask)
+            grad[:, :, k] += scale * np.imag(np.conj(trace[k]) * g)
+            g = np.conj(kick[:, :, k]) * g
+            g = drift_adjoint(g, h_half, mask)
+    return outs, float(total), grad
+
+
+class TestVolumeChain:
+    @pytest.mark.parametrize("kind", FD_KINDS)
+    @pytest.mark.parametrize("prop", [PropagationSpec(), PARAXIAL_KEEP],
+                             ids=["absorber", "paraxial-keep"])
+    def test_absorber_matches_formula_bit_for_bit(self, prop, kind):
+        # The absorber between two half-drifts keeps every slice's own pair.
+        vol, task, spec = small_volume(), small_task(), LossSpec(kind=kind)
+        outs, want_loss, want_grad = reference_volume_sweeps(vol, task, spec, prop)
+        chain = element_chain(vol, task.grid, task.wavelength_um, prop)
+        for (inp, _, _), want in zip(task.pairs, outs):
+            np.testing.assert_array_equal(forward_sweep(chain, inp.values), want, strict=True)
+        got_loss, got_grad = loss_and_gradient(vol, task, spec, prop)
+        assert got_loss == want_loss
+        np.testing.assert_array_equal(got_grad, want_grad, strict=True)
+
+    @pytest.mark.parametrize("kind", FD_KINDS)
+    @pytest.mark.parametrize("prop", [NO_ABSORBER, UNITARY], ids=["no-absorber", "unitary"])
+    def test_fused_drifts_match_formula(self, prop, kind):
+        # H(dz) in place of H(dz/2) H(dz/2) changes only the rounding.
+        vol, task, spec = small_volume(), small_task(), LossSpec(kind=kind)
+        outs, want_loss, want_grad = reference_volume_sweeps(vol, task, spec, prop)
+        chain = element_chain(vol, task.grid, task.wavelength_um, prop)
+        for (inp, _, _), want in zip(task.pairs, outs):
+            got = forward_sweep(chain, inp.values)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        got_loss, got_grad = loss_and_gradient(vol, task, spec, prop)
+        assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
+        assert np.linalg.norm(got_grad - want_grad) <= 1e-12 * np.linalg.norm(want_grad)
+
+    @pytest.mark.parametrize("nz,prop,drifts", [
+        (8, NO_ABSORBER, 9), (8, PropagationSpec(), 16),
+        (1, NO_ABSORBER, 2), (1, PropagationSpec(), 2),
+    ], ids=["fused", "absorber", "one-slice-fused", "one-slice-absorber"])
+    def test_drifts_per_sweep(self, monkeypatch, nz, prop, drifts):
+        calls = {"forward": 0, "adjoint": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(ove.propagation, "drift", counted("forward", drift))
+        monkeypatch.setattr(ove.design, "drift_adjoint", counted("adjoint", drift_adjoint))
+        vol = IndexVolume(grid=SMALL, nz=nz, dz=1.0, n0=1.5,
+                          dn=np.full((SMALL.nx, SMALL.ny, nz), 0.01))
+        loss_and_gradient(vol, inputs_task((1,)), LossSpec(), prop)
+        assert calls == {"forward": drifts, "adjoint": drifts}
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""File formats: ivol-1 volumes, cfield-1 fields, P5 renders, CSV tables.
+"""File formats: ivol-1 volumes, layers-1 layered elements, cfield-1
+fields, P5 renders, CSV tables.
 
 Corruption cases (truncation, byte order, version skew) must all surface
 as errors; silent acceptance of a damaged payload is the one unforgivable
@@ -10,10 +11,11 @@ import os
 import numpy as np
 import pytest
 
-from ove.fields import ComplexField, Grid2D, IndexVolume
+from ove.fields import ComplexField, Grid2D, IndexVolume, LayeredElement
 from ove.io import (
     atomic_write_bytes,
     export_field,
+    export_layers,
     export_volume,
     import_field,
     import_volume,
@@ -130,6 +132,25 @@ class TestVolumeFormat:
         with open(path + ".meta", "w", encoding="utf-8") as fh:
             fh.writelines(lines)
         with pytest.raises(ValueError, match="nz"):
+            import_volume(path)
+
+
+class TestLayersFormat:
+    def test_payload_and_sidecar(self, tmp_path):
+        rng = np.random.default_rng(8)
+        layers = tuple(rng.uniform(-np.pi, np.pi, size=(8, 6)) for _ in range(3))
+        el = LayeredElement(grid=GRID, layers=layers, gaps=(40.0, 0.0, 12.5), n_gap=1.33)
+        path = str(tmp_path / "el.layers")
+        export_layers(el, path)
+        with open(path, "rb") as fh:
+            phases = np.frombuffer(fh.read(), dtype="<f4").reshape((8, 6, 3), order="F")
+        np.testing.assert_array_equal(phases, np.stack(layers, axis=-1).astype("<f4"))
+        with open(path + ".meta", encoding="utf-8") as fh:
+            meta = dict(ln.strip().split("=", 1) for ln in fh if ln.strip())
+        assert meta == {"format": "layers-1", "nx": "8", "ny": "6", "num_layers": "3",
+                        "dx_um": "0.5", "dy_um": "0.25", "gaps_um": "40.0,0.0,12.5",
+                        "n_gap": "1.33"}
+        with pytest.raises(ValueError, match="format 'layers-1' is not 'ivol-1'"):
             import_volume(path)
 
 
