@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 
 from .design import (
     DesignRun,
@@ -282,8 +283,8 @@ def superposed_grating_efficiency(m: int, dn_budget: float,
     read = plane_wave(setup.grid, setup.wavelength_um)
     out = bpm(volume, read, setup.prop)
 
-    spec_in = np.fft.fft2(read.values)
-    spec_out = np.fft.fft2(out.values)
+    spec_in = scipy.fft.fft2(read.values)
+    spec_out = scipy.fft.fft2(out.values)
     p_in = float(np.sum(np.abs(spec_in) ** 2))
     return np.array([float(np.abs(spec_out[b, 0]) ** 2) / p_in for b in bins])
 

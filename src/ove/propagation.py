@@ -14,6 +14,12 @@ between them, and the chain keeps both. :func:`element_chain` builds the
 chain and :func:`forward_sweep` is the one loop that runs a field
 through it.
 
+Every drift runs on ``scipy.fft`` (its ``fft2``/``ifft2`` transform both
+axes in one call, where ``numpy.fft`` loops over them in Python). The
+new spectrum is multiplied and inverse-transformed in place; the input
+field is never written, because it may be a traced field or the
+caller's.
+
 Sign convention: time dependence exp(-i w t), forward propagation phase
 exp(+i kz z). A plane wave propagated a whole number of wavelengths in a
 homogeneous medium therefore returns to its input phase.
@@ -26,6 +32,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+import scipy.fft
 
 from .fields import ComplexField, Grid2D, IndexVolume, LayeredElement
 
@@ -141,18 +148,28 @@ def boundary_mask(grid: Grid2D, spec: PropagationSpec) -> np.ndarray | None:
 
 
 def drift(values: np.ndarray, h: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    """One spectral step: FFT, multiply by H, inverse FFT, boundary mask."""
-    out = np.fft.ifft2(h * np.fft.fft2(values))
+    """One spectral step: FFT, multiply by H, inverse FFT, boundary mask.
+
+    Runs on ``scipy.fft``. ``values`` is left as it is: only its new
+    spectrum is multiplied and inverse-transformed in place.
+    """
+    spec = scipy.fft.fft2(values)
+    spec *= h
+    out = scipy.fft.ifft2(spec, overwrite_x=True)
     if mask is not None:
-        out = mask * out
+        out *= mask
     return out
 
 
 def drift_adjoint(g: np.ndarray, h: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    """Adjoint of :func:`drift` (mask first, then conjugate transfer)."""
+    """Adjoint of :func:`drift` (mask first, then conjugate transfer).
+
+    Like :func:`drift`, it never writes to ``g``."""
     if mask is not None:
         g = mask * g
-    return np.fft.ifft2(np.conj(h) * np.fft.fft2(g))
+    spec = scipy.fft.fft2(g)
+    spec *= np.conj(h)
+    return scipy.fft.ifft2(spec, overwrite_x=True)
 
 
 def free_space(field: ComplexField, distance_um: float, n_medium: float = 1.0,

@@ -158,16 +158,18 @@ def spot_target(grid: Grid2D, wavelength_um: float, center: tuple[float, float],
 # LP mode solver
 # ---------------------------------------------------------------------------
 
-def _dispersion_mismatch(n_eff: float, l: int, fiber: FiberSpec) -> float:
+def _dispersion_mismatch(n_eff: float | np.ndarray, l: int,
+                         fiber: FiberSpec) -> float | np.ndarray:
     """Continuous form of the weakly-guiding LP matching condition.
 
     Zero exactly where u J_{l+1}(u) K_l(w) = w K_{l+1}(w) J_l(u), with
     u, w the usual core/cladding transverse parameters. Written as a
     product (not a ratio) so there are no poles inside the scan range.
+    ``n_eff`` is a scalar or an array of effective indices.
     """
     k0a = 2.0 * np.pi / fiber.wavelength_um * fiber.core_radius_um
-    u = k0a * np.sqrt(max(fiber.n_core**2 - n_eff**2, 0.0))
-    w = k0a * np.sqrt(max(n_eff**2 - fiber.n_clad**2, 0.0))
+    u = k0a * np.sqrt(np.maximum(fiber.n_core**2 - n_eff**2, 0.0))
+    w = k0a * np.sqrt(np.maximum(n_eff**2 - fiber.n_clad**2, 0.0))
     return (u * special.jv(l + 1, u) * special.kv(l, w)
             - w * special.kv(l + 1, w) * special.jv(l, u))
 
@@ -177,7 +179,7 @@ def _guided_roots(l: int, fiber: FiberSpec) -> list[float]:
     lo = fiber.n_clad + _NEFF_EDGE_MARGIN * (fiber.n_core - fiber.n_clad)
     hi = fiber.n_core - _NEFF_EDGE_MARGIN * (fiber.n_core - fiber.n_clad)
     grid = np.linspace(lo, hi, _NEFF_SCAN_POINTS)
-    vals = np.array([_dispersion_mismatch(n, l, fiber) for n in grid])
+    vals = _dispersion_mismatch(grid, l, fiber)
 
     roots = []
     for i in range(len(grid) - 1):

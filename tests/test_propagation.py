@@ -2,11 +2,17 @@
 spreading, slab phase, GRIN self-imaging, thin-lens focusing, plus the
 unitarity/reciprocity/linearity identities."""
 
+import contextlib
+import importlib.util
 import math
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.fft
 
+from ove.design import _adjoint_sweep, _gradient_per_step
 from ove.fields import (
     ComplexField,
     Grid2D,
@@ -25,6 +31,8 @@ from ove.propagation import (
     bpm,
     drift,
     drift_adjoint,
+    element_chain,
+    forward_sweep,
     free_space,
     layered,
     propagate,
@@ -67,6 +75,91 @@ def test_drift_adjoint_dot_product(model, policy, boundary):
     lhs = np.vdot(drift(x, h, mask), y)
     rhs = np.vdot(x, drift_adjoint(y, h, mask))
     assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(y)
+
+
+def random_complex(shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("step", [drift, drift_adjoint], ids=["drift", "adjoint"])
+def test_drift_leaves_input_unchanged(step, boundary):
+    # The spectrum is worked on in place; the input (a traced field or the
+    # caller's seed) must not be.
+    grid = Grid2D(16, 16, 0.5, 0.5)
+    spec = PropagationSpec(boundary=boundary)
+    h = transfer_function(grid, LAM, 1.5, 2.0, spec.transfer_model, spec.evanescent_policy)
+    x = random_complex((16, 16), 1)
+    before = x.copy()
+    out = step(x, h, boundary_mask(grid, spec))
+    np.testing.assert_array_equal(x, before)
+    assert not np.shares_memory(out, x)
+
+
+class CopyingTrace(list):
+    """A trace that also keeps a copy of each field as it is appended."""
+
+    def __init__(self):
+        super().__init__()
+        self.copies = []
+
+    def append(self, u):
+        self.copies.append(u.copy())
+        super().append(u)
+
+
+def sweep_designs():
+    g = Grid2D(16, 16, 0.5, 0.5)
+    vol = smooth_random_volume(g, nz=4, dz=1.0, seed=3)
+    el = LayeredElement(grid=g, layers=tuple(band_limited_phases(g, 3, seed=4)),
+                        gaps=(2.0, 0.0, 3.0), n_gap=1.0)
+    return [(vol, PropagationSpec()), (vol, NO_ABSORBER), (el, PropagationSpec())]
+
+
+@pytest.mark.parametrize("design,spec", sweep_designs(),
+                         ids=["volume-absorber", "volume-fused", "layered"])
+def test_forward_sweep_leaves_input_and_trace_unchanged(design, spec):
+    chain = element_chain(design, design.grid, LAM, spec)
+    values = random_complex((16, 16), 2)
+    before = values.copy()
+    trace = CopyingTrace()
+    forward_sweep(chain, values, trace)
+    np.testing.assert_array_equal(values, before)
+    assert len(trace) == len(chain.steps)
+    for got, want in zip(trace, trace.copies):
+        np.testing.assert_array_equal(got, want)
+
+
+FFT_NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn")
+
+
+def test_propagation_runs_on_scipy_fft():
+    # One backend: free space, a forward sweep and an adjoint sweep call
+    # scipy.fft.fft2 / ifft2 once each per drift and numpy.fft never.
+    field = gaussian(Grid2D(16, 16, 0.5, 0.5), LAM, waist_um=2.0)
+    vol = smooth_random_volume(field.grid, nz=4, dz=1.0, seed=3)
+    chain = element_chain(vol, field.grid, LAM, PropagationSpec())
+    _, grad_steps, scale = _gradient_per_step(vol, LAM)
+    with contextlib.ExitStack() as stack:
+        spies = {f"{module.__name__}.{name}": stack.enter_context(
+                     mock.patch.object(module, name, wraps=getattr(module, name)))
+                 for module in (np.fft, scipy.fft) for name in FFT_NAMES}
+        free_space(field, 5.0)
+        trace = []
+        out = forward_sweep(chain, field.values, trace)
+        _adjoint_sweep(chain, trace, out, grad_steps, scale)
+    drifts = 1 + 2 * (2 * vol.nz)  # free space, then two half-drifts per slice each way
+    calls = {name: spy.call_count for name, spy in spies.items() if spy.call_count}
+    assert calls == {"scipy.fft.fft2": drifts, "scipy.fft.ifft2": drifts}
+
+
+def test_make_baselines_records_scipy_fft():
+    path = os.path.join(os.path.dirname(__file__), "..", "scripts", "make_baselines.py")
+    loader = importlib.util.spec_from_file_location("make_baselines", path)
+    make_baselines = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(make_baselines)
+    assert make_baselines.fft_module() == "scipy.fft"
 
 
 # ---------------------------------------------------------------------------

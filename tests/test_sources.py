@@ -8,6 +8,8 @@ import pytest
 
 from ove.fields import ComplexField, Grid2D, normalize, overlap, power
 from ove.sources import (
+    _NEFF_EDGE_MARGIN,
+    _NEFF_SCAN_POINTS,
     HAAR_KINDS,
     FiberSpec,
     gaussian,
@@ -17,6 +19,7 @@ from ove.sources import (
     plane_wave,
     spot_target,
     tilt_angles,
+    _dispersion_mismatch,
 )
 from testutil import mirror_values
 
@@ -143,6 +146,20 @@ class TestLpModes:
         modes = lp_modes(fiber_with_v(5.0), GRID)
         keys = [(m.l, m.m, m.parity or "") for m in modes]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("v", [1.0, 2.5, 5.0])
+    def test_array_scan_matches_scalar_calls(self, v):
+        # The root scan evaluates the whole n_eff grid in one call; brentq
+        # refines on scalar calls. Every sign must agree, so the brackets
+        # (and the roots) are those of a loop of scalar calls.
+        fiber = fiber_with_v(v)
+        edge = _NEFF_EDGE_MARGIN * (fiber.n_core - fiber.n_clad)
+        grid = np.linspace(fiber.n_clad + edge, fiber.n_core - edge, _NEFF_SCAN_POINTS)
+        for l in range(4):
+            scan = _dispersion_mismatch(grid, l, fiber)
+            loop = np.array([_dispersion_mismatch(n, l, fiber) for n in grid])
+            np.testing.assert_array_equal(np.sign(scan), np.sign(loop))
+            np.testing.assert_allclose(scan, loop, rtol=0, atol=1e-12 * np.max(np.abs(loop)))
 
     def test_oversized_core_rejected(self):
         fiber = FiberSpec(core_radius_um=14.0, n_core=1.45, n_clad=1.444,
