@@ -81,9 +81,9 @@ def haar_grin_block() -> dict:
     run, report = haar_grin_experiment()
     grid = Grid2D(64, 64, 0.5, 0.5)
     task = haar_grin_task(grid, 1.55)
-    centers = ring_positions(len(task.pairs), 6.5)
+    centers = ring_positions(len(task.targets), 6.5)
     worst = 0.0
-    for (inp, _tgt, _w), c in zip(task.pairs, centers):
+    for inp, c in zip(task.inputs, centers):
         out = bpm(run.result, inp, PropagationSpec())
         cx, cy = spot_centroid(out, window_radius_um=3 * 1.3)
         worst = max(worst, math.hypot(cx - c[0], cy - c[1]))

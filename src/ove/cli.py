@@ -25,12 +25,12 @@ from .design import DesignRun, optimize, seeded_initial_volume
 from .experiments import (
     CrosstalkReport,
     HolographySetup,
-    fanout_fields,
     fanout_optimizer,
+    fanout_task,
     haar_grin_task,
-    lantern_fields,
+    lantern_task,
     optimized_curve,
-    sorter_fields,
+    sorter_task,
     superposed_curve,
 )
 from .fields import IndexVolume, LayeredElement, MappingTask
@@ -82,12 +82,11 @@ def _build_task(cfg: DesignConfig) -> MappingTask:
     if cfg.task_kind == "haar-grin":
         return haar_grin_task(grid, lam, HAAR_KINDS, cfg.task_patch_extent_um, ring, radius)
     if cfg.task_kind == "lantern":
-        fields = lantern_fields(cfg.fiber, grid, _fan_angles(cfg), cfg.propagation)
-    elif cfg.task_kind == "fanout":
-        fields = fanout_fields(grid, lam, cfg.task_fan, ring, radius, cfg.propagation)
-    else:  # custom, the mode sorter; config parsing rejects any other kind
-        fields = sorter_fields(grid, lam, _fan_angles(cfg), ring, radius, cfg.propagation)
-    return MappingTask.from_fields(*fields)
+        return lantern_task(cfg.fiber, grid, _fan_angles(cfg), cfg.propagation)
+    if cfg.task_kind == "fanout":
+        return fanout_task(grid, lam, cfg.task_fan, ring, radius, cfg.propagation)
+    # custom, the mode sorter; config parsing rejects any other kind
+    return sorter_task(grid, lam, _fan_angles(cfg), ring, radius, cfg.propagation)
 
 
 def _initial_design(cfg: DesignConfig):
@@ -125,7 +124,7 @@ def _write_run_outputs(run: DesignRun, task: MappingTask, cfg: DesignConfig, out
     write_csv(os.path.join(outdir, "coupling.csv"),
               ["target", "input", "before", "after"], rows)
 
-    report = CrosstalkReport.from_matrix(run.coupling_after)
+    report = CrosstalkReport.from_matrix(run.coupling_after, task.weights)
     final = run.loss_history[-1] if run.loss_history else run.initial_loss
     write_csv(os.path.join(outdir, "metrics.csv"), ["metric", "value"], [
         ("initial_loss", run.initial_loss),
@@ -136,11 +135,12 @@ def _write_run_outputs(run: DesignRun, task: MappingTask, cfg: DesignConfig, out
         ("worst_extinction_db", report.worst_extinction_db),
     ])
 
-    outs = [propagate(run.result, inp, cfg.propagation) for inp in task.inputs]
-    for k, (inp, target, _w) in enumerate(task.pairs):
-        render_field(inp, os.path.join(outdir, f"input_{k:02d}.pgm"))
-        render_field(target, os.path.join(outdir, f"target_{k:02d}.pgm"))
-        render_field(outs[task.input_index[k]], os.path.join(outdir, f"output_{k:02d}.pgm"))
+    for i, inp in enumerate(task.inputs):
+        render_field(inp, os.path.join(outdir, f"input_{i:02d}.pgm"))
+        render_field(propagate(run.result, inp, cfg.propagation),
+                     os.path.join(outdir, f"output_{i:02d}.pgm"))
+    for t, target in enumerate(task.targets):
+        render_field(target, os.path.join(outdir, f"target_{t:02d}.pgm"))
 
 
 def _cmd_design(args) -> int:

@@ -13,12 +13,14 @@ Gradients are with respect to the real parameters (index contrast dn for
 volumes, per-layer phase for layered elements) of a real loss of complex
 fields, i.e. Wirtinger cogradients folded back onto the real axis.
 
-One evaluation (:func:`_evaluate`) gives a design's loss, its gradient
-and its coupling matrix from one forward and one adjoint sweep per
-distinct input of the task. Pairs that share an input (a fanout) sum
-their adjoint seeds and run back once. The optimizer evaluates each
-candidate once, with a speculative gradient: an accepted candidate
-brings the next iteration's gradient.
+A task is a weight layer: inputs, targets and a (targets, inputs)
+weight matrix W. One evaluation (:func:`_evaluate`) gives a design's
+loss, the sum over W of W_ti times the term of input i against target t,
+its gradient and its (targets, inputs) coupling matrix from one forward
+and one adjoint sweep per input. The targets an input feeds (a fanout's
+whole column) sum their adjoint seeds and run back once. The optimizer
+evaluates each candidate once, with a speculative gradient: an accepted
+candidate brings the next iteration's gradient.
 """
 
 from __future__ import annotations
@@ -29,14 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ComplexField, IndexVolume, LayeredElement, MappingTask
-from .propagation import (
-    Chain,
-    PropagationSpec,
-    drift_adjoint,
-    element_chain,
-    forward_sweep,
-    propagate,
-)
+from .propagation import Chain, PropagationSpec, drift_adjoint, element_chain, forward_sweep
 
 __all__ = [
     "LossSpec",
@@ -167,14 +162,15 @@ def total_variation(x: np.ndarray) -> tuple[float, np.ndarray]:
     return value, grad
 
 
-def _pair_loss_and_seed(out_values: np.ndarray, target: ComplexField, weight: float,
-                        kind: str, with_seed: bool) -> tuple[float, np.ndarray | None]:
-    """Pair loss and, if ``with_seed``, its cogradient dL/d(conj(out)) as
-    an array (else None)."""
+def _entry_loss_and_seed(out_values: np.ndarray, target: ComplexField, c: complex,
+                         weight: float, kind: str,
+                         with_seed: bool) -> tuple[float, np.ndarray | None]:
+    """Loss term of one weight entry, and, if ``with_seed``, its cogradient
+    dL/d(conj(out)) as an array (else None). ``c`` is the overlap of the
+    output with the target."""
     area = target.grid.cell_area
     o, t = out_values, target.values
     if kind == "mode-coupling":
-        c = np.sum(np.conj(o) * t) * area
         seed = -weight * np.conj(c) * t * area if with_seed else None
         return weight * (1.0 - abs(c) ** 2), seed
     # intensity-mse
@@ -229,61 +225,55 @@ def _adjoint_sweep(chain: Chain, trace: list[np.ndarray], g: np.ndarray,
             g = drift_adjoint(g, pre, chain.mask)
 
 
-def _coupled_power(out: np.ndarray, target: ComplexField) -> float:
-    """|overlap(out, target)|^2 exactly as :func:`fields.overlap` forms it,
-    on a raw array, so non-finite values reach the optimizer's check
-    instead of a field's."""
-    return abs(complex(np.sum(np.conj(out) * target.values) * target.grid.cell_area)) ** 2
-
-
 def _evaluate(design: IndexVolume | LayeredElement, task: MappingTask, spec: LossSpec,
               prop: PropagationSpec, with_gradient: bool,
               ) -> tuple[float, np.ndarray | None, np.ndarray]:
     """Loss, gradient (None unless ``with_gradient``) and the (targets,
-    pairs) coupling matrix of ``design``, from one pass over the task's
-    distinct inputs.
+    inputs) coupling matrix of ``design``, from one pass over the task's
+    inputs.
 
-    Each distinct input runs one forward sweep and, with a gradient, one
-    adjoint sweep. The adjoint is linear in its seed, so the seed is the
-    sum of the seeds of every pair that uses the input; a lone pair's seed
-    goes in as it is. Without a gradient no seed is built.
-    Pair losses are summed in pair order, and pairs that share an input
-    get copies of its coupling column. Only one trace is live at a time.
+    Each input runs one forward sweep. Its overlap c_ti with each target
+    gives coupling[t, i] = |c_ti|^2, and each target with W_ti > 0 adds
+    its loss term, input by input and in target order within an input.
+    With a gradient the input's seed is the sum of those targets' seeds,
+    since the adjoint is linear in its seed, and one adjoint sweep runs it
+    back; an input whose column of W is zero runs none. Without a
+    gradient no seed is built. Only one trace is live at a time.
     """
     chain = element_chain(design, task.grid, task.wavelength_um, prop)
     grad = None
     if with_gradient:
         grad, grad_steps, scale = _gradient_per_step(design, task.wavelength_um)
-    targets = [tgt for _, tgt, _ in task.pairs]
-    coupling = np.empty((len(targets), len(task.inputs)))
-    pair_losses = [0.0] * len(task.pairs)
+    area = task.grid.cell_area
+    coupling = np.empty(task.weights.shape)
+    total = 0.0  # summed in order; sum() compensates on Python >= 3.12
     for i, inp in enumerate(task.inputs):
         trace = [] if with_gradient else None
         out = forward_sweep(chain, inp.values, trace)
-        for ti, tgt in enumerate(targets):
-            coupling[ti, i] = _coupled_power(out, tgt)
         seed = None  # stays None without a gradient: no seed is built
-        for k, (_, target, weight) in enumerate(task.pairs):
-            if task.input_index[k] != i:
-                continue
-            pair_losses[k], g = _pair_loss_and_seed(out, target, weight, spec.kind,
-                                                    with_gradient)
-            if seed is None:
-                seed = g
-            else:
-                seed += g
-            del g
-        if with_gradient:
+        for t, target in enumerate(task.targets):
+            # |overlap|^2 as fields.overlap forms it, on the raw array, so a
+            # non-finite output reaches the optimizer's check, not a field's.
+            c = complex(np.sum(np.conj(out) * target.values) * area)
+            coupling[t, i] = abs(c) ** 2
+            weight = task.weights[t, i]
+            if weight > 0:
+                term, g = _entry_loss_and_seed(out, target, c, weight, spec.kind,
+                                               with_gradient)
+                total += term
+                if seed is None:
+                    seed = g
+                else:
+                    seed += g
+                del g
+        if seed is not None:
             _adjoint_sweep(chain, trace, seed, grad_steps, scale)
-    total = 0.0
-    for pair_loss in pair_losses:  # in pair order; sum() compensates on Python >= 3.12
-        total += pair_loss
     if spec.tv_weight > 0.0:
         tv, tv_grad = total_variation(_design_params(design))
         total += spec.tv_weight * tv
         if with_gradient:
             grad = grad + spec.tv_weight * tv_grad
-    return float(total), grad, coupling[:, task.input_index]
+    return float(total), grad, coupling
 
 
 def loss(design: IndexVolume | LayeredElement, task: MappingTask,
@@ -354,21 +344,15 @@ class _Parameterization:
         return grad_phys * (self.hi - self.lo) * s * (1.0 - s)
 
 
-def coupling_matrix(design: IndexVolume | LayeredElement,
-                    inputs: list[ComplexField], targets: list[ComplexField],
+def coupling_matrix(design: IndexVolume | LayeredElement, task: MappingTask,
                     prop: PropagationSpec = PropagationSpec()) -> np.ndarray:
-    """|overlap|^2 of each propagated input against each target.
+    """|overlap|^2 of each propagated input against each target of ``task``.
 
     Shape (targets, inputs); entry [t, i] is the power fraction of
-    input i delivered into target mode t.
+    input i delivered into target mode t. One evaluation, without a
+    gradient.
     """
-    outs = [propagate(design, f, prop) for f in inputs]
-    mat = np.empty((len(targets), len(inputs)))
-    for ti, tgt in enumerate(targets):
-        for ii, out in enumerate(outs):
-            out.check_compatible(tgt)
-            mat[ti, ii] = _coupled_power(out.values, tgt)
-    return mat
+    return _evaluate(design, task, LossSpec(), prop, with_gradient=False)[2]
 
 
 def seeded_initial_volume(grid, nz: int, dz: float, n0: float,
@@ -403,7 +387,7 @@ def optimize(task: MappingTask, initial_design: IndexVolume | LayeredElement,
     Each candidate is evaluated once. Before the last iteration that
     evaluation also computes the gradient, speculatively: an accepted
     candidate brings the gradient of the next iteration, a rejected one
-    wastes one adjoint sweep per distinct input. The same evaluations
+    wastes one adjoint sweep per input. The same evaluations
     give the coupling matrices before and after, so they cost no extra
     pass.
     """

@@ -1,14 +1,20 @@
 """End-to-end numerical experiments.
 
-crosstalk          coupling-matrix report for a design that has no run
 holography         multiplexed-grating vs optimized-fanout efficiency
 lantern            plane-wave tilts routed into fiber LP modes
 haar_grin          Haar mask lobes routed to detector spots
 
+Each task kind has one builder here (``lantern_task``, ``sorter_task``,
+``fanout_task``, ``haar_grin_task``), shared with the CLI. It returns a
+:class:`MappingTask`: identity W for the three sorters, one input and a
+column of ones for the fanout.
+
 An optimized experiment reports from its run: the crosstalk report and
 the fanout efficiencies are read from ``DesignRun.coupling_after``, the
 coupling of the final design from the optimizer's last evaluation, so
-the finished design is not propagated again.
+the finished design is not propagated again. A design that has no run
+is scored with ``CrosstalkReport.from_matrix(coupling_matrix(design,
+task), task.weights)``.
 
 The holography pair is the quantitative heart of the package: M
 superposed weak gratings share one index budget so each diffracted
@@ -26,15 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft
 
-from .design import (
-    DesignRun,
-    LossSpec,
-    OptimizerConfig,
-    coupling_matrix,
-    optimize,
-    seeded_initial_volume,
-)
-from .fields import ComplexField, Grid2D, IndexVolume, LayeredElement, MappingTask, power
+from .design import DesignRun, LossSpec, OptimizerConfig, optimize, seeded_initial_volume
+from .fields import ComplexField, Grid2D, IndexVolume, MappingTask
 from .propagation import PropagationSpec, boundary_mask, bpm
 from .sources import (
     HAAR_KINDS,
@@ -50,7 +49,6 @@ __all__ = [
     "CrosstalkReport",
     "EfficiencyCurve",
     "HolographySetup",
-    "crosstalk",
     "spot_centroid",
     "weak_grating_efficiency",
     "multiplexed_grating_volume",
@@ -65,14 +63,12 @@ __all__ = [
     "haar_grin_experiment",
     "ring_positions",
     "lantern_inputs",
-    "lantern_fields",
-    "sorter_fields",
-    "fanout_fields",
+    "lantern_task",
+    "sorter_task",
+    "fanout_task",
     "haar_grin_task",
 ]
 
-TaskFields = tuple[list[ComplexField], list[ComplexField]]  # raw, as MappingTask ingests
-_UNIT_POWER_TOL = 1e-6
 _WEAK_ETA_LIMIT = 0.05
 
 
@@ -84,9 +80,12 @@ _WEAK_ETA_LIMIT = 0.05
 class CrosstalkReport:
     """Power-coupling matrix (targets x inputs) with summary statistics.
 
-    The diagonal runs over matched input/target indices; extinction is
-    the worst ratio of any matched coupling to the largest unmatched
-    one, in dB (inf when there are no off-diagonal entries).
+    An entry is matched where the task's weight is positive (the
+    diagonal of a pair task, a fanout's whole column) and unmatched
+    elsewhere. ``diagonal_mean`` and ``offdiag_mean`` average the
+    matched and the unmatched entries; extinction is the worst ratio of
+    any matched coupling to the largest unmatched one, in dB (nan mean
+    and inf extinction when no entry is unmatched).
     """
 
     matrix: np.ndarray
@@ -107,10 +106,13 @@ class CrosstalkReport:
         object.__setattr__(self, "matrix", mat)
 
     @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> "CrosstalkReport":
+    def from_matrix(cls, matrix: np.ndarray, weights: np.ndarray) -> "CrosstalkReport":
         mat = np.asarray(matrix, dtype=float)
-        diag = np.diagonal(mat)
-        off = mat[~np.eye(*mat.shape, dtype=bool)]
+        matched = np.asarray(weights) > 0
+        if matched.shape != mat.shape:
+            raise ValueError(f"weights shape {matched.shape} does not match "
+                             f"matrix shape {mat.shape}")
+        diag, off = mat[matched], mat[~matched]
         if off.size == 0:
             off_mean, worst = math.nan, math.inf
         else:
@@ -123,19 +125,6 @@ class CrosstalkReport:
             offdiag_mean=off_mean,
             worst_extinction_db=worst,
         )
-
-
-def crosstalk(design: IndexVolume | LayeredElement, inputs: list[ComplexField],
-              targets: list[ComplexField],
-              prop: PropagationSpec = PropagationSpec()) -> CrosstalkReport:
-    """Propagate every input and report |overlap|^2 against every target."""
-    if not inputs or not targets:
-        raise ValueError("need at least one input and one target")
-    for f in (*inputs, *targets):
-        p = power(f)
-        if abs(p - 1.0) > _UNIT_POWER_TOL:
-            raise ValueError(f"crosstalk expects unit-power fields, got power {p!r}")
-    return CrosstalkReport.from_matrix(coupling_matrix(design, inputs, targets, prop))
 
 
 def spot_centroid(field: ComplexField, window_radius_um: float) -> tuple[float, float]:
@@ -327,14 +316,12 @@ def optimized_fanout_efficiency(m: int, dn_budget: float,
     if optimizer is None:
         optimizer = fanout_optimizer(dn_budget)
 
-    task = MappingTask.from_fields(*fanout_fields(setup.grid, setup.wavelength_um, m,
-                                                  setup.spot_ring_um, setup.spot_radius_um,
-                                                  setup.prop))
+    task = fanout_task(setup.grid, setup.wavelength_um, m, setup.spot_ring_um,
+                       setup.spot_radius_um, setup.prop)
     initial = seeded_initial_volume(setup.grid, setup.nz, setup.dz, setup.n0,
                                     dn_min=-dn_budget, dn_max=dn_budget,
                                     seed=optimizer.seed)
     run = optimize(task, initial, LossSpec(kind="mode-coupling"), optimizer, setup.prop)
-    # Every input is the same plane wave, so all m columns are equal.
     return run.coupling_after[:, 0], run
 
 
@@ -419,32 +406,35 @@ def lantern_inputs(grid: Grid2D, wavelength_um: float,
     return [plane_wave(grid, wavelength_um, tx, ty, envelope=env) for tx, ty in angles]
 
 
-def lantern_fields(fiber: FiberSpec, grid: Grid2D, angles: list[tuple[float, float]],
-                   prop: PropagationSpec = PropagationSpec()) -> TaskFields:
-    """Tilted plane waves and the guided LP modes, in (l, m, parity) order."""
+def lantern_task(fiber: FiberSpec, grid: Grid2D, angles: list[tuple[float, float]],
+                 prop: PropagationSpec = PropagationSpec()) -> MappingTask:
+    """Tilted plane waves, each onto its own guided LP mode in (l, m,
+    parity) order."""
     modes = lp_modes(fiber, grid)
     if len(angles) > len(modes):
         raise ValueError(f"task overdetermined for fiber: {len(angles)} inputs but only "
                          f"{len(modes)} guided modes at V={fiber.v_number:.3f}")
-    return (lantern_inputs(grid, fiber.wavelength_um, angles, prop),
-            [mode.field for mode in modes[: len(angles)]])
+    return MappingTask.from_fields(lantern_inputs(grid, fiber.wavelength_um, angles, prop),
+                                   [mode.field for mode in modes[: len(angles)]])
 
 
-def sorter_fields(grid: Grid2D, wavelength_um: float, angles: list[tuple[float, float]],
-                  spot_ring_um: float, spot_radius_um: float,
-                  prop: PropagationSpec = PropagationSpec()) -> TaskFields:
+def sorter_task(grid: Grid2D, wavelength_um: float, angles: list[tuple[float, float]],
+                spot_ring_um: float, spot_radius_um: float,
+                prop: PropagationSpec = PropagationSpec()) -> MappingTask:
     """Mode sorter: tilted plane waves to their own spots on a ring."""
-    return (lantern_inputs(grid, wavelength_um, angles, prop),
-            [spot_target(grid, wavelength_um, c, spot_radius_um)
-             for c in ring_positions(len(angles), spot_ring_um)])
+    return MappingTask.from_fields(lantern_inputs(grid, wavelength_um, angles, prop),
+                                   [spot_target(grid, wavelength_um, c, spot_radius_um)
+                                    for c in ring_positions(len(angles), spot_ring_um)])
 
 
-def fanout_fields(grid: Grid2D, wavelength_um: float, fan: int, spot_ring_um: float,
-                  spot_radius_um: float, prop: PropagationSpec = PropagationSpec()) -> TaskFields:
-    """One normal plane wave, repeated ``fan`` times, to ``fan`` spots on a ring."""
-    source = lantern_inputs(grid, wavelength_um, [(0.0, 0.0)], prop)
-    return source * fan, [spot_target(grid, wavelength_um, c, spot_radius_um)
-                          for c in ring_positions(fan, spot_ring_um)]
+def fanout_task(grid: Grid2D, wavelength_um: float, fan: int, spot_ring_um: float,
+                spot_radius_um: float, prop: PropagationSpec = PropagationSpec()) -> MappingTask:
+    """One normal plane wave to ``fan`` spots on a ring: W is a column of
+    ``fan`` ones."""
+    return MappingTask(lantern_inputs(grid, wavelength_um, [(0.0, 0.0)], prop),
+                       [spot_target(grid, wavelength_um, c, spot_radius_um)
+                        for c in ring_positions(fan, spot_ring_um)],
+                       np.ones((fan, 1)))
 
 
 def _volume_run(task: MappingTask, nz: int, dz: float, n0: float, dn_max: float,
@@ -455,7 +445,7 @@ def _volume_run(task: MappingTask, nz: int, dz: float, n0: float, dn_max: float,
     initial = seeded_initial_volume(task.grid, nz, dz, n0, dn_min=0.0, dn_max=dn_max,
                                     seed=optimizer.seed)
     run = optimize(task, initial, LossSpec(kind="mode-coupling"), optimizer, prop)
-    return run, CrosstalkReport.from_matrix(run.coupling_after)
+    return run, CrosstalkReport.from_matrix(run.coupling_after, task.weights)
 
 
 def lantern_experiment(fiber: FiberSpec, angles: list[tuple[float, float]],
@@ -477,7 +467,7 @@ def lantern_experiment(fiber: FiberSpec, angles: list[tuple[float, float]],
     if optimizer is None:
         optimizer = OptimizerConfig(step_size=0.04 * dn_max, max_iters=400, seed=11)
 
-    return _volume_run(MappingTask.from_fields(*lantern_fields(fiber, grid, angles, prop)),
+    return _volume_run(lantern_task(fiber, grid, angles, prop),
                        nz, dz, n0, dn_max, optimizer, prop)
 
 
@@ -501,9 +491,9 @@ def toy_sorter_experiment(grid: Grid2D | None = None, wavelength_um: float = 1.5
     if optimizer is None:
         optimizer = OptimizerConfig(step_size=0.04 * dn_max, max_iters=300, seed=5)
 
-    fields = sorter_fields(grid, wavelength_um, tilt_angles(grid, wavelength_um, angle_bins),
-                           spot_ring_um, spot_radius_um, prop)
-    return _volume_run(MappingTask.from_fields(*fields), nz, dz, n0, dn_max, optimizer, prop)
+    task = sorter_task(grid, wavelength_um, tilt_angles(grid, wavelength_um, angle_bins),
+                       spot_ring_um, spot_radius_um, prop)
+    return _volume_run(task, nz, dz, n0, dn_max, optimizer, prop)
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,14 @@ Conventions used throughout the package:
 * sample (i, j) sits at ``((i - nx/2)*dx, (j - ny/2)*dy)``, so the grid
   center coincides with sample ``(nx//2, ny//2)`` on even grids,
 * power is the discrete integral ``sum(|u|^2) * dx * dy`` and generated
-  sources/targets carry unit power.
+  sources/targets carry unit power,
+* a task (:class:`MappingTask`) is a weight layer: distinct inputs,
+  targets and a (targets, inputs) weight matrix W.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -227,69 +229,59 @@ class LayeredElement:
 
 @dataclass(frozen=True)
 class MappingTask:
-    """Weighted input -> target field pairs an element should realize.
+    """A weight layer an element should realize: distinct inputs, the
+    targets (detectors) and the weight matrix W.
 
-    Inputs and targets are normalized to unit power on ingest; all
-    fields must share one grid and wavelength.
-
-    ``inputs`` holds the distinct normalized inputs in order of first
-    appearance and ``input_index[k]`` is the index in ``inputs`` of pair
-    k's input, so pairs that share an input (a fanout lists one input
-    once per target) can share its forward and adjoint sweeps.
+    ``weights[t, i]`` is W_ti, how much the coupling of input i into
+    target t counts; W has shape (targets, inputs), is finite and >= 0,
+    and sums to a positive value. A pair task is W = diag(weights), a
+    1-to-m fanout one input with a column of m ones. Inputs and targets
+    are normalized to unit power on ingest; all fields must share one
+    grid and wavelength.
     """
 
-    pairs: tuple[tuple[ComplexField, ComplexField, float], ...]
-    inputs: tuple[ComplexField, ...] = field(init=False, repr=False, compare=False)
-    input_index: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    inputs: tuple[ComplexField, ...]
+    targets: tuple[ComplexField, ...]
+    weights: np.ndarray
 
     def __post_init__(self):
-        if not self.pairs:
-            raise ValueError("task needs at least one pair")
-        ref_in = self.pairs[0][0]
-        norm_pairs = []
-        inputs: list[ComplexField] = []
-        index = []
-        total_w = 0.0
-        for k, (fin, ftgt, w) in enumerate(self.pairs):
-            w = float(w)
-            if w < 0:
-                raise ValueError(f"pair {k} has negative weight {w}")
-            ref_in.check_compatible(fin)
-            ref_in.check_compatible(ftgt)
-            fin = normalize(fin)
-            for i, seen in enumerate(inputs):
-                if np.array_equal(seen.values, fin.values):
-                    break
-            else:
-                i = len(inputs)
-                inputs.append(fin)
-            index.append(i)
-            norm_pairs.append((fin, normalize(ftgt), w))
-            total_w += w
-        if total_w <= 0:
-            raise ValueError("pair weights must sum to a positive value")
-        object.__setattr__(self, "pairs", tuple(norm_pairs))
-        object.__setattr__(self, "inputs", tuple(inputs))
-        object.__setattr__(self, "input_index", tuple(index))
+        inputs, targets = tuple(self.inputs), tuple(self.targets)
+        if not inputs or not targets:
+            raise ValueError(f"task needs at least one input and one target, got "
+                             f"{len(inputs)} inputs and {len(targets)} targets")
+        for f in inputs + targets:
+            inputs[0].check_compatible(f)
+        w = np.asarray(self.weights, dtype=np.float64)
+        if w.shape != (len(targets), len(inputs)):
+            raise ValueError(f"weights shape {w.shape} does not match (targets, inputs) = "
+                             f"({len(targets)}, {len(inputs)})")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
+        if np.any(w < 0):
+            raise ValueError(f"weights must be >= 0, got {w.min()}")
+        if not w.sum() > 0:
+            raise ValueError("weights must sum to a positive value")
+        object.__setattr__(self, "inputs", tuple(normalize(f) for f in inputs))
+        object.__setattr__(self, "targets", tuple(normalize(f) for f in targets))
+        object.__setattr__(self, "weights", _readonly(w))
 
     @classmethod
     def from_fields(cls, inputs: Sequence[ComplexField], targets: Sequence[ComplexField],
                     weights: Sequence[float] | None = None) -> "MappingTask":
+        """Pair form: input k onto target k with weight ``weights[k]`` (1 by
+        default), so W = diag(weights)."""
         if len(inputs) != len(targets):
             raise ValueError(f"{len(inputs)} inputs but {len(targets)} targets")
         if weights is None:
             weights = [1.0] * len(inputs)
         if len(weights) != len(inputs):
             raise ValueError("weights length mismatch")
-        return cls(tuple(zip(inputs, targets, weights)))
+        return cls(tuple(inputs), tuple(targets), np.diag(np.asarray(weights, dtype=np.float64)))
 
     @property
     def grid(self) -> Grid2D:
-        return self.pairs[0][0].grid
+        return self.inputs[0].grid
 
     @property
     def wavelength_um(self) -> float:
-        return self.pairs[0][0].wavelength_um
-
-    def __len__(self) -> int:
-        return len(self.pairs)
+        return self.inputs[0].wavelength_um

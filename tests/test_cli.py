@@ -5,6 +5,7 @@ Everything runs in-process through main(argv) with the working directory
 pinned to a temp dir, so default output paths cannot leak into the repo.
 """
 
+import math
 import os
 
 import numpy as np
@@ -14,6 +15,7 @@ import ove.cli
 from ove.cli import main
 from ove.config import parse_config
 from ove.experiments import (
+    CrosstalkReport,
     haar_grin_experiment,
     lantern_experiment,
     optimized_fanout_efficiency,
@@ -181,11 +183,11 @@ class TestDesign:
             assert read_bytes(tmp_path / "a" / name) == \
                 read_bytes(tmp_path / "b" / name), name
 
-    @pytest.mark.parametrize("kind,pairs,distinct", [("custom", 2, 2), ("fanout", 3, 1)])
+    @pytest.mark.parametrize("kind,inputs,targets", [("custom", 2, 2), ("fanout", 1, 3)])
     def test_renders_one_pass_per_distinct_input(self, tmp_path, monkeypatch, kind,
-                                                 pairs, distinct):
-        # A 1-to-3 fanout lists one input three times: one render pass,
-        # and each pair's output render is the pass of its own input.
+                                                 inputs, targets):
+        # A 1-to-3 fanout has one input: one render pass, one input and
+        # one output render, three target renders and 3 x 1 coupling rows.
         passes, rendered = [], {}
 
         def counted(design, field, spec):
@@ -200,10 +202,15 @@ class TestDesign:
                 .replace("optimizer.max_iters = 3", "optimizer.max_iters = 0"))
         cfg = self.write_config(tmp_path, text + "task.fan = 3\n")
         assert main(["design", cfg, "--out", "d"]) == 0
-        assert len(passes) == distinct
-        for k in range(pairs):
-            (out,) = [o for i, o in passes if np.array_equal(i, rendered[f"input_{k:02d}.pgm"])]
-            np.testing.assert_array_equal(rendered[f"output_{k:02d}.pgm"], out)
+        assert len(passes) == inputs
+        assert sorted(rendered) == sorted(
+            [f"{stem}_{i:02d}.pgm" for i in range(inputs) for stem in ("input", "output")]
+            + [f"target_{t:02d}.pgm" for t in range(targets)])
+        for i in range(inputs):
+            (out,) = [o for f, o in passes if np.array_equal(f, rendered[f"input_{i:02d}.pgm"])]
+            np.testing.assert_array_equal(rendered[f"output_{i:02d}.pgm"], out)
+        coupling_lines = read_csv_lines(tmp_path / "d" / "coupling.csv")
+        assert len(coupling_lines) == 1 + targets * inputs
 
     def test_bad_config_exits_one_with_diagnostic(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -246,9 +253,17 @@ class TestLanternAndHaarSubcommands:
         assert len(coupling_lines) == 1 + 49
 
 
+def fanout_experiment(opt):
+    """The canned fanout as (run, report). Its W is a column of ones, so
+    every entry is matched; its per-output efficiency is that column."""
+    etas, run = optimized_fanout_efficiency(4, 0.05, optimizer=opt)
+    assert etas.tolist() == run.coupling_after[:, 0].tolist()
+    return run, CrosstalkReport.from_matrix(run.coupling_after, np.ones((4, 1)))
+
+
 # Each canned experiment: the `ove design` keys that reproduce its
 # library defaults, and the experiment run under a given optimizer, as
-# (run, report); fanout's report is its per-output efficiency.
+# (run, report).
 CANNED = {
     "lantern": (
         ["optimizer.step_size = 0.002", "optimizer.seed = 11"],
@@ -272,7 +287,7 @@ CANNED = {
          "task.spot_radius_um = 2.0", "volume.nz = 32", "volume.dz_um = 0.5",
          "dn_min = -0.05", "dn_max = 0.05", "propagation.absorber_width = 0",
          "optimizer.step_size = 0.002", "optimizer.seed = 7"],
-        lambda opt: optimized_fanout_efficiency(4, 0.05, optimizer=opt)[::-1],
+        fanout_experiment,
     ),
 }
 
@@ -293,13 +308,14 @@ def test_design_reproduces_canned_experiment(tmp_path, kind):
     after = np.zeros(run.coupling_after.shape)
     for t, i, _before, value in rows:
         after[int(t), int(i)] = float(value)
-    if kind == "fanout":
-        assert after[:, 0].tolist() == report.tolist()
-        return
     assert after.tolist() == report.matrix.tolist()
     metrics = dict(ln.split(",") for ln in read_csv_lines(tmp_path / "d" / "metrics.csv")[1:])
     for name in ("diagonal_mean", "offdiag_mean", "worst_extinction_db"):
-        assert float(metrics[name]) == getattr(report, name), name
+        got, want = float(metrics[name]), getattr(report, name)
+        assert got == want or (math.isnan(got) and math.isnan(want)), name
+    if kind == "fanout":
+        # No target of a fanout counts as another input's crosstalk.
+        assert (metrics["offdiag_mean"], metrics["worst_extinction_db"]) == ("nan", "inf")
 
 
 class TestPropagate:

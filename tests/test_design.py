@@ -15,11 +15,9 @@ from ove.design import (
     LossSpec,
     OptimizerConfig,
     _adjoint_sweep,
-    _coupled_power,
     _design_params,
     _evaluate,
     _gradient_per_step,
-    _pair_loss_and_seed,
     _Parameterization,
     _with_params,
     coupling_matrix,
@@ -30,11 +28,11 @@ from ove.design import (
     seeded_initial_volume,
     total_variation,
 )
-from ove.fields import ComplexField, Grid2D, IndexVolume, LayeredElement, MappingTask
+from ove.experiments import fanout_task
+from ove.fields import ComplexField, Grid2D, IndexVolume, LayeredElement, MappingTask, overlap
 from ove.propagation import (
     PropagationSpec,
     boundary_mask,
-    bpm,
     drift,
     drift_adjoint,
     element_chain,
@@ -63,10 +61,24 @@ def small_task(seeds=(1, 2, 3, 4), grid=SMALL) -> MappingTask:
 
 
 def inputs_task(seeds) -> MappingTask:
-    """One band-limited input per seed, each onto its own target."""
-    ins = [band_limited_field(SMALL, LAM, s, k_fraction=0.5) for s in seeds]
+    """Target k fed by the band-limited input of seed ``seeds[k]``, with
+    weight 1. Each distinct seed is one input, so a repeated seed gives
+    its input a column of W with several ones, whose seeds are summed."""
+    distinct = list(dict.fromkeys(seeds))
+    ins = [band_limited_field(SMALL, LAM, s, k_fraction=0.5) for s in distinct]
     tgts = [band_limited_field(SMALL, LAM, 3 + k, k_fraction=0.5) for k in range(len(seeds))]
-    return MappingTask.from_fields(ins, tgts)
+    weights = np.zeros((len(seeds), len(distinct)))
+    for k, s in enumerate(seeds):
+        weights[k, distinct.index(s)] = 1.0
+    return MappingTask(ins, tgts, weights)
+
+
+def dense_task() -> MappingTask:
+    """2 inputs onto 3 targets through a W with one zero entry: input 1
+    skips target 0, and targets 1 and 2 take both inputs."""
+    ins = [band_limited_field(SMALL, LAM, s, k_fraction=0.5) for s in (1, 2)]
+    tgts = [band_limited_field(SMALL, LAM, s, k_fraction=0.5) for s in (3, 4, 5)]
+    return MappingTask(ins, tgts, np.array([[0.7, 0.0], [1.0, 0.4], [0.3, 1.5]]))
 
 
 def small_volume(seed=5, grid=SMALL, nz=8) -> IndexVolume:
@@ -79,9 +91,9 @@ def small_element(seed=21, grid=SMALL, gaps=(4.0, 4.0, 6.0)) -> LayeredElement:
 
 
 # FD checks run every loss kind with the absorber off and on (the
-# default spec). With the absorber on they also run on tasks whose
-# inputs repeat, next to each other or not, so pairs share a forward
-# and an adjoint sweep; with a TV term; and under the paraxial transfer
+# default spec). With the absorber on they also run on tasks where one
+# input feeds several targets, next to each other or not, so their seeds
+# share one adjoint sweep; with a TV term; and under the paraxial transfer
 # that keeps evanescent components. With the absorber off they also run
 # with evanescent components kept and decaying, through the fused
 # H(dz) drifts of a volume. Layered elements also run the first two with
@@ -149,6 +161,23 @@ def assert_directional_fd(design, task, spec, prop, h=1e-6):
     assert abs(fd - proj) <= 1e-5 * max(abs(fd), abs(proj))
 
 
+def direct_loss(design, task, kind, prop):
+    """Sum over W of W_ti times the term of input i against target t."""
+    dA = SMALL.dx * SMALL.dy
+    want = 0.0
+    for i, inp in enumerate(task.inputs):
+        out = propagate(design, inp, prop)
+        for t, tgt in enumerate(task.targets):
+            w = task.weights[t, i]
+            if kind == "mode-coupling":
+                ov = np.sum(np.conj(out.values) * tgt.values) * dA
+                want += w * (1.0 - abs(ov) ** 2)
+            else:
+                diff = np.abs(out.values) ** 2 - np.abs(tgt.values) ** 2
+                want += w * float(np.sum(diff**2)) * dA
+    return want
+
+
 # ---------------------------------------------------------------------------
 # loss
 # ---------------------------------------------------------------------------
@@ -182,16 +211,7 @@ class TestLoss:
         tv_weight = 0.3
         got = loss(vol, task, LossSpec(kind=kind, tv_weight=tv_weight), NO_ABSORBER)
 
-        dA = SMALL.dx * SMALL.dy
-        want = 0.0
-        for inp, tgt, w in task.pairs:
-            out = bpm(vol, inp, NO_ABSORBER)
-            if kind == "mode-coupling":
-                ov = np.sum(np.conj(out.values) * tgt.values) * dA
-                want += w * (1.0 - abs(ov) ** 2)
-            else:
-                diff = np.abs(out.values) ** 2 - np.abs(tgt.values) ** 2
-                want += w * float(np.sum(diff**2)) * dA
+        want = direct_loss(vol, task, kind, NO_ABSORBER)
         eps = 1e-12
         sq = np.full(vol.dn.shape, eps**2)
         for ax in range(3):
@@ -327,31 +347,36 @@ class TestGradient:
 # one evaluation
 # ---------------------------------------------------------------------------
 
+def reference_term_and_seed(out, target, weight, kind):
+    """Loss term of one W entry and its seed dL/d(conj(out)), written out."""
+    area = target.grid.cell_area
+    if kind == "mode-coupling":
+        c = complex(np.sum(np.conj(out) * target.values) * area)
+        return weight * (1.0 - abs(c) ** 2), -weight * np.conj(c) * target.values * area
+    diff = np.abs(out) ** 2 - np.abs(target.values) ** 2
+    return weight * float(np.sum(diff**2)) * area, 2.0 * weight * diff * out * area
+
+
 def reference_evaluate(design, task, spec, prop, with_gradient):
-    """_evaluate as written before pairs that share an input were grouped:
-    pairs in order, a pair whose input equals the previous pair's reuses
-    its forward sweep, and every pair runs its own adjoint sweep."""
+    """_evaluate entry by entry: one forward sweep per input, then for each
+    target with W_ti > 0, in target order, its loss term and an adjoint
+    sweep of its own seed."""
     chain = element_chain(design, task.grid, task.wavelength_um, prop)
     grad = None
     if with_gradient:
         grad, grad_steps, scale = _gradient_per_step(design, task.wavelength_um)
-    targets = [tgt for _, tgt, _ in task.pairs]
-    coupling = np.empty((len(targets), len(targets)))
+    coupling = np.empty(task.weights.shape)
     total = 0.0
-    previous = None
-    for i, (inp, target, weight) in enumerate(task.pairs):
-        if previous is not None and np.array_equal(inp.values, previous):
-            coupling[:, i] = coupling[:, i - 1]
-        else:
-            trace = [] if with_gradient else None
-            out = forward_sweep(chain, inp.values, trace)
-            for ti, tgt in enumerate(targets):
-                coupling[ti, i] = _coupled_power(out, tgt)
-        previous = inp.values
-        pair_loss, g = _pair_loss_and_seed(out, target, weight, spec.kind, True)
-        total += pair_loss
-        if with_gradient:
-            _adjoint_sweep(chain, trace, g, grad_steps, scale)
+    for i, inp in enumerate(task.inputs):
+        trace = [] if with_gradient else None
+        out = forward_sweep(chain, inp.values, trace)
+        for t, target in enumerate(task.targets):
+            coupling[t, i] = abs(overlap(inp.with_values(out), target)) ** 2
+            if task.weights[t, i] > 0:
+                term, g = reference_term_and_seed(out, target, task.weights[t, i], spec.kind)
+                total += term
+                if with_gradient:
+                    _adjoint_sweep(chain, trace, g, grad_steps, scale)
     if spec.tv_weight > 0.0:
         tv, tv_grad = total_variation(_design_params(design))
         total += spec.tv_weight * tv
@@ -371,7 +396,8 @@ class TestEvaluate:
     @pytest.mark.parametrize("kind", FD_KINDS)
     @pytest.mark.parametrize("design", sorted(EVALUATE_DESIGNS))
     def test_distinct_inputs_match_per_pair_loop_bit_for_bit(self, design, kind, tv_weight):
-        # Every input is its own group, so each seed runs back unchanged.
+        # Identity W: every input feeds one target, so its seed runs back
+        # unchanged.
         args = (EVALUATE_DESIGNS[design](), small_task(),
                 LossSpec(kind=kind, tv_weight=tv_weight), PropagationSpec())
         got = _evaluate(*args, with_gradient=True)
@@ -384,9 +410,10 @@ class TestEvaluate:
     @pytest.mark.parametrize("kind", FD_KINDS)
     @pytest.mark.parametrize("design", sorted(EVALUATE_DESIGNS))
     def test_shared_inputs_match_per_pair_loop(self, design, kind, seeds):
-        # Summed seeds reorder the gradient's additions, so it agrees to
-        # rounding; the loss (pair losses summed in pair order) and the
-        # coupling come from the same outputs and stay equal.
+        # A column of W with several ones: its summed seeds reorder the
+        # gradient's additions, so it agrees to rounding; the loss (summed
+        # in the same order) and the coupling come from the same outputs
+        # and stay equal.
         args = (EVALUATE_DESIGNS[design](), inputs_task(seeds), LossSpec(kind=kind),
                 PropagationSpec())
         got = _evaluate(*args, with_gradient=True)
@@ -394,6 +421,65 @@ class TestEvaluate:
         assert got[0] == want[0]
         assert np.linalg.norm(got[1] - want[1]) <= 1e-12 * np.linalg.norm(want[1])
         np.testing.assert_array_equal(got[2], want[2], strict=True)
+
+
+class TestWeightMatrix:
+    """A task whose W is not the identity: ``dense_task``'s 2 inputs share
+    targets and skip one."""
+
+    @pytest.mark.parametrize("kind", FD_KINDS)
+    def test_loss_is_weighted_sum_of_terms(self, kind):
+        vol, task = small_volume(), dense_task()
+        got = loss(vol, task, LossSpec(kind=kind), PropagationSpec())
+        want = direct_loss(vol, task, kind, PropagationSpec())
+        assert got == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("kind", FD_KINDS)
+    @pytest.mark.parametrize("design", sorted(EVALUATE_DESIGNS))
+    def test_matches_entry_loop(self, design, kind):
+        args = (EVALUATE_DESIGNS[design](), dense_task(), LossSpec(kind=kind),
+                PropagationSpec())
+        got = _evaluate(*args, with_gradient=True)
+        want = reference_evaluate(*args, with_gradient=True)
+        assert got[0] == want[0]
+        assert np.linalg.norm(got[1] - want[1]) <= 1e-12 * np.linalg.norm(want[1])
+        np.testing.assert_array_equal(got[2], want[2], strict=True)
+
+    @pytest.mark.parametrize("kind", FD_KINDS)
+    @pytest.mark.parametrize("design", sorted(EVALUATE_DESIGNS))
+    def test_matches_directional_fd(self, design, kind):
+        assert_directional_fd(EVALUATE_DESIGNS[design](), dense_task(), LossSpec(kind=kind),
+                              PropagationSpec())
+
+    def test_coupling_matrix_covers_every_entry(self):
+        vol, task = small_volume(), dense_task()
+        got = coupling_matrix(vol, task)
+        assert got.shape == (3, 2)
+        np.testing.assert_array_equal(got, reference_coupling(vol, task, PropagationSpec()),
+                                      strict=True)
+
+    def test_zero_column_runs_no_adjoint(self, monkeypatch):
+        calls = {"forward": 0, "adjoint": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ove.design, "forward_sweep",
+                            counted("forward", ove.design.forward_sweep))
+        monkeypatch.setattr(ove.design, "_adjoint_sweep",
+                            counted("adjoint", ove.design._adjoint_sweep))
+        task = dense_task()
+        task = MappingTask(task.inputs, task.targets, np.array([[1.0, 0.0]] * 3))
+        vol = small_volume()
+        value, grad = loss_and_gradient(vol, task, LossSpec(), PropagationSpec())
+        assert calls == {"forward": 2, "adjoint": 1}
+        only_first = MappingTask(task.inputs[:1], task.targets, np.ones((3, 1)))
+        want = loss_and_gradient(vol, only_first, LossSpec(), PropagationSpec())
+        assert value == want[0]
+        np.testing.assert_array_equal(grad, want[1], strict=True)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +490,8 @@ def reference_volume_sweeps(vol, task, spec, prop):
     """Outputs, loss and gradient of ``vol`` from the split-step formula
     alone, without ``element_chain``: kicks exp(1j k0 dz dn)[:, :, k] with
     a half-drift on each side of every one, the adjoint walking the same
-    slices back, and one forward and one adjoint sweep per pair."""
+    slices back, and one forward and one adjoint sweep per input of an
+    identity-W task."""
     phase = (2.0 * np.pi / task.wavelength_um) * vol.dz * vol.dn
     kick = np.exp(1j * phase)
     h_half = transfer_function(task.grid, task.wavelength_um, vol.n0, 0.5 * vol.dz,
@@ -413,7 +500,7 @@ def reference_volume_sweeps(vol, task, spec, prop):
     scale = 2.0 * ((2.0 * np.pi / task.wavelength_um) * vol.dz)
     grad = np.zeros(vol.dn.shape)
     outs, total = [], 0.0
-    for inp, target, weight in task.pairs:
+    for inp, target, weight in zip(task.inputs, task.targets, np.diagonal(task.weights)):
         u, trace = inp.values, []
         for k in range(vol.nz):
             u = drift(u, h_half, mask)
@@ -421,7 +508,7 @@ def reference_volume_sweeps(vol, task, spec, prop):
             trace.append(u)
             u = drift(u, h_half, mask)
         outs.append(u)
-        pair_loss, g = _pair_loss_and_seed(u, target, weight, spec.kind, True)
+        pair_loss, g = reference_term_and_seed(u, target, weight, spec.kind)
         total += pair_loss
         for k in reversed(range(vol.nz)):
             g = drift_adjoint(g, h_half, mask)
@@ -440,7 +527,7 @@ class TestVolumeChain:
         vol, task, spec = small_volume(), small_task(), LossSpec(kind=kind)
         outs, want_loss, want_grad = reference_volume_sweeps(vol, task, spec, prop)
         chain = element_chain(vol, task.grid, task.wavelength_um, prop)
-        for (inp, _, _), want in zip(task.pairs, outs):
+        for inp, want in zip(task.inputs, outs):
             np.testing.assert_array_equal(forward_sweep(chain, inp.values), want, strict=True)
         got_loss, got_grad = loss_and_gradient(vol, task, spec, prop)
         assert got_loss == want_loss
@@ -453,18 +540,24 @@ class TestVolumeChain:
         vol, task, spec = small_volume(), small_task(), LossSpec(kind=kind)
         outs, want_loss, want_grad = reference_volume_sweeps(vol, task, spec, prop)
         chain = element_chain(vol, task.grid, task.wavelength_um, prop)
-        for (inp, _, _), want in zip(task.pairs, outs):
+        for inp, want in zip(task.inputs, outs):
             got = forward_sweep(chain, inp.values)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         got_loss, got_grad = loss_and_gradient(vol, task, spec, prop)
         assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
         assert np.linalg.norm(got_grad - want_grad) <= 1e-12 * np.linalg.norm(want_grad)
 
+    @pytest.mark.parametrize("make_task", [
+        lambda prop: inputs_task((1,)),
+        lambda prop: fanout_task(SMALL, LAM, 4, 2.0, 1.0, prop),
+    ], ids=["one-pair", "fanout-4"])
     @pytest.mark.parametrize("nz,prop,drifts", [
         (8, NO_ABSORBER, 9), (8, PropagationSpec(), 16),
         (1, NO_ABSORBER, 2), (1, PropagationSpec(), 2),
     ], ids=["fused", "absorber", "one-slice-fused", "one-slice-absorber"])
-    def test_drifts_per_sweep(self, monkeypatch, nz, prop, drifts):
+    def test_drifts_per_sweep(self, monkeypatch, nz, prop, drifts, make_task):
+        # One forward and one adjoint sweep for the one input, also when
+        # it feeds four targets.
         calls = {"forward": 0, "adjoint": 0}
 
         def counted(name, fn):
@@ -477,7 +570,7 @@ class TestVolumeChain:
         monkeypatch.setattr(ove.design, "drift_adjoint", counted("adjoint", drift_adjoint))
         vol = IndexVolume(grid=SMALL, nz=nz, dz=1.0, n0=1.5,
                           dn=np.full((SMALL.nx, SMALL.ny, nz), 0.01))
-        loss_and_gradient(vol, inputs_task((1,)), LossSpec(), prop)
+        loss_and_gradient(vol, make_task(prop), LossSpec(), prop)
         assert calls == {"forward": drifts, "adjoint": drifts}
 
 
@@ -485,17 +578,22 @@ class TestVolumeChain:
 # optimize
 # ---------------------------------------------------------------------------
 
+def reference_coupling(design, task, prop):
+    """|overlap|^2 of each propagated input against each target, (targets,
+    inputs)."""
+    outs = [propagate(design, inp, prop) for inp in task.inputs]
+    return np.array([[abs(overlap(out, tgt)) ** 2 for out in outs] for tgt in task.targets])
+
+
 def reference_optimize(task, initial_design, loss_spec, config, prop):
     """The optimizer loop as written before evaluations were shared: loss()
     per candidate, loss_and_gradient() again after acceptance, and a
-    coupling_matrix() pass before and after. Returns the run's fields and
-    the number of rejected candidates."""
+    coupling pass of its own before and after. Returns the run's fields
+    and the number of rejected candidates."""
     pm = _Parameterization(initial_design, config.projection)
     z = pm.to_optimizer(_design_params(initial_design))
     design = _with_params(initial_design, pm.to_physical(z))
-    inputs = [p[0] for p in task.pairs]
-    targets = [p[1] for p in task.pairs]
-    coupling_before = coupling_matrix(design, inputs, targets, prop)
+    coupling_before = reference_coupling(design, task, prop)
     current_loss, grad_phys = loss_and_gradient(design, task, loss_spec, prop)
     initial_loss = current_loss
     m = np.zeros_like(z)
@@ -527,7 +625,7 @@ def reference_optimize(task, initial_design, loss_spec, config, prop):
             break
         if t < config.max_iters:
             current_loss, grad_phys = loss_and_gradient(design, task, loss_spec, prop)
-    coupling_after = coupling_matrix(design, inputs, targets, prop)
+    coupling_after = reference_coupling(design, task, prop)
     return (_design_params(design), initial_loss, tuple(history), coupling_before,
             coupling_after), rejected
 
@@ -686,9 +784,9 @@ class TestOptimize:
                              ids=["repeated", "distinct", "repeated-split"])
     @pytest.mark.parametrize("iters", [0, 3])
     def test_pass_counts(self, monkeypatch, seeds, iters):
-        # One forward sweep per distinct input per evaluation, and one
-        # adjoint sweep per distinct input for every evaluation but the
-        # last. Every step of this run is accepted.
+        # One forward sweep per input per evaluation, and one adjoint
+        # sweep per input for every evaluation but the last, however many
+        # targets an input feeds. Every step of this run is accepted.
         calls = {"forward": 0, "adjoint": 0}
 
         def counted(name, fn):

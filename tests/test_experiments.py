@@ -1,4 +1,4 @@
-"""End-to-end experiments: crosstalk scoring, the two holography fanout
+"""End-to-end experiments: task builders, crosstalk scoring, the two holography fanout
 schemes and their efficiency-vs-M slopes, the plane-wave-to-LP-mode
 lantern, and the Haar-lobe GRIN mapping.
 
@@ -12,25 +12,27 @@ import math
 import numpy as np
 import pytest
 
-from ove.design import OptimizerConfig, seeded_initial_volume
+from ove.design import OptimizerConfig, coupling_matrix, seeded_initial_volume
 from ove.experiments import (
     CrosstalkReport,
     EfficiencyCurve,
     HolographySetup,
-    crosstalk,
+    fanout_task,
     fit_log_slope,
     haar_grin_experiment,
     haar_grin_task,
     lantern_experiment,
+    lantern_task,
     multiplexed_grating_volume,
     ring_positions,
+    sorter_task,
     spot_centroid,
     superposed_grating_efficiency,
     weak_grating_efficiency,
 )
-from ove.fields import ComplexField, Grid2D, IndexVolume, normalize
-from ove.propagation import bpm
-from ove.sources import gaussian, plane_wave
+from ove.fields import ComplexField, Grid2D, IndexVolume, MappingTask, normalize
+from ove.propagation import PropagationSpec, bpm
+from ove.sources import gaussian, plane_wave, tilt_angles
 from testutil import LANTERN_FIBER, NO_ABSORBER, lantern_angles
 
 LAM = 1.55
@@ -43,6 +45,37 @@ def even_odd_pair(grid: Grid2D) -> tuple[ComplexField, ComplexField]:
     return even, odd
 
 
+def scored(design, task, prop=PropagationSpec()) -> CrosstalkReport:
+    """Crosstalk report of a design that has no run."""
+    return CrosstalkReport.from_matrix(coupling_matrix(design, task, prop), task.weights)
+
+
+def old_diagonal_report(mat: np.ndarray) -> tuple[float, float, float]:
+    """Diagonal mean, off-diagonal mean and worst extinction of a square
+    matrix, as the report formed them from the diagonal alone."""
+    diag = np.diagonal(mat)
+    off = mat[~np.eye(*mat.shape, dtype=bool)]
+    peak = float(off.max())
+    return (float(diag.mean()), float(off.mean()),
+            10.0 * math.log10(float(diag.min()) / peak))
+
+
+class TestTaskBuilders:
+    GRID = Grid2D(32, 32, 0.5, 0.5)
+
+    def test_fanout_is_one_input_with_a_column_of_ones(self):
+        task = fanout_task(self.GRID, LAM, 4, 5.0, 1.5, NO_ABSORBER)
+        assert len(task.inputs) == 1 and len(task.targets) == 4
+        np.testing.assert_array_equal(task.weights, np.ones((4, 1)), strict=True)
+
+    def test_sorters_are_identity_tasks(self):
+        angles = tilt_angles(self.GRID, LAM, (-1.0, 1.0))
+        for task in (sorter_task(self.GRID, LAM, angles, 5.0, 1.5),
+                     lantern_task(LANTERN_FIBER, self.GRID, angles)):
+            assert len(task.inputs) == len(task.targets) == 2
+            np.testing.assert_array_equal(task.weights, np.eye(2), strict=True)
+
+
 class TestCrosstalk:
     def test_identity_task_diagonal_unity(self):
         g = Grid2D(32, 32, 0.5, 0.5)
@@ -50,7 +83,7 @@ class TestCrosstalk:
         even, odd = even_odd_pair(g)
         inputs = [even, odd]
         targets = [bpm(vol, f, NO_ABSORBER) for f in inputs]
-        rep = crosstalk(vol, inputs, targets, NO_ABSORBER)
+        rep = scored(vol, MappingTask.from_fields(inputs, targets), NO_ABSORBER)
         np.testing.assert_allclose(np.diag(rep.matrix), 1.0, rtol=0, atol=1e-6)
         assert rep.worst_extinction_db > 40.0
 
@@ -59,44 +92,58 @@ class TestCrosstalk:
         g = Grid2D(32, 32, 0.5, 0.5)
         vol = IndexVolume(grid=g, nz=4, dz=1.0, n0=1.5, dn=np.zeros((32, 32, 4)))
         even, odd = even_odd_pair(g)
-        rep = crosstalk(vol, [even, even], [odd, odd], NO_ABSORBER)
+        rep = scored(vol, MappingTask.from_fields([even, even], [odd, odd]), NO_ABSORBER)
         assert rep.matrix.max() <= 1e-6
 
     def test_toy_sorter_separation(self, toy_result):
         _, report = toy_result
         assert report.diagonal_mean / report.offdiag_mean >= 2.0
 
-    def test_mismatched_lengths_rejected(self):
-        g = Grid2D(32, 32, 0.5, 0.5)
-        vol = IndexVolume(grid=g, nz=4, dz=1.0, n0=1.5, dn=np.zeros((32, 32, 4)))
-        even, odd = even_odd_pair(g)
-        with pytest.raises(ValueError):
-            crosstalk(vol, [even], [], NO_ABSORBER)
-
-    def test_non_unit_power_rejected(self):
-        g = Grid2D(32, 32, 0.5, 0.5)
-        vol = IndexVolume(grid=g, nz=4, dz=1.0, n0=1.5, dn=np.zeros((32, 32, 4)))
-        even, odd = even_odd_pair(g)
-        loud = ComplexField(g, LAM, 2.0 * even.values)
-        with pytest.raises(ValueError, match="unit-power"):
-            crosstalk(vol, [loud], [odd], NO_ABSORBER)
-
     def test_from_matrix_statistics(self):
-        rep = CrosstalkReport.from_matrix(np.array([[0.8, 0.1], [0.2, 0.6]]))
+        rep = CrosstalkReport.from_matrix(np.array([[0.8, 0.1], [0.2, 0.6]]), np.eye(2))
         assert rep.diagonal_mean == pytest.approx(0.7)
         assert rep.offdiag_mean == pytest.approx(0.15)
         assert rep.worst_extinction_db == pytest.approx(10 * math.log10(0.6 / 0.2))
 
-    def test_from_matrix_single_entry(self):
-        rep = CrosstalkReport.from_matrix(np.array([[0.9]]))
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_identity_weights_score_the_diagonal(self, n):
+        # Identity W matches the diagonal: the same numbers, bit for bit,
+        # whatever the weights on it.
+        rng = np.random.default_rng(n)
+        mat = rng.uniform(0.0, 1.0 / n, size=(n, n))
+        want = old_diagonal_report(mat)
+        for weights in (np.eye(n), np.diag(rng.uniform(0.5, 2.0, size=n))):
+            rep = CrosstalkReport.from_matrix(mat, weights)
+            assert (rep.diagonal_mean, rep.offdiag_mean, rep.worst_extinction_db) == want
+
+    def test_fanout_has_no_unmatched_entry(self):
+        rep = CrosstalkReport.from_matrix(np.array([[0.2], [0.25], [0.3]]), np.ones((3, 1)))
+        assert rep.diagonal_mean == pytest.approx(0.25)
         assert math.isnan(rep.offdiag_mean)
         assert math.isinf(rep.worst_extinction_db)
 
+    def test_weight_matrix_marks_matched_entries(self):
+        mat = np.array([[0.5, 0.1], [0.3, 0.4], [0.05, 0.2]])
+        weights = np.array([[1.0, 0.0], [1.0, 2.0], [0.0, 1.0]])
+        rep = CrosstalkReport.from_matrix(mat, weights)
+        assert rep.diagonal_mean == pytest.approx(np.mean([0.5, 0.3, 0.4, 0.2]))
+        assert rep.offdiag_mean == pytest.approx(np.mean([0.1, 0.05]))
+        assert rep.worst_extinction_db == pytest.approx(10 * math.log10(0.2 / 0.1))
+
+    def test_from_matrix_single_entry(self):
+        rep = CrosstalkReport.from_matrix(np.array([[0.9]]), np.ones((1, 1)))
+        assert math.isnan(rep.offdiag_mean)
+        assert math.isinf(rep.worst_extinction_db)
+
+    def test_weights_shape_must_match(self):
+        with pytest.raises(ValueError, match="does not match"):
+            CrosstalkReport.from_matrix(np.eye(2), np.ones((2, 1)))
+
     def test_out_of_range_couplings_rejected(self):
         with pytest.raises(ValueError):
-            CrosstalkReport.from_matrix(np.array([[1.5, 0.0], [0.0, 0.5]]))
+            CrosstalkReport.from_matrix(np.array([[1.5, 0.0], [0.0, 0.5]]), np.eye(2))
         with pytest.raises(ValueError):
-            CrosstalkReport.from_matrix(np.array([[-0.1, 0.0], [0.0, 0.5]]))
+            CrosstalkReport.from_matrix(np.array([[-0.1, 0.0], [0.0, 0.5]]), np.eye(2))
 
 
 class TestSpotCentroid:
@@ -282,7 +329,8 @@ class TestOptimizedFanout:
     def test_uniform_per_output_efficiency(self, optimized_result):
         _, runs = optimized_result
         for run in runs:
-            per_output = np.diag(run.coupling_after)
+            per_output = run.coupling_after[:, 0]
+            assert run.coupling_after.shape == (per_output.size, 1)
             assert per_output.max() <= 2.0 * per_output.min()
 
     def test_clearly_separated_from_superposed(self, superposed_result,
@@ -378,8 +426,8 @@ class TestHaarGrin:
         run, _ = haar_result
         grid = run.result.grid
         task = haar_grin_task(grid, LAM)
-        centers = ring_positions(len(task.pairs), 6.5)
-        for (inp, _, _), (tx, ty) in zip(task.pairs, centers):
+        centers = ring_positions(len(task.targets), 6.5)
+        for inp, (tx, ty) in zip(task.inputs, centers):
             out = bpm(run.result, inp)
             cx, cy = spot_centroid(out, window_radius_um=3.0 * 1.3)
             assert math.hypot(cx - tx, cy - ty) <= 2.0 * 1.3
@@ -394,9 +442,7 @@ class TestHaarGrin:
         assert not run.result.dn.any()
         vol = IndexVolume(grid=grid, nz=8, dz=1.5, n0=1.5,
                           dn=np.zeros((64, 64, 8)))
-        task = haar_grin_task(grid, LAM)
-        want = crosstalk(vol, [p[0] for p in task.pairs],
-                         [p[1] for p in task.pairs])
+        want = scored(vol, haar_grin_task(grid, LAM))
         np.testing.assert_array_equal(report.matrix, want.matrix)
 
     def test_couplings_in_range(self, haar_result):

@@ -219,34 +219,65 @@ class TestMappingTask:
         g = Grid2D(8, 8, 0.5, 0.5)
         raw = uniform_field(g, 3.0)
         task = MappingTask.from_fields([raw], [raw])
-        inp, tgt, w = task.pairs[0]
-        assert power(inp) == pytest.approx(1.0, abs=1e-12)
-        assert power(tgt) == pytest.approx(1.0, abs=1e-12)
-        assert w == 1.0
+        assert power(task.inputs[0]) == pytest.approx(1.0, abs=1e-12)
+        assert power(task.targets[0]) == pytest.approx(1.0, abs=1e-12)
+        assert task.weights.tolist() == [[1.0]]
 
-    def test_groups_pairs_by_distinct_input(self):
+    def test_pair_form_is_diagonal(self):
         g = Grid2D(8, 8, 0.5, 0.5)
         a, b = random_field(g, 1.55, seed=1), random_field(g, 1.55, seed=2)
-        task = MappingTask.from_fields([a, b, a, a], [a, b, b, a])
-        assert len(task.pairs) == 4
-        assert task.input_index == (0, 1, 0, 0)
-        assert len(task.inputs) == 2
-        for (inp, _tgt, _w), i in zip(task.pairs, task.input_index):
-            np.testing.assert_array_equal(inp.values, task.inputs[i].values)
-        assert power(task.inputs[1]) == pytest.approx(1.0, abs=1e-12)
+        task = MappingTask.from_fields([a, b, a], [a, b, b], weights=[0.5, 2.0, 1.0])
+        # Pairs keep their own inputs: repeats are not looked for.
+        assert len(task.inputs) == 3 and len(task.targets) == 3
+        np.testing.assert_array_equal(task.weights, np.diag([0.5, 2.0, 1.0]))
+        assert not task.weights.flags.writeable
+
+    def test_weight_matrix_task(self):
+        g = Grid2D(8, 8, 0.5, 0.5)
+        a = random_field(g, 1.55, seed=1)
+        spots = [random_field(g, 1.55, seed=s) for s in (2, 3, 4)]
+        task = MappingTask([a], spots, np.ones((3, 1)))
+        assert len(task.inputs) == 1 and len(task.targets) == 3
+        assert task.weights.shape == (3, 1)
+        assert power(task.targets[2]) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("weights,match", [
+        (np.ones((2, 1)), r"shape \(2, 1\) does not match \(targets, inputs\) = \(3, 1\)"),
+        (np.ones(3), r"shape \(3,\) does not match"),
+        (np.array([[1.0], [-0.5], [1.0]]), "must be >= 0"),
+        (np.array([[1.0], [np.nan], [1.0]]), "must be finite"),
+        (np.array([[1.0], [np.inf], [1.0]]), "must be finite"),
+        (np.zeros((3, 1)), "must sum to a positive value"),
+    ], ids=["wrong-shape", "flat", "negative", "nan", "inf", "zero-sum"])
+    def test_bad_weights_rejected(self, weights, match):
+        g = Grid2D(8, 8, 0.5, 0.5)
+        a = random_field(g, 1.55, seed=1)
+        with pytest.raises(ValueError, match=match):
+            MappingTask([a], [a, a, a], weights)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            MappingTask(pairs=())
+        g = Grid2D(8, 8, 0.5, 0.5)
+        f = uniform_field(g, 1.0)
+        with pytest.raises(ValueError, match="at least one input and one target"):
+            MappingTask((), (), np.zeros((0, 0)))
+        with pytest.raises(ValueError, match="at least one input and one target"):
+            MappingTask([f], (), np.zeros((0, 1)))
 
     def test_zero_total_weight_rejected(self):
         g = Grid2D(8, 8, 0.5, 0.5)
         f = uniform_field(g, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="positive"):
             MappingTask.from_fields([f], [f], weights=[0.0])
+
+    def test_mismatched_pair_lengths_rejected(self):
+        f = uniform_field(Grid2D(8, 8, 0.5, 0.5), 1.0)
+        with pytest.raises(ValueError, match="1 inputs but 0 targets"):
+            MappingTask.from_fields([f], [])
 
     def test_mixed_grid_rejected(self):
         a = uniform_field(Grid2D(8, 8, 0.5, 0.5), 1.0)
         b = uniform_field(Grid2D(8, 8, 0.25, 0.25), 1.0)
         with pytest.raises(ValueError):
             MappingTask.from_fields([a, b], [a, b])
+        with pytest.raises(ValueError, match="grid mismatch"):
+            MappingTask([a], [b], np.ones((1, 1)))
