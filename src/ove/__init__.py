@@ -45,7 +45,15 @@ from .fields import (
     overlap,
     power,
 )
-from .interconnect import ScalingReport, footprint_scaling, haar_filter_bank
+from .interconnect import (
+    CouplingMatrix,
+    ScalingReport,
+    apply_coupling,
+    fanout_matrix,
+    footprint_scaling,
+    haar_filter_bank,
+    neuron_nonlinearity,
+)
 from .io import (
     export_field,
     export_volume,
@@ -78,7 +86,8 @@ __all__ = [
     "lp_modes", "plane_wave", "spot_target",
     "LossSpec", "OptimizerConfig", "DesignRun", "loss", "gradient", "loss_and_gradient",
     "optimize", "coupling_matrix", "seeded_initial_volume", "total_variation",
-    "ScalingReport", "footprint_scaling", "haar_filter_bank",
+    "CouplingMatrix", "ScalingReport", "apply_coupling", "fanout_matrix",
+    "footprint_scaling", "haar_filter_bank", "neuron_nonlinearity",
     "CrosstalkReport", "EfficiencyCurve", "HolographySetup",
     "weak_grating_efficiency", "multiplexed_grating_volume",
     "superposed_grating_efficiency", "optimized_fanout_efficiency",

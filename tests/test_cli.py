@@ -183,7 +183,7 @@ class TestDesign:
             assert read_bytes(tmp_path / "a" / name) == \
                 read_bytes(tmp_path / "b" / name), name
 
-    @pytest.mark.parametrize("kind,inputs,targets", [("custom", 2, 2), ("fanout", 1, 3)])
+    @pytest.mark.parametrize("kind,targets,inputs", [("custom", 2, 2), ("fanout", 3, 1)])
     def test_renders_one_pass_per_distinct_input(self, tmp_path, monkeypatch, kind,
                                                  inputs, targets):
         # A 1-to-3 fanout has one input: one render pass, one input and

@@ -547,17 +547,9 @@ class TestVolumeChain:
         assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
         assert np.linalg.norm(got_grad - want_grad) <= 1e-12 * np.linalg.norm(want_grad)
 
-    @pytest.mark.parametrize("make_task", [
-        lambda prop: inputs_task((1,)),
-        lambda prop: fanout_task(SMALL, LAM, 4, 2.0, 1.0, prop),
-    ], ids=["one-pair", "fanout-4"])
-    @pytest.mark.parametrize("nz,prop,drifts", [
-        (8, NO_ABSORBER, 9), (8, PropagationSpec(), 16),
-        (1, NO_ABSORBER, 2), (1, PropagationSpec(), 2),
-    ], ids=["fused", "absorber", "one-slice-fused", "one-slice-absorber"])
-    def test_drifts_per_sweep(self, monkeypatch, nz, prop, drifts, make_task):
-        # One forward and one adjoint sweep for the one input, also when
-        # it feeds four targets.
+    @staticmethod
+    def sweep_drifts(monkeypatch, nz, prop, task):
+        """Forward and adjoint drifts of one loss_and_gradient call."""
         calls = {"forward": 0, "adjoint": 0}
 
         def counted(name, fn):
@@ -570,7 +562,25 @@ class TestVolumeChain:
         monkeypatch.setattr(ove.design, "drift_adjoint", counted("adjoint", drift_adjoint))
         vol = IndexVolume(grid=SMALL, nz=nz, dz=1.0, n0=1.5,
                           dn=np.full((SMALL.nx, SMALL.ny, nz), 0.01))
-        loss_and_gradient(vol, make_task(prop), LossSpec(), prop)
+        loss_and_gradient(vol, task, LossSpec(), prop)
+        return calls
+
+    SWEEP_DRIFTS = pytest.mark.parametrize("nz,prop,drifts", [
+        (8, NO_ABSORBER, 9), (8, PropagationSpec(), 16),
+        (1, NO_ABSORBER, 2), (1, PropagationSpec(), 2),
+    ], ids=["fused", "absorber", "one-slice-fused", "one-slice-absorber"])
+
+    @SWEEP_DRIFTS
+    def test_drifts_per_sweep(self, monkeypatch, nz, prop, drifts):
+        calls = self.sweep_drifts(monkeypatch, nz, prop, inputs_task((1,)))
+        assert calls == {"forward": drifts, "adjoint": drifts}
+
+    @SWEEP_DRIFTS
+    def test_fanout_drifts_per_sweep(self, monkeypatch, nz, prop, drifts):
+        # One forward and one adjoint sweep for the one input that feeds
+        # four targets.
+        task = fanout_task(SMALL, LAM, 4, 2.0, 1.0, prop)
+        calls = self.sweep_drifts(monkeypatch, nz, prop, task)
         assert calls == {"forward": drifts, "adjoint": drifts}
 
 

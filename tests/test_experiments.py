@@ -99,6 +99,13 @@ class TestCrosstalk:
         _, report = toy_result
         assert report.diagonal_mean / report.offdiag_mean >= 2.0
 
+    def test_mismatched_lengths_rejected(self):
+        g = Grid2D(32, 32, 0.5, 0.5)
+        vol = IndexVolume(grid=g, nz=4, dz=1.0, n0=1.5, dn=np.zeros((32, 32, 4)))
+        even, odd = even_odd_pair(g)
+        with pytest.raises(ValueError):
+            scored(vol, MappingTask.from_fields([even], []), NO_ABSORBER)
+
     def test_from_matrix_statistics(self):
         rep = CrosstalkReport.from_matrix(np.array([[0.8, 0.1], [0.2, 0.6]]), np.eye(2))
         assert rep.diagonal_mean == pytest.approx(0.7)

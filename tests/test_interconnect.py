@@ -1,5 +1,5 @@
-"""Discrete interconnect layer: the Haar filter bank vs a digital oracle
-and the 2D/3D footprint counts."""
+"""Discrete interconnect layer: fanout matrices, Haar filter bank vs a
+digital oracle, detector nonlinearity, and the 2D/3D footprint counts."""
 
 import math
 
@@ -8,9 +8,107 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ove.interconnect import footprint_scaling, haar_filter_bank
+from ove.interconnect import (
+    CouplingMatrix,
+    apply_coupling,
+    fanout_matrix,
+    footprint_scaling,
+    haar_filter_bank,
+    neuron_nonlinearity,
+)
 from ove.sources import HAAR_KINDS
 from testutil import haar_bank_oracle
+
+
+class TestFanoutMatrix:
+    def test_single_input_nine_way(self):
+        m = fanout_matrix(1, 9)
+        assert m.entries.shape == (9, 1)
+        out = apply_coupling(m, np.ones(1))
+        np.testing.assert_allclose(out, np.full(9, 1.0 / 9.0), rtol=0, atol=1e-15)
+
+    def test_waveguide_array_225_to_81(self):
+        m = fanout_matrix(225, 81)
+        assert m.cols == 225
+        assert m.rows == 225 * 81
+        per_col = np.count_nonzero(m.entries, axis=0)
+        np.testing.assert_array_equal(per_col, np.full(225, 81))
+        nz = m.entries[m.entries != 0]
+        np.testing.assert_allclose(nz, 1.0 / 81.0, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(m.entries.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+
+    def test_all_ones_conserves_power(self):
+        m = fanout_matrix(225, 81)
+        out = apply_coupling(m, np.ones(225))
+        assert out.sum() == pytest.approx(225.0, abs=1e-9)
+
+    def test_each_input_owns_disjoint_outputs(self):
+        m = fanout_matrix(16, 4)
+        owners = np.count_nonzero(m.entries, axis=1)
+        np.testing.assert_array_equal(owners, np.ones(64, dtype=int))
+
+    @pytest.mark.parametrize("n_in,fan", [(2, 4), (4, 3), (0, 1), (4, 0)])
+    def test_non_square_counts_rejected(self, n_in, fan):
+        with pytest.raises(ValueError):
+            fanout_matrix(n_in, fan)
+
+
+class TestCouplingMatrix:
+    def test_passivity_enforced_incoherent(self):
+        with pytest.raises(ValueError, match="passivity"):
+            CouplingMatrix(entries=np.array([[0.7], [0.7]]))
+
+    def test_passivity_enforced_coherent(self):
+        with pytest.raises(ValueError, match="passivity"):
+            CouplingMatrix(entries=np.array([[1.0], [0.5j]]), mode="coherent")
+
+    def test_negative_incoherent_rejected(self):
+        with pytest.raises(ValueError):
+            CouplingMatrix(entries=np.array([[-0.1, 0.0], [0.0, 0.5]]))
+
+    @pytest.mark.parametrize("bad", [np.ones(3), np.ones((2, 0)), np.array([[np.inf]])])
+    def test_bad_entries_rejected(self, bad):
+        with pytest.raises(ValueError):
+            CouplingMatrix(entries=bad)
+
+    def test_bad_mode_rejected(self):
+        with pytest.raises(ValueError, match="mode"):
+            CouplingMatrix(entries=np.eye(2), mode="lossy")
+
+
+class TestApplyCoupling:
+    def test_identity(self):
+        m = CouplingMatrix(entries=np.eye(5))
+        x = np.array([1.0, 0.5, 0.0, 2.0, 0.25])
+        np.testing.assert_array_equal(apply_coupling(m, x), x)
+
+    def test_coherent_5050_splitter(self):
+        s = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / math.sqrt(2.0)
+        m = CouplingMatrix(entries=s, mode="coherent")
+        out = apply_coupling(m, np.array([1.0, 0.0]))
+        np.testing.assert_allclose(out, [1 / math.sqrt(2), 1j / math.sqrt(2)],
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(np.abs(out) ** 2, [0.5, 0.5], rtol=0, atol=1e-15)
+
+    def test_length_mismatch_rejected(self):
+        m = CouplingMatrix(entries=np.eye(3))
+        with pytest.raises(ValueError, match="length"):
+            apply_coupling(m, np.ones(4))
+
+    def test_negative_intensity_rejected(self):
+        m = CouplingMatrix(entries=np.eye(2))
+        with pytest.raises(ValueError):
+            apply_coupling(m, np.array([1.0, -0.5]))
+
+    @given(seed=st.integers(0, 2**31))
+    @settings(max_examples=50, deadline=None)
+    def test_passive_never_gains(self, seed):
+        rng = np.random.default_rng(seed)
+        raw = rng.uniform(0.0, 1.0, size=(4, 4))
+        raw /= np.maximum(raw.sum(axis=0), 1.0)  # force column sums <= 1
+        m = CouplingMatrix(entries=raw)
+        x = rng.uniform(0.0, 10.0, size=4)
+        assert apply_coupling(m, x).sum() <= x.sum() + 1e-9
 
 
 class TestHaarFilterBank:
@@ -77,6 +175,39 @@ class TestHaarFilterBank:
         img[4, 4] = -1.0
         with pytest.raises(ValueError, match="non-negative"):
             haar_filter_bank(img)
+
+
+class TestNeuronNonlinearity:
+    def test_anchor_points(self):
+        assert neuron_nonlinearity(0.0, 1.0) == 0.0
+        assert neuron_nonlinearity(2.5, 2.5) == pytest.approx(1.25, rel=1e-15)
+        deep = neuron_nonlinearity(1e6 * 3.0, 3.0)
+        assert abs(deep - 3.0) <= 1e-5 * 3.0
+
+    def test_negative_intensity_rejected(self):
+        with pytest.raises(ValueError):
+            neuron_nonlinearity(-1.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [0.0, -2.0, math.inf, math.nan])
+    def test_bad_saturation_rejected(self, bad):
+        with pytest.raises(ValueError):
+            neuron_nonlinearity(1.0, bad)
+
+    def test_array_input(self):
+        x = np.array([0.0, 1.0, 4.0])
+        out = neuron_nonlinearity(x, 2.0)
+        np.testing.assert_allclose(out, [0.0, 2.0 / 3.0, 4.0 / 3.0], rtol=1e-15)
+
+    @given(a=st.floats(0.0, 1e6), b=st.floats(0.0, 1e6),
+           i_sat=st.floats(1e-3, 1e3))
+    @settings(max_examples=100, deadline=None)
+    def test_monotone_lipschitz_bounded(self, a, b, i_sat):
+        lo, hi = sorted((a, b))
+        f_lo = neuron_nonlinearity(lo, i_sat)
+        f_hi = neuron_nonlinearity(hi, i_sat)
+        assert f_lo <= f_hi + 1e-12
+        assert f_hi - f_lo <= (hi - lo) + 1e-12  # slope never exceeds 1
+        assert f_hi <= i_sat
 
 
 class TestFootprintScaling:
