@@ -43,7 +43,7 @@ from ove.experiments import (
     weak_grating_efficiency,
 )
 from ove.fields import ComplexField, Grid2D, LayeredElement, MappingTask, normalize, overlap
-from ove.propagation import PropagationSpec, bpm, free_space, layered
+from ove.propagation import PropagationSpec, free_space, propagate
 from ove.sources import FiberSpec, gaussian, plane_wave, tilt_angles
 
 FIXTURE_PATH = os.path.join(os.path.dirname(__file__), "..", "tests", "fixtures",
@@ -84,7 +84,7 @@ def haar_grin_block() -> dict:
     centers = ring_positions(len(task.targets), 6.5)
     worst = 0.0
     for inp, c in zip(task.inputs, centers):
-        out = bpm(run.result, inp, PropagationSpec())
+        out = propagate(run.result, inp, PropagationSpec())
         cx, cy = spot_centroid(out, window_radius_um=3 * 1.3)
         worst = max(worst, math.hypot(cx - c[0], cy - c[1]))
     return {
@@ -197,8 +197,8 @@ def lens_block() -> dict:
     phase = -(2 * math.pi / lam) * (xs**2 + ys**2) / (2 * f)
     element = LayeredElement(grid=grid, layers=(phase,), gaps=(f,), n_gap=1.0)
     src = plane_wave(grid, lam)
-    spec = PropagationSpec(boundary="none")
-    out = layered(element, src, spec)
+    spec = PropagationSpec(absorber_width=0.0)
+    out = propagate(element, src, spec)
 
     spot_radius = 1.22 * lam * f / (grid.nx * grid.dx)
     r2 = xs**2 + ys**2

@@ -63,7 +63,7 @@ from .io import (
     render_field,
     write_csv,
 )
-from .propagation import PropagationSpec, bpm, free_space, layered, propagate, transfer_function
+from .propagation import PropagationSpec, free_space, propagate, transfer_function
 from .sources import (
     FiberSpec,
     HaarFields,
@@ -81,7 +81,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ComplexField", "Grid2D", "IndexVolume", "LayeredElement", "MappingTask",
     "normalize", "overlap", "power",
-    "PropagationSpec", "bpm", "free_space", "layered", "propagate", "transfer_function",
+    "PropagationSpec", "free_space", "propagate", "transfer_function",
     "FiberSpec", "LPMode", "HaarFields", "gaussian", "haar_mask_field", "haar_pattern",
     "lp_modes", "plane_wave", "spot_target",
     "LossSpec", "OptimizerConfig", "DesignRun", "loss", "gradient", "loss_and_gradient",

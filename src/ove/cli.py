@@ -176,15 +176,12 @@ def _holography_config(setup: HolographySetup, budget: float, fan: int) -> Desig
     """The holography runs as a design config: ``setup``'s geometry and
     propagation, dn bounds of +-``budget``, the 1-to-``fan`` fanout task
     and the optimizer of the optimized scheme."""
-    prop = setup.prop
-    if prop.boundary == "none":  # the config spells "no absorber" as width 0
-        prop = dataclasses.replace(prop, absorber_width=0.0)
     return dataclasses.replace(
         default_config(), wavelength_um=setup.wavelength_um, n0=setup.n0,
         dn_min=-budget, dn_max=budget, grid=setup.grid,
         volume_nz=setup.nz, volume_dz_um=setup.dz, task_kind="fanout", task_fan=fan,
         task_spot_ring_um=setup.spot_ring_um, task_spot_radius_um=setup.spot_radius_um,
-        optimizer=fanout_optimizer(budget), propagation=prop)
+        optimizer=fanout_optimizer(budget), propagation=setup.prop)
 
 
 def _cmd_holography(args) -> int:

@@ -177,12 +177,10 @@ def _build(values: dict, errors: list[str]) -> DesignConfig | None:
         seed=values["optimizer.seed"],
         projection=values["optimizer.projection"],
     ))
-    width = values["propagation.absorber_width"]
     prop = attempt("propagation", lambda: PropagationSpec(
         transfer_model=values["propagation.transfer_model"],
         evanescent_policy=values["propagation.evanescent_policy"],
-        boundary="absorber" if width > 0 else "none",
-        absorber_width=width,
+        absorber_width=values["propagation.absorber_width"],
     ))
     if errors:
         return None

@@ -3,7 +3,7 @@
 The forward model is the step chain of propagation.py: each step is a
 drift, a thin phase kick and a drift, for volume slices and for layers
 alike. The adjoint sweep walks the same steps in reverse; per step it
-applies the boundary mask first and then the conjugate transfer, and
+applies the absorber mask first and then the conjugate transfer, and
 undoes the kick with its conjugate. It reuses the forward pass's
 transfer functions and kicks, so the gradient is exact for the
 discretized model (matches finite differences to roundoff-limited
@@ -56,6 +56,9 @@ _TV_EPS = 1e-12
 # Safeguard: max step halvings in one iteration before accepting defeat.
 _MAX_HALVINGS = 60
 
+# Amplitude of seeded_initial_volume's noise, relative to dn_max.
+_SEED_NOISE_RELATIVE = 1e-4
+
 
 @dataclass(frozen=True)
 class LossSpec:
@@ -106,7 +109,7 @@ class OptimizerConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DesignRun:
     """Everything a finished optimization reports.
 
@@ -314,17 +317,19 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 class _Parameterization:
-    """Maps between optimizer space and physical design parameters."""
+    """Maps between optimizer space and physical design parameters. Only a
+    volume has bounds: layer phases are unconstrained and reject sigmoid."""
 
     def __init__(self, design, projection: str):
-        self.projection = projection
-        self.is_volume = isinstance(design, IndexVolume)
-        if self.is_volume:
+        self.bounded = isinstance(design, IndexVolume)
+        self.sigmoid = projection == "sigmoid-reparameterization"
+        if self.bounded:
             self.lo, self.hi = design.dn_min, design.dn_max
-        self.bounded = self.is_volume  # layer phases are unconstrained
+        elif self.sigmoid:
+            raise ValueError(f"projection {projection!r} needs bounds; layer phases have none")
 
     def to_optimizer(self, params: np.ndarray) -> np.ndarray:
-        if not (self.bounded and self.projection == "sigmoid-reparameterization"):
+        if not self.sigmoid:
             return params.copy()
         span = self.hi - self.lo
         frac = np.clip((params - self.lo) / span, 1e-9, 1.0 - 1e-9)
@@ -333,12 +338,12 @@ class _Parameterization:
     def to_physical(self, z: np.ndarray) -> np.ndarray:
         if not self.bounded:
             return z
-        if self.projection == "sigmoid-reparameterization":
+        if self.sigmoid:
             return self.lo + (self.hi - self.lo) * _sigmoid(z)
         return np.clip(z, self.lo, self.hi)
 
     def chain_gradient(self, grad_phys: np.ndarray, z: np.ndarray) -> np.ndarray:
-        if not (self.bounded and self.projection == "sigmoid-reparameterization"):
+        if not self.sigmoid:
             return grad_phys
         s = _sigmoid(z)
         return grad_phys * (self.hi - self.lo) * s * (1.0 - s)
@@ -357,15 +362,15 @@ def coupling_matrix(design: IndexVolume | LayeredElement, task: MappingTask,
 
 def seeded_initial_volume(grid, nz: int, dz: float, n0: float,
                           dn_min: float = 0.0, dn_max: float = 0.05,
-                          seed: int = 0, noise_relative: float = 1e-4) -> IndexVolume:
+                          seed: int = 0) -> IndexVolume:
     """Mid-bounds volume plus a small seeded uniform perturbation.
 
     The noise breaks the symmetry of an otherwise uniform start; its
-    amplitude is noise_relative * dn_max, kept inside the bounds.
+    amplitude is _SEED_NOISE_RELATIVE * dn_max, kept inside the bounds.
     """
     rng = np.random.default_rng(seed)
     mid = 0.5 * (dn_min + dn_max)
-    amp = noise_relative * dn_max
+    amp = _SEED_NOISE_RELATIVE * dn_max
     dn = mid + rng.uniform(-amp, amp, size=(grid.nx, grid.ny, nz))
     dn = np.clip(dn, dn_min, dn_max)
     return IndexVolume(grid=grid, nz=nz, dz=dz, n0=n0, dn=dn,

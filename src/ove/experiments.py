@@ -34,7 +34,7 @@ import scipy.fft
 
 from .design import DesignRun, LossSpec, OptimizerConfig, optimize, seeded_initial_volume
 from .fields import ComplexField, Grid2D, IndexVolume, MappingTask
-from .propagation import PropagationSpec, boundary_mask, bpm
+from .propagation import PropagationSpec, absorber_mask, propagate
 from .sources import (
     HAAR_KINDS,
     FiberSpec,
@@ -76,7 +76,7 @@ _WEAK_ETA_LIMIT = 0.05
 # Crosstalk reporting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CrosstalkReport:
     """Power-coupling matrix (targets x inputs) with summary statistics.
 
@@ -193,9 +193,7 @@ class HolographySetup:
     carrier_hi: float = 0.6
     spot_ring_um: float = 8.0
     spot_radius_um: float = 2.0
-    prop: PropagationSpec = field(
-        default_factory=lambda: PropagationSpec(boundary="none")
-    )
+    prop: PropagationSpec = PropagationSpec(absorber_width=0.0)
 
     def __post_init__(self):
         if not 0.0 < self.carrier_lo < self.carrier_hi < 1.0:
@@ -270,7 +268,7 @@ def superposed_grating_efficiency(m: int, dn_budget: float,
     volume = multiplexed_grating_volume(m, dn_budget, setup)
     bins = _carrier_bins(m, setup)
     read = plane_wave(setup.grid, setup.wavelength_um)
-    out = bpm(volume, read, setup.prop)
+    out = propagate(volume, read, setup.prop)
 
     spec_in = scipy.fft.fft2(read.values)
     spec_out = scipy.fft.fft2(out.values)
@@ -402,7 +400,7 @@ def lantern_inputs(grid: Grid2D, wavelength_um: float,
     Apodizing keeps the optimization from chasing power that the
     absorber will remove anyway.
     """
-    env = boundary_mask(grid, prop)
+    env = absorber_mask(grid, prop.absorber_width)
     return [plane_wave(grid, wavelength_um, tx, ty, envelope=env) for tx, ty in angles]
 
 

@@ -77,7 +77,7 @@ class Grid2D:
         return np.meshgrid(x, y, indexing="ij")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComplexField:
     """Scalar complex amplitude sampled on a :class:`Grid2D`.
 
@@ -137,7 +137,7 @@ def overlap(a: ComplexField, b: ComplexField) -> complex:
     return complex(np.sum(np.conj(a.values) * b.values) * a.grid.cell_area)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndexVolume:
     """3D voxel grid of index perturbation dn over a background n0.
 
@@ -187,7 +187,7 @@ class IndexVolume:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LayeredElement:
     """Thin phase masks separated by homogeneous gaps.
 
@@ -227,7 +227,7 @@ class LayeredElement:
         return LayeredElement(self.grid, tuple(layers), self.gaps, self.n_gap)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MappingTask:
     """A weight layer an element should realize: distinct inputs, the
     targets (detectors) and the weight matrix W.

@@ -30,7 +30,7 @@ __all__ = [
 _PASSIVITY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CouplingMatrix:
     """Input-to-output coupling of a passive device.
 

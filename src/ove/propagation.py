@@ -4,11 +4,13 @@ that covers both element families.
 Both families are chains of ``(pre transfer, kick, post transfer)``
 steps: drift, multiply by a thin phase screen, drift. A volume slice is
 a split-step BPM step, ``(H(dz/2), exp(i k0 dz dn[:, :, k]), H(dz/2))``
-in the background index; a layer is ``(None, exp(i phase_k), H(gap_k))``
-in the gap medium, where a zero gap gives ``None`` and skips its drift.
-Without a boundary mask the half-drifts of neighbouring volume slices
-merge into one H(dz): slice k > 0 has no pre drift and every slice but
-the last ends with H(dz), so a pass runs nz + 1 drifts instead of 2 nz.
+with k0 = 2 pi / lambda in the background index; a layer is ``(None,
+exp(i phase_k), H(gap_k))`` in the gap medium, where a zero gap gives
+``None`` and skips its drift, so a zero-phase layer with a zero gap is
+an exact identity. With ``absorber_width = 0`` (no mask) the
+half-drifts of neighbouring volume slices merge into one H(dz): slice
+k > 0 has no pre drift and every slice but the last ends with H(dz), so
+a pass runs nz + 1 drifts instead of 2 nz.
 With the absorber on, the mask applied after each half-drift sits
 between them, and the chain keeps both. :func:`element_chain` builds the
 chain and :func:`forward_sweep` is the one loop that runs a field
@@ -39,17 +41,13 @@ from .fields import ComplexField, Grid2D, IndexVolume, LayeredElement
 __all__ = [
     "PropagationSpec",
     "free_space",
-    "bpm",
-    "layered",
     "propagate",
     "absorber_mask",
-    "boundary_mask",
     "transfer_function",
 ]
 
 TRANSFER_MODELS = ("exact-nonparaxial", "fresnel-paraxial")
 EVANESCENT_POLICIES = ("zero", "keep")
-BOUNDARIES = ("none", "absorber")
 
 # Absorber amplitude at the outermost sample of the super-Gaussian skirt.
 _EDGE_AMPLITUDE = 1e-3
@@ -60,14 +58,13 @@ class PropagationSpec:
     """Knobs for the spectral propagator.
 
     ``absorber_width`` is the fraction of the window, per edge, covered
-    by the super-Gaussian amplitude skirt; it only matters when
-    ``boundary == "absorber"``. Conservation tests want ``boundary="none"``
-    together with ``evanescent_policy="keep"``.
+    by the super-Gaussian amplitude skirt; 0 turns the absorber off.
+    Conservation tests want ``absorber_width=0`` together with
+    ``evanescent_policy="keep"``.
     """
 
     transfer_model: str = "exact-nonparaxial"
     evanescent_policy: str = "zero"
-    boundary: str = "absorber"
     absorber_width: float = 0.1
 
     def __post_init__(self):
@@ -75,9 +72,7 @@ class PropagationSpec:
             raise ValueError(f"unknown transfer model {self.transfer_model!r}")
         if self.evanescent_policy not in EVANESCENT_POLICIES:
             raise ValueError(f"unknown evanescent policy {self.evanescent_policy!r}")
-        if self.boundary not in BOUNDARIES:
-            raise ValueError(f"unknown boundary {self.boundary!r}")
-        if self.boundary == "absorber" and not 0.0 <= self.absorber_width < 0.5:
+        if not 0.0 <= self.absorber_width < 0.5:
             raise ValueError(f"absorber width must lie in [0, 0.5), got {self.absorber_width}")
 
 
@@ -140,15 +135,8 @@ def absorber_mask(grid: Grid2D, width_fraction: float) -> np.ndarray | None:
     return mask
 
 
-def boundary_mask(grid: Grid2D, spec: PropagationSpec) -> np.ndarray | None:
-    """The absorber mask ``spec`` applies on ``grid``, or None when off."""
-    if spec.boundary != "absorber":
-        return None
-    return absorber_mask(grid, spec.absorber_width)
-
-
 def drift(values: np.ndarray, h: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    """One spectral step: FFT, multiply by H, inverse FFT, boundary mask.
+    """One spectral step: FFT, multiply by H, inverse FFT, absorber mask.
 
     Runs on ``scipy.fft``. ``values`` is left as it is: only its new
     spectrum is multiplied and inverse-transformed in place.
@@ -181,12 +169,12 @@ def free_space(field: ComplexField, distance_um: float, n_medium: float = 1.0,
         return field
     h = transfer_function(field.grid, field.wavelength_um, n_medium, distance_um,
                           spec.transfer_model, spec.evanescent_policy)
-    return field.with_values(drift(field.values, h, boundary_mask(field.grid, spec)))
+    return field.with_values(drift(field.values, h, absorber_mask(field.grid, spec.absorber_width)))
 
 
 class Chain(NamedTuple):
     """``(pre transfer, kick, post transfer)`` steps, ``None`` skipping a
-    drift, and the boundary mask every drift applies (``None`` if off).
+    drift, and the absorber mask every drift applies (``None`` if off).
 
     With no mask, volume slices share their half-drifts: the first step
     is ``(H(dz/2), kick_0, H(dz))``, middle ones ``(None, kick_k, H(dz))``
@@ -211,7 +199,7 @@ def element_chain(design: IndexVolume | LayeredElement, grid: Grid2D,
         return transfer_function(grid, wavelength_um, n_medium, distance_um,
                                  spec.transfer_model, spec.evanescent_policy)
 
-    mask = boundary_mask(grid, spec)
+    mask = absorber_mask(grid, spec.absorber_width)
     if isinstance(design, IndexVolume):
         # Slice-major, so each kick is contiguous. cos/sin cost less than
         # exp(1j * phase) and give the same bits (the tests check ==).
@@ -253,29 +241,7 @@ def forward_sweep(chain: Chain, values: np.ndarray,
 
 def propagate(design: IndexVolume | LayeredElement, field: ComplexField,
               spec: PropagationSpec = PropagationSpec()) -> ComplexField:
-    """Forward pass through either design family."""
+    """Forward pass through either design family (see the module docstring)."""
     chain = element_chain(design, field.grid, field.wavelength_um, spec)
     return field.with_values(forward_sweep(chain, field.values))
 
-
-def bpm(volume: IndexVolume, field: ComplexField,
-        spec: PropagationSpec = PropagationSpec()) -> ComplexField:
-    """Symmetric split-step propagation through an index volume.
-
-    Per slice: half drift over dz/2 in the background index, pointwise
-    phase kick exp(i (2 pi / lambda) dn dz), half drift. Without an
-    absorber the half-drifts between two slices run as one drift over dz.
-    Deterministic for fixed inputs.
-    """
-    return propagate(volume, field, spec)
-
-
-def layered(element: LayeredElement, field: ComplexField,
-            spec: PropagationSpec = PropagationSpec()) -> ComplexField:
-    """Propagate through a stack of thin phase masks.
-
-    Each layer multiplies the field by exp(i phase) and is followed by a
-    drift over its gap in the gap medium. Zero gaps skip the drift, so a
-    zero-phase layer with zero gap is an exact identity.
-    """
-    return propagate(element, field, spec)

@@ -17,7 +17,7 @@ from ove.design import LossSpec, gradient, loss
 from ove.fields import ComplexField, Grid2D, IndexVolume, LayeredElement, MappingTask, overlap, power
 from ove.interconnect import footprint_scaling, haar_filter_bank
 from ove.io import atomic_write_bytes, export_field, export_volume, import_field, import_volume
-from ove.propagation import PropagationSpec, bpm, free_space
+from ove.propagation import PropagationSpec, free_space, propagate
 from ove.sources import FiberSpec, gaussian, lp_modes, plane_wave
 from testutil import (
     NO_ABSORBER,
@@ -112,7 +112,7 @@ def test_criterion_2_propagation_oracles():
     slab = IndexVolume(grid=g64, nz=nz, dz=dz, n0=1.5,
                        dn=np.full((64, 64, nz), delta))
     pw = plane_wave(g64, LAM)
-    got = bpm(slab, pw, UNITARY)
+    got = propagate(slab, pw, UNITARY)
     want = free_space(pw, nz * dz, 1.5, UNITARY).values \
         * np.exp(1j * 2.0 * math.pi / LAM * delta * nz * dz)
     checks["uniform slab phase within 1e-6"] = \
@@ -128,7 +128,7 @@ def test_criterion_2_propagation_oracles():
     grin = IndexVolume(grid=gf, nz=nzg, dz=dzg, n0=n0, dn=dn,
                        dn_min=float(dn.min()), dn_max=0.0)
     mode = gaussian(gf, LAM, waist_um=w_mode)
-    imaged = bpm(grin, mode, UNITARY)
+    imaged = propagate(grin, mode, UNITARY)
     checks["GRIN self-imaging overlap >= 0.99"] = \
         abs(overlap(imaged, mode)) >= 0.99
 
@@ -136,7 +136,7 @@ def test_criterion_2_propagation_oracles():
     drift_free = abs(power(free_space(f, 37.0, 1.0, UNITARY)) - power(f))
     fb = band_limited_field(g64, LAM, seed=8, k_fraction=0.3, n_medium=1.5)
     vol = band_limited_volume(g64, nz=16, dz=1.0, seed=3)
-    drift_bpm = abs(power(bpm(vol, fb, UNITARY)) - power(fb))
+    drift_bpm = abs(power(propagate(vol, fb, UNITARY)) - power(fb))
     checks["power conservation 1e-9"] = max(drift_free, drift_bpm) <= 1e-9
 
     report(2, "free-space and BPM oracles", checks)

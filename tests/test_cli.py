@@ -221,6 +221,18 @@ class TestDesign:
         assert "unknown key" in err
         assert err.count("\n") == 1
 
+    def test_sigmoid_on_layered_exits_one_with_diagnostic(self, tmp_path, capsys):
+        # The config parses; the optimizer refuses the combination before
+        # its first evaluation.
+        text = TINY_DESIGN + "element.kind = layered\n" \
+            "optimizer.projection = sigmoid-reparameterization\n"
+        cfg = self.write_config(tmp_path, text)
+        assert main(["design", cfg, "--out", "d"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "sigmoid-reparameterization" in err
+        assert err.count("\n") == 1
+
     def test_outputs_confined_to_out_dir(self, tmp_path):
         cfg = self.write_config(tmp_path)
         before = set(os.listdir(tmp_path))

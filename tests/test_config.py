@@ -2,6 +2,7 @@
 serialize/parse round trip."""
 
 import math
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from ove.config import (
     parse_config,
     serialize_config,
 )
+from ove.propagation import absorber_mask
 
 
 class TestDefaults:
@@ -27,7 +29,6 @@ class TestDefaults:
         assert cfg.element_kind == "volume"
         assert cfg.task_kind == "lantern"
         assert cfg.optimizer.max_iters == 400
-        assert cfg.propagation.boundary == "absorber"
         assert cfg.propagation.absorber_width == 0.1
 
     def test_auto_step_size_follows_dn_max(self):
@@ -157,8 +158,23 @@ class TestRoundTrip:
 
     def test_absorber_width_zero_disables_boundary(self):
         cfg = parse_config("propagation.absorber_width = 0")
-        assert cfg.propagation.boundary == "none"
+        assert cfg.propagation.absorber_width == 0.0
+        assert absorber_mask(cfg.grid, 0.0) is None
         assert parse_config(serialize_config(cfg)) == cfg
+
+    def test_readme_defaults_match_serialized_defaults(self):
+        # The README's ini block documents the defaults; with its comments
+        # stripped it must list the keys and values serialize_config gives.
+        path = os.path.join(os.path.dirname(__file__), "..", "README.md")
+        with open(path, encoding="utf-8") as fh:
+            readme = fh.read()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+
+        def pairs(text):
+            lines = (ln.split("#", 1)[0].strip() for ln in text.splitlines())
+            return [tuple(part.strip() for part in ln.split("=", 1)) for ln in lines if ln]
+
+        assert pairs(block) == pairs(serialize_config(default_config()))
 
     def test_full_float_precision_preserved(self):
         cfg = parse_config("grid.dx_um = 0.30000000000000004")

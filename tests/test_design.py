@@ -6,11 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ove.design
 import ove.propagation
 from ove.design import (
     _MAX_HALVINGS,
+    PROJECTIONS,
     DesignRun,
     LossSpec,
     OptimizerConfig,
@@ -31,8 +34,10 @@ from ove.design import (
 from ove.experiments import fanout_task
 from ove.fields import ComplexField, Grid2D, IndexVolume, LayeredElement, MappingTask, overlap
 from ove.propagation import (
+    EVANESCENT_POLICIES,
+    TRANSFER_MODELS,
     PropagationSpec,
-    boundary_mask,
+    absorber_mask,
     drift,
     drift_adjoint,
     element_chain,
@@ -141,24 +146,52 @@ def fd_layered(el, task, spec, v, prop, h=1e-6):
             - loss(mk(minus), task, spec, prop)) / (2.0 * h)
 
 
-def assert_directional_fd(design, task, spec, prop, h=1e-6):
-    """The adjoint gradient projected on a random unit direction against a
-    central difference of the loss along it. The whole design moves, so
-    the difference is far above FD cancellation noise even where single
-    entries of the gradient are near zero."""
-    unbounded = design
+def assert_directional_fd(design, task, spec, prop, projection="clip-to-bounds", h=1e-6):
+    """The adjoint gradient, chained through ``projection`` into the
+    optimizer's variables z, projected on a random unit direction in z
+    against a central difference of the loss along it. The whole design
+    moves, so the difference is far above FD cancellation noise even where
+    single entries of the gradient are near zero.
+
+    A volume's bounds are widened to +-1, so clipping is the identity.
+    The direction takes random magnitudes and the signs of the adjoint
+    gradient, so it never lands nearly orthogonal to the gradient, where
+    the difference would be roundoff. A wrong entry still shows: the
+    difference sees the true derivative along the direction."""
     if isinstance(design, IndexVolume):
-        unbounded = IndexVolume(grid=design.grid, nz=design.nz, dz=design.dz, n0=design.n0,
-                                dn=design.dn, dn_min=-1.0, dn_max=1.0)
-    params = _design_params(unbounded)
-    adj = gradient(unbounded, task, spec, prop)
-    rng = np.random.default_rng(4)
-    direction = rng.standard_normal(params.shape)
+        design = IndexVolume(grid=design.grid, nz=design.nz, dz=design.dz, n0=design.n0,
+                             dn=design.dn, dn_min=-1.0, dn_max=1.0)
+    pm = _Parameterization(design, projection)
+    z = pm.to_optimizer(_design_params(design))
+    at = lambda zz: _with_params(design, pm.to_physical(zz))
+    adj = pm.chain_gradient(gradient(at(z), task, spec, prop), z)
+    direction = np.sign(adj) * np.abs(np.random.default_rng(4).standard_normal(z.shape))
     direction /= np.linalg.norm(direction)
-    at = lambda x: loss(_with_params(unbounded, x), task, spec, prop)
-    fd = (at(params + h * direction) - at(params - h * direction)) / (2.0 * h)
+    fd = (loss(at(z + h * direction), task, spec, prop)
+          - loss(at(z - h * direction), task, spec, prop)) / (2.0 * h)
     proj = float(np.sum(adj * direction))
     assert abs(fd - proj) <= 1e-5 * max(abs(fd), abs(proj))
+
+
+# The sweep below draws every setting the optimizer can run on 16^2 grids:
+# the transfer model and evanescent policy, the absorber off or at any
+# width in [0.05, 0.3], each loss kind with and without TV, and the
+# element, a volume of nz <= 4 under either projection or a layered
+# element whose gaps may be zero. Not all of them: with no drift at all
+# the element is one phase screen, which the intensity loss cannot see,
+# so its derivative is exactly zero and no relative check applies.
+SWEEP_VOLUMES = st.builds(
+    lambda nz, seed, projection: (smooth_random_volume(SMALL, nz=nz, dz=1.0, seed=seed),
+                                  projection),
+    st.integers(1, 4), st.integers(0, 3), st.sampled_from(PROJECTIONS))
+SWEEP_ELEMENTS = st.builds(
+    lambda seed, gaps: (small_element(seed=seed, gaps=tuple(gaps)), "clip-to-bounds"),
+    st.integers(0, 3),
+    st.lists(st.sampled_from([0.0, 2.0, 5.0]), min_size=3, max_size=3).filter(any))
+SWEEP_PROPS = st.builds(
+    PropagationSpec, st.sampled_from(TRANSFER_MODELS), st.sampled_from(EVANESCENT_POLICIES),
+    st.one_of(st.just(0.0), st.floats(0.05, 0.3)))
+SWEEP_LOSSES = st.builds(LossSpec, st.sampled_from(FD_KINDS), st.sampled_from([0.0, 1e-3]))
 
 
 def direct_loss(design, task, kind, prop):
@@ -292,6 +325,13 @@ class TestGradient:
               - loss(at(z - h * direction), task, spec, prop)) / (2 * h)
         proj = float(np.sum(adj * direction))
         assert abs(fd - proj) <= 1e-4 * max(abs(fd), abs(proj))
+
+    @given(element=st.one_of(SWEEP_VOLUMES, SWEEP_ELEMENTS), prop=SWEEP_PROPS,
+           spec=SWEEP_LOSSES)
+    @settings(max_examples=300, deadline=None)
+    def test_sweep_matches_directional_fd(self, element, prop, spec):
+        design, projection = element
+        assert_directional_fd(design, small_task(), spec, prop, projection)
 
     def test_directional_derivative(self):
         # Projecting the gradient on a random direction agrees with the
@@ -496,7 +536,7 @@ def reference_volume_sweeps(vol, task, spec, prop):
     kick = np.exp(1j * phase)
     h_half = transfer_function(task.grid, task.wavelength_um, vol.n0, 0.5 * vol.dz,
                                prop.transfer_model, prop.evanescent_policy)
-    mask = boundary_mask(task.grid, prop)
+    mask = absorber_mask(task.grid, prop.absorber_width)
     scale = 2.0 * ((2.0 * np.pi / task.wavelength_um) * vol.dz)
     grad = np.zeros(vol.dn.shape)
     outs, total = [], 0.0
@@ -717,6 +757,16 @@ class TestOptimize:
         run = optimize(task, vol, LossSpec(), cfg, NO_ABSORBER)
         assert np.all(run.result.dn >= run.result.dn_min)
         assert np.all(run.result.dn <= run.result.dn_max)
+
+    def test_sigmoid_on_layered_rejected(self, monkeypatch):
+        # Layer phases have no bounds to reparameterize; the run stops
+        # before its first evaluation instead of ignoring the projection.
+        evaluations = []
+        monkeypatch.setattr(ove.design, "_evaluate", lambda *a, **k: evaluations.append(a))
+        cfg = OptimizerConfig(max_iters=2, projection="sigmoid-reparameterization")
+        with pytest.raises(ValueError, match="sigmoid-reparameterization"):
+            optimize(small_task(), small_element(), LossSpec(), cfg)
+        assert evaluations == []
 
     def test_projection_safety_sigmoid(self):
         task = small_task()

@@ -31,7 +31,7 @@ from ove.experiments import (
     weak_grating_efficiency,
 )
 from ove.fields import ComplexField, Grid2D, IndexVolume, MappingTask, normalize
-from ove.propagation import PropagationSpec, bpm
+from ove.propagation import PropagationSpec, propagate
 from ove.sources import gaussian, plane_wave, tilt_angles
 from testutil import LANTERN_FIBER, NO_ABSORBER, lantern_angles
 
@@ -82,7 +82,7 @@ class TestCrosstalk:
         vol = IndexVolume(grid=g, nz=4, dz=1.0, n0=1.5, dn=np.zeros((32, 32, 4)))
         even, odd = even_odd_pair(g)
         inputs = [even, odd]
-        targets = [bpm(vol, f, NO_ABSORBER) for f in inputs]
+        targets = [propagate(vol, f, NO_ABSORBER) for f in inputs]
         rep = scored(vol, MappingTask.from_fields(inputs, targets), NO_ABSORBER)
         np.testing.assert_allclose(np.diag(rep.matrix), 1.0, rtol=0, atol=1e-6)
         assert rep.worst_extinction_db > 40.0
@@ -238,7 +238,7 @@ def expected_carrier_bins(m: int, setup: HolographySetup) -> list[int]:
 
 def manual_readout(volume: IndexVolume, bins, setup: HolographySetup) -> np.ndarray:
     read = plane_wave(setup.grid, setup.wavelength_um)
-    out = bpm(volume, read, setup.prop)
+    out = propagate(volume, read, setup.prop)
     spec_in = np.fft.fft2(read.values)
     spec_out = np.fft.fft2(out.values)
     p_in = float(np.sum(np.abs(spec_in) ** 2))
@@ -435,7 +435,7 @@ class TestHaarGrin:
         task = haar_grin_task(grid, LAM)
         centers = ring_positions(len(task.targets), 6.5)
         for inp, (tx, ty) in zip(task.inputs, centers):
-            out = bpm(run.result, inp)
+            out = propagate(run.result, inp)
             cx, cy = spot_centroid(out, window_radius_um=3.0 * 1.3)
             assert math.hypot(cx - tx, cy - ty) <= 2.0 * 1.3
 

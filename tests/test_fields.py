@@ -1,11 +1,15 @@
 """Core lattice types: grids, fields, volumes, tasks, and the three
 field primitives (power, normalize, overlap) against brute-force oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ove.design import DesignRun, LossSpec, OptimizerConfig
+from ove.experiments import CrosstalkReport
 from ove.fields import (
     ComplexField,
     Grid2D,
@@ -16,6 +20,7 @@ from ove.fields import (
     overlap,
     power,
 )
+from ove.interconnect import CouplingMatrix
 from testutil import fsum_overlap, fsum_power, random_field
 
 
@@ -281,3 +286,41 @@ class TestMappingTask:
             MappingTask.from_fields([a, b], [a, b])
         with pytest.raises(ValueError, match="grid mismatch"):
             MappingTask([a], [b], np.ones((1, 1)))
+
+
+# ---------------------------------------------------------------------------
+# identity equality of the array-holding records
+# ---------------------------------------------------------------------------
+
+_G = Grid2D(4, 4, 0.5, 0.5)
+
+
+def _field():
+    return uniform_field(_G, 1.0)
+
+
+def _volume():
+    return IndexVolume(grid=_G, nz=2, dz=1.0, n0=1.5, dn=np.zeros((4, 4, 2)))
+
+
+ARRAY_RECORDS = {
+    "ComplexField": _field,
+    "IndexVolume": _volume,
+    "LayeredElement": lambda: LayeredElement(grid=_G, layers=(np.zeros((4, 4)),), gaps=(1.0,)),
+    "MappingTask": lambda: MappingTask.from_fields([_field()], [_field()]),
+    "DesignRun": lambda: DesignRun(OptimizerConfig(), LossSpec(), 1.0, (0.5,), _volume(),
+                                   np.zeros((1, 1)), np.zeros((1, 1))),
+    "CrosstalkReport": lambda: CrosstalkReport(np.eye(2), 1.0, 0.0, math.inf),
+    "CouplingMatrix": lambda: CouplingMatrix(np.eye(2)),
+}
+
+
+@pytest.mark.parametrize("make", ARRAY_RECORDS.values(), ids=ARRAY_RECORDS.keys())
+def test_array_records_compare_by_identity(make):
+    # Value equality of a record holding arrays would raise on the array
+    # comparison; identity equality and hashing never do.
+    x = make()
+    assert x == x
+    assert not x == make()
+    assert x != make()
+    assert len({x, x}) == 1

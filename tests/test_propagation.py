@@ -23,18 +23,15 @@ from ove.fields import (
     power,
 )
 from ove.propagation import (
-    BOUNDARIES,
     EVANESCENT_POLICIES,
     TRANSFER_MODELS,
     PropagationSpec,
-    boundary_mask,
-    bpm,
+    absorber_mask,
     drift,
     drift_adjoint,
     element_chain,
     forward_sweep,
     free_space,
-    layered,
     propagate,
     transfer_function,
 )
@@ -49,6 +46,8 @@ from testutil import (
 )
 
 LAM = 1.55
+# Absorber off and on.
+WIDTHS = pytest.mark.parametrize("width", [0.0, 0.1], ids=["none", "absorber"])
 
 
 def uniform_unit(grid, wavelength=LAM):
@@ -60,16 +59,15 @@ def uniform_unit(grid, wavelength=LAM):
 # drift and its adjoint
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("boundary", BOUNDARIES)
+@WIDTHS
 @pytest.mark.parametrize("policy", EVANESCENT_POLICIES)
 @pytest.mark.parametrize("model", TRANSFER_MODELS)
-def test_drift_adjoint_dot_product(model, policy, boundary):
+def test_drift_adjoint_dot_product(model, policy, width):
     # <drift x, y> = <x, drift_adjoint y>. At dx = 0.5 um the grid corners
     # are evanescent, and the absorber skirt covers the outermost samples.
     grid = Grid2D(16, 16, 0.5, 0.5)
-    spec = PropagationSpec(transfer_model=model, evanescent_policy=policy, boundary=boundary)
     h = transfer_function(grid, LAM, 1.5, 2.0, model, policy)
-    mask = boundary_mask(grid, spec)
+    mask = absorber_mask(grid, width)
     rng = np.random.default_rng(0)
     x, y = rng.standard_normal((2, 16, 16)) + 1j * rng.standard_normal((2, 16, 16))
     lhs = np.vdot(drift(x, h, mask), y)
@@ -82,17 +80,17 @@ def random_complex(shape, seed):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-@pytest.mark.parametrize("boundary", BOUNDARIES)
+@WIDTHS
 @pytest.mark.parametrize("step", [drift, drift_adjoint], ids=["drift", "adjoint"])
-def test_drift_leaves_input_unchanged(step, boundary):
+def test_drift_leaves_input_unchanged(step, width):
     # The spectrum is worked on in place; the input (a traced field or the
     # caller's seed) must not be.
     grid = Grid2D(16, 16, 0.5, 0.5)
-    spec = PropagationSpec(boundary=boundary)
+    spec = PropagationSpec(absorber_width=width)
     h = transfer_function(grid, LAM, 1.5, 2.0, spec.transfer_model, spec.evanescent_policy)
     x = random_complex((16, 16), 1)
     before = x.copy()
-    out = step(x, h, boundary_mask(grid, spec))
+    out = step(x, h, absorber_mask(grid, width))
     np.testing.assert_array_equal(x, before)
     assert not np.shares_memory(out, x)
 
@@ -189,7 +187,7 @@ class TestFreeSpace:
         w0 = 4.0 * LAM
         grid = Grid2D(128, 128, 0.5, 0.5)
         spec = PropagationSpec(transfer_model=model, evanescent_policy="keep",
-                               boundary="none")
+                               absorber_width=0.0)
         src = gaussian(grid, LAM, waist_um=w0)
         z_r = math.pi * w0**2 / LAM
         out = free_space(src, z_r, 1.0, spec)
@@ -216,7 +214,7 @@ class TestFreeSpace:
         g = Grid2D(32, 32, 0.5, 0.5)
         f = normalize(ComplexField(g, LAM, rng.standard_normal((32, 32)) + 0j))
         out = free_space(f, 5.0, 1.0, PropagationSpec(evanescent_policy="zero",
-                                                      boundary="none"))
+                                                      absorber_width=0.0))
         assert power(out) < power(f) - 1e-3
 
     def test_reciprocity_conjugate_roundtrip(self):
@@ -239,7 +237,7 @@ class TestFreeSpace:
 
 
 # ---------------------------------------------------------------------------
-# bpm
+# propagate through a volume (split-step BPM)
 # ---------------------------------------------------------------------------
 
 class TestBpm:
@@ -247,7 +245,7 @@ class TestBpm:
         g = Grid2D(64, 64, 0.5, 0.5)
         vol = IndexVolume(grid=g, nz=16, dz=1.0, n0=1.5, dn=np.zeros((64, 64, 16)))
         f = gaussian(g, LAM, waist_um=4.0)
-        got = bpm(vol, f, NO_ABSORBER)
+        got = propagate(vol, f, NO_ABSORBER)
         want = free_space(f, 16.0, 1.5, NO_ABSORBER)
         assert np.max(np.abs(got.values - want.values)) <= 1e-10
 
@@ -257,7 +255,7 @@ class TestBpm:
         vol = IndexVolume(grid=g, nz=nz, dz=dz, n0=1.5,
                           dn=np.full((64, 64, nz), delta))
         pw = plane_wave(g, LAM)
-        got = bpm(vol, pw, UNITARY)
+        got = propagate(vol, pw, UNITARY)
         want = free_space(pw, nz * dz, 1.5, UNITARY).values \
             * np.exp(1j * 2.0 * math.pi / LAM * delta * nz * dz)
         assert np.max(np.abs(got.values - want)) <= 1e-6
@@ -281,14 +279,14 @@ class TestBpm:
                           dn_min=float(dn.min()), dn_max=0.0)
 
         mode = gaussian(g, LAM, waist_um=w_mode)
-        out = bpm(vol, mode, UNITARY)
+        out = propagate(vol, mode, UNITARY)
         assert abs(overlap(normalize(out), mode)) >= 0.99
 
     def test_power_conserved_through_phase_screens(self):
         g = Grid2D(64, 64, 0.5, 0.5)
         vol = band_limited_volume(g, nz=16, dz=1.0, seed=3)
         f = band_limited_field(g, LAM, seed=8, k_fraction=0.3, n_medium=1.5)
-        out = bpm(vol, f, UNITARY)
+        out = propagate(vol, f, UNITARY)
         assert abs(power(out) - power(f)) <= 1e-9
 
     def test_linearity(self):
@@ -298,8 +296,9 @@ class TestBpm:
         b = band_limited_field(g, LAM, seed=2)
         alpha, beta = 0.6 + 0.4j, -0.9 + 0.1j
         mix = ComplexField(g, LAM, alpha * a.values + beta * b.values)
-        lhs = bpm(vol, mix, UNITARY).values
-        rhs = alpha * bpm(vol, a, UNITARY).values + beta * bpm(vol, b, UNITARY).values
+        lhs = propagate(vol, mix, UNITARY).values
+        rhs = alpha * propagate(vol, a, UNITARY).values \
+            + beta * propagate(vol, b, UNITARY).values
         assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
     def test_dz_refinement_consistency(self):
@@ -309,8 +308,8 @@ class TestBpm:
                                dn=np.repeat(coarse_vol.dn, 2, axis=2),
                                dn_min=0.0, dn_max=0.05)
         f = band_limited_field(g, LAM, seed=8, k_fraction=0.3, n_medium=1.5)
-        coarse = bpm(coarse_vol, f, NO_ABSORBER)
-        fine = bpm(fine_vol, f, NO_ABSORBER)
+        coarse = propagate(coarse_vol, f, NO_ABSORBER)
+        fine = propagate(fine_vol, f, NO_ABSORBER)
         ov = abs(overlap(normalize(coarse), normalize(fine)))
         assert abs(1.0 - ov) <= 1e-3
 
@@ -318,19 +317,19 @@ class TestBpm:
         vol = smooth_random_volume(Grid2D(16, 16, 0.5, 0.5), nz=4, dz=1.0, seed=0)
         f = uniform_unit(Grid2D(16, 16, 0.25, 0.25))
         with pytest.raises(ValueError):
-            bpm(vol, f, NO_ABSORBER)
+            propagate(vol, f, NO_ABSORBER)
 
     def test_deterministic(self):
         g = Grid2D(32, 32, 0.5, 0.5)
         vol = smooth_random_volume(g, nz=8, dz=1.0, seed=1)
         f = gaussian(g, LAM, waist_um=3.0)
-        first = bpm(vol, f)
-        second = bpm(vol, f)
+        first = propagate(vol, f)
+        second = propagate(vol, f)
         np.testing.assert_array_equal(first.values, second.values)
 
 
 # ---------------------------------------------------------------------------
-# layered
+# propagate through a layered element
 # ---------------------------------------------------------------------------
 
 class TestLayered:
@@ -338,7 +337,7 @@ class TestLayered:
         g = Grid2D(32, 32, 0.5, 0.5)
         el = LayeredElement(grid=g, layers=(np.zeros((32, 32)),), gaps=(0.0,))
         f = band_limited_field(g, LAM, seed=4)
-        out = layered(el, f, UNITARY)
+        out = propagate(el, f, UNITARY)
         assert np.max(np.abs(out.values - f.values)) <= 1e-15
 
     def test_thin_lens_focus(self, baselines):
@@ -351,7 +350,7 @@ class TestLayered:
         xs, ys = g.meshgrid()
         phase = -(2.0 * math.pi / LAM) * (xs**2 + ys**2) / (2.0 * f_len)
         el = LayeredElement(grid=g, layers=(phase,), gaps=(f_len,), n_gap=1.0)
-        out = layered(el, plane_wave(g, LAM), NO_ABSORBER)
+        out = propagate(el, plane_wave(g, LAM), NO_ABSORBER)
 
         spot_radius = 1.22 * LAM * f_len / (g.nx * g.dx)
         inside = xs**2 + ys**2 <= (3.0 * spot_radius) ** 2
@@ -372,8 +371,8 @@ class TestLayered:
         two = LayeredElement(grid=g, layers=(p1, p2), gaps=(0.0, 0.0))
         one = LayeredElement(grid=g, layers=(p1 + p2,), gaps=(0.0,))
         f = band_limited_field(g, LAM, seed=5)
-        a = layered(two, f, UNITARY)
-        b = layered(one, f, UNITARY)
+        a = propagate(two, f, UNITARY)
+        b = propagate(one, f, UNITARY)
         assert np.max(np.abs(a.values - b.values)) <= 1e-12
 
     def test_power_conserved(self):
@@ -381,7 +380,7 @@ class TestLayered:
         el = LayeredElement(grid=g, layers=tuple(band_limited_phases(g, 3, seed=10)),
                             gaps=(5.0, 5.0, 5.0), n_gap=1.0)
         f = band_limited_field(g, LAM, seed=9, k_fraction=0.3)
-        out = layered(el, f, UNITARY)
+        out = propagate(el, f, UNITARY)
         assert abs(power(out) - power(f)) <= 1e-9
 
     def test_propagate_dispatch(self):
@@ -389,8 +388,9 @@ class TestLayered:
         f = gaussian(g, LAM, waist_um=2.0)
         vol = smooth_random_volume(g, nz=4, dz=1.0, seed=2)
         el = LayeredElement(grid=g, layers=(np.zeros((16, 16)),), gaps=(4.0,))
-        np.testing.assert_array_equal(propagate(vol, f).values, bpm(vol, f).values)
-        np.testing.assert_array_equal(propagate(el, f).values, layered(el, f).values)
+        for design in (vol, el):
+            chain = element_chain(design, g, LAM, PropagationSpec())
+            assert np.array_equal(propagate(design, f).values, forward_sweep(chain, f.values))
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +401,7 @@ class TestSpecValidation:
     @pytest.mark.parametrize("kwargs", [
         dict(transfer_model="angular"),
         dict(evanescent_policy="damp"),
-        dict(boundary="pml"),
+        dict(absorber_width=float("nan")),
         dict(absorber_width=0.5),
         dict(absorber_width=-0.1),
     ])

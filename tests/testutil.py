@@ -15,8 +15,8 @@ from ove.sources import FiberSpec
 
 # Absorber off, evanescent kept: the settings under which propagation is
 # exactly unitary for band-limited fields.
-UNITARY = PropagationSpec(evanescent_policy="keep", boundary="none")
-NO_ABSORBER = PropagationSpec(boundary="none")
+UNITARY = PropagationSpec(evanescent_policy="keep", absorber_width=0.0)
+NO_ABSORBER = PropagationSpec(absorber_width=0.0)
 
 # Reference lantern geometry: +-1 spectral bin tilts on the default
 # 32 um window, default fiber. Must stay in sync with make_baselines.py.
@@ -83,6 +83,7 @@ def smooth_random_volume(grid: Grid2D, nz: int, dz: float, seed: int,
     raw = gaussian_filter(rng.standard_normal((grid.nx, grid.ny, nz)), sigma=2.0)
     raw -= raw.min()
     raw *= dn_max / raw.max()
+    np.minimum(raw, dn_max, out=raw)  # the rescaled maximum can round above dn_max
     return IndexVolume(grid=grid, nz=nz, dz=dz, n0=n0, dn=raw,
                        dn_min=0.0, dn_max=dn_max)
 
