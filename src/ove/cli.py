@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from .config import ConfigError, DesignConfig, default_config, parse_config, serialize_config
-from .design import DesignRun, optimize, seeded_initial_volume
+from .design import DesignRun, _Parameterization, optimize, seeded_initial_volume
 from .experiments import (
     CrosstalkReport,
     HolographySetup,
@@ -147,10 +147,12 @@ def _cmd_design(args) -> int:
     cfg = _load_config(args.config)
     if args.task_kind is not None:
         cfg = dataclasses.replace(cfg, task_kind=args.task_kind)
+    initial = _initial_design(cfg)
+    _Parameterization(initial, cfg.optimizer.projection)  # rejects before any output
     outdir = _ensure_outdir(args.out)
     _emit_config(cfg, outdir)
     task = _build_task(cfg)
-    run = optimize(task, _initial_design(cfg), cfg.loss, cfg.optimizer, cfg.propagation)
+    run = optimize(task, initial, cfg.loss, cfg.optimizer, cfg.propagation)
     _write_run_outputs(run, task, cfg, outdir)
     return 0
 

@@ -222,16 +222,19 @@ class TestDesign:
         assert err.count("\n") == 1
 
     def test_sigmoid_on_layered_exits_one_with_diagnostic(self, tmp_path, capsys):
-        # The config parses; the optimizer refuses the combination before
-        # its first evaluation.
+        # The config parses; the combination is refused before any output
+        # is written or echoed.
         text = TINY_DESIGN + "element.kind = layered\n" \
             "optimizer.projection = sigmoid-reparameterization\n"
         cfg = self.write_config(tmp_path, text)
-        assert main(["design", cfg, "--out", "d"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "sigmoid-reparameterization" in err
-        assert err.count("\n") == 1
+        out = tmp_path / "d"
+        assert main(["design", cfg, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "sigmoid-reparameterization" in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_outputs_confined_to_out_dir(self, tmp_path):
         cfg = self.write_config(tmp_path)
