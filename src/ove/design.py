@@ -1,13 +1,12 @@
 """Inverse design by adjoint gradients through the step-chain model.
 
 The forward model is the step chain of propagation.py: each step is a
-drift, a thin phase kick and a drift, for volume slices and for layers
+drift, a thin complex kick and a drift, for volume slices and for layers
 alike. The adjoint sweep walks the same steps in reverse; per step it
-applies the absorber mask first and then the conjugate transfer, and
-undoes the kick with its conjugate. It reuses the forward pass's
-transfer functions and kicks, so the gradient is exact for the
-discretized model (matches finite differences to roundoff-limited
-accuracy, not just to O(dz)).
+applies the conjugate transfer and undoes the kick with its conjugate.
+It reuses the forward pass's transfer functions and kicks, so the
+gradient is exact for the discretized model (matches finite differences
+to roundoff-limited accuracy, not just to O(dz)).
 
 Gradients are with respect to the real parameters (index contrast dn for
 volumes, per-layer phase for layered elements) of a real loss of complex
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ComplexField, IndexVolume, LayeredElement, MappingTask
-from .propagation import Chain, PropagationSpec, drift_adjoint, element_chain, forward_sweep
+from .propagation import PropagationSpec, Step, drift_adjoint, element_chain, forward_sweep
 
 __all__ = [
     "LossSpec",
@@ -210,22 +209,22 @@ def _gradient_per_step(design: IndexVolume | LayeredElement,
     return grad, grad, 2.0
 
 
-def _adjoint_sweep(chain: Chain, trace: list[np.ndarray], g: np.ndarray,
+def _adjoint_sweep(steps: list[Step], trace: list[np.ndarray], g: np.ndarray,
                    grad_steps: np.ndarray, scale: float):
-    """Walk the chain in reverse from the seed ``g`` = dL/d(conj(out)).
+    """Walk the chain ``steps`` in reverse from the seed ``g`` = dL/d(conj(out)).
 
     Each step undoes its post drift, adds ``scale * Im(conj(u_k) g)`` to
     ``grad_steps[k]`` (u_k is the traced field after kick k), then undoes
     the kick and the pre drift.
     """
-    for k in reversed(range(len(chain.steps))):
-        pre, kick, post = chain.steps[k]
+    for k in reversed(range(len(steps))):
+        pre, kick, post = steps[k]
         if post is not None:
-            g = drift_adjoint(g, post, chain.mask)
+            g = drift_adjoint(g, post)
         grad_steps[k] += scale * np.imag(np.conj(trace[k]) * g)
         g = np.conj(kick) * g
         if pre is not None:
-            g = drift_adjoint(g, pre, chain.mask)
+            g = drift_adjoint(g, pre)
 
 
 def _evaluate(design: IndexVolume | LayeredElement, task: MappingTask, spec: LossSpec,
@@ -243,7 +242,7 @@ def _evaluate(design: IndexVolume | LayeredElement, task: MappingTask, spec: Los
     back; an input whose column of W is zero runs none. Without a
     gradient no seed is built. Only one trace is live at a time.
     """
-    chain = element_chain(design, task.grid, task.wavelength_um, prop)
+    steps = element_chain(design, task.grid, task.wavelength_um, prop)
     grad = None
     if with_gradient:
         grad, grad_steps, scale = _gradient_per_step(design, task.wavelength_um)
@@ -252,7 +251,7 @@ def _evaluate(design: IndexVolume | LayeredElement, task: MappingTask, spec: Los
     total = 0.0  # summed in order; sum() compensates on Python >= 3.12
     for i, inp in enumerate(task.inputs):
         trace = [] if with_gradient else None
-        out = forward_sweep(chain, inp.values, trace)
+        out = forward_sweep(steps, inp.values, trace)
         seed = None  # stays None without a gradient: no seed is built
         for t, target in enumerate(task.targets):
             # |overlap|^2 as fields.overlap forms it, on the raw array, so a
@@ -270,7 +269,7 @@ def _evaluate(design: IndexVolume | LayeredElement, task: MappingTask, spec: Los
                     seed += g
                 del g
         if seed is not None:
-            _adjoint_sweep(chain, trace, seed, grad_steps, scale)
+            _adjoint_sweep(steps, trace, seed, grad_steps, scale)
     if spec.tv_weight > 0.0:
         tv, tv_grad = total_variation(_design_params(design))
         total += spec.tv_weight * tv

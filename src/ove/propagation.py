@@ -2,19 +2,20 @@
 that covers both element families.
 
 Both families are chains of ``(pre transfer, kick, post transfer)``
-steps: drift, multiply by a thin phase screen, drift. A volume slice is
-a split-step BPM step, ``(H(dz/2), exp(i k0 dz dn[:, :, k]), H(dz/2))``
-with k0 = 2 pi / lambda in the background index; a layer is ``(None,
-exp(i phase_k), H(gap_k))`` in the gap medium, where a zero gap gives
-``None`` and skips its drift, so a zero-phase layer with a zero gap is
-an exact identity. With ``absorber_width = 0`` (no mask) the
-half-drifts of neighbouring volume slices merge into one H(dz): slice
-k > 0 has no pre drift and every slice but the last ends with H(dz), so
-a pass runs nz + 1 drifts instead of 2 nz.
-With the absorber on, the mask applied after each half-drift sits
-between them, and the chain keeps both. :func:`element_chain` builds the
-chain and :func:`forward_sweep` is the one loop that runs a field
-through it.
+steps: drift, multiply by a thin screen, drift. The kick carries the
+absorber: with M = :func:`absorber_mask` (1 when ``absorber_width`` is
+0), a volume slice kicks by M^2 exp(i k0 dz dn[:, :, k]), with k0 = 2 pi
+/ lambda in the background index, and a layer by M exp(i phase_k). A
+volume slice is a split-step BPM step between two half-drifts H(dz/2);
+the half-drifts of neighbouring slices merge into one H(dz), so slice
+k > 0 has no pre drift, every slice but the last ends with H(dz), and a
+pass runs nz + 1 drifts. A layer is ``(None, kick_k, H(gap_k))`` in the
+gap medium, where a zero gap gives ``None`` and skips its drift; with
+``absorber_width = 0`` a zero-phase layer with a zero gap is an exact
+identity. Every drift and kick is a symmetric operator, so the chain is
+reciprocal: its transpose is the same steps walked backwards.
+:func:`element_chain` builds the chain and :func:`forward_sweep` is the
+one loop that runs a field through it.
 
 Every drift runs on ``scipy.fft`` (its ``fft2``/``ifft2`` transform both
 axes in one call, where ``numpy.fft`` loops over them in Python). The
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 import scipy.fft
@@ -135,26 +135,21 @@ def absorber_mask(grid: Grid2D, width_fraction: float) -> np.ndarray | None:
     return mask
 
 
-def drift(values: np.ndarray, h: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    """One spectral step: FFT, multiply by H, inverse FFT, absorber mask.
+def drift(values: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """One spectral step: FFT, multiply by H, inverse FFT.
 
     Runs on ``scipy.fft``. ``values`` is left as it is: only its new
     spectrum is multiplied and inverse-transformed in place.
     """
     spec = scipy.fft.fft2(values)
     spec *= h
-    out = scipy.fft.ifft2(spec, overwrite_x=True)
-    if mask is not None:
-        out *= mask
-    return out
+    return scipy.fft.ifft2(spec, overwrite_x=True)
 
 
-def drift_adjoint(g: np.ndarray, h: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    """Adjoint of :func:`drift` (mask first, then conjugate transfer).
+def drift_adjoint(g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Adjoint of :func:`drift`: the same step with the conjugate transfer.
 
     Like :func:`drift`, it never writes to ``g``."""
-    if mask is not None:
-        g = mask * g
     spec = scipy.fft.fft2(g)
     spec *= np.conj(h)
     return scipy.fft.ifft2(spec, overwrite_x=True)
@@ -162,34 +157,33 @@ def drift_adjoint(g: np.ndarray, h: np.ndarray, mask: np.ndarray | None) -> np.n
 
 def free_space(field: ComplexField, distance_um: float, n_medium: float = 1.0,
                spec: PropagationSpec = PropagationSpec()) -> ComplexField:
-    """Propagate through a homogeneous medium by the angular-spectrum method."""
+    """Propagate through a homogeneous medium by the angular-spectrum method,
+    then apply the absorber mask."""
     if distance_um < 0:
         raise ValueError(f"propagation distance must be >= 0, got {distance_um}")
     if distance_um == 0:
         return field
     h = transfer_function(field.grid, field.wavelength_um, n_medium, distance_um,
                           spec.transfer_model, spec.evanescent_policy)
-    return field.with_values(drift(field.values, h, absorber_mask(field.grid, spec.absorber_width)))
+    out = drift(field.values, h)
+    mask = absorber_mask(field.grid, spec.absorber_width)
+    if mask is not None:
+        out *= mask
+    return field.with_values(out)
 
 
-class Chain(NamedTuple):
-    """``(pre transfer, kick, post transfer)`` steps, ``None`` skipping a
-    drift, and the absorber mask every drift applies (``None`` if off).
-
-    With no mask, volume slices share their half-drifts: the first step
-    is ``(H(dz/2), kick_0, H(dz))``, middle ones ``(None, kick_k, H(dz))``
-    and the last ``(None, kick_{nz-1}, H(dz/2))``; one slice keeps
-    ``(H(dz/2), kick_0, H(dz/2))``. Kicks are C-contiguous (nx, ny)
-    slices."""
-
-    steps: list[tuple[np.ndarray | None, np.ndarray, np.ndarray | None]]
-    mask: np.ndarray | None
+Step = tuple[np.ndarray | None, np.ndarray, np.ndarray | None]
 
 
 def element_chain(design: IndexVolume | LayeredElement, grid: Grid2D,
-                  wavelength_um: float, spec: PropagationSpec) -> Chain:
-    """The chain of ``design`` (see the module docstring) seen by fields
-    on ``grid`` at ``wavelength_um``."""
+                  wavelength_um: float, spec: PropagationSpec) -> list[Step]:
+    """The ``(pre transfer, kick, post transfer)`` steps of ``design`` (see
+    the module docstring) seen by fields on ``grid`` at ``wavelength_um``.
+
+    ``None`` skips a drift. A volume's first step is ``(H(dz/2), kick_0,
+    H(dz))``, middle ones ``(None, kick_k, H(dz))`` and the last ``(None,
+    kick_{nz-1}, H(dz/2))``; one slice gives ``(H(dz/2), kick_0,
+    H(dz/2))``. Kicks are C-contiguous (nx, ny) arrays."""
     if not isinstance(design, (IndexVolume, LayeredElement)):
         raise TypeError(f"cannot propagate through {type(design).__name__}")
     if grid != design.grid:
@@ -208,40 +202,41 @@ def element_chain(design: IndexVolume | LayeredElement, grid: Grid2D,
         kicks = np.empty(phase.shape, dtype=complex)
         np.cos(phase, out=kicks.real)
         np.sin(phase, out=kicks.imag)
-        h_half = transfer(design.n0, 0.5 * design.dz)
-        # A mask between two half-drifts keeps them apart.
-        inner = (h_half, h_half) if mask is not None else (None, transfer(design.n0, design.dz))
+        if mask is not None:
+            kicks *= mask * mask
+        h_half, h_full = transfer(design.n0, 0.5 * design.dz), transfer(design.n0, design.dz)
         last = design.nz - 1
-        steps = [(h_half if k == 0 else inner[0], kicks[k], h_half if k == last else inner[1])
-                 for k in range(design.nz)]
-    else:
-        steps = [(None, np.exp(1j * phase), transfer(design.n_gap, gap) if gap > 0 else None)
-                 for phase, gap in zip(design.layers, design.gaps)]
-    return Chain(steps, mask)
+        return [(h_half if k == 0 else None, kicks[k], h_half if k == last else h_full)
+                for k in range(design.nz)]
+    kicks = np.exp(1j * np.stack(design.layers))
+    if mask is not None:
+        kicks *= mask
+    return [(None, kicks[k], transfer(design.n_gap, gap) if gap > 0 else None)
+            for k, gap in enumerate(design.gaps)]
 
 
-def forward_sweep(chain: Chain, values: np.ndarray,
+def forward_sweep(steps: list[Step], values: np.ndarray,
                   trace: list[np.ndarray] | None = None) -> np.ndarray:
-    """Run ``values`` through every step of ``chain``.
+    """Run ``values`` through every step of the chain ``steps``.
 
     When ``trace`` is given, the field right after each kick is appended
     to it: that is what the adjoint sweep needs.
     """
     u = values
-    for pre, kick, post in chain.steps:
+    for pre, kick, post in steps:
         if pre is not None:
-            u = drift(u, pre, chain.mask)
+            u = drift(u, pre)
         u = kick * u
         if trace is not None:
             trace.append(u)
         if post is not None:
-            u = drift(u, post, chain.mask)
+            u = drift(u, post)
     return u
 
 
 def propagate(design: IndexVolume | LayeredElement, field: ComplexField,
               spec: PropagationSpec = PropagationSpec()) -> ComplexField:
     """Forward pass through either design family (see the module docstring)."""
-    chain = element_chain(design, field.grid, field.wavelength_um, spec)
-    return field.with_values(forward_sweep(chain, field.values))
+    steps = element_chain(design, field.grid, field.wavelength_um, spec)
+    return field.with_values(forward_sweep(steps, field.values))
 
