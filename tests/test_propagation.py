@@ -48,6 +48,8 @@ from testutil import (
 )
 
 LAM = 1.55
+# Absorber off and on.
+WIDTHS = pytest.mark.parametrize("width", [0.0, 0.1], ids=["none", "absorber"])
 
 
 def uniform_unit(grid, wavelength=LAM):
@@ -59,17 +61,28 @@ def uniform_unit(grid, wavelength=LAM):
 # drift and its adjoint
 # ---------------------------------------------------------------------------
 
+def absorbed(u, mask):
+    # The absorber as free_space and the kicks apply it: in place, after
+    # the drift. A real mask is its own adjoint.
+    if mask is not None:
+        u *= mask
+    return u
+
+
+@WIDTHS
 @pytest.mark.parametrize("policy", EVANESCENT_POLICIES)
 @pytest.mark.parametrize("model", TRANSFER_MODELS)
-def test_drift_adjoint_dot_product(model, policy):
-    # <drift x, y> = <x, drift_adjoint y>. At dx = 0.5 um the grid corners
-    # are evanescent.
+def test_drift_adjoint_dot_product(model, policy, width):
+    # <M drift x, y> = <x, drift_adjoint M y>, M the absorber mask (the
+    # identity when the width is 0). At dx = 0.5 um the grid corners are
+    # evanescent, and the absorber skirt covers the outermost samples.
     grid = Grid2D(16, 16, 0.5, 0.5)
     h = transfer_function(grid, LAM, 1.5, 2.0, model, policy)
+    mask = absorber_mask(grid, width)
     rng = np.random.default_rng(0)
     x, y = rng.standard_normal((2, 16, 16)) + 1j * rng.standard_normal((2, 16, 16))
-    lhs = np.vdot(drift(x, h), y)
-    rhs = np.vdot(x, drift_adjoint(y, h))
+    lhs = np.vdot(absorbed(drift(x, h), mask), y)
+    rhs = np.vdot(x, drift_adjoint(absorbed(y.copy(), mask), h))
     assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(y)
 
 
@@ -78,16 +91,17 @@ def random_complex(shape, seed):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+@WIDTHS
 @pytest.mark.parametrize("step", [drift, drift_adjoint], ids=["drift", "adjoint"])
-def test_drift_leaves_input_unchanged(step):
-    # The spectrum is worked on in place; the input (a traced field or the
-    # caller's seed) must not be.
+def test_drift_leaves_input_unchanged(step, width):
+    # The spectrum, and then the output under the absorber, is worked on in
+    # place; the input (a traced field or the caller's seed) must not be.
     grid = Grid2D(16, 16, 0.5, 0.5)
-    spec = PropagationSpec()
+    spec = PropagationSpec(absorber_width=width)
     h = transfer_function(grid, LAM, 1.5, 2.0, spec.transfer_model, spec.evanescent_policy)
     x = random_complex((16, 16), 1)
     before = x.copy()
-    out = step(x, h)
+    out = absorbed(step(x, h), absorber_mask(grid, width))
     np.testing.assert_array_equal(x, before)
     assert not np.shares_memory(out, x)
 
