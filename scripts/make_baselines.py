@@ -83,9 +83,8 @@ def haar_grin_block() -> dict:
     task = haar_grin_task(grid, 1.55)
     centers = ring_positions(len(task.targets), 6.5)
     worst = 0.0
-    for inp, c in zip(task.inputs, centers):
-        out = propagate(run.result, inp, PropagationSpec())
-        cx, cy = spot_centroid(out, window_radius_um=3 * 1.3)
+    for inp, out, c in zip(task.inputs, run.outputs_after, centers):
+        cx, cy = spot_centroid(inp.with_values(out), window_radius_um=3 * 1.3)
         worst = max(worst, math.hypot(cx - c[0], cy - c[1]))
     return {
         "config": {

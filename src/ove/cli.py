@@ -110,7 +110,7 @@ def _export_design(design, outdir: str):
         export_layers(design, path)
 
 
-def _write_run_outputs(run: DesignRun, task: MappingTask, cfg: DesignConfig, outdir: str):
+def _write_run_outputs(run: DesignRun, task: MappingTask, outdir: str):
     _export_design(run.result, outdir)
 
     loss_rows = [(0, run.initial_loss)]
@@ -135,10 +135,9 @@ def _write_run_outputs(run: DesignRun, task: MappingTask, cfg: DesignConfig, out
         ("worst_extinction_db", report.worst_extinction_db),
     ])
 
-    for i, inp in enumerate(task.inputs):
+    for i, (inp, out) in enumerate(zip(task.inputs, run.outputs_after)):
         render_field(inp, os.path.join(outdir, f"input_{i:02d}.pgm"))
-        render_field(propagate(run.result, inp, cfg.propagation),
-                     os.path.join(outdir, f"output_{i:02d}.pgm"))
+        render_field(inp.with_values(out), os.path.join(outdir, f"output_{i:02d}.pgm"))
     for t, target in enumerate(task.targets):
         render_field(target, os.path.join(outdir, f"target_{t:02d}.pgm"))
 
@@ -153,7 +152,7 @@ def _cmd_design(args) -> int:
     _emit_config(cfg, outdir)
     task = _build_task(cfg)
     run = optimize(task, initial, cfg.loss, cfg.optimizer, cfg.propagation)
-    _write_run_outputs(run, task, cfg, outdir)
+    _write_run_outputs(run, task, outdir)
     return 0
 
 

@@ -19,7 +19,10 @@ its gradient and its (targets, inputs) coupling matrix from one forward
 and one adjoint sweep per input. The targets an input feeds (a fanout's
 whole column) sum their adjoint seeds and run back once. The optimizer
 evaluates each candidate once, with a speculative gradient: an accepted
-candidate brings the next iteration's gradient.
+candidate brings the next iteration's gradient. An evaluation without a
+gradient also keeps each input's output field, so the run's last
+evaluation hands the outputs of ``result`` to the caller, and rendering
+them needs no further pass.
 """
 
 from __future__ import annotations
@@ -117,6 +120,8 @@ class DesignRun:
     coupling_before and coupling_after are the (targets, inputs) coupling
     matrices of the initial design and of ``result``, from the first and
     the final evaluation, so reporting them needs no further pass.
+    outputs_after[i] is the output field values of input i through
+    ``result``, from that final evaluation too.
     """
 
     config: OptimizerConfig
@@ -126,6 +131,7 @@ class DesignRun:
     result: IndexVolume | LayeredElement
     coupling_before: np.ndarray
     coupling_after: np.ndarray
+    outputs_after: tuple[np.ndarray, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -211,28 +217,46 @@ def _gradient_per_step(design: IndexVolume | LayeredElement,
 
 def _adjoint_sweep(steps: list[Step], trace: list[np.ndarray], g: np.ndarray,
                    grad_steps: np.ndarray, scale: float):
-    """Walk the chain ``steps`` in reverse from the seed ``g`` = dL/d(conj(out)).
+    """Walk the chain ``steps`` in reverse from the seed ``g`` = dL/d(conj(out)),
+    consuming ``trace``.
 
     Each step undoes its post drift, adds ``scale * Im(conj(u_k) g)`` to
-    ``grad_steps[k]`` (u_k is the traced field after kick k), then undoes
-    the kick and the pre drift.
+    ``grad_steps[k]`` (u_k is the traced field after kick k, popped from
+    ``trace``), then undoes the kick and the pre drift. Each distinct
+    transfer is conjugated once and held for the sweep. The kick and the
+    gradient term work in place and each traced field is dropped once used,
+    so that holding the conjugates raises no peak.
     """
+    conj: dict[int, np.ndarray] = {}
+
+    def undrift(g: np.ndarray, h: np.ndarray) -> np.ndarray:
+        h_conj = conj.get(id(h))
+        if h_conj is None:
+            h_conj = conj[id(h)] = np.conj(h)
+        return drift_adjoint(g, h_conj)
+
     for k in reversed(range(len(steps))):
         pre, kick, post = steps[k]
         if post is not None:
-            g = drift_adjoint(g, post)
-        grad_steps[k] += scale * np.imag(np.conj(trace[k]) * g)
-        g = np.conj(kick) * g
+            g = undrift(g, post)
+        work = np.conj(trace.pop())
+        work *= g
+        work.imag *= scale
+        grad_steps[k] += work.imag
+        g = np.multiply(np.conj(kick, out=work), g, out=work)
+        del work
         if pre is not None:
-            g = drift_adjoint(g, pre)
+            g = undrift(g, pre)
 
 
 def _evaluate(design: IndexVolume | LayeredElement, task: MappingTask, spec: LossSpec,
               prop: PropagationSpec, with_gradient: bool,
-              ) -> tuple[float, np.ndarray | None, np.ndarray]:
-    """Loss, gradient (None unless ``with_gradient``) and the (targets,
-    inputs) coupling matrix of ``design``, from one pass over the task's
-    inputs.
+              ) -> tuple[float, np.ndarray | None, np.ndarray, tuple[np.ndarray, ...] | None]:
+    """Loss, gradient, the (targets, inputs) coupling matrix of ``design``
+    and each input's output values, from one pass over the task's inputs.
+    The gradient is None unless ``with_gradient``; the outputs are None
+    with it, so that no output outlives its input's sweeps while the
+    gradient is built.
 
     Each input runs one forward sweep. Its overlap c_ti with each target
     gives coupling[t, i] = |c_ti|^2, and each target with W_ti > 0 adds
@@ -248,15 +272,19 @@ def _evaluate(design: IndexVolume | LayeredElement, task: MappingTask, spec: Los
         grad, grad_steps, scale = _gradient_per_step(design, task.wavelength_um)
     area = task.grid.cell_area
     coupling = np.empty(task.weights.shape)
+    outputs = None if with_gradient else []
     total = 0.0  # summed in order; sum() compensates on Python >= 3.12
     for i, inp in enumerate(task.inputs):
         trace = [] if with_gradient else None
         out = forward_sweep(steps, inp.values, trace)
+        if outputs is not None:
+            outputs.append(out)
+        out_conj = np.conj(out)
         seed = None  # stays None without a gradient: no seed is built
         for t, target in enumerate(task.targets):
             # |overlap|^2 as fields.overlap forms it, on the raw array, so a
             # non-finite output reaches the optimizer's check, not a field's.
-            c = complex(np.sum(np.conj(out) * target.values) * area)
+            c = complex(np.sum(out_conj * target.values) * area)
             coupling[t, i] = abs(c) ** 2
             weight = task.weights[t, i]
             if weight > 0:
@@ -268,6 +296,8 @@ def _evaluate(design: IndexVolume | LayeredElement, task: MappingTask, spec: Los
                 else:
                     seed += g
                 del g
+        # Neither is read again: freeing them makes room for the adjoint.
+        del out, out_conj
         if seed is not None:
             _adjoint_sweep(steps, trace, seed, grad_steps, scale)
     if spec.tv_weight > 0.0:
@@ -275,7 +305,7 @@ def _evaluate(design: IndexVolume | LayeredElement, task: MappingTask, spec: Los
         total += spec.tv_weight * tv
         if with_gradient:
             grad = grad + spec.tv_weight * tv_grad
-    return float(total), grad, coupling
+    return float(total), grad, coupling, None if outputs is None else tuple(outputs)
 
 
 def loss(design: IndexVolume | LayeredElement, task: MappingTask,
@@ -392,12 +422,14 @@ def optimize(task: MappingTask, initial_design: IndexVolume | LayeredElement,
     evaluation also computes the gradient, speculatively: an accepted
     candidate brings the gradient of the next iteration, a rejected one
     wastes one adjoint sweep per input. The same evaluations
-    give the coupling matrices before and after, so they cost no extra
-    pass.
+    give the coupling matrices before and after, and the last iteration's
+    accepted candidate, evaluated without a gradient, gives the outputs,
+    so they cost no extra pass. Only a run whose halvings ran out ends on
+    a gradient evaluation; it evaluates ``result`` once more, without one.
     """
     pm = _Parameterization(initial_design, config.projection)
     z = pm.to_optimizer(_design_params(initial_design))
-    current_loss, grad_phys, coupling_before = _evaluate(
+    current_loss, grad_phys, coupling_before, outputs = _evaluate(
         _with_params(initial_design, pm.to_physical(z)), task, loss_spec, prop,
         with_gradient=config.max_iters > 0)
     initial_loss = current_loss
@@ -426,7 +458,7 @@ def optimize(task: MappingTask, initial_design: IndexVolume | LayeredElement,
         accepted = False
         for _ in range(_MAX_HALVINGS):
             z_new = z - lr * direction
-            cand_loss, cand_grad, cand_coupling = _evaluate(
+            cand_loss, cand_grad, cand_coupling, cand_outputs = _evaluate(
                 _with_params(initial_design, pm.to_physical(z_new)), task, loss_spec, prop,
                 with_gradient=t < config.max_iters)
             if not math.isfinite(cand_loss):
@@ -434,9 +466,10 @@ def optimize(task: MappingTask, initial_design: IndexVolume | LayeredElement,
             if cand_loss <= current_loss:
                 z = z_new
                 current_loss, grad_phys, coupling = cand_loss, cand_grad, cand_coupling
+                outputs = cand_outputs
                 accepted = True
                 break
-            del cand_grad
+            del cand_grad, cand_outputs
             lr *= 0.5
         history.append(current_loss)
         if not accepted:
@@ -444,12 +477,16 @@ def optimize(task: MappingTask, initial_design: IndexVolume | LayeredElement,
             history.extend([current_loss] * (config.max_iters - t))
             break
 
+    result = _with_params(initial_design, pm.to_physical(z))
+    if outputs is None:
+        outputs = _evaluate(result, task, loss_spec, prop, with_gradient=False)[3]
     return DesignRun(
         config=config,
         loss_spec=loss_spec,
         initial_loss=initial_loss,
         loss_history=tuple(history),
-        result=_with_params(initial_design, pm.to_physical(z)),
+        result=result,
         coupling_before=coupling_before,
         coupling_after=coupling,
+        outputs_after=outputs,
     )

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import io as _stdio
+import math
 import os
 import tempfile
 
@@ -164,18 +165,24 @@ def import_volume(path: str) -> IndexVolume:
             f"{path}: payload is {len(payload)} bytes, expected {expected} "
             f"for {nx}x{ny}x{nz} float32 voxels"
         )
-    dn = np.frombuffer(payload, dtype="<f4").reshape((nx, ny, nz), order="F")
-    dn = dn.astype(np.float64)
-    if not np.all(np.isfinite(dn)):
-        raise ValueError(f"{path}: payload contains non-finite voxels")
-    tol = 1e-7 + 1e-7 * max(abs(dn_min), abs(dn_max))  # float32 rounding slack
-    if dn.size and (dn.min() < dn_min - tol or dn.max() > dn_max + tol):
-        raise ValueError(
-            f"{path}: voxels outside declared bounds [{dn_min}, {dn_max}]"
-        )
+    raw = np.frombuffer(payload, dtype="<f4").reshape((nx, ny, nz), order="F")
+    dn = raw.astype(np.float64)
+    if dn.size:
+        # Widening is exact and keeps the order, so the float32 extremes
+        # are dn's. A NaN carries through min and max, and an infinity is
+        # one of them.
+        lo, hi = float(raw.min()), float(raw.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"{path}: payload contains non-finite voxels")
+        tol = 1e-7 + 1e-7 * max(abs(dn_min), abs(dn_max))  # float32 rounding slack
+        if lo < dn_min - tol or hi > dn_max + tol:
+            raise ValueError(
+                f"{path}: voxels outside declared bounds [{dn_min}, {dn_max}]"
+            )
+        if lo < dn_min or hi > dn_max:
+            np.clip(dn, dn_min, dn_max, out=dn)
     grid = Grid2D(nx, ny, dx, dy)
-    return IndexVolume(grid=grid, nz=nz, dz=dz, n0=n0,
-                       dn=np.clip(dn, dn_min, dn_max),
+    return IndexVolume(grid=grid, nz=nz, dz=dz, n0=n0, dn=dn,
                        dn_min=dn_min, dn_max=dn_max)
 
 

@@ -146,12 +146,14 @@ def drift(values: np.ndarray, h: np.ndarray) -> np.ndarray:
     return scipy.fft.ifft2(spec, overwrite_x=True)
 
 
-def drift_adjoint(g: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Adjoint of :func:`drift`: the same step with the conjugate transfer.
+def drift_adjoint(g: np.ndarray, h_conj: np.ndarray) -> np.ndarray:
+    """Adjoint of ``drift(., h)``: the same step through ``h_conj`` =
+    conj(h), which the caller forms, so that an adjoint sweep conjugates
+    each distinct transfer once and not on every call.
 
     Like :func:`drift`, it never writes to ``g``."""
     spec = scipy.fft.fft2(g)
-    spec *= np.conj(h)
+    spec *= h_conj
     return scipy.fft.ifft2(spec, overwrite_x=True)
 
 
@@ -175,6 +177,15 @@ def free_space(field: ComplexField, distance_um: float, n_medium: float = 1.0,
 Step = tuple[np.ndarray | None, np.ndarray, np.ndarray | None]
 
 
+def _unit_phasors(phase: np.ndarray) -> np.ndarray:
+    """exp(1j * phase), filled by cos and sin: they cost less than the
+    complex exp and give the same bits (the tests check ==)."""
+    out = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
+
+
 def element_chain(design: IndexVolume | LayeredElement, grid: Grid2D,
                   wavelength_um: float, spec: PropagationSpec) -> list[Step]:
     """The ``(pre transfer, kick, post transfer)`` steps of ``design`` (see
@@ -195,20 +206,16 @@ def element_chain(design: IndexVolume | LayeredElement, grid: Grid2D,
 
     mask = absorber_mask(grid, spec.absorber_width)
     if isinstance(design, IndexVolume):
-        # Slice-major, so each kick is contiguous. cos/sin cost less than
-        # exp(1j * phase) and give the same bits (the tests check ==).
-        phase = ((2.0 * np.pi / wavelength_um) * design.dz
-                 * np.ascontiguousarray(np.moveaxis(design.dn, -1, 0)))
-        kicks = np.empty(phase.shape, dtype=complex)
-        np.cos(phase, out=kicks.real)
-        np.sin(phase, out=kicks.imag)
+        # Slice-major, so each kick is contiguous.
+        kicks = _unit_phasors((2.0 * np.pi / wavelength_um) * design.dz
+                              * np.ascontiguousarray(np.moveaxis(design.dn, -1, 0)))
         if mask is not None:
             kicks *= mask * mask
         h_half, h_full = transfer(design.n0, 0.5 * design.dz), transfer(design.n0, design.dz)
         last = design.nz - 1
         return [(h_half if k == 0 else None, kicks[k], h_half if k == last else h_full)
                 for k in range(design.nz)]
-    kicks = np.exp(1j * np.stack(design.layers))
+    kicks = _unit_phasors(np.stack(design.layers))
     if mask is not None:
         kicks *= mask
     return [(None, kicks[k], transfer(design.n_gap, gap) if gap > 0 else None)

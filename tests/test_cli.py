@@ -186,29 +186,44 @@ class TestDesign:
     @pytest.mark.parametrize("kind,targets,inputs", [("custom", 2, 2), ("fanout", 3, 1)])
     def test_renders_one_pass_per_distinct_input(self, tmp_path, monkeypatch, kind,
                                                  inputs, targets):
-        # A 1-to-3 fanout has one input: one render pass, one input and
-        # one output render, three target renders and 3 x 1 coupling rows.
-        passes, rendered = [], {}
+        # A 1-to-3 fanout has one input: one input and one output render,
+        # three target renders and 3 x 1 coupling rows. The output renders
+        # come from the final evaluation's one pass per distinct input, so
+        # no forward sweep runs once optimize has returned.
+        calls, late_sweeps, rendered = [], [], {}
+        real_optimize = ove.cli.optimize
 
-        def counted(design, field, spec):
-            out = propagate(design, field, spec)
-            passes.append((field.values, out.values))
-            return out
+        def recorded(*args):
+            run = real_optimize(*args)
+            calls.append((args, run))
+            return run
 
-        monkeypatch.setattr(ove.cli, "propagate", counted)
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                if calls:
+                    late_sweeps.append(args)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ove.cli, "optimize", recorded)
+        for module in (ove.design, ove.propagation):
+            monkeypatch.setattr(module, "forward_sweep", counted(module.forward_sweep))
         monkeypatch.setattr(ove.cli, "render_field",
                             lambda f, path: rendered.update({os.path.basename(path): f.values}))
         text = (TINY_DESIGN.replace("task.kind = custom", f"task.kind = {kind}")
                 .replace("optimizer.max_iters = 3", "optimizer.max_iters = 0"))
         cfg = self.write_config(tmp_path, text + "task.fan = 3\n")
         assert main(["design", cfg, "--out", "d"]) == 0
-        assert len(passes) == inputs
+        assert len(calls) == 1 and late_sweeps == []
         assert sorted(rendered) == sorted(
             [f"{stem}_{i:02d}.pgm" for i in range(inputs) for stem in ("input", "output")]
             + [f"target_{t:02d}.pgm" for t in range(targets)])
-        for i in range(inputs):
-            (out,) = [o for f, o in passes if np.array_equal(f, rendered[f"input_{i:02d}.pgm"])]
-            np.testing.assert_array_equal(rendered[f"output_{i:02d}.pgm"], out)
+        ((task, _, _, _, prop), run) = calls[0]
+        assert len(task.inputs) == inputs
+        for i, inp in enumerate(task.inputs):
+            np.testing.assert_array_equal(rendered[f"input_{i:02d}.pgm"], inp.values)
+            np.testing.assert_array_equal(rendered[f"output_{i:02d}.pgm"],
+                                          propagate(run.result, inp, prop).values)
         coupling_lines = read_csv_lines(tmp_path / "d" / "coupling.csv")
         assert len(coupling_lines) == 1 + targets * inputs
 

@@ -425,8 +425,8 @@ def reference_evaluate(design, task, spec, prop, with_gradient):
             if task.weights[t, i] > 0:
                 term, g = reference_term_and_seed(out, target, task.weights[t, i], spec.kind)
                 total += term
-                if with_gradient:
-                    _adjoint_sweep(steps, trace, g, grad_steps, scale)
+                if with_gradient:  # the sweep consumes its trace: give it a copy
+                    _adjoint_sweep(steps, list(trace), g, grad_steps, scale)
     if spec.tv_weight > 0.0:
         tv, tv_grad = total_variation(_design_params(design))
         total += spec.tv_weight * tv
@@ -547,6 +547,7 @@ def reference_volume_sweeps(vol, task, spec, prop):
     kick = np.exp(1j * phase) * (1.0 if mask is None else mask[:, :, None] ** 2)
     h_half = transfer_function(task.grid, task.wavelength_um, vol.n0, 0.5 * vol.dz,
                                prop.transfer_model, prop.evanescent_policy)
+    h_half_conj = np.conj(h_half)
     scale = 2.0 * ((2.0 * np.pi / task.wavelength_um) * vol.dz)
     grad = np.zeros(vol.dn.shape)
     outs, total = [], 0.0
@@ -561,10 +562,10 @@ def reference_volume_sweeps(vol, task, spec, prop):
         pair_loss, g = reference_term_and_seed(u, target, weight, spec.kind)
         total += pair_loss
         for k in reversed(range(vol.nz)):
-            g = drift_adjoint(g, h_half)
+            g = drift_adjoint(g, h_half_conj)
             grad[:, :, k] += scale * np.imag(np.conj(trace[k]) * g)
             g = np.conj(kick[:, :, k]) * g
-            g = drift_adjoint(g, h_half)
+            g = drift_adjoint(g, h_half_conj)
     return outs, float(total), grad
 
 
@@ -837,6 +838,43 @@ class TestOptimize:
         assert got[2] == want[2]
         np.testing.assert_array_equal(got[3], want[3], strict=True)
         np.testing.assert_array_equal(got[4], want[4], strict=True)
+
+    # (REFERENCE_CASES entry, propagation spec)
+    OUTPUT_CASES = {
+        "volume-absorber": ("volume-absorber", PropagationSpec()),
+        "volume-no-absorber": ("volume-absorber", NO_ABSORBER),
+        "layered-zero-gap": ("layered-zero-gap-halving", PropagationSpec()),
+        "max-iters-0": ("max-iters-0", PropagationSpec()),
+        "halvings-run-out": ("halvings-run-out", PropagationSpec()),
+    }
+
+    @pytest.mark.parametrize("case", sorted(OUTPUT_CASES))
+    def test_outputs_after_equal_propagated_result(self, case):
+        # The outputs come from the run's last evaluation, not from a pass
+        # of their own, and equal what propagate makes of the result.
+        name, prop = self.OUTPUT_CASES[case]
+        task, design, spec, cfg, _ = REFERENCE_CASES[name]()
+        run = optimize(task, design, spec, cfg, prop)
+        assert len(run.outputs_after) == len(task.inputs)
+        for inp, out in zip(task.inputs, run.outputs_after):
+            np.testing.assert_array_equal(out, propagate(run.result, inp, prop).values,
+                                          strict=True)
+
+    def test_halvings_run_out_evaluate_result_without_gradient(self, monkeypatch):
+        # Iteration 1 rejects every candidate, so the run ends on its
+        # initial, gradient evaluation; one more, without a gradient, gives
+        # the outputs.
+        task, design, spec, cfg, _ = REFERENCE_CASES["halvings-run-out"]()
+        calls = []
+
+        def recorded(design, *args, with_gradient):
+            calls.append((design, with_gradient))
+            return _evaluate(design, *args, with_gradient=with_gradient)
+
+        monkeypatch.setattr(ove.design, "_evaluate", recorded)
+        run = optimize(task, design, spec, cfg, PropagationSpec())
+        assert [g for _, g in calls] == [True] * (1 + _MAX_HALVINGS) + [False]
+        assert calls[-1][0] is run.result
 
     @pytest.mark.parametrize("seeds", [(1, 1, 1, 1), (1, 2, 3), (1, 2, 1)],
                              ids=["repeated", "distinct", "repeated-split"])

@@ -309,7 +309,7 @@ ARRAY_RECORDS = {
     "LayeredElement": lambda: LayeredElement(grid=_G, layers=(np.zeros((4, 4)),), gaps=(1.0,)),
     "MappingTask": lambda: MappingTask.from_fields([_field()], [_field()]),
     "DesignRun": lambda: DesignRun(OptimizerConfig(), LossSpec(), 1.0, (0.5,), _volume(),
-                                   np.zeros((1, 1)), np.zeros((1, 1))),
+                                   np.zeros((1, 1)), np.zeros((1, 1)), (np.zeros((4, 4)),)),
     "CrosstalkReport": lambda: CrosstalkReport(np.eye(2), 1.0, 0.0, math.inf),
     "CouplingMatrix": lambda: CouplingMatrix(np.eye(2)),
 }

@@ -118,6 +118,32 @@ class TestVolumeFormat:
         with pytest.raises(ValueError, match="bounds"):
             import_volume(path)
 
+    def test_bounds_rounded_out_by_float32_are_clipped(self, tmp_path):
+        # float32(0.05) lies just above 0.05 and float32(-0.05) just below
+        # -0.05; import clips them back onto the declared bounds and leaves
+        # every other voxel at its widened float32 value.
+        dn = np.random.default_rng(5).uniform(-0.05, 0.05, size=(8, 6, 4))
+        dn[0, 0, 0], dn[1, 0, 0] = 0.05, -0.05
+        vol = IndexVolume(grid=GRID, nz=4, dz=1.5, n0=1.48, dn=dn,
+                          dn_min=-0.05, dn_max=0.05)
+        path = str(tmp_path / "v.ivol")
+        export_volume(vol, path)
+        widened = dn.astype("<f4").astype(float)
+        assert widened.max() > 0.05 and widened.min() < -0.05
+        back = import_volume(path)
+        np.testing.assert_array_equal(back.dn, np.clip(widened, -0.05, 0.05), strict=True)
+        assert (back.dn[0, 0, 0], back.dn[1, 0, 0]) == (0.05, -0.05)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_voxels_rejected(self, tmp_path, bad):
+        path = str(tmp_path / "v.ivol")
+        export_volume(sample_volume(value=0.025), path)
+        payload = np.full(8 * 6 * 4, 0.025, dtype="<f4")
+        payload[17] = bad
+        atomic_write_bytes(path, payload.tobytes())
+        with pytest.raises(ValueError, match="payload contains non-finite voxels"):
+            import_volume(path)
+
     def test_missing_sidecar_rejected(self, tmp_path):
         path = str(tmp_path / "v.ivol")
         atomic_write_bytes(path, b"\x00" * 16)

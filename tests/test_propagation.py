@@ -73,16 +73,17 @@ def absorbed(u, mask):
 @pytest.mark.parametrize("policy", EVANESCENT_POLICIES)
 @pytest.mark.parametrize("model", TRANSFER_MODELS)
 def test_drift_adjoint_dot_product(model, policy, width):
-    # <M drift x, y> = <x, drift_adjoint M y>, M the absorber mask (the
-    # identity when the width is 0). At dx = 0.5 um the grid corners are
-    # evanescent, and the absorber skirt covers the outermost samples.
+    # <M drift(x, H), y> = <x, drift_adjoint(M y, conj(H))>, M the absorber
+    # mask (the identity when the width is 0). At dx = 0.5 um the grid
+    # corners are evanescent, and the absorber skirt covers the outermost
+    # samples.
     grid = Grid2D(16, 16, 0.5, 0.5)
     h = transfer_function(grid, LAM, 1.5, 2.0, model, policy)
     mask = absorber_mask(grid, width)
     rng = np.random.default_rng(0)
     x, y = rng.standard_normal((2, 16, 16)) + 1j * rng.standard_normal((2, 16, 16))
     lhs = np.vdot(absorbed(drift(x, h), mask), y)
-    rhs = np.vdot(x, drift_adjoint(absorbed(y.copy(), mask), h))
+    rhs = np.vdot(x, drift_adjoint(absorbed(y.copy(), mask), np.conj(h)))
     assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(y)
 
 
@@ -167,6 +168,30 @@ def test_chain_is_reciprocal(model, policy, width, kind, count, seed):
         back = forward_sweep([(post, kick, pre) for pre, kick, post in reversed(steps)], b)
     lhs, rhs = np.sum(b * fwd), np.sum(a * back)
     assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(b)
+
+
+@WIDTHS
+@pytest.mark.parametrize("kind", ["volume", "layered"])
+def test_kicks_match_exp_formula_bit_for_bit(kind, width):
+    # Kicks are filled by cos and sin; they must equal exp(1j * phase)
+    # times the absorber factor (M^2 per slice, M per layer) to the bit,
+    # phases of up to 1e4 rad included.
+    grid = Grid2D(16, 16, 0.5, 0.5)
+    spec = PropagationSpec(absorber_width=width)
+    mask = absorber_mask(grid, width)
+    rng = np.random.default_rng(11)
+    if kind == "volume":
+        dz, dn = 5e4, rng.uniform(0.0, 0.05, (16, 16, 5))  # k0 dz dn up to 1e4 rad
+        design = IndexVolume(grid=grid, nz=5, dz=dz, n0=1.5, dn=dn)
+        phase = np.moveaxis((2.0 * np.pi / LAM) * dz * dn, -1, 0)
+        factor = 1.0 if mask is None else mask * mask
+    else:
+        phase = rng.uniform(-1e4, 1e4, (3, 16, 16))
+        design = LayeredElement(grid=grid, layers=tuple(phase), gaps=(2.0, 0.0, 3.0))
+        factor = 1.0 if mask is None else mask
+    want = np.exp(1j * phase) * factor
+    got = np.stack([kick for _, kick, _ in element_chain(design, grid, LAM, spec)])
+    np.testing.assert_array_equal(got, want, strict=True)
 
 
 FFT_NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn")
