@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from .config import ConfigError, DesignConfig, default_config, parse_config, serialize_config
-from .design import DesignRun, _Parameterization, optimize, seeded_initial_volume
+from .design import DesignRun, optimize, seeded_initial_volume
 from .experiments import (
     CrosstalkReport,
     HolographySetup,
@@ -147,7 +147,6 @@ def _cmd_design(args) -> int:
     if args.task_kind is not None:
         cfg = dataclasses.replace(cfg, task_kind=args.task_kind)
     initial = _initial_design(cfg)
-    _Parameterization(initial, cfg.optimizer.projection)  # rejects before any output
     outdir = _ensure_outdir(args.out)
     _emit_config(cfg, outdir)
     task = _build_task(cfg)
@@ -159,6 +158,10 @@ def _cmd_design(args) -> int:
 def _cmd_propagate(args) -> int:
     cfg = _load_config(args.config)
     volume = import_volume(args.volume)
+    # Echo the volume that runs, not the config's design defaults.
+    cfg = dataclasses.replace(
+        cfg, n0=volume.n0, dn_min=volume.dn_min, dn_max=volume.dn_max, grid=volume.grid,
+        element_kind="volume", volume_nz=volume.nz, volume_dz_um=volume.dz)
     outdir = _ensure_outdir(args.out)
     _emit_config(cfg, outdir)
     grid, lam = volume.grid, cfg.wavelength_um

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .design import LOSS_KINDS, PROJECTIONS, LossSpec, OptimizerConfig
+from .design import LOSS_KINDS, LossSpec, OptimizerConfig
 from .fields import Grid2D
 from .propagation import EVANESCENT_POLICIES, TRANSFER_MODELS, PropagationSpec
 from .sources import FiberSpec
@@ -91,11 +91,8 @@ CONFIG_KEYS: dict[str, _Key] = {
     "fiber.n_clad": _Key(1.444, _type_float, lambda v: v >= 1.0),
     "loss.kind": _choice("mode-coupling", *LOSS_KINDS),
     "optimizer.step_size": _Key(_AUTO, _type_float, lambda v: v >= 0),
-    "optimizer.beta1": _Key(0.9, _type_float, lambda v: 0.0 <= v < 1.0),
-    "optimizer.beta2": _Key(0.999, _type_float, lambda v: 0.0 <= v < 1.0),
     "optimizer.max_iters": _Key(400, _type_int, lambda v: v >= 0),
     "optimizer.seed": _Key(0, _type_int, lambda v: v >= 0),
-    "optimizer.projection": _choice("clip-to-bounds", *PROJECTIONS),
     "optimizer.tv_weight": _Key(0.0, _type_float, lambda v: v >= 0),
     "propagation.transfer_model": _choice("exact-nonparaxial", *TRANSFER_MODELS),
     "propagation.evanescent_policy": _choice("zero", *EVANESCENT_POLICIES),
@@ -171,11 +168,8 @@ def _build(values: dict, errors: list[str]) -> DesignConfig | None:
                                             values["optimizer.tv_weight"]))
     opt = attempt("optimizer", lambda: OptimizerConfig(
         step_size=step,
-        beta1=values["optimizer.beta1"],
-        beta2=values["optimizer.beta2"],
         max_iters=values["optimizer.max_iters"],
         seed=values["optimizer.seed"],
-        projection=values["optimizer.projection"],
     ))
     prop = attempt("propagation", lambda: PropagationSpec(
         transfer_model=values["propagation.transfer_model"],
@@ -284,11 +278,8 @@ def to_mapping(cfg: DesignConfig) -> dict[str, object]:
         "fiber.n_clad": cfg.fiber.n_clad,
         "loss.kind": cfg.loss.kind,
         "optimizer.step_size": cfg.optimizer.step_size,
-        "optimizer.beta1": cfg.optimizer.beta1,
-        "optimizer.beta2": cfg.optimizer.beta2,
         "optimizer.max_iters": cfg.optimizer.max_iters,
         "optimizer.seed": cfg.optimizer.seed,
-        "optimizer.projection": cfg.optimizer.projection,
         "optimizer.tv_weight": cfg.loss.tv_weight,
         "propagation.transfer_model": cfg.propagation.transfer_model,
         "propagation.evanescent_policy": cfg.propagation.evanescent_policy,

@@ -49,7 +49,6 @@ __all__ = [
 ]
 
 LOSS_KINDS = ("mode-coupling", "intensity-mse")
-PROJECTIONS = ("clip-to-bounds", "sigmoid-reparameterization")
 
 # Smoothing inside the TV square root; keeps the functional differentiable
 # at zero contrast without visibly biasing the value.
@@ -57,6 +56,12 @@ _TV_EPS = 1e-12
 
 # Safeguard: max step halvings in one iteration before accepting defeat.
 _MAX_HALVINGS = 60
+
+# Adam's moment decay rates and denominator guard, at the published
+# defaults (Kingma & Ba, ICLR 2015).
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
 
 # Amplitude of seeded_initial_volume's noise, relative to dn_max.
 _SEED_NOISE_RELATIVE = 1e-4
@@ -78,7 +83,7 @@ class LossSpec:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Adam settings plus the parameterization of the bound constraint.
+    """Adam's step size, its iteration budget and the seed of the start.
 
     step_size defaults to 1% of the default index-contrast budget. Zero is
     tolerated in both step_size and max_iters so a run can be used as a pure
@@ -87,28 +92,14 @@ class OptimizerConfig:
     """
 
     step_size: float = 5e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     max_iters: int = 200
     seed: int = 0
-    projection: str = "clip-to-bounds"
 
     def __post_init__(self):
         if not (self.step_size >= 0 and math.isfinite(self.step_size)):
             raise ValueError(f"step_size must be finite and >= 0, got {self.step_size}")
-        if not 0.0 <= self.beta1 < 1.0:
-            raise ValueError(f"beta1 must be in [0, 1), got {self.beta1}")
-        if not 0.0 <= self.beta2 < 1.0:
-            raise ValueError(f"beta2 must be in [0, 1), got {self.beta2}")
-        if self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
-        if self.projection not in PROJECTIONS:
-            raise ValueError(
-                f"unknown projection {self.projection!r}, expected one of {PROJECTIONS}"
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,8 +186,10 @@ def _design_params(design: IndexVolume | LayeredElement) -> np.ndarray:
 
 def _with_params(design: IndexVolume | LayeredElement,
                  params: np.ndarray) -> IndexVolume | LayeredElement:
+    """``design`` with ``params``; a volume's are clipped to its dn bounds,
+    layer phases have none."""
     if isinstance(design, IndexVolume):
-        return design.with_dn(params)
+        return design.with_dn(np.clip(params, design.dn_min, design.dn_max))
     return design.with_layers(tuple(params[k] for k in range(params.shape[0])))
 
 
@@ -336,48 +329,6 @@ def gradient(design: IndexVolume | LayeredElement, task: MappingTask,
 # Optimizer
 # ---------------------------------------------------------------------------
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-class _Parameterization:
-    """Maps between optimizer space and physical design parameters. Only a
-    volume has bounds: layer phases are unconstrained and reject sigmoid."""
-
-    def __init__(self, design, projection: str):
-        self.bounded = isinstance(design, IndexVolume)
-        self.sigmoid = projection == "sigmoid-reparameterization"
-        if self.bounded:
-            self.lo, self.hi = design.dn_min, design.dn_max
-        elif self.sigmoid:
-            raise ValueError(f"projection {projection!r} needs bounds; layer phases have none")
-
-    def to_optimizer(self, params: np.ndarray) -> np.ndarray:
-        if not self.sigmoid:
-            return params.copy()
-        span = self.hi - self.lo
-        frac = np.clip((params - self.lo) / span, 1e-9, 1.0 - 1e-9)
-        return np.log(frac / (1.0 - frac))
-
-    def to_physical(self, z: np.ndarray) -> np.ndarray:
-        if not self.bounded:
-            return z
-        if self.sigmoid:
-            return self.lo + (self.hi - self.lo) * _sigmoid(z)
-        return np.clip(z, self.lo, self.hi)
-
-    def chain_gradient(self, grad_phys: np.ndarray, z: np.ndarray) -> np.ndarray:
-        if not self.sigmoid:
-            return grad_phys
-        s = _sigmoid(z)
-        return grad_phys * (self.hi - self.lo) * s * (1.0 - s)
-
-
 def coupling_matrix(design: IndexVolume | LayeredElement, task: MappingTask,
                     prop: PropagationSpec = PropagationSpec()) -> np.ndarray:
     """|overlap|^2 of each propagated input against each target of ``task``.
@@ -410,8 +361,10 @@ def optimize(task: MappingTask, initial_design: IndexVolume | LayeredElement,
              loss_spec: LossSpec = LossSpec(),
              config: OptimizerConfig = OptimizerConfig(),
              prop: PropagationSpec = PropagationSpec()) -> DesignRun:
-    """Adam with a monotonicity safeguard.
+    """Adam with a monotonicity safeguard, clipped to the dn bounds.
 
+    Adam's iterate is held unclipped; each candidate volume, and the
+    result, is its clip to [dn_min, dn_max]. Layer phases are unbounded.
     Each iteration proposes an Adam update; if the resulting loss is
     higher than the current one the step size is halved (sticky, up to
     60 times) and the proposal recomputed from the same moments. The
@@ -427,10 +380,9 @@ def optimize(task: MappingTask, initial_design: IndexVolume | LayeredElement,
     so they cost no extra pass. Only a run whose halvings ran out ends on
     a gradient evaluation; it evaluates ``result`` once more, without one.
     """
-    pm = _Parameterization(initial_design, config.projection)
-    z = pm.to_optimizer(_design_params(initial_design))
-    current_loss, grad_phys, coupling_before, outputs = _evaluate(
-        _with_params(initial_design, pm.to_physical(z)), task, loss_spec, prop,
+    z = _design_params(initial_design)
+    current_loss, grad, coupling_before, outputs = _evaluate(
+        _with_params(initial_design, z), task, loss_spec, prop,
         with_gradient=config.max_iters > 0)
     initial_loss = current_loss
     coupling = coupling_before
@@ -443,29 +395,27 @@ def optimize(task: MappingTask, initial_design: IndexVolume | LayeredElement,
     history: list[float] = []
 
     for t in range(1, config.max_iters + 1):
-        g = pm.chain_gradient(grad_phys, z)
-        if not np.all(np.isfinite(g)):
+        if not np.all(np.isfinite(grad)):
             raise ArithmeticError(f"non-finite gradient at iteration {t - 1}")
-        m = config.beta1 * m + (1.0 - config.beta1) * g
-        v = config.beta2 * v + (1.0 - config.beta2) * g * g
-        direction = (m / (1.0 - config.beta1**t)) / (np.sqrt(v / (1.0 - config.beta2**t))
-                                                      + config.eps)
-        # The line search needs neither. Freeing them, and a rejected
+        m = _BETA1 * m + (1.0 - _BETA1) * grad
+        v = _BETA2 * v + (1.0 - _BETA2) * grad * grad
+        direction = (m / (1.0 - _BETA1**t)) / (np.sqrt(v / (1.0 - _BETA2**t)) + _EPS)
+        # The line search does not need it. Freeing it, and a rejected
         # candidate's gradient below, keeps one gradient live while a
         # candidate is evaluated.
-        del g, grad_phys
+        del grad
 
         accepted = False
         for _ in range(_MAX_HALVINGS):
             z_new = z - lr * direction
             cand_loss, cand_grad, cand_coupling, cand_outputs = _evaluate(
-                _with_params(initial_design, pm.to_physical(z_new)), task, loss_spec, prop,
+                _with_params(initial_design, z_new), task, loss_spec, prop,
                 with_gradient=t < config.max_iters)
             if not math.isfinite(cand_loss):
                 raise ArithmeticError(f"non-finite loss at iteration {t}")
             if cand_loss <= current_loss:
                 z = z_new
-                current_loss, grad_phys, coupling = cand_loss, cand_grad, cand_coupling
+                current_loss, grad, coupling = cand_loss, cand_grad, cand_coupling
                 outputs = cand_outputs
                 accepted = True
                 break
@@ -477,7 +427,7 @@ def optimize(task: MappingTask, initial_design: IndexVolume | LayeredElement,
             history.extend([current_loss] * (config.max_iters - t))
             break
 
-    result = _with_params(initial_design, pm.to_physical(z))
+    result = _with_params(initial_design, z)
     if outputs is None:
         outputs = _evaluate(result, task, loss_spec, prop, with_gradient=False)[3]
     return DesignRun(

@@ -143,7 +143,7 @@ class IndexVolume:
 
     ``dn`` has shape ``(nx, ny, nz)``; slice ``dn[:, :, k]`` is the k-th
     axial slab of thickness ``dz``. Every voxel must respect the stated
-    bounds (the optimizer's projection step relies on this).
+    bounds, to which the optimizer clips each candidate.
     """
 
     grid: Grid2D

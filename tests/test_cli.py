@@ -25,7 +25,7 @@ from ove.fields import Grid2D, IndexVolume
 from ove.io import export_volume, import_field, import_volume, read_pgm
 from ove.propagation import propagate
 from ove.sources import FiberSpec, tilt_angles
-from testutil import haar_bank_oracle
+from testutil import LEGACY_RESOLVED, haar_bank_oracle
 
 TINY_DESIGN = "\n".join([
     "grid.nx = 32",
@@ -236,17 +236,14 @@ class TestDesign:
         assert "unknown key" in err
         assert err.count("\n") == 1
 
-    def test_sigmoid_on_layered_exits_one_with_diagnostic(self, tmp_path, capsys):
-        # The config parses; the combination is refused before any output
-        # is written or echoed.
-        text = TINY_DESIGN + "element.kind = layered\n" \
-            "optimizer.projection = sigmoid-reparameterization\n"
-        cfg = self.write_config(tmp_path, text)
+    def test_legacy_config_exits_one_without_output(self, tmp_path, capsys):
+        # A resolved.cfg that still sets Adam's decay rates or the
+        # projection is refused before any output is written or echoed.
         out = tmp_path / "d"
-        assert main(["design", cfg, "--out", str(out)]) == 1
+        assert main(["design", LEGACY_RESOLVED, "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
-        assert "sigmoid-reparameterization" in captured.err
+        assert captured.err.count("unknown key") == 3
         assert captured.err.count("\n") == 1
         assert captured.out == ""
         assert not out.exists()
@@ -374,6 +371,26 @@ class TestPropagate:
         main(args + ["--out", "b"])
         assert read_bytes(tmp_path / "a" / "output.cfield") == \
             read_bytes(tmp_path / "b" / "output.cfield")
+
+    def test_resolved_config_is_the_volume_that_ran(self, tmp_path):
+        # The volume's geometry and bounds, not the config's design
+        # defaults (64^2, n0 1.5, nz 48, dz 1.0, dn in [0, 0.05]); the
+        # config's own keys stay. propagate on the file reruns the pass.
+        grid = Grid2D(32, 32, 0.25, 0.5)
+        dn = np.random.default_rng(3).uniform(-0.02, 0.03, (32, 32, 4))
+        vol = IndexVolume(grid=grid, nz=4, dz=2.0, n0=1.6, dn=dn, dn_min=-0.02, dn_max=0.03)
+        export_volume(vol, str(tmp_path / "v.ivol"))
+        (tmp_path / "run.cfg").write_text("wavelength_um = 1.3\nelement.kind = layered\n"
+                                          "grid.nx = 16\n", encoding="utf-8")
+        args = ["propagate", "--volume", str(tmp_path / "v.ivol"), "--source", "gaussian"]
+        assert main(args + [str(tmp_path / "run.cfg"), "--out", "p"]) == 0
+        cfg = parse_config((tmp_path / "p" / "resolved.cfg").read_text(encoding="utf-8"))
+        assert (cfg.element_kind, cfg.grid, cfg.n0, cfg.volume_nz, cfg.volume_dz_um,
+                cfg.dn_min, cfg.dn_max) == ("volume", grid, 1.6, 4, 2.0, -0.02, 0.03)
+        assert cfg.wavelength_um == 1.3
+        assert main(args + [str(tmp_path / "p" / "resolved.cfg"), "--out", "q"]) == 0
+        for name in ("resolved.cfg", "output.cfield"):
+            assert read_bytes(tmp_path / "p" / name) == read_bytes(tmp_path / "q" / name)
 
     def test_missing_volume_exits_one(self, tmp_path, capsys):
         assert main(["propagate", "--volume", "nope.ivol", "--out", "p"]) == 1

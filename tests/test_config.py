@@ -17,6 +17,7 @@ from ove.config import (
     serialize_config,
 )
 from ove.propagation import absorber_mask
+from testutil import LEGACY_RESOLVED
 
 
 class TestDefaults:
@@ -66,6 +67,19 @@ class TestValidation:
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config("grid.nz = 8")
 
+    def test_removed_optimizer_keys_rejected(self):
+        removed = ("optimizer.beta1", "optimizer.beta2", "optimizer.projection")
+        with open(LEGACY_RESOLVED, encoding="utf-8") as fh:
+            text = fh.read()
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert len(exc.value.errors) == len(removed)
+        for key, err in zip(removed, exc.value.errors):
+            assert f"unknown key {key!r}" in err
+        # Without those lines it is the default config again.
+        kept = [ln for ln in text.splitlines() if ln.split(" = ")[0] not in removed]
+        assert parse_config("\n".join(kept)) == default_config()
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config("grid.nx = 32\ngrid.nx = 64")
@@ -86,8 +100,6 @@ class TestValidation:
         "task.num_pairs = 0",
         "task.spot_radius_um = 0",
         "optimizer.step_size = -1e-3",
-        "optimizer.beta1 = 1.0",
-        "optimizer.beta2 = -0.1",
         "optimizer.max_iters = -1",
         "optimizer.seed = -2",
         "optimizer.tv_weight = -0.5",
@@ -136,7 +148,6 @@ class TestRoundTrip:
         "layered.num_layers = 5",
         "task.kind = haar-grin",
         "optimizer.max_iters = 12",
-        "optimizer.projection = sigmoid-reparameterization",
         "optimizer.tv_weight = 0.125",
         "propagation.evanescent_policy = keep",
         "propagation.absorber_width = 0",

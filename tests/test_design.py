@@ -1,6 +1,6 @@
 """Inverse-design engine: loss against a direct reimplementation, adjoint
 gradients against central finite differences, and the optimizer contract
-(projection, determinism, descent, bookkeeping)."""
+(clipping to the dn bounds, determinism, descent, bookkeeping)."""
 
 import math
 
@@ -13,7 +13,6 @@ import ove.design
 import ove.propagation
 from ove.design import (
     _MAX_HALVINGS,
-    PROJECTIONS,
     DesignRun,
     LossSpec,
     OptimizerConfig,
@@ -21,7 +20,6 @@ from ove.design import (
     _design_params,
     _evaluate,
     _gradient_per_step,
-    _Parameterization,
     _with_params,
     coupling_matrix,
     gradient,
@@ -146,10 +144,9 @@ def fd_layered(el, task, spec, v, prop, h=1e-6):
             - loss(mk(minus), task, spec, prop)) / (2.0 * h)
 
 
-def assert_directional_fd(design, task, spec, prop, projection="clip-to-bounds", h=1e-6):
-    """The adjoint gradient, chained through ``projection`` into the
-    optimizer's variables z, projected on a unit direction in z against a
-    central difference of the loss along it. The whole design moves, so
+def assert_directional_fd(design, task, spec, prop, h=1e-6):
+    """The adjoint gradient, projected on a unit direction in the design's
+    parameters z, against a central difference of the loss along it. The whole design moves, so
     the difference is far above FD cancellation noise even where single
     entries of the gradient are near zero.
 
@@ -161,10 +158,9 @@ def assert_directional_fd(design, task, spec, prop, projection="clip-to-bounds",
     if isinstance(design, IndexVolume):
         design = IndexVolume(grid=design.grid, nz=design.nz, dz=design.dz, n0=design.n0,
                              dn=design.dn, dn_min=-1.0, dn_max=1.0)
-    pm = _Parameterization(design, projection)
-    z = pm.to_optimizer(_design_params(design))
-    at = lambda zz: _with_params(design, pm.to_physical(zz))
-    adj = pm.chain_gradient(gradient(at(z), task, spec, prop), z)
+    z = _design_params(design)
+    at = lambda zz: _with_params(design, zz)
+    adj = gradient(at(z), task, spec, prop)
     r = np.random.default_rng(4).standard_normal(z.shape)
     direction = r / np.linalg.norm(r) + adj / np.linalg.norm(adj)
     direction /= np.linalg.norm(direction)
@@ -177,17 +173,16 @@ def assert_directional_fd(design, task, spec, prop, projection="clip-to-bounds",
 # The sweep below draws every setting the optimizer can run on 16^2 grids:
 # the transfer model and evanescent policy, the absorber off or at any
 # width in [0.05, 0.3], each loss kind with and without TV, and the
-# element, a volume of nz <= 4 under either projection or a layered
-# element whose gaps may all be zero. One case is left out: with no drift
+# element, a volume of nz <= 4 or a layered element whose gaps may all
+# be zero. One case is left out: with no drift
 # at all the element is one phase screen, which the intensity loss cannot
 # see, so without TV its derivative is exactly zero and no relative check
 # applies.
 SWEEP_VOLUMES = st.builds(
-    lambda nz, seed, projection: (smooth_random_volume(SMALL, nz=nz, dz=1.0, seed=seed),
-                                  projection),
-    st.integers(1, 4), st.integers(0, 3), st.sampled_from(PROJECTIONS))
+    lambda nz, seed: smooth_random_volume(SMALL, nz=nz, dz=1.0, seed=seed),
+    st.integers(1, 4), st.integers(0, 3))
 SWEEP_ELEMENTS = st.builds(
-    lambda seed, gaps: (small_element(seed=seed, gaps=tuple(gaps)), "clip-to-bounds"),
+    lambda seed, gaps: small_element(seed=seed, gaps=tuple(gaps)),
     st.integers(0, 3), st.lists(st.sampled_from([0.0, 2.0, 5.0]), min_size=3, max_size=3))
 SWEEP_PROPS = st.builds(
     PropagationSpec, st.sampled_from(TRANSFER_MODELS), st.sampled_from(EVANESCENT_POLICIES),
@@ -196,7 +191,7 @@ SWEEP_LOSSES = st.builds(LossSpec, st.sampled_from(FD_KINDS), st.sampled_from([0
 
 
 def _flat(case) -> bool:
-    (design, _projection), _prop, spec = case
+    design, _prop, spec = case
     return (isinstance(design, LayeredElement) and not any(design.gaps)
             and spec.kind == "intensity-mse" and spec.tv_weight == 0.0)
 
@@ -313,35 +308,11 @@ class TestGradient:
         assert_directional_fd(small_element(gaps=gaps), make_task(),
                               LossSpec(kind=kind, tv_weight=tv_weight), prop)
 
-    @pytest.mark.parametrize("kind", FD_KINDS)
-    def test_sigmoid_chain_rule_matches_fd(self, kind):
-        # The optimizer's sigmoid path, dn = lo + (hi - lo) sigmoid(z): the
-        # chained gradient in z against central differences in z, absorber
-        # on. Along a random direction, as in the test below: a unit step
-        # in z moves dn by at most (hi - lo) / 4, so single z entries reach
-        # 1e-7 and their FD drowns in cancellation noise at this step.
-        task = small_task()
-        vol = small_volume()
-        spec = LossSpec(kind=kind)
-        prop = PropagationSpec()
-        pm = _Parameterization(vol, "sigmoid-reparameterization")
-        z = pm.to_optimizer(vol.dn)
-        at = lambda zz: _with_params(vol, pm.to_physical(zz))
-        adj = pm.chain_gradient(gradient(at(z), task, spec, prop), z)
-        rng = np.random.default_rng(2)
-        direction = rng.standard_normal(z.shape)
-        direction /= np.linalg.norm(direction)
-        h = 1e-6
-        fd = (loss(at(z + h * direction), task, spec, prop)
-              - loss(at(z - h * direction), task, spec, prop)) / (2 * h)
-        proj = float(np.sum(adj * direction))
-        assert abs(fd - proj) <= 1e-4 * max(abs(fd), abs(proj))
-
     @given(case=SWEEP_CASES)
     @settings(max_examples=300, deadline=None)
     def test_sweep_matches_directional_fd(self, case):
-        (design, projection), prop, spec = case
-        assert_directional_fd(design, small_task(), spec, prop, projection)
+        design, prop, spec = case
+        assert_directional_fd(design, small_task(), spec, prop)
 
     def test_directional_derivative(self):
         # Projecting the gradient on a random direction agrees with the
@@ -637,13 +608,20 @@ def reference_coupling(design, task, prop):
 def reference_optimize(task, initial_design, loss_spec, config, prop):
     """The optimizer loop as written before evaluations were shared: loss()
     per candidate, loss_and_gradient() again after acceptance, and a
-    coupling pass of its own before and after. Returns the run's fields
-    and the number of rejected candidates."""
-    pm = _Parameterization(initial_design, config.projection)
-    z = pm.to_optimizer(_design_params(initial_design))
-    design = _with_params(initial_design, pm.to_physical(z))
+    coupling pass of its own before and after. Adam runs at its published
+    defaults on an unclipped iterate z; a volume's design is z clipped to
+    its dn bounds. Returns the run's fields and the number of rejected
+    candidates."""
+    def at(zz):
+        if isinstance(initial_design, IndexVolume):
+            return initial_design.with_dn(
+                np.clip(zz, initial_design.dn_min, initial_design.dn_max))
+        return initial_design.with_layers(tuple(zz))
+
+    z = _design_params(initial_design)
+    design = at(z)
     coupling_before = reference_coupling(design, task, prop)
-    current_loss, grad_phys = loss_and_gradient(design, task, loss_spec, prop)
+    current_loss, grad = loss_and_gradient(design, task, loss_spec, prop)
     initial_loss = current_loss
     m = np.zeros_like(z)
     v = np.zeros_like(z)
@@ -651,16 +629,15 @@ def reference_optimize(task, initial_design, loss_spec, config, prop):
     history = []
     rejected = 0
     for t in range(1, config.max_iters + 1):
-        g = pm.chain_gradient(grad_phys, z)
-        m = config.beta1 * m + (1.0 - config.beta1) * g
-        v = config.beta2 * v + (1.0 - config.beta2) * g * g
-        m_hat = m / (1.0 - config.beta1**t)
-        v_hat = v / (1.0 - config.beta2**t)
-        direction = m_hat / (np.sqrt(v_hat) + config.eps)
+        m = 0.9 * m + (1.0 - 0.9) * grad
+        v = 0.999 * v + (1.0 - 0.999) * grad * grad
+        m_hat = m / (1.0 - 0.9**t)
+        v_hat = v / (1.0 - 0.999**t)
+        direction = m_hat / (np.sqrt(v_hat) + 1e-8)
         accepted = False
         for _ in range(_MAX_HALVINGS):
             z_new = z - lr * direction
-            cand = _with_params(design, pm.to_physical(z_new))
+            cand = at(z_new)
             cand_loss = loss(cand, task, loss_spec, prop)
             if cand_loss <= current_loss:
                 z, design, current_loss = z_new, cand, cand_loss
@@ -673,7 +650,7 @@ def reference_optimize(task, initial_design, loss_spec, config, prop):
             history.extend([current_loss] * (config.max_iters - t))
             break
         if t < config.max_iters:
-            current_loss, grad_phys = loss_and_gradient(design, task, loss_spec, prop)
+            current_loss, grad = loss_and_gradient(design, task, loss_spec, prop)
     coupling_after = reference_coupling(design, task, prop)
     return (_design_params(design), initial_loss, tuple(history), coupling_before,
             coupling_after), rejected
@@ -698,9 +675,8 @@ REFERENCE_CASES = {
     "inputs-aaab": lambda: (inputs_task((1, 1, 1, 2)), small_volume(),
                             LossSpec(kind="intensity-mse"),
                             OptimizerConfig(step_size=2e-3, max_iters=5), False),
-    "sigmoid-tv": lambda: (small_task(), small_volume(), LossSpec(tv_weight=1e-3),
-                           OptimizerConfig(step_size=0.5, max_iters=5,
-                                           projection="sigmoid-reparameterization"), False),
+    "volume-tv": lambda: (small_task(), small_volume(), LossSpec(tv_weight=1e-3),
+                          OptimizerConfig(step_size=2e-3, max_iters=5), False),
     "halvings-run-out": lambda: (*perfect_flat_case(), LossSpec(),
                                  OptimizerConfig(step_size=1e20, max_iters=3), True),
     "max-iters-0": lambda: (inputs_task((1, 1, 1, 2)), small_volume(), LossSpec(),
@@ -756,26 +732,6 @@ class TestOptimize:
         run = optimize(task, vol, LossSpec(), cfg, NO_ABSORBER)
         assert np.all(run.result.dn >= run.result.dn_min)
         assert np.all(run.result.dn <= run.result.dn_max)
-
-    def test_sigmoid_on_layered_rejected(self, monkeypatch):
-        # Layer phases have no bounds to reparameterize; the run stops
-        # before its first evaluation instead of ignoring the projection.
-        evaluations = []
-        monkeypatch.setattr(ove.design, "_evaluate", lambda *a, **k: evaluations.append(a))
-        cfg = OptimizerConfig(max_iters=2, projection="sigmoid-reparameterization")
-        with pytest.raises(ValueError, match="sigmoid-reparameterization"):
-            optimize(small_task(), small_element(), LossSpec(), cfg)
-        assert evaluations == []
-
-    def test_projection_safety_sigmoid(self):
-        task = small_task()
-        vol = small_volume()
-        cfg = OptimizerConfig(step_size=0.05, max_iters=5,
-                              projection="sigmoid-reparameterization")
-        run = optimize(task, vol, LossSpec(), cfg, NO_ABSORBER)
-        assert np.all(run.result.dn >= run.result.dn_min)
-        assert np.all(run.result.dn <= run.result.dn_max)
-        assert run.loss_history[-1] <= run.initial_loss
 
     def test_deterministic(self):
         task = small_task()
@@ -910,11 +866,9 @@ class TestSpecs:
     @pytest.mark.parametrize("kwargs", [
         dict(step_size=-1e-3),
         dict(step_size=math.nan),
-        dict(beta1=1.0),
-        dict(beta2=-0.1),
+        dict(step_size=math.inf),
+        dict(step_size=-math.inf),
         dict(max_iters=-1),
-        dict(eps=0.0),
-        dict(projection="tanh"),
     ])
     def test_optimizer_config_rejects(self, kwargs):
         with pytest.raises(ValueError):

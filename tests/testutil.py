@@ -6,6 +6,7 @@ loop, and band-limited fields are built directly in the spectral domain.
 """
 
 import math
+import os
 
 import numpy as np
 
@@ -17,6 +18,10 @@ from ove.sources import FiberSpec
 # exactly unitary for band-limited fields.
 UNITARY = PropagationSpec(evanescent_policy="keep", absorber_width=0.0)
 NO_ABSORBER = PropagationSpec(absorber_width=0.0)
+
+# The default config's resolved.cfg from before Adam's decay rates and the
+# sigmoid projection became constants; it still sets their three keys.
+LEGACY_RESOLVED = os.path.join(os.path.dirname(__file__), "fixtures", "legacy_resolved.cfg")
 
 # Reference lantern geometry: +-1 spectral bin tilts on the default
 # 32 um window, default fiber. Must stay in sync with make_baselines.py.
