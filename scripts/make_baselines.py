@@ -27,9 +27,7 @@ import scipy.fft
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from ove.design import LossSpec, OptimizerConfig, optimize, seeded_initial_volume
 from ove.experiments import (
-    CrosstalkReport,
     HolographySetup,
     fit_log_slope,
     haar_grin_experiment,
@@ -42,7 +40,7 @@ from ove.experiments import (
     toy_sorter_experiment,
     weak_grating_efficiency,
 )
-from ove.fields import ComplexField, Grid2D, LayeredElement, MappingTask, normalize, overlap
+from ove.fields import ComplexField, Grid2D, LayeredElement, normalize, overlap
 from ove.propagation import PropagationSpec, free_space, propagate
 from ove.sources import FiberSpec, gaussian, plane_wave, tilt_angles
 

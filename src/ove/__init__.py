@@ -45,15 +45,7 @@ from .fields import (
     overlap,
     power,
 )
-from .interconnect import (
-    CouplingMatrix,
-    ScalingReport,
-    apply_coupling,
-    fanout_matrix,
-    footprint_scaling,
-    haar_filter_bank,
-    neuron_nonlinearity,
-)
+from .interconnect import ScalingReport, footprint_scaling, haar_filter_bank
 from .io import (
     export_field,
     export_volume,
@@ -86,8 +78,7 @@ __all__ = [
     "lp_modes", "plane_wave", "spot_target",
     "LossSpec", "OptimizerConfig", "DesignRun", "loss", "gradient", "loss_and_gradient",
     "optimize", "coupling_matrix", "seeded_initial_volume", "total_variation",
-    "CouplingMatrix", "ScalingReport", "apply_coupling", "fanout_matrix",
-    "footprint_scaling", "haar_filter_bank", "neuron_nonlinearity",
+    "ScalingReport", "footprint_scaling", "haar_filter_bank",
     "CrosstalkReport", "EfficiencyCurve", "HolographySetup",
     "weak_grating_efficiency", "multiplexed_grating_volume",
     "superposed_grating_efficiency", "optimized_fanout_efficiency",

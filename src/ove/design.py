@@ -379,6 +379,9 @@ def optimize(task: MappingTask, initial_design: IndexVolume | LayeredElement,
     accepted candidate, evaluated without a gradient, gives the outputs,
     so they cost no extra pass. Only a run whose halvings ran out ends on
     a gradient evaluation; it evaluates ``result`` once more, without one.
+
+    ``config.seed`` is not read here: it only seeds the start, which the
+    caller builds with ``seeded_initial_volume``.
     """
     z = _design_params(initial_design)
     current_loss, grad, coupling_before, outputs = _evaluate(

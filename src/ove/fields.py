@@ -176,10 +176,6 @@ class IndexVolume:
             )
         object.__setattr__(self, "dn", _readonly(dn))
 
-    @property
-    def length_um(self) -> float:
-        return self.nz * self.dz
-
     def with_dn(self, dn: np.ndarray) -> "IndexVolume":
         return IndexVolume(
             grid=self.grid, nz=self.nz, dz=self.dz, n0=self.n0,

@@ -14,7 +14,7 @@ import numpy as np
 from scipy import special
 from scipy.optimize import brentq
 
-from .fields import ComplexField, Grid2D, normalize, overlap
+from .fields import ComplexField, Grid2D, normalize
 
 __all__ = [
     "FiberSpec",
@@ -77,11 +77,6 @@ class LPMode:
     parity: str | None
     n_eff: float
     field: ComplexField
-
-    @property
-    def label(self) -> str:
-        suffix = "" if self.parity is None else self.parity
-        return f"LP{self.l}{self.m}{suffix}"
 
 
 def plane_wave(grid: Grid2D, wavelength_um: float, theta_x: float = 0.0,
@@ -316,10 +311,6 @@ class HaarFields:
     plus: ComplexField
     minus: ComplexField | None
     pattern: np.ndarray
-
-    @property
-    def has_minus(self) -> bool:
-        return self.minus is not None
 
 
 def haar_mask_field(grid: Grid2D, wavelength_um: float, kind: str,

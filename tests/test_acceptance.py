@@ -17,7 +17,7 @@ from ove.design import LossSpec, gradient, loss
 from ove.fields import ComplexField, Grid2D, IndexVolume, LayeredElement, MappingTask, overlap, power
 from ove.interconnect import footprint_scaling, haar_filter_bank
 from ove.io import atomic_write_bytes, export_field, export_volume, import_field, import_volume
-from ove.propagation import PropagationSpec, free_space, propagate
+from ove.propagation import free_space, propagate
 from ove.sources import FiberSpec, gaussian, lp_modes, plane_wave
 from testutil import (
     NO_ABSORBER,

@@ -1,7 +1,6 @@
 """Config text parsing: defaults, validation, error accumulation, and the
 serialize/parse round trip."""
 
-import math
 import os
 
 import pytest

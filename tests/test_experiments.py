@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from ove.design import OptimizerConfig, coupling_matrix, seeded_initial_volume
+from ove.design import OptimizerConfig, coupling_matrix
 from ove.experiments import (
     CrosstalkReport,
     EfficiencyCurve,

@@ -20,7 +20,6 @@ from ove.fields import (
     overlap,
     power,
 )
-from ove.interconnect import CouplingMatrix
 from testutil import fsum_overlap, fsum_power, random_field
 
 
@@ -311,7 +310,6 @@ ARRAY_RECORDS = {
     "DesignRun": lambda: DesignRun(OptimizerConfig(), LossSpec(), 1.0, (0.5,), _volume(),
                                    np.zeros((1, 1)), np.zeros((1, 1)), (np.zeros((4, 4)),)),
     "CrosstalkReport": lambda: CrosstalkReport(np.eye(2), 1.0, 0.0, math.inf),
-    "CouplingMatrix": lambda: CouplingMatrix(np.eye(2)),
 }
 
 

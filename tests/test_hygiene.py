@@ -1,0 +1,51 @@
+"""Source hygiene: every name the package, the scripts and the tests import
+is used. The repo has no linter, so this stdlib check is the gate."""
+
+import ast
+import textwrap
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# perfbench/ is left out: it is the benchmark and changes only with it.
+CHECKED = sorted([*ROOT.glob("src/ove/*.py"), *ROOT.glob("scripts/*.py"),
+                  *ROOT.glob("tests/*.py")])
+
+
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each imported name that is neither read as a name
+    (annotations count) nor listed in the module's ``__all__``."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(node.lineno, a.asname or a.name.partition(".")[0])
+                         for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(node.lineno, a.asname or a.name) for a in node.names]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets):
+            used |= {e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant)}
+    return [(line, name) for line, name in imported if name not in used]
+
+
+def test_checker_flags_only_unused_names():
+    source = textwrap.dedent("""
+        from __future__ import annotations
+        import os, os.path
+        import numpy as np
+        from math import inf, pi as half_turn, tau
+        from json import dumps
+        __all__ = ["dumps"]
+        def f(x: np.ndarray) -> float:
+            return inf
+    """)
+    assert unused_imports(source) == [(3, "os"), (3, "os"), (5, "half_turn"), (5, "tau")]
+
+
+def test_no_unused_imports():
+    hits = [f"{path.relative_to(ROOT)}:{line}: {name}"
+            for path in CHECKED
+            for line, name in unused_imports(path.read_text())]
+    assert not hits, "unused imports:\n" + "\n".join(hits)

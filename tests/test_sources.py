@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ove.fields import ComplexField, Grid2D, normalize, overlap, power
+from ove.fields import ComplexField, Grid2D, overlap, power
 from ove.sources import (
     _NEFF_EDGE_MARGIN,
     _NEFF_SCAN_POINTS,
