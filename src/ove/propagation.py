@@ -14,8 +14,12 @@ gap medium, where a zero gap gives ``None`` and skips its drift; with
 ``absorber_width = 0`` a zero-phase layer with a zero gap is an exact
 identity. Every drift and kick is a symmetric operator, so the chain is
 reciprocal: its transpose is the same steps walked backwards.
-:func:`element_chain` builds the chain and :func:`forward_sweep` is the
-one loop that runs a field through it.
+:func:`_iter_steps` is the one builder of the chain and :func:`forward_sweep`
+the one loop that runs a field through it. The builder is lazy: it forms
+each kick when its step is drawn, so :func:`propagate`, which walks the
+chain once, holds one (nx, ny) kick at a time, not one per slice.
+:func:`element_chain` is the same steps as a list, for callers that walk
+the chain more than once.
 
 Every drift runs on ``scipy.fft`` (its ``fft2``/``ifft2`` transform both
 axes in one call, where ``numpy.fft`` loops over them in Python). The
@@ -30,6 +34,7 @@ homogeneous medium therefore returns to its input phase.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -186,15 +191,20 @@ def _unit_phasors(phase: np.ndarray) -> np.ndarray:
     return out
 
 
-def element_chain(design: IndexVolume | LayeredElement, grid: Grid2D,
-                  wavelength_um: float, spec: PropagationSpec) -> list[Step]:
-    """The ``(pre transfer, kick, post transfer)`` steps of ``design`` (see
-    the module docstring) seen by fields on ``grid`` at ``wavelength_um``.
+def _kick(phase: np.ndarray, factor: np.ndarray | None) -> np.ndarray:
+    """exp(1j * phase) times the absorber ``factor`` (None: no absorber)."""
+    kick = _unit_phasors(phase)
+    if factor is not None:
+        kick *= factor
+    return kick
 
-    ``None`` skips a drift. A volume's first step is ``(H(dz/2), kick_0,
-    H(dz))``, middle ones ``(None, kick_k, H(dz))`` and the last ``(None,
-    kick_{nz-1}, H(dz/2))``; one slice gives ``(H(dz/2), kick_0,
-    H(dz/2))``. Kicks are C-contiguous (nx, ny) arrays."""
+
+def _iter_steps(design: IndexVolume | LayeredElement, grid: Grid2D,
+                wavelength_um: float, spec: PropagationSpec) -> Iterator[Step]:
+    """The steps of :func:`element_chain`, built one at a time: a step's
+    kick is formed when the step is drawn, so a walk that drops each step
+    before it draws the next holds one kick. The design and the grid are
+    checked here, before the first step is drawn."""
     if not isinstance(design, (IndexVolume, LayeredElement)):
         raise TypeError(f"cannot propagate through {type(design).__name__}")
     if grid != design.grid:
@@ -206,25 +216,38 @@ def element_chain(design: IndexVolume | LayeredElement, grid: Grid2D,
 
     mask = absorber_mask(grid, spec.absorber_width)
     if isinstance(design, IndexVolume):
-        # Slice-major, so each kick is contiguous.
-        kicks = _unit_phasors((2.0 * np.pi / wavelength_um) * design.dz
-                              * np.ascontiguousarray(np.moveaxis(design.dn, -1, 0)))
-        if mask is not None:
-            kicks *= mask * mask
+        factor = None if mask is None else mask * mask
+        k0_dz = (2.0 * np.pi / wavelength_um) * design.dz
         h_half, h_full = transfer(design.n0, 0.5 * design.dz), transfer(design.n0, design.dz)
         last = design.nz - 1
-        return [(h_half if k == 0 else None, kicks[k], h_half if k == last else h_full)
-                for k in range(design.nz)]
-    kicks = _unit_phasors(np.stack(design.layers))
-    if mask is not None:
-        kicks *= mask
-    return [(None, kicks[k], transfer(design.n_gap, gap) if gap > 0 else None)
-            for k, gap in enumerate(design.gaps)]
+        return ((h_half if k == 0 else None, _kick(k0_dz * design.dn[:, :, k], factor),
+                 h_half if k == last else h_full)
+                for k in range(design.nz))
+    return ((None, _kick(phase, mask), transfer(design.n_gap, gap) if gap > 0 else None)
+            for phase, gap in zip(design.layers, design.gaps))
 
 
-def forward_sweep(steps: list[Step], values: np.ndarray,
+def element_chain(design: IndexVolume | LayeredElement, grid: Grid2D,
+                  wavelength_um: float, spec: PropagationSpec) -> list[Step]:
+    """The ``(pre transfer, kick, post transfer)`` steps of ``design`` (see
+    the module docstring) seen by fields on ``grid`` at ``wavelength_um``,
+    as a list that holds every kick: for callers that walk the chain more
+    than once, such as the forward and adjoint sweeps of a design
+    evaluation. :func:`propagate` walks it once and draws the steps from
+    :func:`_iter_steps` instead, holding one kick at a time.
+
+    ``None`` skips a drift. A volume's first step is ``(H(dz/2), kick_0,
+    H(dz))``, middle ones ``(None, kick_k, H(dz))`` and the last ``(None,
+    kick_{nz-1}, H(dz/2))``; one slice gives ``(H(dz/2), kick_0,
+    H(dz/2))``. Kicks are C-contiguous (nx, ny) arrays."""
+    return list(_iter_steps(design, grid, wavelength_um, spec))
+
+
+def forward_sweep(steps: Iterable[Step], values: np.ndarray,
                   trace: list[np.ndarray] | None = None) -> np.ndarray:
-    """Run ``values`` through every step of the chain ``steps``.
+    """Run ``values`` through every step of the chain ``steps``: a list, or
+    the lazy steps of :func:`_iter_steps`, which the sweep draws one at a
+    time so that only the current step's kick is held.
 
     When ``trace`` is given, the field right after each kick is appended
     to it: that is what the adjoint sweep needs.
@@ -234,6 +257,7 @@ def forward_sweep(steps: list[Step], values: np.ndarray,
         if pre is not None:
             u = drift(u, pre)
         u = kick * u
+        del kick  # a lazily built kick is freed before the next is formed
         if trace is not None:
             trace.append(u)
         if post is not None:
@@ -243,7 +267,10 @@ def forward_sweep(steps: list[Step], values: np.ndarray,
 
 def propagate(design: IndexVolume | LayeredElement, field: ComplexField,
               spec: PropagationSpec = PropagationSpec()) -> ComplexField:
-    """Forward pass through either design family (see the module docstring)."""
-    steps = element_chain(design, field.grid, field.wavelength_um, spec)
+    """Forward pass through either design family (see the module docstring).
+
+    The steps are drawn lazily, so the pass holds one kick at a time on
+    top of the design and the field, not a kick per slice."""
+    steps = _iter_steps(design, field.grid, field.wavelength_um, spec)
     return field.with_values(forward_sweep(steps, field.values))
 

@@ -1,5 +1,6 @@
 """Source hygiene: every name the package, the scripts and the tests import
-is used. The repo has no linter, so this stdlib check is the gate."""
+is used, and every name a module exports in ``__all__`` is defined in it.
+The repo has no linter, so these stdlib checks are the gate."""
 
 import ast
 import textwrap
@@ -30,6 +31,27 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
     return [(line, name) for line, name in imported if name not in used]
 
 
+def undefined_exports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each ``__all__`` entry that names nothing the
+    module defines, assigns or imports at top level."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {a.asname or a.name.partition(".")[0] for a in node.names}
+    return [(e.lineno, e.value)
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+            for e in ast.walk(node.value)
+            if isinstance(e, ast.Constant) and e.value not in bound]
+
+
 def test_checker_flags_only_unused_names():
     source = textwrap.dedent("""
         from __future__ import annotations
@@ -49,3 +71,23 @@ def test_no_unused_imports():
             for path in CHECKED
             for line, name in unused_imports(path.read_text())]
     assert not hits, "unused imports:\n" + "\n".join(hits)
+
+
+def test_export_checker_flags_only_undefined_names():
+    source = textwrap.dedent("""
+        import os.path
+        from math import pi as half_turn
+        LIMIT: int = 3
+        Pair = tuple[int, int]
+        def f(): pass
+        class C: pass
+        __all__ = ["os", "half_turn", "LIMIT", "Pair", "f", "C", "pi", "deleted"]
+    """)
+    assert undefined_exports(source) == [(8, "pi"), (8, "deleted")]
+
+
+def test_every_export_is_defined():
+    hits = [f"{path.relative_to(ROOT)}:{line}: {name}"
+            for path in CHECKED
+            for line, name in undefined_exports(path.read_text())]
+    assert not hits, "__all__ names nothing defined:\n" + "\n".join(hits)

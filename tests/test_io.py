@@ -7,6 +7,7 @@ failure mode here.
 """
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +144,22 @@ class TestVolumeFormat:
         atomic_write_bytes(path, payload.tobytes())
         with pytest.raises(ValueError, match="payload contains non-finite voxels"):
             import_volume(path)
+
+    def test_import_peaks_at_dn_and_its_copy(self, tmp_path):
+        # The float32 payload is released before IndexVolume copies dn, so
+        # the import holds at most the widened dn and that copy (16 B per
+        # voxel), not the payload on top (20 B per voxel).
+        grid = Grid2D(64, 64, 0.5, 0.5)
+        dn = np.random.default_rng(4).uniform(0.0, 0.05, size=(64, 64, 32))
+        path = str(tmp_path / "v.ivol")
+        export_volume(IndexVolume(grid=grid, nz=32, dz=1.0, n0=1.5, dn=dn), path)
+        tracemalloc.start()
+        try:
+            back = import_volume(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * back.dn.nbytes + 64 * 1024, f"peak {peak} B"
 
     def test_missing_sidecar_rejected(self, tmp_path):
         path = str(tmp_path / "v.ivol")

@@ -6,6 +6,7 @@ import contextlib
 import importlib.util
 import math
 import os
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -14,6 +15,7 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ove import propagation
 from ove.design import _adjoint_sweep, _gradient_per_step
 from ove.fields import (
     ComplexField,
@@ -37,6 +39,7 @@ from ove.propagation import (
     propagate,
     transfer_function,
 )
+from ove.io import export_volume, import_volume
 from ove.sources import gaussian, plane_wave
 from testutil import (
     NO_ABSORBER,
@@ -192,6 +195,96 @@ def test_kicks_match_exp_formula_bit_for_bit(kind, width):
     want = np.exp(1j * phase) * factor
     got = np.stack([kick for _, kick, _ in element_chain(design, grid, LAM, spec)])
     np.testing.assert_array_equal(got, want, strict=True)
+
+
+def eager_chain(design, grid, spec):
+    # Reference chain with every kick of the design formed at once, as
+    # exp(1j * phase) of one slice-major phase array.
+    def transfer(n_medium, distance):
+        return transfer_function(grid, LAM, n_medium, distance,
+                                 spec.transfer_model, spec.evanescent_policy)
+
+    mask = absorber_mask(grid, spec.absorber_width)
+    if isinstance(design, IndexVolume):
+        phase = (2.0 * np.pi / LAM) * design.dz * np.ascontiguousarray(np.moveaxis(design.dn, -1, 0))
+        kicks = np.exp(1j * phase) * (1.0 if mask is None else mask * mask)
+        h_half, h_full = transfer(design.n0, 0.5 * design.dz), transfer(design.n0, design.dz)
+        last = design.nz - 1
+        return [(h_half if k == 0 else None, kicks[k], h_half if k == last else h_full)
+                for k in range(design.nz)]
+    kicks = np.exp(1j * np.stack(design.layers)) * (1.0 if mask is None else mask)
+    return [(None, kicks[k], transfer(design.n_gap, gap) if gap > 0 else None)
+            for k, gap in enumerate(design.gaps)]
+
+
+@pytest.mark.parametrize("model", TRANSFER_MODELS)
+@WIDTHS
+@pytest.mark.parametrize("kind", ["c-order", "f-order", "one-slice", "layered-zero-gap"])
+def test_propagate_streams_the_listed_chain_bit_for_bit(kind, width, model, tmp_path):
+    # propagate draws its steps lazily; its output must equal a sweep of
+    # the listed chain and of the chain built all at once, to the bit, for
+    # either memory order of dn.
+    grid = Grid2D(16, 16, 0.5, 0.5)
+    spec = PropagationSpec(transfer_model=model, absorber_width=width)
+    rng = np.random.default_rng(21)
+    if kind == "layered-zero-gap":
+        design = LayeredElement(grid=grid, layers=tuple(band_limited_phases(grid, 3, seed=22)),
+                                gaps=(2.0, 0.0, 3.0), n_gap=1.2)
+    else:
+        nz = 1 if kind == "one-slice" else 5
+        dn = rng.uniform(0.0, 0.05, (16, 16, nz))
+        design = IndexVolume(grid=grid, nz=nz, dz=2.0, n0=1.5, dn=dn)
+        if kind == "f-order":
+            export_volume(design, str(tmp_path / "v.ivol"))
+            design = import_volume(str(tmp_path / "v.ivol"))
+            assert design.dn.flags.f_contiguous and not design.dn.flags.c_contiguous
+        else:
+            assert design.dn.flags.c_contiguous
+    f = band_limited_field(grid, LAM, seed=23)
+    got = propagate(design, f, spec).values
+    np.testing.assert_array_equal(got, forward_sweep(element_chain(design, grid, LAM, spec),
+                                                     f.values))
+    np.testing.assert_array_equal(got, forward_sweep(eager_chain(design, grid, spec), f.values))
+    if kind == "f-order":
+        c_order = design.with_dn(np.ascontiguousarray(design.dn))
+        np.testing.assert_array_equal(got, propagate(c_order, f, spec).values)
+
+
+def test_bad_design_raises_before_any_drift():
+    # The builder checks at the call, not when the first step is drawn.
+    grid = Grid2D(16, 16, 0.5, 0.5)
+    vol = smooth_random_volume(grid, nz=4, dz=1.0, seed=3)
+    other = gaussian(Grid2D(32, 16, 0.5, 0.5), LAM, waist_um=2.0)
+    with pytest.raises(TypeError, match="cannot propagate through str"):
+        propagation._iter_steps("volume", grid, LAM, PropagationSpec())
+    with pytest.raises(ValueError, match="grid mismatch"):
+        propagation._iter_steps(vol, other.grid, LAM, PropagationSpec())
+    with mock.patch.object(propagation, "drift", wraps=propagation.drift) as spy:
+        with pytest.raises(TypeError, match="cannot propagate through str"):
+            propagate("volume", gaussian(grid, LAM, waist_um=2.0))
+        with pytest.raises(ValueError, match="grid mismatch"):
+            propagate(vol, other)
+    assert spy.call_count == 0
+
+
+def test_propagate_holds_one_kick_not_the_volumes():
+    # A pass through a 64x64x64 volume adds a few (nx, ny) complex arrays
+    # on top of the volume and the input field: the field, its spectrum,
+    # the current kick. Building every kick at once adds >= 16 B per voxel
+    # (4 MB here). The caches are warmed first: the transfer functions and
+    # the absorber are shared by every pass on the grid.
+    grid = Grid2D(64, 64, 0.5, 0.5)
+    vol = IndexVolume(grid=grid, nz=64, dz=1.0, n0=1.5,
+                      dn=np.random.default_rng(6).uniform(0.0, 0.05, (64, 64, 64)))
+    f = gaussian(grid, LAM, waist_um=5.0)
+    propagate(vol, f)
+    tracemalloc.start()
+    try:
+        propagate(vol, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * grid.nx * grid.ny * 16, f"peak {peak} B"
 
 
 FFT_NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn")
