@@ -17,7 +17,11 @@ reciprocal: its transpose is the same steps walked backwards.
 :func:`_iter_steps` is the one builder of the chain and :func:`forward_sweep`
 the one loop that runs a field through it. The builder is lazy: it forms
 each kick when its step is drawn, so :func:`propagate`, which walks the
-chain once, holds one (nx, ny) kick at a time, not one per slice.
+chain once, holds at most two (nx, ny) kicks, not one per slice. On grids
+of 64 x 64 samples and more it draws step k + 1, forming its kick, on a
+worker thread while the calling thread runs step k; every drift and
+every transfer lookup stays on the calling thread, and the arithmetic
+and its order are the same as a serial walk's.
 :func:`element_chain` is the same steps as a list, for callers that walk
 the chain more than once.
 
@@ -35,6 +39,7 @@ homogeneous medium therefore returns to its input phase.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -56,6 +61,11 @@ EVANESCENT_POLICIES = ("zero", "keep")
 
 # Absorber amplitude at the outermost sample of the super-Gaussian skirt.
 _EDGE_AMPLITUDE = 1e-3
+
+# Grids of at least this many samples form propagate's kicks one step
+# ahead on a worker thread; below it the thread handoff costs more than
+# the phasors it hides.
+_OVERLAP_MIN_SAMPLES = 64 * 64
 
 
 @dataclass(frozen=True)
@@ -204,7 +214,8 @@ def _iter_steps(design: IndexVolume | LayeredElement, grid: Grid2D,
     """The steps of :func:`element_chain`, built one at a time: a step's
     kick is formed when the step is drawn, so a walk that drops each step
     before it draws the next holds one kick. The design and the grid are
-    checked here, before the first step is drawn."""
+    checked and every transfer is looked up here, before the first step
+    is drawn, so drawing a step only forms its kick."""
     if not isinstance(design, (IndexVolume, LayeredElement)):
         raise TypeError(f"cannot propagate through {type(design).__name__}")
     if grid != design.grid:
@@ -223,8 +234,8 @@ def _iter_steps(design: IndexVolume | LayeredElement, grid: Grid2D,
         return ((h_half if k == 0 else None, _kick(k0_dz * design.dn[:, :, k], factor),
                  h_half if k == last else h_full)
                 for k in range(design.nz))
-    return ((None, _kick(phase, mask), transfer(design.n_gap, gap) if gap > 0 else None)
-            for phase, gap in zip(design.layers, design.gaps))
+    posts = [transfer(design.n_gap, gap) if gap > 0 else None for gap in design.gaps]
+    return ((None, _kick(phase, mask), post) for phase, post in zip(design.layers, posts))
 
 
 def element_chain(design: IndexVolume | LayeredElement, grid: Grid2D,
@@ -234,7 +245,7 @@ def element_chain(design: IndexVolume | LayeredElement, grid: Grid2D,
     as a list that holds every kick: for callers that walk the chain more
     than once, such as the forward and adjoint sweeps of a design
     evaluation. :func:`propagate` walks it once and draws the steps from
-    :func:`_iter_steps` instead, holding one kick at a time.
+    :func:`_iter_steps` instead, holding at most two kicks.
 
     ``None`` skips a drift. A volume's first step is ``(H(dz/2), kick_0,
     H(dz))``, middle ones ``(None, kick_k, H(dz))`` and the last ``(None,
@@ -247,7 +258,7 @@ def forward_sweep(steps: Iterable[Step], values: np.ndarray,
                   trace: list[np.ndarray] | None = None) -> np.ndarray:
     """Run ``values`` through every step of the chain ``steps``: a list, or
     the lazy steps of :func:`_iter_steps`, which the sweep draws one at a
-    time so that only the current step's kick is held.
+    time and drops once applied, so it holds no kick but the current one.
 
     When ``trace`` is given, the field right after each kick is appended
     to it: that is what the adjoint sweep needs.
@@ -257,7 +268,7 @@ def forward_sweep(steps: Iterable[Step], values: np.ndarray,
         if pre is not None:
             u = drift(u, pre)
         u = kick * u
-        del kick  # a lazily built kick is freed before the next is formed
+        del kick  # a lazily built kick can be freed once it is applied
         if trace is not None:
             trace.append(u)
         if post is not None:
@@ -265,12 +276,30 @@ def forward_sweep(steps: Iterable[Step], values: np.ndarray,
     return u
 
 
+def _one_ahead(steps: Iterator[Step], pool: ThreadPoolExecutor) -> Iterator[Step]:
+    """The steps of ``steps`` in order, each drawn on ``pool`` while the
+    caller runs the step before it. A caller that stops early, by an
+    error of its own, leaves the step drawn ahead unread, together with
+    any error drawing it raised: the caller's error is the one reported."""
+    ahead = pool.submit(next, steps, None)
+    while (step := ahead.result()) is not None:
+        ahead = pool.submit(next, steps, None)
+        yield step
+
+
 def propagate(design: IndexVolume | LayeredElement, field: ComplexField,
               spec: PropagationSpec = PropagationSpec()) -> ComplexField:
     """Forward pass through either design family (see the module docstring).
 
-    The steps are drawn lazily, so the pass holds one kick at a time on
-    top of the design and the field, not a kick per slice."""
+    The steps are drawn lazily, so the pass holds at most two kicks on top
+    of the design and the field, not a kick per slice. On grids of
+    ``_OVERLAP_MIN_SAMPLES`` samples or more, one worker thread forms the
+    next step's kick while this thread runs the current step's drifts and
+    kick product; the worker lives only for the call, which joins it
+    before it returns or raises."""
     steps = _iter_steps(design, field.grid, field.wavelength_um, spec)
-    return field.with_values(forward_sweep(steps, field.values))
+    if field.grid.nx * field.grid.ny < _OVERLAP_MIN_SAMPLES:
+        return field.with_values(forward_sweep(steps, field.values))
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="ove-kicks") as pool:
+        return field.with_values(forward_sweep(_one_ahead(steps, pool), field.values))
 

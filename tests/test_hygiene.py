@@ -1,8 +1,12 @@
 """Source hygiene: every name the package, the scripts and the tests import
-is used, and every name a module exports in ``__all__`` is defined in it.
-The repo has no linter, so these stdlib checks are the gate."""
+is used, every name a module exports in ``__all__`` is defined in it, and
+importing the package starts no thread. The repo has no linter, so these
+stdlib checks are the gate."""
 
 import ast
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -91,3 +95,13 @@ def test_every_export_is_defined():
             for path in CHECKED
             for line, name in undefined_exports(path.read_text())]
     assert not hits, "__all__ names nothing defined:\n" + "\n".join(hits)
+
+
+def test_import_starts_no_thread():
+    # Threads belong to the calls that use them (propagate joins its
+    # worker before it returns), never to the import.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c",
+                          "import threading, ove; print(threading.active_count())"],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["1"], out.stdout + out.stderr

@@ -6,6 +6,7 @@ import contextlib
 import importlib.util
 import math
 import os
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -219,20 +220,24 @@ def eager_chain(design, grid, spec):
 
 @pytest.mark.parametrize("model", TRANSFER_MODELS)
 @WIDTHS
-@pytest.mark.parametrize("kind", ["c-order", "f-order", "one-slice", "layered-zero-gap"])
+@pytest.mark.parametrize("kind", ["c-order", "f-order", "one-slice", "layered-zero-gap",
+                                  "c-order-64", "layered-zero-gap-64"])
 def test_propagate_streams_the_listed_chain_bit_for_bit(kind, width, model, tmp_path):
-    # propagate draws its steps lazily; its output must equal a sweep of
-    # the listed chain and of the chain built all at once, to the bit, for
-    # either memory order of dn.
-    grid = Grid2D(16, 16, 0.5, 0.5)
+    # propagate draws its steps lazily, one ahead on a worker thread on
+    # the 64x64 grids and serially on the 16x16 ones; its output must
+    # equal a sweep of the listed chain and of the chain built all at
+    # once, to the bit, for either memory order of dn.
+    n = 64 if kind.endswith("-64") else 16
+    grid = Grid2D(n, n, 0.5, 0.5)
+    assert (n * n >= propagation._OVERLAP_MIN_SAMPLES) == (n == 64)
     spec = PropagationSpec(transfer_model=model, absorber_width=width)
     rng = np.random.default_rng(21)
-    if kind == "layered-zero-gap":
+    if kind.startswith("layered-zero-gap"):
         design = LayeredElement(grid=grid, layers=tuple(band_limited_phases(grid, 3, seed=22)),
                                 gaps=(2.0, 0.0, 3.0), n_gap=1.2)
     else:
         nz = 1 if kind == "one-slice" else 5
-        dn = rng.uniform(0.0, 0.05, (16, 16, nz))
+        dn = rng.uniform(0.0, 0.05, (n, n, nz))
         design = IndexVolume(grid=grid, nz=nz, dz=2.0, n0=1.5, dn=dn)
         if kind == "f-order":
             export_volume(design, str(tmp_path / "v.ivol"))
@@ -270,9 +275,10 @@ def test_bad_design_raises_before_any_drift():
 def test_propagate_holds_one_kick_not_the_volumes():
     # A pass through a 64x64x64 volume adds a few (nx, ny) complex arrays
     # on top of the volume and the input field: the field, its spectrum,
-    # the current kick. Building every kick at once adds >= 16 B per voxel
-    # (4 MB here). The caches are warmed first: the transfer functions and
-    # the absorber are shared by every pass on the grid.
+    # and up to two kicks, the current one and the next, which the worker
+    # thread forms ahead. Building every kick at once adds >= 16 B per
+    # voxel (4 MB here). The caches are warmed first: the transfer
+    # functions and the absorber are shared by every pass on the grid.
     grid = Grid2D(64, 64, 0.5, 0.5)
     vol = IndexVolume(grid=grid, nz=64, dz=1.0, n0=1.5,
                       dn=np.random.default_rng(6).uniform(0.0, 0.05, (64, 64, 64)))
@@ -285,6 +291,87 @@ def test_propagate_holds_one_kick_not_the_volumes():
     finally:
         tracemalloc.stop()
     assert peak < 8 * grid.nx * grid.ny * 16, f"peak {peak} B"
+
+
+def overlapped_designs():
+    # A volume and a layered element with a zero gap, both on a grid large
+    # enough for propagate to form its kicks on a worker thread.
+    grid = Grid2D(64, 64, 0.5, 0.5)
+    assert grid.nx * grid.ny >= propagation._OVERLAP_MIN_SAMPLES
+    vol = IndexVolume(grid=grid, nz=6, dz=1.0, n0=1.5,
+                      dn=np.random.default_rng(31).uniform(0.0, 0.05, (64, 64, 6)))
+    layered = LayeredElement(grid=grid, layers=tuple(band_limited_phases(grid, 3, seed=32)),
+                             gaps=(2.0, 0.0, 3.0))
+    return grid, vol, layered
+
+
+class Boom(Exception):
+    pass
+
+
+def raise_on_call(fn, n):
+    # A wrapper of fn that raises Boom on its n-th call (counting from 1)
+    # and records the thread count seen by each call.
+    seen = []
+
+    def wrapper(*args, **kwargs):
+        seen.append(threading.active_count())
+        if len(seen) == n:
+            raise Boom(f"call {n}")
+        return fn(*args, **kwargs)
+
+    return wrapper, seen
+
+
+@pytest.mark.parametrize("kind", ["volume", "layered"])
+def test_no_thread_outlives_propagate(kind):
+    # The worker thread lives only for the call: after a normal return,
+    # and after a failure on either thread, which reaches the caller as
+    # it was raised.
+    grid, vol, layered = overlapped_designs()
+    design = vol if kind == "volume" else layered
+    f = band_limited_field(grid, LAM, seed=33)
+    before = threading.active_count()
+    propagate(design, f)
+    assert threading.active_count() == before
+    for name in ("_kick", "drift"):
+        wrapper, seen = raise_on_call(getattr(propagation, name), 2)
+        with mock.patch.object(propagation, name, wrapper):
+            with pytest.raises(Boom, match="call 2"):
+                propagate(design, f)
+        assert len(seen) == 2, name  # the failure stopped the pass
+        assert max(seen) > before, name  # a worker was running
+        assert threading.active_count() == before, name
+
+
+def test_drifts_and_lookups_stay_on_the_calling_thread():
+    # Every FFT, transfer lookup and absorber lookup runs on the thread
+    # that calls propagate, where perfbench's wrappers count them; only
+    # the kicks are formed on the worker.
+    def spy(module, name, threads):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            threads.setdefault(name, set()).add(threading.get_ident())
+            return fn(*args, **kwargs)
+
+        return mock.patch.object(module, name, wrapper)
+
+    grid, vol, layered = overlapped_designs()
+    f = band_limited_field(grid, LAM, seed=34)
+    caller = threading.get_ident()
+    for design in (vol, layered):
+        threads = {}
+        with contextlib.ExitStack() as stack:
+            for module, name in ((scipy.fft, "fft2"), (scipy.fft, "ifft2"),
+                                 (propagation, "transfer_function"),
+                                 (propagation, "absorber_mask"), (propagation, "_kick")):
+                stack.enter_context(spy(module, name, threads))
+            propagate(design, f)
+        kick_threads = threads.pop("_kick")
+        assert threads == {name: {caller} for name in
+                           ("fft2", "ifft2", "transfer_function", "absorber_mask")}
+        assert caller not in kick_threads
 
 
 FFT_NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn")
