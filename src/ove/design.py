@@ -257,12 +257,24 @@ def _evaluate(design: IndexVolume | LayeredElement, task: MappingTask, spec: Los
     With a gradient the input's seed is the sum of those targets' seeds,
     since the adjoint is linear in its seed, and one adjoint sweep runs it
     back; an input whose column of W is zero runs none. Without a
-    gradient no seed is built. Only one trace is live at a time.
+    gradient no seed is built.
+
+    The TV term, if any, is formed first and added last. ``design`` is
+    dropped once its chain is formed, so while the sweeps run this call
+    holds the chain, the gradient, the TV gradient if TV is on, and one
+    trace at a time: nothing of the design. A caller that passes the
+    design as a temporary holds none of it either.
     """
+    if spec.tv_weight > 0.0:
+        tv, tv_grad = total_variation(_design_params(design))
+        # Scaled now and added in place at the end: the same bits as
+        # grad + tv_weight * tv_grad.
+        tv_grad *= spec.tv_weight
     steps = element_chain(design, task.grid, task.wavelength_um, prop)
     grad = None
     if with_gradient:
         grad, grad_steps, scale = _gradient_per_step(design, task.wavelength_um)
+    del design
     area = task.grid.cell_area
     coupling = np.empty(task.weights.shape)
     outputs = None if with_gradient else []
@@ -294,10 +306,9 @@ def _evaluate(design: IndexVolume | LayeredElement, task: MappingTask, spec: Los
         if seed is not None:
             _adjoint_sweep(steps, trace, seed, grad_steps, scale)
     if spec.tv_weight > 0.0:
-        tv, tv_grad = total_variation(_design_params(design))
         total += spec.tv_weight * tv
         if with_gradient:
-            grad = grad + spec.tv_weight * tv_grad
+            grad += tv_grad
     return float(total), grad, coupling, None if outputs is None else tuple(outputs)
 
 
@@ -380,6 +391,12 @@ def optimize(task: MappingTask, initial_design: IndexVolume | LayeredElement,
     so they cost no extra pass. Only a run whose halvings ran out ends on
     a gradient evaluation; it evaluates ``result`` once more, without one.
 
+    While a candidate's sweeps run, the run holds five parameter-sized
+    arrays (the initial design, Adam's iterate, m, v and the direction),
+    the candidate's chain, its gradient and one input's trace. It holds
+    neither the candidate, which :func:`_evaluate` drops once its chain is
+    formed, nor the candidate's iterate, nor the previous gradient.
+
     ``config.seed`` is not read here: it only seeds the start, which the
     caller builds with ``seeded_initial_volume``.
     """
@@ -403,23 +420,28 @@ def optimize(task: MappingTask, initial_design: IndexVolume | LayeredElement,
         m = _BETA1 * m + (1.0 - _BETA1) * grad
         v = _BETA2 * v + (1.0 - _BETA2) * grad * grad
         direction = (m / (1.0 - _BETA1**t)) / (np.sqrt(v / (1.0 - _BETA2**t)) + _EPS)
-        # The line search does not need it. Freeing it, and a rejected
-        # candidate's gradient below, keeps one gradient live while a
-        # candidate is evaluated.
+        # The line search does not need it. Freed here, and with only
+        # ``grad`` naming an accepted candidate's gradient below, no
+        # gradient but the candidate's own is live while it is evaluated.
         del grad
 
         accepted = False
         for _ in range(_MAX_HALVINGS):
-            z_new = z - lr * direction
+            # Neither the candidate nor its iterate is named here: the
+            # iterate is formed again on accept, with the same bits, and
+            # CPython (3.11 on) hands a call's argument references to the
+            # callee, so _evaluate frees the candidate once its chain is
+            # formed.
             cand_loss, cand_grad, cand_coupling, cand_outputs = _evaluate(
-                _with_params(initial_design, z_new), task, loss_spec, prop,
+                _with_params(initial_design, z - lr * direction), task, loss_spec, prop,
                 with_gradient=t < config.max_iters)
             if not math.isfinite(cand_loss):
                 raise ArithmeticError(f"non-finite loss at iteration {t}")
             if cand_loss <= current_loss:
-                z = z_new
+                z = z - lr * direction
                 current_loss, grad, coupling = cand_loss, cand_grad, cand_coupling
                 outputs = cand_outputs
+                del cand_grad  # else the next iteration's ``del grad`` frees nothing
                 accepted = True
                 break
             del cand_grad, cand_outputs

@@ -15,6 +15,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -167,12 +168,13 @@ class IndexVolume:
         expected = (self.grid.nx, self.grid.ny, self.nz)
         if dn.shape != expected:
             raise ValueError(f"dn shape {dn.shape} does not match {expected}")
-        if not np.all(np.isfinite(dn)):
+        # A NaN carries through min and max, and an infinity is one of them.
+        lo, hi = dn.min(), dn.max()
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("dn must be finite")
-        if dn.size and (dn.min() < self.dn_min or dn.max() > self.dn_max):
+        if lo < self.dn_min or hi > self.dn_max:
             raise ValueError(
-                f"dn out of bounds [{self.dn_min}, {self.dn_max}]: "
-                f"range [{dn.min()}, {dn.max()}]"
+                f"dn out of bounds [{self.dn_min}, {self.dn_max}]: range [{lo}, {hi}]"
             )
         object.__setattr__(self, "dn", _readonly(dn))
 

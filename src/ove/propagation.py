@@ -18,7 +18,7 @@ reciprocal: its transpose is the same steps walked backwards.
 the one loop that runs a field through it. The builder is lazy: it forms
 each kick when its step is drawn, so :func:`propagate`, which walks the
 chain once, holds at most two (nx, ny) kicks, not one per slice. On grids
-of 64 x 64 samples and more it draws step k + 1, forming its kick, on a
+of 80 x 80 samples and more it draws step k + 1, forming its kick, on a
 worker thread while the calling thread runs step k; every drift and
 every transfer lookup stays on the calling thread, and the arithmetic
 and its order are the same as a serial walk's.
@@ -63,9 +63,10 @@ EVANESCENT_POLICIES = ("zero", "keep")
 _EDGE_AMPLITUDE = 1e-3
 
 # Grids of at least this many samples form propagate's kicks one step
-# ahead on a worker thread; below it the thread handoff costs more than
-# the phasors it hides.
-_OVERLAP_MIN_SAMPLES = 64 * 64
+# ahead on a worker thread; below it the thread handoff costs about what
+# the phasors it hides do (64 x 64 x 48 breaks even in the minimum of
+# 120 passes, 80 x 80 x 48 wins by 12-20%).
+_OVERLAP_MIN_SAMPLES = 80 * 80
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ gradients against central finite differences, and the optimizer contract
 (clipping to the dn bounds, determinism, descent, bookkeeping)."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -50,6 +51,7 @@ from testutil import (
     band_limited_field,
     band_limited_phases,
     smooth_random_volume,
+    traced_peak,
 )
 
 LAM = 1.55
@@ -834,6 +836,80 @@ class TestOptimize:
         run = optimize(task, design, spec, cfg, PropagationSpec())
         assert [g for _, g in calls] == [True] * (1 + _MAX_HALVINGS) + [False]
         assert calls[-1][0] is run.result
+
+    # Runs that accept at least three steps, with the absorber on and two
+    # inputs: a 32-slice volume, and 32 layers, whose rejected first
+    # candidates also drop their gradients. With 32 steps a parameter-sized
+    # array is 16 fields, so the three a spent candidate, its iterate and a
+    # stale gradient would add stand far above the few fields of the sweeps.
+    LIVE_SET_CASES = {
+        "volume": lambda: (small_volume(nz=32), OptimizerConfig(step_size=2e-3, max_iters=4)),
+        "layered": lambda: (LayeredElement(grid=SMALL, gaps=(1.0,) * 32,
+                                           layers=tuple(band_limited_phases(SMALL, 32, seed=40))),
+                            OptimizerConfig(step_size=2.0, max_iters=6)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(LIVE_SET_CASES))
+    def test_sweeps_start_without_the_candidate_or_an_older_gradient(self, monkeypatch, case):
+        # When an evaluation's first forward sweep starts, the design it
+        # evaluates is gone (its chain is formed), and so is every gradient
+        # of an earlier evaluation: the accepted one that formed Adam's
+        # direction, and any rejected candidate's.
+        design, cfg = self.LIVE_SET_CASES[case]()
+        candidates, grads, starts, seen = [], [], [], []
+
+        def with_params(*args):
+            cand = _with_params(*args)
+            candidates.append(weakref.ref(cand))
+            return cand
+
+        def chain(*args):
+            starts.append(len(grads))
+            return element_chain(*args)
+
+        def gradient_per_step(*args):
+            grad = _gradient_per_step(*args)
+            grads.append(weakref.ref(grad[1]))  # the array the gradient views
+            return grad
+
+        def sweep(*args):
+            if starts:
+                older = grads[:starts.pop()]
+                seen.append((len(older), [r() for r in candidates + older]))
+            return forward_sweep(*args)
+
+        monkeypatch.setattr(ove.design, "_with_params", with_params)
+        monkeypatch.setattr(ove.design, "element_chain", chain)
+        monkeypatch.setattr(ove.design, "_gradient_per_step", gradient_per_step)
+        monkeypatch.setattr(ove.design, "forward_sweep", sweep)
+        run = optimize(small_task(), design, LossSpec(), cfg, PropagationSpec())
+        accepted = sum(b < a for a, b in zip((run.initial_loss,) + run.loss_history,
+                                              run.loss_history))
+        assert accepted >= 3
+        assert len(seen) == len(grads) + 1  # every evaluation, the last without a gradient
+        assert [n for n, _ in seen] == list(range(len(seen)))
+        assert all(live == [None] * len(live) for _, live in seen)
+
+    @pytest.mark.parametrize("case", sorted(LIVE_SET_CASES))
+    def test_iteration_peaks_at_its_live_set(self, case):
+        # An iteration holds 5 parameter-sized arrays (the initial design,
+        # Adam's iterate, m, v and direction), the chain's kicks, one
+        # gradient and one input's trace, plus a dozen (nx, ny) fields: the
+        # sweeps' working fields, and the array and list objects of 32 steps
+        # (8 to 9 fields measured). The initial design is rebuilt inside the
+        # traced call, so it counts; a first run warms the transfer and
+        # absorber caches.
+        design, cfg = self.LIVE_SET_CASES[case]()
+        task = small_task()
+        optimize(task, design, LossSpec(), OptimizerConfig(max_iters=0), PropagationSpec())
+        _, peak = traced_peak(lambda: optimize(
+            task, _with_params(design, _design_params(design)), LossSpec(), cfg,
+            PropagationSpec()))
+        param = _design_params(design).nbytes
+        steps = len(element_chain(design, SMALL, LAM, PropagationSpec()))
+        field = SMALL.nx * SMALL.ny * 16
+        bound = 5 * param + steps * field + param + steps * field + 12 * field
+        assert peak <= bound, f"peak {peak} B, bound {bound} B"
 
     @pytest.mark.parametrize("seeds", [(1, 1, 1, 1), (1, 2, 3), (1, 2, 1)],
                              ids=["repeated", "distinct", "repeated-split"])

@@ -191,6 +191,14 @@ class TestVolume:
         with pytest.raises(ValueError):
             IndexVolume(**kwargs)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_nonfinite_dn_rejected(self, bad):
+        g = Grid2D(4, 4, 0.5, 0.5)
+        dn = np.full((4, 4, 2), 0.01)
+        dn[1, 2, 1] = bad
+        with pytest.raises(ValueError, match="dn must be finite"):
+            IndexVolume(grid=g, nz=2, dz=0.5, n0=1.5, dn=dn, dn_min=0.0, dn_max=0.05)
+
     def test_negative_bounds_allowed(self):
         g = Grid2D(4, 4, 0.5, 0.5)
         dn = np.full((4, 4, 2), -0.01)
@@ -251,8 +259,9 @@ class TestMappingTask:
         (np.array([[1.0], [-0.5], [1.0]]), "must be >= 0"),
         (np.array([[1.0], [np.nan], [1.0]]), "must be finite"),
         (np.array([[1.0], [np.inf], [1.0]]), "must be finite"),
+        (np.array([[1.0], [-np.inf], [1.0]]), "must be finite"),
         (np.zeros((3, 1)), "must sum to a positive value"),
-    ], ids=["wrong-shape", "flat", "negative", "nan", "inf", "zero-sum"])
+    ], ids=["wrong-shape", "flat", "negative", "nan", "inf", "-inf", "zero-sum"])
     def test_bad_weights_rejected(self, weights, match):
         g = Grid2D(8, 8, 0.5, 0.5)
         a = random_field(g, 1.55, seed=1)

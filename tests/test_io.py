@@ -7,7 +7,6 @@ failure mode here.
 """
 
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +24,7 @@ from ove.io import (
     write_csv,
 )
 from ove.sources import gaussian, plane_wave
+from testutil import traced_peak
 
 GRID = Grid2D(8, 6, 0.5, 0.25)
 
@@ -153,12 +153,7 @@ class TestVolumeFormat:
         dn = np.random.default_rng(4).uniform(0.0, 0.05, size=(64, 64, 32))
         path = str(tmp_path / "v.ivol")
         export_volume(IndexVolume(grid=grid, nz=32, dz=1.0, n0=1.5, dn=dn), path)
-        tracemalloc.start()
-        try:
-            back = import_volume(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        back, peak = traced_peak(lambda: import_volume(path))
         assert peak <= 2 * back.dn.nbytes + 64 * 1024, f"peak {peak} B"
 
     def test_missing_sidecar_rejected(self, tmp_path):

@@ -7,7 +7,6 @@ import importlib.util
 import math
 import os
 import threading
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -49,6 +48,7 @@ from testutil import (
     band_limited_phases,
     band_limited_volume,
     smooth_random_volume,
+    traced_peak,
 )
 
 LAM = 1.55
@@ -221,15 +221,16 @@ def eager_chain(design, grid, spec):
 @pytest.mark.parametrize("model", TRANSFER_MODELS)
 @WIDTHS
 @pytest.mark.parametrize("kind", ["c-order", "f-order", "one-slice", "layered-zero-gap",
-                                  "c-order-64", "layered-zero-gap-64"])
+                                  "c-order-64", "layered-zero-gap-64",
+                                  "c-order-80", "layered-zero-gap-80"])
 def test_propagate_streams_the_listed_chain_bit_for_bit(kind, width, model, tmp_path):
     # propagate draws its steps lazily, one ahead on a worker thread on
-    # the 64x64 grids and serially on the 16x16 ones; its output must
-    # equal a sweep of the listed chain and of the chain built all at
-    # once, to the bit, for either memory order of dn.
-    n = 64 if kind.endswith("-64") else 16
+    # the 80x80 grids and serially on the others, 64x64 just below the
+    # threshold; its output must equal a sweep of the listed chain and of
+    # the chain built all at once, to the bit, for either memory order of dn.
+    n = int(kind.rsplit("-", 1)[1]) if kind[-1].isdigit() else 16
     grid = Grid2D(n, n, 0.5, 0.5)
-    assert (n * n >= propagation._OVERLAP_MIN_SAMPLES) == (n == 64)
+    assert (n * n >= propagation._OVERLAP_MIN_SAMPLES) == (n == 80)
     spec = PropagationSpec(transfer_model=model, absorber_width=width)
     rng = np.random.default_rng(21)
     if kind.startswith("layered-zero-gap"):
@@ -273,33 +274,29 @@ def test_bad_design_raises_before_any_drift():
 
 
 def test_propagate_holds_one_kick_not_the_volumes():
-    # A pass through a 64x64x64 volume adds a few (nx, ny) complex arrays
+    # A pass through an 80x80x64 volume adds a few (nx, ny) complex arrays
     # on top of the volume and the input field: the field, its spectrum,
     # and up to two kicks, the current one and the next, which the worker
     # thread forms ahead. Building every kick at once adds >= 16 B per
-    # voxel (4 MB here). The caches are warmed first: the transfer
+    # voxel (6.6 MB here). The caches are warmed first: the transfer
     # functions and the absorber are shared by every pass on the grid.
-    grid = Grid2D(64, 64, 0.5, 0.5)
+    grid = Grid2D(80, 80, 0.5, 0.5)
+    assert grid.nx * grid.ny >= propagation._OVERLAP_MIN_SAMPLES
     vol = IndexVolume(grid=grid, nz=64, dz=1.0, n0=1.5,
-                      dn=np.random.default_rng(6).uniform(0.0, 0.05, (64, 64, 64)))
+                      dn=np.random.default_rng(6).uniform(0.0, 0.05, (80, 80, 64)))
     f = gaussian(grid, LAM, waist_um=5.0)
     propagate(vol, f)
-    tracemalloc.start()
-    try:
-        propagate(vol, f)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: propagate(vol, f))
     assert peak < 8 * grid.nx * grid.ny * 16, f"peak {peak} B"
 
 
 def overlapped_designs():
     # A volume and a layered element with a zero gap, both on a grid large
     # enough for propagate to form its kicks on a worker thread.
-    grid = Grid2D(64, 64, 0.5, 0.5)
+    grid = Grid2D(80, 80, 0.5, 0.5)
     assert grid.nx * grid.ny >= propagation._OVERLAP_MIN_SAMPLES
     vol = IndexVolume(grid=grid, nz=6, dz=1.0, n0=1.5,
-                      dn=np.random.default_rng(31).uniform(0.0, 0.05, (64, 64, 6)))
+                      dn=np.random.default_rng(31).uniform(0.0, 0.05, (80, 80, 6)))
     layered = LayeredElement(grid=grid, layers=tuple(band_limited_phases(grid, 3, seed=32)),
                              gaps=(2.0, 0.0, 3.0))
     return grid, vol, layered

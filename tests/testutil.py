@@ -7,6 +7,7 @@ loop, and band-limited fields are built directly in the spectral domain.
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 
@@ -28,6 +29,18 @@ LEGACY_RESOLVED = os.path.join(os.path.dirname(__file__), "fixtures", "legacy_re
 LANTERN_FIBER = FiberSpec(core_radius_um=5.0, n_core=1.45, n_clad=1.444,
                           wavelength_um=1.55)
 LANTERN_GRID = Grid2D(64, 64, 0.5, 0.5)
+
+
+def traced_peak(fn):
+    """``fn()``'s result and the peak of the memory tracemalloc traced while
+    it ran, in bytes: what ``fn`` allocated, not what was live before."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def lantern_angles(grid: Grid2D = LANTERN_GRID,
