@@ -133,31 +133,36 @@ def total_variation(x: np.ndarray) -> tuple[float, np.ndarray]:
     """Smoothed isotropic total variation and its gradient.
 
     Works for any array rank; forward differences along every axis are
-    combined per sample under one square root.
+    combined per sample under one square root. Besides ``x`` it holds
+    ndim + 2 arrays of its size: one difference per axis, their summed
+    squares (then the root r) and one scratch buffer, which holds each
+    squared difference, then r - eps for the value's sum, then the
+    gradient. Each difference is divided by r in place. The value is
+    summed over a C-ordered buffer, so its bits do not depend on the
+    layout of ``x``.
     """
+    def shifted(ax: int, lo: bool) -> tuple[slice, ...]:
+        sl = [slice(None)] * x.ndim
+        sl[ax] = slice(None, -1) if lo else slice(1, None)
+        return tuple(sl)
+
     diffs = []
     sq = np.full(x.shape, _TV_EPS**2)
+    buf = np.empty(x.shape)
     for ax in range(x.ndim):
         d = np.zeros_like(x)
-        sl_hi = [slice(None)] * x.ndim
-        sl_lo = [slice(None)] * x.ndim
-        sl_hi[ax] = slice(1, None)
-        sl_lo[ax] = slice(None, -1)
-        d[tuple(sl_lo)] = x[tuple(sl_hi)] - x[tuple(sl_lo)]
+        np.subtract(x[shifted(ax, False)], x[shifted(ax, True)], out=d[shifted(ax, True)])
         diffs.append(d)
-        sq += d * d
-    r = np.sqrt(sq)
-    value = float(np.sum(r - _TV_EPS))
+        sq += np.multiply(d, d, out=buf)
+    r = np.sqrt(sq, out=sq)
+    value = float(np.sum(np.subtract(r, _TV_EPS, out=buf)))
 
-    grad = np.zeros_like(x)
+    grad = buf
+    grad.fill(0.0)
     for ax, d in enumerate(diffs):
-        t = d / r
-        sl_hi = [slice(None)] * x.ndim
-        sl_lo = [slice(None)] * x.ndim
-        sl_hi[ax] = slice(1, None)
-        sl_lo[ax] = slice(None, -1)
-        grad[tuple(sl_lo)] -= t[tuple(sl_lo)]
-        grad[tuple(sl_hi)] += t[tuple(sl_lo)]
+        t = np.divide(d, r, out=d)[shifted(ax, True)]
+        grad[shifted(ax, True)] -= t
+        grad[shifted(ax, False)] += t
     return value, grad
 
 
@@ -184,12 +189,21 @@ def _design_params(design: IndexVolume | LayeredElement) -> np.ndarray:
     return np.stack([layer for layer in design.layers])
 
 
+def _params_per_step(design: IndexVolume | LayeredElement) -> np.ndarray:
+    """A copy of ``design``'s parameters laid out as :func:`_gradient_per_step`
+    lays out a gradient: slice-major for a volume."""
+    if isinstance(design, IndexVolume):
+        return np.moveaxis(np.moveaxis(design.dn, -1, 0).copy(), 0, -1)
+    return _design_params(design)
+
+
 def _with_params(design: IndexVolume | LayeredElement,
                  params: np.ndarray) -> IndexVolume | LayeredElement:
-    """``design`` with ``params``; a volume's are clipped to its dn bounds,
-    layer phases have none."""
+    """``design`` with ``params``; a volume's are clipped to its dn bounds
+    in place, so ``params`` is spent, and layer phases have none. The
+    design keeps its own copy, in the layout of ``params``."""
     if isinstance(design, IndexVolume):
-        return design.with_dn(np.clip(params, design.dn_min, design.dn_max))
+        return design.with_dn(np.clip(params, design.dn_min, design.dn_max, out=params))
     return design.with_layers(tuple(params[k] for k in range(params.shape[0])))
 
 
@@ -215,10 +229,13 @@ def _adjoint_sweep(steps: list[Step], trace: list[np.ndarray], g: np.ndarray,
 
     Each step undoes its post drift, adds ``scale * Im(conj(u_k) g)`` to
     ``grad_steps[k]`` (u_k is the traced field after kick k, popped from
-    ``trace``), then undoes the kick and the pre drift. Each distinct
-    transfer is conjugated once and held for the sweep. The kick and the
-    gradient term work in place and each traced field is dropped once used,
-    so that holding the conjugates raises no peak.
+    ``trace``), then undoes the kick and the pre drift. Nothing reads ``g``
+    after step 0's term, so step 0 stops there: a volume's sweep runs nz
+    drifts, one fewer than its forward pass, and a layered sweep undoes
+    one kick fewer than it has layers. Each distinct transfer is
+    conjugated once and held for the sweep. The kick and the gradient term
+    work in place and each traced field is dropped once used, so that
+    holding the conjugates raises no peak.
     """
     conj: dict[int, np.ndarray] = {}
 
@@ -236,6 +253,8 @@ def _adjoint_sweep(steps: list[Step], trace: list[np.ndarray], g: np.ndarray,
         work *= g
         work.imag *= scale
         grad_steps[k] += work.imag
+        if k == 0:
+            break
         g = np.multiply(np.conj(kick, out=work), g, out=work)
         del work
         if pre is not None:
@@ -368,6 +387,15 @@ def seeded_initial_volume(grid, nz: int, dz: float, n0: float,
                        dn_min=dn_min, dn_max=dn_max)
 
 
+def _candidate(design: IndexVolume | LayeredElement, z: np.ndarray, lr: float,
+               direction: np.ndarray) -> IndexVolume | LayeredElement:
+    """``design`` at ``z - lr * direction``, formed and clipped in one
+    temporary, which the candidate's own copy replaces. A caller that
+    passes the result straight on holds no name of it."""
+    params = np.multiply(lr, direction)
+    return _with_params(design, np.subtract(z, params, out=params))
+
+
 def optimize(task: MappingTask, initial_design: IndexVolume | LayeredElement,
              loss_spec: LossSpec = LossSpec(),
              config: OptimizerConfig = OptimizerConfig(),
@@ -391,18 +419,25 @@ def optimize(task: MappingTask, initial_design: IndexVolume | LayeredElement,
     so they cost no extra pass. Only a run whose halvings ran out ends on
     a gradient evaluation; it evaluates ``result`` once more, without one.
 
+    Adam's iterate, m, v and the direction are allocated once, in the
+    layout of the gradient (slice-major for a volume, so each candidate's
+    ``dn[:, :, k]`` is contiguous), and updated in place with the
+    operands, and the order, of the textbook update; the spent gradient
+    holds m / (1 - beta1^t). So an update writes no parameter-sized
+    temporary, and a candidate one, which its own copy replaces.
+
     While a candidate's sweeps run, the run holds five parameter-sized
     arrays (the initial design, Adam's iterate, m, v and the direction),
     the candidate's chain, its gradient and one input's trace. It holds
     neither the candidate, which :func:`_evaluate` drops once its chain is
-    formed, nor the candidate's iterate, nor the previous gradient.
+    formed, nor the previous gradient.
 
     ``config.seed`` is not read here: it only seeds the start, which the
     caller builds with ``seeded_initial_volume``.
     """
-    z = _design_params(initial_design)
+    z = _params_per_step(initial_design)
     current_loss, grad, coupling_before, outputs = _evaluate(
-        _with_params(initial_design, z), task, loss_spec, prop,
+        _with_params(initial_design, z.copy(order="K")), task, loss_spec, prop,
         with_gradient=config.max_iters > 0)
     initial_loss = current_loss
     coupling = coupling_before
@@ -411,15 +446,28 @@ def optimize(task: MappingTask, initial_design: IndexVolume | LayeredElement,
 
     m = np.zeros_like(z)
     v = np.zeros_like(z)
+    direction = np.empty_like(z)
     lr = config.step_size
     history: list[float] = []
 
     for t in range(1, config.max_iters + 1):
         if not np.all(np.isfinite(grad)):
             raise ArithmeticError(f"non-finite gradient at iteration {t - 1}")
-        m = _BETA1 * m + (1.0 - _BETA1) * grad
-        v = _BETA2 * v + (1.0 - _BETA2) * grad * grad
-        direction = (m / (1.0 - _BETA1**t)) / (np.sqrt(v / (1.0 - _BETA2**t)) + _EPS)
+        # m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g g and
+        # direction = (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps),
+        # with the same products and sums in the same order.
+        m *= _BETA1
+        v *= _BETA2
+        np.multiply(1.0 - _BETA2, grad, out=direction)
+        direction *= grad
+        v += direction
+        grad *= 1.0 - _BETA1
+        m += grad
+        np.divide(m, 1.0 - _BETA1**t, out=grad)
+        np.divide(v, 1.0 - _BETA2**t, out=direction)
+        np.sqrt(direction, out=direction)
+        direction += _EPS
+        np.divide(grad, direction, out=direction)
         # The line search does not need it. Freed here, and with only
         # ``grad`` naming an accepted candidate's gradient below, no
         # gradient but the candidate's own is live while it is evaluated.
@@ -427,18 +475,17 @@ def optimize(task: MappingTask, initial_design: IndexVolume | LayeredElement,
 
         accepted = False
         for _ in range(_MAX_HALVINGS):
-            # Neither the candidate nor its iterate is named here: the
-            # iterate is formed again on accept, with the same bits, and
-            # CPython (3.11 on) hands a call's argument references to the
-            # callee, so _evaluate frees the candidate once its chain is
-            # formed.
+            # The candidate is passed on as a temporary: CPython (3.11 on)
+            # hands a call's argument references to the callee, so
+            # _evaluate frees it once its chain is formed.
             cand_loss, cand_grad, cand_coupling, cand_outputs = _evaluate(
-                _with_params(initial_design, z - lr * direction), task, loss_spec, prop,
+                _candidate(initial_design, z, lr, direction), task, loss_spec, prop,
                 with_gradient=t < config.max_iters)
             if not math.isfinite(cand_loss):
                 raise ArithmeticError(f"non-finite loss at iteration {t}")
             if cand_loss <= current_loss:
-                z = z - lr * direction
+                direction *= lr
+                z -= direction  # z - lr * direction, as the candidate formed it
                 current_loss, grad, coupling = cand_loss, cand_grad, cand_coupling
                 outputs = cand_outputs
                 del cand_grad  # else the next iteration's ``del grad`` frees nothing

@@ -33,8 +33,10 @@ __all__ = [
 ]
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, copy=True)
+def _readonly(arr: np.ndarray, dtype) -> np.ndarray:
+    """A read-only copy of ``arr`` as ``dtype``, converted and copied in one
+    pass that keeps the input's memory layout."""
+    out = np.array(arr, dtype=dtype, copy=True)
     out.flags.writeable = False
     return out
 
@@ -94,14 +96,14 @@ class ComplexField:
     def __post_init__(self):
         if self.wavelength_um <= 0:
             raise ValueError(f"wavelength must be positive, got {self.wavelength_um}")
-        vals = np.asarray(self.values, dtype=np.complex128)
+        vals = _readonly(self.values, np.complex128)
         if vals.shape != self.grid.shape:
             raise ValueError(
                 f"values shape {vals.shape} does not match grid {self.grid.shape}"
             )
         if not np.all(np.isfinite(vals.real)) or not np.all(np.isfinite(vals.imag)):
             raise ValueError("field values must be finite")
-        object.__setattr__(self, "values", _readonly(vals))
+        object.__setattr__(self, "values", vals)
 
     def with_values(self, values: np.ndarray) -> "ComplexField":
         """New field on the same grid and wavelength."""
@@ -144,7 +146,11 @@ class IndexVolume:
 
     ``dn`` has shape ``(nx, ny, nz)``; slice ``dn[:, :, k]`` is the k-th
     axial slab of thickness ``dz``. Every voxel must respect the stated
-    bounds, to which the optimizer clips each candidate.
+    bounds, to which the optimizer clips each candidate. The volume keeps
+    a read-only float64 copy of the ``dn`` it is given, converted and
+    copied in one pass in the input's memory layout: an imported volume's
+    is x-fastest, an optimized one's slice-major, so that each
+    ``dn[:, :, k]`` is contiguous.
     """
 
     grid: Grid2D
@@ -164,7 +170,7 @@ class IndexVolume:
             raise ValueError(f"background index must be >= 1, got {self.n0}")
         if not self.dn_min <= self.dn_max:
             raise ValueError(f"dn_min={self.dn_min} exceeds dn_max={self.dn_max}")
-        dn = np.asarray(self.dn, dtype=np.float64)
+        dn = _readonly(self.dn, np.float64)
         expected = (self.grid.nx, self.grid.ny, self.nz)
         if dn.shape != expected:
             raise ValueError(f"dn shape {dn.shape} does not match {expected}")
@@ -176,7 +182,7 @@ class IndexVolume:
             raise ValueError(
                 f"dn out of bounds [{self.dn_min}, {self.dn_max}]: range [{lo}, {hi}]"
             )
-        object.__setattr__(self, "dn", _readonly(dn))
+        object.__setattr__(self, "dn", dn)
 
     def with_dn(self, dn: np.ndarray) -> "IndexVolume":
         return IndexVolume(
@@ -199,7 +205,7 @@ class LayeredElement:
     n_gap: float = 1.0
 
     def __post_init__(self):
-        layers = tuple(np.asarray(p, dtype=np.float64) for p in self.layers)
+        layers = tuple(_readonly(p, np.float64) for p in self.layers)
         gaps = tuple(float(g) for g in self.gaps)
         if len(gaps) != len(layers):
             raise ValueError(f"{len(layers)} layers but {len(gaps)} gaps")
@@ -214,7 +220,7 @@ class LayeredElement:
                 raise ValueError(f"layer {k} shape {p.shape} does not match grid")
             if not np.all(np.isfinite(p)):
                 raise ValueError(f"layer {k} phases must be finite")
-        object.__setattr__(self, "layers", tuple(_readonly(p) for p in layers))
+        object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "gaps", gaps)
 
     @property
@@ -249,7 +255,7 @@ class MappingTask:
                              f"{len(inputs)} inputs and {len(targets)} targets")
         for f in inputs + targets:
             inputs[0].check_compatible(f)
-        w = np.asarray(self.weights, dtype=np.float64)
+        w = _readonly(self.weights, np.float64)
         if w.shape != (len(targets), len(inputs)):
             raise ValueError(f"weights shape {w.shape} does not match (targets, inputs) = "
                              f"({len(targets)}, {len(inputs)})")
@@ -261,7 +267,7 @@ class MappingTask:
             raise ValueError("weights must sum to a positive value")
         object.__setattr__(self, "inputs", tuple(normalize(f) for f in inputs))
         object.__setattr__(self, "targets", tuple(normalize(f) for f in targets))
-        object.__setattr__(self, "weights", _readonly(w))
+        object.__setattr__(self, "weights", w)
 
     @classmethod
     def from_fields(cls, inputs: Sequence[ComplexField], targets: Sequence[ComplexField],

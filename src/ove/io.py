@@ -141,9 +141,12 @@ def import_volume(path: str) -> IndexVolume:
     """Inverse of export_volume; rejects wrong format, size, or bounds.
 
     The float32 payload is widened back to float64, so an export/import
-    round trip of an already-written file is bit-identical. The payload
-    is released before the volume is built, so the import peaks at 16 B
-    per voxel: the widened dn and the copy that :class:`IndexVolume` keeps.
+    round trip of an already-written file is bit-identical. The widening
+    is the copy that :class:`IndexVolume` keeps, so an import writes one
+    float64 volume and peaks at 12 B per voxel: the payload and dn. Only
+    a payload with voxels just outside the bounds, within float32
+    rounding, is widened and clipped first; it is released before the
+    copy, so that path peaks at 16 B per voxel.
     """
     meta = _read_meta(path)
     fmt = meta.get("format", "<absent>")
@@ -167,13 +170,12 @@ def import_volume(path: str) -> IndexVolume:
             f"{path}: payload is {len(payload)} bytes, expected {expected} "
             f"for {nx}x{ny}x{nz} float32 voxels"
         )
-    raw = np.frombuffer(payload, dtype="<f4").reshape((nx, ny, nz), order="F")
-    dn = raw.astype(np.float64)
+    dn = np.frombuffer(payload, dtype="<f4").reshape((nx, ny, nz), order="F")
     if dn.size:
         # Widening is exact and keeps the order, so the float32 extremes
-        # are dn's. A NaN carries through min and max, and an infinity is
-        # one of them.
-        lo, hi = float(raw.min()), float(raw.max())
+        # are the volume's. A NaN carries through min and max, and an
+        # infinity is one of them.
+        lo, hi = float(dn.min()), float(dn.max())
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"{path}: payload contains non-finite voxels")
         tol = 1e-7 + 1e-7 * max(abs(dn_min), abs(dn_max))  # float32 rounding slack
@@ -182,8 +184,9 @@ def import_volume(path: str) -> IndexVolume:
                 f"{path}: voxels outside declared bounds [{dn_min}, {dn_max}]"
             )
         if lo < dn_min or hi > dn_max:
+            dn = dn.astype(np.float64)
             np.clip(dn, dn_min, dn_max, out=dn)
-    del payload, raw  # before IndexVolume copies dn (see the docstring)
+            del payload  # before IndexVolume copies dn (see the docstring)
     grid = Grid2D(nx, ny, dx, dy)
     return IndexVolume(grid=grid, nz=nz, dz=dz, n0=n0, dn=dn,
                        dn_min=dn_min, dn_max=dn_max)

@@ -5,6 +5,7 @@ Everything runs in-process through main(argv) with the working directory
 pinned to a temp dir, so default output paths cannot leak into the repo.
 """
 
+import importlib.util
 import math
 import os
 
@@ -469,3 +470,23 @@ class TestUsageErrors:
 
     def test_no_arguments(self, capsys):
         assert main([]) == 2
+
+
+def test_artifact_digests_repeat(tmp_path, capsys):
+    # Two runs of the digest script into two directories print the same
+    # lines: one per artifact of the four designs and six propagations.
+    path = os.path.join(os.path.dirname(__file__), "..", "scripts", "artifact_digests.py")
+    loader = importlib.util.spec_from_file_location("artifact_digests", path)
+    script = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(script)
+    printed = []
+    for name in ("a", "b"):
+        assert script.main([str(tmp_path / name), "--grid", "16"]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    paths = [line.split("  ", 1)[1] for line in printed[0].splitlines()]
+    written = sum(len(files) for _, _, files in os.walk(tmp_path / "a"))
+    assert len(paths) == len(set(paths)) == written
+    assert {"volume-tv/design.ivol", "layered/design.ivol",
+            "volume-paraxial-gaussian/output.cfield",
+            "volume-absorber-plane-tilted/output.cfield"} <= set(paths)

@@ -356,6 +356,53 @@ class TestGradient:
             fd = (total_variation(xp)[0] - total_variation(xm)[0]) / (2 * h)
             assert abs(fd - grad[v]) <= 1e-5 * max(1.0, abs(fd))
 
+    @staticmethod
+    def reference_total_variation(x):
+        """The TV term as first written, one temporary per operation."""
+        diffs = []
+        sq = np.full(x.shape, 1e-12**2)
+        for ax in range(x.ndim):
+            d = np.zeros_like(x)
+            sl_hi = [slice(None)] * x.ndim
+            sl_lo = [slice(None)] * x.ndim
+            sl_hi[ax] = slice(1, None)
+            sl_lo[ax] = slice(None, -1)
+            d[tuple(sl_lo)] = x[tuple(sl_hi)] - x[tuple(sl_lo)]
+            diffs.append(d)
+            sq += d * d
+        r = np.sqrt(sq)
+        value = float(np.sum(r - 1e-12))
+        grad = np.zeros_like(x)
+        for ax, d in enumerate(diffs):
+            t = d / r
+            sl_hi = [slice(None)] * x.ndim
+            sl_lo = [slice(None)] * x.ndim
+            sl_hi[ax] = slice(1, None)
+            sl_lo[ax] = slice(None, -1)
+            grad[tuple(sl_lo)] -= t[tuple(sl_lo)]
+            grad[tuple(sl_hi)] += t[tuple(sl_lo)]
+        return value, grad
+
+    @pytest.mark.parametrize("shape,order", [((40,), "C"), ((9, 7), "C"), ((6, 5, 4), "C"),
+                                             ((6, 5, 4), "F"), ((3, 4, 5, 2), "C")])
+    def test_tv_matches_reference_bit_for_bit(self, shape, order):
+        x = np.asarray(np.random.default_rng(8).standard_normal(shape) * 0.01, order=order)
+        value, grad = total_variation(x)
+        want_value, want_grad = self.reference_total_variation(x)
+        assert value == want_value
+        np.testing.assert_array_equal(grad, want_grad, strict=True)
+
+    def test_tv_peaks_at_six_arrays(self):
+        # The C-ordered copy of dn that _evaluate passes, one difference per
+        # axis, the summed squares and one scratch buffer: 6 arrays of the
+        # input's size, plus the iterator buffers numpy's ufuncs use on
+        # strided slices (up to 3 operands of getbufsize() elements each).
+        vol = small_volume(nz=32)
+        param = vol.dn.nbytes
+        _, peak = traced_peak(lambda: total_variation(_design_params(vol)))
+        bound = 6 * param + 3 * np.getbufsize() * 8 + 4096
+        assert peak <= bound, f"peak {peak / param:.2f} arrays, bound {bound / param:.2f}"
+
     def test_loss_and_gradient_consistent(self):
         task = small_task()
         vol = small_volume()
@@ -576,6 +623,9 @@ class TestVolumeChain:
         loss_and_gradient(vol, task, LossSpec(), prop)
         return calls
 
+    # A forward sweep runs nz + 1 drifts. The adjoint runs nz: it stops
+    # after slice 0's gradient term, so slice 0's pre half-drift is not
+    # undone.
     SWEEP_DRIFTS = pytest.mark.parametrize("nz,prop,drifts", [
         (8, NO_ABSORBER, 9), (8, PropagationSpec(), 9),
         (1, NO_ABSORBER, 2), (1, PropagationSpec(), 2),
@@ -584,7 +634,7 @@ class TestVolumeChain:
     @SWEEP_DRIFTS
     def test_drifts_per_sweep(self, monkeypatch, nz, prop, drifts):
         calls = self.sweep_drifts(monkeypatch, nz, prop, inputs_task((1,)))
-        assert calls == {"forward": drifts, "adjoint": drifts}
+        assert calls == {"forward": drifts, "adjoint": nz}
 
     @SWEEP_DRIFTS
     def test_fanout_drifts_per_sweep(self, monkeypatch, nz, prop, drifts):
@@ -592,7 +642,7 @@ class TestVolumeChain:
         # four targets.
         task = fanout_task(SMALL, LAM, 4, 2.0, 1.0, prop)
         calls = self.sweep_drifts(monkeypatch, nz, prop, task)
-        assert calls == {"forward": drifts, "adjoint": drifts}
+        assert calls == {"forward": drifts, "adjoint": nz}
 
 
 # ---------------------------------------------------------------------------
@@ -910,6 +960,14 @@ class TestOptimize:
         field = SMALL.nx * SMALL.ny * 16
         bound = 5 * param + steps * field + param + steps * field + 12 * field
         assert peak <= bound, f"peak {peak} B, bound {bound} B"
+
+    def test_volume_result_is_slice_major(self):
+        # Adam's state lives in the gradient's slice-major layout, so every
+        # candidate's slices, and the result's, are contiguous for the kicks.
+        design, cfg = self.LIVE_SET_CASES["volume"]()
+        run = optimize(small_task(), design, LossSpec(), cfg, PropagationSpec())
+        assert run.loss_history[-1] < run.initial_loss
+        assert all(run.result.dn[:, :, k].flags.c_contiguous for k in range(run.result.nz))
 
     @pytest.mark.parametrize("seeds", [(1, 1, 1, 1), (1, 2, 3), (1, 2, 1)],
                              ids=["repeated", "distinct", "repeated-split"])

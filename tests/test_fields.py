@@ -206,6 +206,27 @@ class TestVolume:
                           dn_min=-0.05, dn_max=0.05)
         assert vol.dn.min() == -0.01
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_float32_dn_is_widened_once_in_its_layout(self, order):
+        # One conversion and copy: float64 equal to astype bit for bit,
+        # read-only, and laid out as the input was.
+        g = Grid2D(4, 6, 0.5, 0.5)
+        dn32 = np.asarray(np.random.default_rng(2).uniform(0.0, 0.05, size=(4, 6, 3)),
+                          dtype=np.float32, order=order)
+        vol = IndexVolume(grid=g, nz=3, dz=0.5, n0=1.5, dn=dn32)
+        np.testing.assert_array_equal(vol.dn, dn32.astype(np.float64), strict=True)
+        assert vol.dn.strides == dn32.astype(np.float64, order="K").strides
+        assert not vol.dn.flags.writeable
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dn_is_a_copy(self, dtype):
+        g = Grid2D(4, 4, 0.5, 0.5)
+        dn = np.full((4, 4, 2), 0.01, dtype=dtype)
+        vol = IndexVolume(grid=g, nz=2, dz=0.5, n0=1.5, dn=dn)
+        want = vol.dn.copy()
+        dn[...] = 0.02
+        np.testing.assert_array_equal(vol.dn, want, strict=True)
+
 
 class TestLayered:
     def test_gap_count_must_match(self):

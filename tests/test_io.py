@@ -145,15 +145,38 @@ class TestVolumeFormat:
         with pytest.raises(ValueError, match="payload contains non-finite voxels"):
             import_volume(path)
 
-    def test_import_peaks_at_dn_and_its_copy(self, tmp_path):
-        # The float32 payload is released before IndexVolume copies dn, so
-        # the import holds at most the widened dn and that copy (16 B per
-        # voxel), not the payload on top (20 B per voxel).
+    def test_import_peaks_at_payload_and_one_copy(self, tmp_path):
+        # IndexVolume widens the float32 payload in the one copy it keeps,
+        # so the import holds at most the payload and dn (12 B per voxel),
+        # not a widened dn and its copy on top of that (16 to 20 B).
         grid = Grid2D(64, 64, 0.5, 0.5)
         dn = np.random.default_rng(4).uniform(0.0, 0.05, size=(64, 64, 32))
         path = str(tmp_path / "v.ivol")
         export_volume(IndexVolume(grid=grid, nz=32, dz=1.0, n0=1.5, dn=dn), path)
         back, peak = traced_peak(lambda: import_volume(path))
+        assert peak <= 1.5 * back.dn.nbytes + 64 * 1024, f"peak {peak} B"
+        assert back.dn.flags.f_contiguous  # x fastest, as the payload
+
+    def test_clipped_import_releases_the_payload_before_the_copy(self, tmp_path):
+        # Voxels just outside the bounds, within float32 slack, are widened
+        # and clipped onto the exact float64 bounds. The payload is released
+        # before IndexVolume copies the clipped dn, so this path peaks at
+        # 16 B per voxel, not 20.
+        grid = Grid2D(64, 64, 0.5, 0.5)
+        payload = np.random.default_rng(6).uniform(0.0, 0.05, size=(64, 64, 32))
+        payload = payload.astype("<f4")
+        payload[0, 0, 0] = np.nextafter(np.float32(0.05), np.float32(1.0))
+        payload[1, 0, 0] = -np.float32(1e-8)
+        assert payload[0, 0, 0] > 0.05 and payload[1, 0, 0] < 0.0
+        path = str(tmp_path / "v.ivol")
+        export_volume(IndexVolume(grid=grid, nz=32, dz=1.0, n0=1.5,
+                                  dn=np.full((64, 64, 32), 0.025)), path)
+        atomic_write_bytes(path, payload.ravel(order="F").tobytes())
+        back, peak = traced_peak(lambda: import_volume(path))
+        np.testing.assert_array_equal(
+            back.dn, np.clip(payload.astype(np.float64), 0.0, 0.05), strict=True)
+        assert (back.dn[0, 0, 0], back.dn[1, 0, 0]) == (0.05, 0.0)
+        assert back.dn.flags.f_contiguous
         assert peak <= 2 * back.dn.nbytes + 64 * 1024, f"peak {peak} B"
 
     def test_missing_sidecar_rejected(self, tmp_path):
