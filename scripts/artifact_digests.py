@@ -4,9 +4,11 @@ print the sha256 of every artifact they write.
 
 Usage: python3 scripts/artifact_digests.py OUTDIR [--grid N]
 
-Four designs run through ``cli.main``: a volume with the absorber on, a
-layered element, a volume with TV on, and a volume under the
-fresnel-paraxial model with ``absorber_width = 0``. Each volume design's
+Five designs run through ``cli.main``: a volume with the absorber on, a
+layered element, a volume with TV on, a volume under the
+fresnel-paraxial model with ``absorber_width = 0``, and a volume at
+``optimizer.max_iters = 0``, whose artifacts all come from the run's
+first evaluation. Each volume design's
 ``design.ivol`` is then run through ``ove propagate`` twice, with a
 tilted plane wave and with a Gaussian. Every file under OUTDIR is
 printed as one ``sha256  path`` line, path relative to OUTDIR, in sorted
@@ -37,18 +39,20 @@ grid.dy_um = {dx!r}
 task.kind = custom
 task.num_pairs = 2
 task.spot_ring_um = 4.0
-optimizer.max_iters = 4
 """
+# Each design gives its own budget, since a config refuses a key given twice.
+ITERS = "optimizer.max_iters = 4\n"
 
 DESIGNS = {
-    "volume-absorber": "element.kind = volume\nvolume.nz = 12\n"
-                       "propagation.absorber_width = 0.1\n",
-    "layered": "element.kind = layered\nlayered.num_layers = 3\nlayered.gap_um = 20.0\n"
-               "optimizer.step_size = 0.05\n",
-    "volume-tv": "element.kind = volume\nvolume.nz = 12\noptimizer.tv_weight = 0.001\n",
-    "volume-paraxial": "element.kind = volume\nvolume.nz = 12\n"
-                       "propagation.transfer_model = fresnel-paraxial\n"
-                       "propagation.absorber_width = 0.0\n",
+    "volume-absorber": ITERS + "element.kind = volume\nvolume.nz = 12\n"
+                               "propagation.absorber_width = 0.1\n",
+    "layered": ITERS + "element.kind = layered\nlayered.num_layers = 3\nlayered.gap_um = 20.0\n"
+                       "optimizer.step_size = 0.05\n",
+    "volume-tv": ITERS + "element.kind = volume\nvolume.nz = 12\noptimizer.tv_weight = 0.001\n",
+    "volume-paraxial": ITERS + "element.kind = volume\nvolume.nz = 12\n"
+                               "propagation.transfer_model = fresnel-paraxial\n"
+                               "propagation.absorber_width = 0.0\n",
+    "volume-zero-iters": "optimizer.max_iters = 0\nelement.kind = volume\nvolume.nz = 12\n",
 }
 
 SOURCES = {

@@ -8,12 +8,10 @@ targets, and the multiplexing/footprint experiments built on top.
 from .config import ConfigError, DesignConfig, default_config, parse_config, serialize_config
 from .design import (
     DesignRun,
+    Evaluation,
     LossSpec,
     OptimizerConfig,
-    coupling_matrix,
-    gradient,
-    loss,
-    loss_and_gradient,
+    evaluate,
     optimize,
     seeded_initial_volume,
     total_variation,
@@ -76,8 +74,8 @@ __all__ = [
     "PropagationSpec", "free_space", "propagate", "transfer_function",
     "FiberSpec", "LPMode", "HaarFields", "gaussian", "haar_mask_field", "haar_pattern",
     "lp_modes", "plane_wave", "spot_target",
-    "LossSpec", "OptimizerConfig", "DesignRun", "loss", "gradient", "loss_and_gradient",
-    "optimize", "coupling_matrix", "seeded_initial_volume", "total_variation",
+    "LossSpec", "OptimizerConfig", "DesignRun", "Evaluation", "evaluate",
+    "optimize", "seeded_initial_volume", "total_variation",
     "ScalingReport", "footprint_scaling", "haar_filter_bank",
     "CrosstalkReport", "EfficiencyCurve", "HolographySetup",
     "weak_grating_efficiency", "multiplexed_grating_volume",

@@ -13,22 +13,22 @@ volumes, per-layer phase for layered elements) of a real loss of complex
 fields, i.e. Wirtinger cogradients folded back onto the real axis.
 
 A task is a weight layer: inputs, targets and a (targets, inputs)
-weight matrix W. One evaluation (:func:`_evaluate`) gives a design's
-loss, the sum over W of W_ti times the term of input i against target t,
-its gradient and its (targets, inputs) coupling matrix from one forward
-and one adjoint sweep per input. The targets an input feeds (a fanout's
-whole column) sum their adjoint seeds and run back once. The optimizer
-evaluates each candidate once, with a speculative gradient: an accepted
-candidate brings the next iteration's gradient. An evaluation without a
-gradient also keeps each input's output field, so the run's last
-evaluation hands the outputs of ``result`` to the caller, and rendering
-them needs no further pass.
+weight matrix W. One evaluation (:func:`evaluate`) gives a design's
+:class:`Evaluation`: its loss, the sum over W of W_ti times the term of
+input i against target t, its gradient and its (targets, inputs)
+coupling matrix, from one forward and one adjoint sweep per input. The
+targets an input feeds (a fanout's whole column) sum their adjoint seeds
+and run back once. The optimizer evaluates each candidate once, with a
+speculative gradient: an accepted candidate brings the next iteration's
+gradient. An evaluation without a gradient keeps each input's output
+field in its place, so the run's last evaluation hands the outputs of
+``result`` to the caller, and rendering them needs no further pass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,11 +39,9 @@ __all__ = [
     "LossSpec",
     "OptimizerConfig",
     "DesignRun",
-    "loss",
-    "gradient",
-    "loss_and_gradient",
+    "Evaluation",
+    "evaluate",
     "optimize",
-    "coupling_matrix",
     "seeded_initial_volume",
     "total_variation",
 ]
@@ -104,15 +102,17 @@ class OptimizerConfig:
 
 @dataclass(frozen=True, eq=False)
 class DesignRun:
-    """Everything a finished optimization reports.
+    """Everything a finished optimization reports, filled from its
+    :class:`Evaluation` records.
 
-    loss_history[t] is the loss after the accepted update of iteration t,
-    so it is non-increasing and its last entry is the loss of ``result``.
-    coupling_before and coupling_after are the (targets, inputs) coupling
-    matrices of the initial design and of ``result``, from the first and
-    the final evaluation, so reporting them needs no further pass.
-    outputs_after[i] is the output field values of input i through
-    ``result``, from that final evaluation too.
+    initial_loss and coupling_before are the first record's, of the
+    initial design. loss_history[t] is the loss of the record accepted in
+    iteration t, so it is non-increasing and its last entry is the loss of
+    ``result``. coupling_after and outputs_after are the last accepted
+    record's, of ``result``, so reporting them needs no further pass:
+    outputs_after[i] is the output field values of input i. Only a run
+    whose last accepted record carries a gradient (its halvings ran out)
+    takes its outputs from one more evaluation, without one.
     """
 
     config: OptimizerConfig
@@ -123,6 +123,26 @@ class DesignRun:
     coupling_before: np.ndarray
     coupling_after: np.ndarray
     outputs_after: tuple[np.ndarray, ...]
+
+
+@dataclass(frozen=True, eq=False)
+class Evaluation:
+    """What one evaluation of a design against a task gives.
+
+    ``loss`` is the loss, TV term included. ``grad`` is its gradient,
+    shaped as the design's parameters ((nx, ny, nz) for a volume's dn,
+    slice-major in memory; (num_layers, nx, ny) for layer phases), or None
+    for an evaluation without one. ``coupling`` is the (targets, inputs)
+    matrix of |overlap|^2, the power fraction of each input delivered into
+    each target. ``outputs[i]`` is input i's output field values, or None
+    for an evaluation with a gradient. The loss and the coupling carry
+    the same bits with or without the gradient.
+    """
+
+    loss: float
+    grad: np.ndarray | None
+    coupling: np.ndarray
+    outputs: tuple[np.ndarray, ...] | None
 
 
 # ---------------------------------------------------------------------------
@@ -183,18 +203,13 @@ def _entry_loss_and_seed(out_values: np.ndarray, target: ComplexField, c: comple
     return weight * float(np.sum(diff**2)) * area, seed
 
 
-def _design_params(design: IndexVolume | LayeredElement) -> np.ndarray:
-    if isinstance(design, IndexVolume):
-        return design.dn.copy()
-    return np.stack([layer for layer in design.layers])
-
-
 def _params_per_step(design: IndexVolume | LayeredElement) -> np.ndarray:
     """A copy of ``design``'s parameters laid out as :func:`_gradient_per_step`
-    lays out a gradient: slice-major for a volume."""
+    lays out a gradient: slice-major for a volume, one layer after another
+    for a layered element."""
     if isinstance(design, IndexVolume):
         return np.moveaxis(np.moveaxis(design.dn, -1, 0).copy(), 0, -1)
-    return _design_params(design)
+    return np.stack(design.layers)
 
 
 def _with_params(design: IndexVolume | LayeredElement,
@@ -261,14 +276,12 @@ def _adjoint_sweep(steps: list[Step], trace: list[np.ndarray], g: np.ndarray,
             g = undrift(g, pre)
 
 
-def _evaluate(design: IndexVolume | LayeredElement, task: MappingTask, spec: LossSpec,
-              prop: PropagationSpec, with_gradient: bool,
-              ) -> tuple[float, np.ndarray | None, np.ndarray, tuple[np.ndarray, ...] | None]:
-    """Loss, gradient, the (targets, inputs) coupling matrix of ``design``
-    and each input's output values, from one pass over the task's inputs.
-    The gradient is None unless ``with_gradient``; the outputs are None
-    with it, so that no output outlives its input's sweeps while the
-    gradient is built.
+def evaluate(design: IndexVolume | LayeredElement, task: MappingTask, spec: LossSpec,
+             prop: PropagationSpec, *, with_gradient: bool) -> Evaluation:
+    """The :class:`Evaluation` of ``design`` against ``task``, from one pass
+    over the task's inputs. Its gradient is None unless ``with_gradient``;
+    its outputs are None with it, so that no output outlives its input's
+    sweeps while the gradient is built.
 
     Each input runs one forward sweep. Its overlap c_ti with each target
     gives coupling[t, i] = |c_ti|^2, and each target with W_ti > 0 adds
@@ -285,7 +298,7 @@ def _evaluate(design: IndexVolume | LayeredElement, task: MappingTask, spec: Los
     design as a temporary holds none of it either.
     """
     if spec.tv_weight > 0.0:
-        tv, tv_grad = total_variation(_design_params(design))
+        tv, tv_grad = total_variation(_params_per_step(design))
         # Scaled now and added in place at the end: the same bits as
         # grad + tv_weight * tv_grad.
         tv_grad *= spec.tv_weight
@@ -328,47 +341,12 @@ def _evaluate(design: IndexVolume | LayeredElement, task: MappingTask, spec: Los
         total += spec.tv_weight * tv
         if with_gradient:
             grad += tv_grad
-    return float(total), grad, coupling, None if outputs is None else tuple(outputs)
-
-
-def loss(design: IndexVolume | LayeredElement, task: MappingTask,
-         spec: LossSpec = LossSpec(), prop: PropagationSpec = PropagationSpec()) -> float:
-    """Scalar objective for a design against a mapping task."""
-    return _evaluate(design, task, spec, prop, with_gradient=False)[0]
-
-
-def loss_and_gradient(design: IndexVolume | LayeredElement, task: MappingTask,
-                      spec: LossSpec = LossSpec(),
-                      prop: PropagationSpec = PropagationSpec(),
-                      ) -> tuple[float, np.ndarray]:
-    """Loss and its exact gradient for the discretized model.
-
-    The gradient has the shape of the design parameters: (nx, ny, nz)
-    for a volume's dn, (num_layers, nx, ny) for layer phases.
-    """
-    return _evaluate(design, task, spec, prop, with_gradient=True)[:2]
-
-
-def gradient(design: IndexVolume | LayeredElement, task: MappingTask,
-             spec: LossSpec = LossSpec(),
-             prop: PropagationSpec = PropagationSpec()) -> np.ndarray:
-    return loss_and_gradient(design, task, spec, prop)[1]
+    return Evaluation(float(total), grad, coupling, None if outputs is None else tuple(outputs))
 
 
 # ---------------------------------------------------------------------------
 # Optimizer
 # ---------------------------------------------------------------------------
-
-def coupling_matrix(design: IndexVolume | LayeredElement, task: MappingTask,
-                    prop: PropagationSpec = PropagationSpec()) -> np.ndarray:
-    """|overlap|^2 of each propagated input against each target of ``task``.
-
-    Shape (targets, inputs); entry [t, i] is the power fraction of
-    input i delivered into target mode t. One evaluation, without a
-    gradient.
-    """
-    return _evaluate(design, task, LossSpec(), prop, with_gradient=False)[2]
-
 
 def seeded_initial_volume(grid, nz: int, dz: float, n0: float,
                           dn_min: float = 0.0, dn_max: float = 0.05,
@@ -429,20 +407,20 @@ def optimize(task: MappingTask, initial_design: IndexVolume | LayeredElement,
     While a candidate's sweeps run, the run holds five parameter-sized
     arrays (the initial design, Adam's iterate, m, v and the direction),
     the candidate's chain, its gradient and one input's trace. It holds
-    neither the candidate, which :func:`_evaluate` drops once its chain is
-    formed, nor the previous gradient.
+    neither the candidate, which :func:`evaluate` drops once its chain is
+    formed, nor the previous gradient: the gradient is taken out of an
+    accepted :class:`Evaluation`, and the run keeps the record without it.
 
     ``config.seed`` is not read here: it only seeds the start, which the
     caller builds with ``seeded_initial_volume``.
     """
     z = _params_per_step(initial_design)
-    current_loss, grad, coupling_before, outputs = _evaluate(
-        _with_params(initial_design, z.copy(order="K")), task, loss_spec, prop,
-        with_gradient=config.max_iters > 0)
-    initial_loss = current_loss
-    coupling = coupling_before
-    if not math.isfinite(current_loss):
-        raise ArithmeticError(f"non-finite loss at iteration 0: {current_loss}")
+    current = evaluate(_with_params(initial_design, z.copy(order="K")), task, loss_spec, prop,
+                       with_gradient=config.max_iters > 0)
+    if not math.isfinite(current.loss):
+        raise ArithmeticError(f"non-finite loss at iteration 0: {current.loss}")
+    grad, current = current.grad, replace(current, grad=None)
+    first = current
 
     m = np.zeros_like(z)
     v = np.zeros_like(z)
@@ -477,38 +455,37 @@ def optimize(task: MappingTask, initial_design: IndexVolume | LayeredElement,
         for _ in range(_MAX_HALVINGS):
             # The candidate is passed on as a temporary: CPython (3.11 on)
             # hands a call's argument references to the callee, so
-            # _evaluate frees it once its chain is formed.
-            cand_loss, cand_grad, cand_coupling, cand_outputs = _evaluate(
-                _candidate(initial_design, z, lr, direction), task, loss_spec, prop,
-                with_gradient=t < config.max_iters)
-            if not math.isfinite(cand_loss):
+            # evaluate frees it once its chain is formed.
+            cand = evaluate(_candidate(initial_design, z, lr, direction), task, loss_spec,
+                            prop, with_gradient=t < config.max_iters)
+            if not math.isfinite(cand.loss):
                 raise ArithmeticError(f"non-finite loss at iteration {t}")
-            if cand_loss <= current_loss:
+            if cand.loss <= current.loss:
                 direction *= lr
                 z -= direction  # z - lr * direction, as the candidate formed it
-                current_loss, grad, coupling = cand_loss, cand_grad, cand_coupling
-                outputs = cand_outputs
-                del cand_grad  # else the next iteration's ``del grad`` frees nothing
+                grad, current = cand.grad, replace(cand, grad=None)
+                del cand  # else the next iteration's ``del grad`` frees nothing
                 accepted = True
                 break
-            del cand_grad, cand_outputs
+            del cand
             lr *= 0.5
-        history.append(current_loss)
+        history.append(current.loss)
         if not accepted:
             # Step size exhausted; remaining iterations cannot move.
-            history.extend([current_loss] * (config.max_iters - t))
+            history.extend([current.loss] * (config.max_iters - t))
             break
 
     result = _with_params(initial_design, z)
+    outputs = current.outputs
     if outputs is None:
-        outputs = _evaluate(result, task, loss_spec, prop, with_gradient=False)[3]
+        outputs = evaluate(result, task, loss_spec, prop, with_gradient=False).outputs
     return DesignRun(
         config=config,
         loss_spec=loss_spec,
-        initial_loss=initial_loss,
+        initial_loss=first.loss,
         loss_history=tuple(history),
         result=result,
-        coupling_before=coupling_before,
-        coupling_after=coupling,
+        coupling_before=first.coupling,
+        coupling_after=current.coupling,
         outputs_after=outputs,
     )

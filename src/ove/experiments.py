@@ -13,8 +13,9 @@ An optimized experiment reports from its run: the crosstalk report and
 the fanout efficiencies are read from ``DesignRun.coupling_after``, the
 coupling of the final design from the optimizer's last evaluation, so
 the finished design is not propagated again. A design that has no run
-is scored with ``CrosstalkReport.from_matrix(coupling_matrix(design,
-task), task.weights)``.
+is scored from one evaluation without a gradient:
+``CrosstalkReport.from_matrix(evaluate(design, task, spec, prop,
+with_gradient=False).coupling, task.weights)``.
 
 The holography pair is the quantitative heart of the package: M
 superposed weak gratings share one index budget so each diffracted

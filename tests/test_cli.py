@@ -474,7 +474,7 @@ class TestUsageErrors:
 
 def test_artifact_digests_repeat(tmp_path, capsys):
     # Two runs of the digest script into two directories print the same
-    # lines: one per artifact of the four designs and six propagations.
+    # lines: one per artifact of the five designs and eight propagations.
     path = os.path.join(os.path.dirname(__file__), "..", "scripts", "artifact_digests.py")
     loader = importlib.util.spec_from_file_location("artifact_digests", path)
     script = importlib.util.module_from_spec(loader)
@@ -487,6 +487,6 @@ def test_artifact_digests_repeat(tmp_path, capsys):
     paths = [line.split("  ", 1)[1] for line in printed[0].splitlines()]
     written = sum(len(files) for _, _, files in os.walk(tmp_path / "a"))
     assert len(paths) == len(set(paths)) == written
-    assert {"volume-tv/design.ivol", "layered/design.ivol",
+    assert {"volume-tv/design.ivol", "layered/design.ivol", "volume-zero-iters/coupling.csv",
             "volume-paraxial-gaussian/output.cfield",
             "volume-absorber-plane-tilted/output.cfield"} <= set(paths)

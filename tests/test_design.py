@@ -2,6 +2,8 @@
 gradients against central finite differences, and the optimizer contract
 (clipping to the dn bounds, determinism, descent, bookkeeping)."""
 
+import dataclasses
+import itertools
 import math
 import weakref
 
@@ -17,14 +19,10 @@ from ove.design import (
     LossSpec,
     OptimizerConfig,
     _adjoint_sweep,
-    _design_params,
-    _evaluate,
     _gradient_per_step,
+    _params_per_step,
     _with_params,
-    coupling_matrix,
-    gradient,
-    loss,
-    loss_and_gradient,
+    evaluate,
     optimize,
     seeded_initial_volume,
     total_variation,
@@ -129,8 +127,8 @@ def fd_volume(vol, task, spec, v, prop, h=1e-6):
     dn_m[v] -= h
     mk = lambda dn: IndexVolume(grid=vol.grid, nz=vol.nz, dz=vol.dz, n0=vol.n0,
                                 dn=dn, dn_min=-1.0, dn_max=1.0)
-    return (loss(mk(dn_p), task, spec, prop)
-            - loss(mk(dn_m), task, spec, prop)) / (2.0 * h)
+    return (evaluate(mk(dn_p), task, spec, prop, with_gradient=False).loss
+            - evaluate(mk(dn_m), task, spec, prop, with_gradient=False).loss) / (2.0 * h)
 
 
 def fd_layered(el, task, spec, v, prop, h=1e-6):
@@ -141,8 +139,8 @@ def fd_layered(el, task, spec, v, prop, h=1e-6):
     minus[li][i, j] -= h
     mk = lambda ls: LayeredElement(grid=el.grid, layers=tuple(ls), gaps=el.gaps,
                                    n_gap=el.n_gap)
-    return (loss(mk(plus), task, spec, prop)
-            - loss(mk(minus), task, spec, prop)) / (2.0 * h)
+    return (evaluate(mk(plus), task, spec, prop, with_gradient=False).loss
+            - evaluate(mk(minus), task, spec, prop, with_gradient=False).loss) / (2.0 * h)
 
 
 def assert_directional_fd(design, task, spec, prop, h=1e-6):
@@ -159,14 +157,14 @@ def assert_directional_fd(design, task, spec, prop, h=1e-6):
     if isinstance(design, IndexVolume):
         design = IndexVolume(grid=design.grid, nz=design.nz, dz=design.dz, n0=design.n0,
                              dn=design.dn, dn_min=-1.0, dn_max=1.0)
-    z = _design_params(design)
+    z = _params_per_step(design)
     at = lambda zz: _with_params(design, zz)
-    adj = gradient(at(z), task, spec, prop)
+    adj = evaluate(at(z), task, spec, prop, with_gradient=True).grad
     r = np.random.default_rng(4).standard_normal(z.shape)
     direction = r / np.linalg.norm(r) + adj / np.linalg.norm(adj)
     direction /= np.linalg.norm(direction)
-    fd = (loss(at(z + h * direction), task, spec, prop)
-          - loss(at(z - h * direction), task, spec, prop)) / (2.0 * h)
+    loss_at = lambda zz: evaluate(at(zz), task, spec, prop, with_gradient=False).loss
+    fd = (loss_at(z + h * direction) - loss_at(z - h * direction)) / (2.0 * h)
     proj = float(np.sum(adj * direction))
     assert abs(fd - proj) <= 1e-5 * max(abs(fd), abs(proj))
 
@@ -229,7 +227,7 @@ class TestLoss:
         src = gaussian(g, LAM, waist_um=3.0)
         tgt = free_space(src, 8.0, 1.5, NO_ABSORBER)
         task = MappingTask.from_fields([src], [tgt])
-        assert loss(vol, task, LossSpec(), NO_ABSORBER) <= 1e-9
+        assert evaluate(vol, task, LossSpec(), NO_ABSORBER, with_gradient=False).loss <= 1e-9
 
     def test_orthogonal_targets_sum_of_weights(self):
         # Even input stays even through free space; an odd target then
@@ -241,7 +239,7 @@ class TestLoss:
         odd = ComplexField(g, LAM, xs * np.exp(-(xs**2) / 4.0) + 0j)
         task = MappingTask.from_fields([even, even], [odd, odd],
                                        weights=[0.7, 2.3])
-        got = loss(vol, task, LossSpec(), NO_ABSORBER)
+        got = evaluate(vol, task, LossSpec(), NO_ABSORBER, with_gradient=False).loss
         assert got == pytest.approx(3.0, abs=1e-9)
 
     @pytest.mark.parametrize("kind", ["mode-coupling", "intensity-mse"])
@@ -249,7 +247,8 @@ class TestLoss:
         task = small_task()
         vol = small_volume()
         tv_weight = 0.3
-        got = loss(vol, task, LossSpec(kind=kind, tv_weight=tv_weight), NO_ABSORBER)
+        got = evaluate(vol, task, LossSpec(kind=kind, tv_weight=tv_weight), NO_ABSORBER,
+                       with_gradient=False).loss
 
         want = direct_loss(vol, task, kind, NO_ABSORBER)
         eps = 1e-12
@@ -266,7 +265,7 @@ class TestLoss:
         vol = small_volume()
         other = small_task(grid=Grid2D(16, 16, 0.25, 0.25))
         with pytest.raises(ValueError):
-            loss(vol, other, LossSpec(), NO_ABSORBER)
+            evaluate(vol, other, LossSpec(), NO_ABSORBER, with_gradient=False)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +278,7 @@ class TestGradient:
         task = make_task()
         vol = small_volume()
         spec = LossSpec(kind=kind, tv_weight=tv_weight)
-        adj = gradient(vol, task, spec, prop)
+        adj = evaluate(vol, task, spec, prop, with_gradient=True).grad
         rng = np.random.default_rng(0)
         for _ in range(20):
             v = tuple(int(rng.integers(0, s)) for s in adj.shape)
@@ -291,7 +290,7 @@ class TestGradient:
         task = make_task()
         el = small_element(gaps=gaps)
         spec = LossSpec(kind=kind, tv_weight=tv_weight)
-        adj = gradient(el, task, spec, prop)
+        adj = evaluate(el, task, spec, prop, with_gradient=True).grad
         assert adj.shape == (3, SMALL.nx, SMALL.ny)
         rng = np.random.default_rng(1)
         for _ in range(20):
@@ -322,15 +321,15 @@ class TestGradient:
         task = small_task()
         vol = small_volume()
         spec = LossSpec()
-        adj = gradient(vol, task, spec, NO_ABSORBER)
+        adj = evaluate(vol, task, spec, NO_ABSORBER, with_gradient=True).grad
         rng = np.random.default_rng(2)
         direction = rng.standard_normal(vol.dn.shape)
         direction /= np.linalg.norm(direction)
         h = 1e-6
         mk = lambda dn: IndexVolume(grid=vol.grid, nz=vol.nz, dz=vol.dz, n0=vol.n0,
                                     dn=dn, dn_min=-1.0, dn_max=1.0)
-        fd = (loss(mk(vol.dn + h * direction), task, spec, NO_ABSORBER)
-              - loss(mk(vol.dn - h * direction), task, spec, NO_ABSORBER)) / (2 * h)
+        loss_at = lambda dn: evaluate(mk(dn), task, spec, NO_ABSORBER, with_gradient=False).loss
+        fd = (loss_at(vol.dn + h * direction) - loss_at(vol.dn - h * direction)) / (2 * h)
         proj = float(np.sum(adj * direction))
         assert abs(fd - proj) <= 1e-6 * max(abs(fd), abs(proj))
 
@@ -340,7 +339,7 @@ class TestGradient:
         src = gaussian(g, LAM, waist_um=3.0)
         tgt = free_space(src, 8.0, 1.5, NO_ABSORBER)
         task = MappingTask.from_fields([src], [tgt])
-        adj = gradient(vol, task, LossSpec(), NO_ABSORBER)
+        adj = evaluate(vol, task, LossSpec(), NO_ABSORBER, with_gradient=True).grad
         assert np.max(np.abs(adj)) <= 1e-8
 
     def test_tv_term_matches_fd(self):
@@ -393,23 +392,31 @@ class TestGradient:
         np.testing.assert_array_equal(grad, want_grad, strict=True)
 
     def test_tv_peaks_at_six_arrays(self):
-        # The C-ordered copy of dn that _evaluate passes, one difference per
+        # The slice-major copy of dn that evaluate passes, one difference per
         # axis, the summed squares and one scratch buffer: 6 arrays of the
         # input's size, plus the iterator buffers numpy's ufuncs use on
         # strided slices (up to 3 operands of getbufsize() elements each).
         vol = small_volume(nz=32)
         param = vol.dn.nbytes
-        _, peak = traced_peak(lambda: total_variation(_design_params(vol)))
+        _, peak = traced_peak(lambda: total_variation(_params_per_step(vol)))
         bound = 6 * param + 3 * np.getbufsize() * 8 + 4096
         assert peak <= bound, f"peak {peak / param:.2f} arrays, bound {bound / param:.2f}"
 
     def test_loss_and_gradient_consistent(self):
+        # The gradient rides on the same forward sweeps: with it or without
+        # it, the loss and the coupling carry the same bits. The gradient is
+        # there exactly when asked for, and the outputs exactly when not.
         task = small_task()
-        vol = small_volume()
-        val, grad = loss_and_gradient(vol, task, LossSpec(), NO_ABSORBER)
-        assert val == pytest.approx(loss(vol, task, LossSpec(), NO_ABSORBER), rel=1e-12)
-        np.testing.assert_allclose(grad, gradient(vol, task, LossSpec(), NO_ABSORBER),
-                                   rtol=0, atol=1e-15)
+        for design, kind, tv_weight in itertools.product(sorted(EVALUATE_DESIGNS), FD_KINDS,
+                                                         (0.0, 1e-3)):
+            args = (EVALUATE_DESIGNS[design](), task, LossSpec(kind=kind, tv_weight=tv_weight),
+                    PropagationSpec())
+            with_grad = evaluate(*args, with_gradient=True)
+            without = evaluate(*args, with_gradient=False)
+            assert with_grad.loss == without.loss
+            np.testing.assert_array_equal(with_grad.coupling, without.coupling, strict=True)
+            assert with_grad.grad is not None and with_grad.outputs is None
+            assert without.grad is None and len(without.outputs) == len(task.inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +434,7 @@ def reference_term_and_seed(out, target, weight, kind):
 
 
 def reference_evaluate(design, task, spec, prop, with_gradient):
-    """_evaluate entry by entry: one forward sweep per input, then for each
+    """evaluate entry by entry: one forward sweep per input, then for each
     target with W_ti > 0, in target order, its loss term and an adjoint
     sweep of its own seed."""
     steps = element_chain(design, task.grid, task.wavelength_um, prop)
@@ -447,7 +454,7 @@ def reference_evaluate(design, task, spec, prop, with_gradient):
                 if with_gradient:  # the sweep consumes its trace: give it a copy
                     _adjoint_sweep(steps, list(trace), g, grad_steps, scale)
     if spec.tv_weight > 0.0:
-        tv, tv_grad = total_variation(_design_params(design))
+        tv, tv_grad = total_variation(_params_per_step(design))
         total += spec.tv_weight * tv
         if with_gradient:
             grad = grad + spec.tv_weight * tv_grad
@@ -461,6 +468,17 @@ EVALUATE_DESIGNS = {
 
 
 class TestEvaluate:
+    def test_one_public_evaluation(self):
+        # evaluate and its frozen record are the one way to evaluate a
+        # design; no wrapper slices the record.
+        assert {"evaluate", "Evaluation"} <= set(ove.__all__) & set(ove.design.__all__)
+        wrappers = {"loss", "gradient", "loss_and_gradient", "coupling_matrix"}
+        assert not wrappers & (set(ove.__all__) | set(vars(ove.design)))
+        ev = evaluate(small_volume(), small_task(), LossSpec(), PropagationSpec(),
+                      with_gradient=False)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ev.loss = 0.0
+
     @pytest.mark.parametrize("tv_weight", [0.0, 1e-3])
     @pytest.mark.parametrize("kind", FD_KINDS)
     @pytest.mark.parametrize("design", sorted(EVALUATE_DESIGNS))
@@ -469,11 +487,11 @@ class TestEvaluate:
         # unchanged.
         args = (EVALUATE_DESIGNS[design](), small_task(),
                 LossSpec(kind=kind, tv_weight=tv_weight), PropagationSpec())
-        got = _evaluate(*args, with_gradient=True)
-        want = reference_evaluate(*args, with_gradient=True)
-        assert got[0] == want[0]
-        np.testing.assert_array_equal(got[1], want[1], strict=True)
-        np.testing.assert_array_equal(got[2], want[2], strict=True)
+        got = evaluate(*args, with_gradient=True)
+        want_loss, want_grad, want_coupling = reference_evaluate(*args, with_gradient=True)
+        assert got.loss == want_loss
+        np.testing.assert_array_equal(got.grad, want_grad, strict=True)
+        np.testing.assert_array_equal(got.coupling, want_coupling, strict=True)
 
     @pytest.mark.parametrize("seeds", [(1, 1, 1, 2), (1, 2, 1)], ids=["aaab", "aba"])
     @pytest.mark.parametrize("kind", FD_KINDS)
@@ -485,11 +503,11 @@ class TestEvaluate:
         # and stay equal.
         args = (EVALUATE_DESIGNS[design](), inputs_task(seeds), LossSpec(kind=kind),
                 PropagationSpec())
-        got = _evaluate(*args, with_gradient=True)
-        want = reference_evaluate(*args, with_gradient=True)
-        assert got[0] == want[0]
-        assert np.linalg.norm(got[1] - want[1]) <= 1e-12 * np.linalg.norm(want[1])
-        np.testing.assert_array_equal(got[2], want[2], strict=True)
+        got = evaluate(*args, with_gradient=True)
+        want_loss, want_grad, want_coupling = reference_evaluate(*args, with_gradient=True)
+        assert got.loss == want_loss
+        assert np.linalg.norm(got.grad - want_grad) <= 1e-12 * np.linalg.norm(want_grad)
+        np.testing.assert_array_equal(got.coupling, want_coupling, strict=True)
 
 
 class TestWeightMatrix:
@@ -499,7 +517,8 @@ class TestWeightMatrix:
     @pytest.mark.parametrize("kind", FD_KINDS)
     def test_loss_is_weighted_sum_of_terms(self, kind):
         vol, task = small_volume(), dense_task()
-        got = loss(vol, task, LossSpec(kind=kind), PropagationSpec())
+        got = evaluate(vol, task, LossSpec(kind=kind), PropagationSpec(),
+                       with_gradient=False).loss
         want = direct_loss(vol, task, kind, PropagationSpec())
         assert got == pytest.approx(want, rel=1e-10)
 
@@ -508,11 +527,11 @@ class TestWeightMatrix:
     def test_matches_entry_loop(self, design, kind):
         args = (EVALUATE_DESIGNS[design](), dense_task(), LossSpec(kind=kind),
                 PropagationSpec())
-        got = _evaluate(*args, with_gradient=True)
-        want = reference_evaluate(*args, with_gradient=True)
-        assert got[0] == want[0]
-        assert np.linalg.norm(got[1] - want[1]) <= 1e-12 * np.linalg.norm(want[1])
-        np.testing.assert_array_equal(got[2], want[2], strict=True)
+        got = evaluate(*args, with_gradient=True)
+        want_loss, want_grad, want_coupling = reference_evaluate(*args, with_gradient=True)
+        assert got.loss == want_loss
+        assert np.linalg.norm(got.grad - want_grad) <= 1e-12 * np.linalg.norm(want_grad)
+        np.testing.assert_array_equal(got.coupling, want_coupling, strict=True)
 
     @pytest.mark.parametrize("kind", FD_KINDS)
     @pytest.mark.parametrize("design", sorted(EVALUATE_DESIGNS))
@@ -522,7 +541,7 @@ class TestWeightMatrix:
 
     def test_coupling_matrix_covers_every_entry(self):
         vol, task = small_volume(), dense_task()
-        got = coupling_matrix(vol, task)
+        got = evaluate(vol, task, LossSpec(), PropagationSpec(), with_gradient=False).coupling
         assert got.shape == (3, 2)
         np.testing.assert_array_equal(got, reference_coupling(vol, task, PropagationSpec()),
                                       strict=True)
@@ -543,12 +562,12 @@ class TestWeightMatrix:
         task = dense_task()
         task = MappingTask(task.inputs, task.targets, np.array([[1.0, 0.0]] * 3))
         vol = small_volume()
-        value, grad = loss_and_gradient(vol, task, LossSpec(), PropagationSpec())
+        got = evaluate(vol, task, LossSpec(), PropagationSpec(), with_gradient=True)
         assert calls == {"forward": 2, "adjoint": 1}
         only_first = MappingTask(task.inputs[:1], task.targets, np.ones((3, 1)))
-        want = loss_and_gradient(vol, only_first, LossSpec(), PropagationSpec())
-        assert value == want[0]
-        np.testing.assert_array_equal(grad, want[1], strict=True)
+        want = evaluate(vol, only_first, LossSpec(), PropagationSpec(), with_gradient=True)
+        assert got.loss == want.loss
+        np.testing.assert_array_equal(got.grad, want.grad, strict=True)
 
 
 # ---------------------------------------------------------------------------
@@ -601,13 +620,13 @@ class TestVolumeChain:
         for inp, want in zip(task.inputs, outs):
             got = forward_sweep(steps, inp.values)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-        got_loss, got_grad = loss_and_gradient(vol, task, spec, prop)
-        assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
-        assert np.linalg.norm(got_grad - want_grad) <= 1e-12 * np.linalg.norm(want_grad)
+        got = evaluate(vol, task, spec, prop, with_gradient=True)
+        assert abs(got.loss - want_loss) <= 1e-12 * abs(want_loss)
+        assert np.linalg.norm(got.grad - want_grad) <= 1e-12 * np.linalg.norm(want_grad)
 
     @staticmethod
     def sweep_drifts(monkeypatch, nz, prop, task):
-        """Forward and adjoint drifts of one loss_and_gradient call."""
+        """Forward and adjoint drifts of one evaluation with a gradient."""
         calls = {"forward": 0, "adjoint": 0}
 
         def counted(name, fn):
@@ -620,7 +639,7 @@ class TestVolumeChain:
         monkeypatch.setattr(ove.design, "drift_adjoint", counted("adjoint", drift_adjoint))
         vol = IndexVolume(grid=SMALL, nz=nz, dz=1.0, n0=1.5,
                           dn=np.full((SMALL.nx, SMALL.ny, nz), 0.01))
-        loss_and_gradient(vol, task, LossSpec(), prop)
+        evaluate(vol, task, LossSpec(), prop, with_gradient=True)
         return calls
 
     # A forward sweep runs nz + 1 drifts. The adjoint runs nz: it stops
@@ -657,22 +676,23 @@ def reference_coupling(design, task, prop):
 
 
 def reference_optimize(task, initial_design, loss_spec, config, prop):
-    """The optimizer loop as written before evaluations were shared: loss()
-    per candidate, loss_and_gradient() again after acceptance, and a
-    coupling pass of its own before and after. Adam runs at its published
-    defaults on an unclipped iterate z; a volume's design is z clipped to
-    its dn bounds. Returns the run's fields and the number of rejected
-    candidates."""
+    """The optimizer loop as written before evaluations were shared: an
+    evaluation without a gradient per candidate, one with a gradient again
+    after acceptance, and a coupling pass of its own before and after.
+    Adam runs at its published defaults on an unclipped iterate z; a
+    volume's design is z clipped to its dn bounds. Returns the run's fields
+    and the number of rejected candidates."""
     def at(zz):
         if isinstance(initial_design, IndexVolume):
             return initial_design.with_dn(
                 np.clip(zz, initial_design.dn_min, initial_design.dn_max))
         return initial_design.with_layers(tuple(zz))
 
-    z = _design_params(initial_design)
+    z = _params_per_step(initial_design)
     design = at(z)
     coupling_before = reference_coupling(design, task, prop)
-    current_loss, grad = loss_and_gradient(design, task, loss_spec, prop)
+    first = evaluate(design, task, loss_spec, prop, with_gradient=True)
+    current_loss, grad = first.loss, first.grad
     initial_loss = current_loss
     m = np.zeros_like(z)
     v = np.zeros_like(z)
@@ -689,7 +709,7 @@ def reference_optimize(task, initial_design, loss_spec, config, prop):
         for _ in range(_MAX_HALVINGS):
             z_new = z - lr * direction
             cand = at(z_new)
-            cand_loss = loss(cand, task, loss_spec, prop)
+            cand_loss = evaluate(cand, task, loss_spec, prop, with_gradient=False).loss
             if cand_loss <= current_loss:
                 z, design, current_loss = z_new, cand, cand_loss
                 accepted = True
@@ -701,9 +721,10 @@ def reference_optimize(task, initial_design, loss_spec, config, prop):
             history.extend([current_loss] * (config.max_iters - t))
             break
         if t < config.max_iters:
-            current_loss, grad = loss_and_gradient(design, task, loss_spec, prop)
+            accepted_ev = evaluate(design, task, loss_spec, prop, with_gradient=True)
+            current_loss, grad = accepted_ev.loss, accepted_ev.grad
     coupling_after = reference_coupling(design, task, prop)
-    return (_design_params(design), initial_loss, tuple(history), coupling_before,
+    return (_params_per_step(design), initial_loss, tuple(history), coupling_before,
             coupling_after), rejected
 
 
@@ -753,7 +774,7 @@ class TestOptimize:
         np.testing.assert_array_equal(run.result.dn, vol.dn)
         assert run.loss_history == ()
         assert run.initial_loss == pytest.approx(
-            loss(vol, task, LossSpec(), NO_ABSORBER), rel=1e-12)
+            evaluate(vol, task, LossSpec(), NO_ABSORBER, with_gradient=False).loss, rel=1e-12)
 
     def test_starts_at_optimum_stays_there(self):
         g = Grid2D(32, 32, 0.5, 0.5)
@@ -812,7 +833,7 @@ class TestOptimize:
         cfg = OptimizerConfig(step_size=1e-3, max_iters=7)
         run = optimize(task, vol, LossSpec(), cfg, NO_ABSORBER)
         assert len(run.loss_history) <= cfg.max_iters
-        final = loss(run.result, task, LossSpec(), NO_ABSORBER)
+        final = evaluate(run.result, task, LossSpec(), NO_ABSORBER, with_gradient=False).loss
         assert abs(run.loss_history[-1] - final) <= 1e-9
         assert run.coupling_before.shape == (2, 2)
         assert run.coupling_after.shape == (2, 2)
@@ -827,12 +848,10 @@ class TestOptimize:
                                       [tgts[p] for p in perm],
                                       weights=[weights[p] for p in perm])
         vol = small_volume()
-        la = loss(vol, fwd, LossSpec(), NO_ABSORBER)
-        lb = loss(vol, rev, LossSpec(), NO_ABSORBER)
-        assert abs(la - lb) <= 1e-12
-        ga = gradient(vol, fwd, LossSpec(), NO_ABSORBER)
-        gb = gradient(vol, rev, LossSpec(), NO_ABSORBER)
-        np.testing.assert_allclose(ga, gb, rtol=0, atol=1e-12)
+        a = evaluate(vol, fwd, LossSpec(), NO_ABSORBER, with_gradient=True)
+        b = evaluate(vol, rev, LossSpec(), NO_ABSORBER, with_gradient=True)
+        assert abs(a.loss - b.loss) <= 1e-12
+        np.testing.assert_allclose(a.grad, b.grad, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
     def test_matches_reference_loop_bit_for_bit(self, case):
@@ -842,7 +861,7 @@ class TestOptimize:
         if case == "halvings-run-out":
             assert rejected == _MAX_HALVINGS
         run = optimize(task, design, spec, cfg, PropagationSpec())
-        got = (_design_params(run.result), run.initial_loss, run.loss_history,
+        got = (_params_per_step(run.result), run.initial_loss, run.loss_history,
                run.coupling_before, run.coupling_after)
         np.testing.assert_array_equal(got[0], want[0], strict=True)
         assert got[1] == want[1]
@@ -880,9 +899,9 @@ class TestOptimize:
 
         def recorded(design, *args, with_gradient):
             calls.append((design, with_gradient))
-            return _evaluate(design, *args, with_gradient=with_gradient)
+            return evaluate(design, *args, with_gradient=with_gradient)
 
-        monkeypatch.setattr(ove.design, "_evaluate", recorded)
+        monkeypatch.setattr(ove.design, "evaluate", recorded)
         run = optimize(task, design, spec, cfg, PropagationSpec())
         assert [g for _, g in calls] == [True] * (1 + _MAX_HALVINGS) + [False]
         assert calls[-1][0] is run.result
@@ -953,9 +972,9 @@ class TestOptimize:
         task = small_task()
         optimize(task, design, LossSpec(), OptimizerConfig(max_iters=0), PropagationSpec())
         _, peak = traced_peak(lambda: optimize(
-            task, _with_params(design, _design_params(design)), LossSpec(), cfg,
+            task, _with_params(design, _params_per_step(design)), LossSpec(), cfg,
             PropagationSpec()))
-        param = _design_params(design).nbytes
+        param = _params_per_step(design).nbytes
         steps = len(element_chain(design, SMALL, LAM, PropagationSpec()))
         field = SMALL.nx * SMALL.ny * 16
         bound = 5 * param + steps * field + param + steps * field + 12 * field

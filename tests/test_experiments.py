@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from ove.design import OptimizerConfig, coupling_matrix
+from ove.design import LossSpec, OptimizerConfig, evaluate
 from ove.experiments import (
     CrosstalkReport,
     EfficiencyCurve,
@@ -47,7 +47,8 @@ def even_odd_pair(grid: Grid2D) -> tuple[ComplexField, ComplexField]:
 
 def scored(design, task, prop=PropagationSpec()) -> CrosstalkReport:
     """Crosstalk report of a design that has no run."""
-    return CrosstalkReport.from_matrix(coupling_matrix(design, task, prop), task.weights)
+    coupling = evaluate(design, task, LossSpec(), prop, with_gradient=False).coupling
+    return CrosstalkReport.from_matrix(coupling, task.weights)
 
 
 def old_diagonal_report(mat: np.ndarray) -> tuple[float, float, float]:
