@@ -8,7 +8,9 @@ and scipy 1.17.1, where every pin passes, all five blocks of the
 committed file came out different, thin_lens (no optimizer) included,
 with a worst relative difference of 9.6e-12. The ``provenance`` block
 records the versions, the FFT module ove calls and the platform, so a
-pin failure can be told apart from a platform change. Every pin that
+pin failure can be told apart from a platform change. The design blocks
+run the canned configs of ``ove.experiments`` and record each one's
+``config`` as ``to_mapping`` of the config that ran. Every pin that
 differs from the file being replaced is printed as old -> new with its
 relative difference. Run this only when a deliberate physics or
 configuration change invalidates the committed numbers, and review the
@@ -27,79 +29,67 @@ import scipy.fft
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from ove.config import to_mapping
 from ove.experiments import (
     HolographySetup,
+    canned_config,
+    design_task,
+    fanout_config,
     fit_log_slope,
-    haar_grin_experiment,
-    haar_grin_task,
-    lantern_experiment,
     optimized_fanout_efficiency,
     ring_positions,
+    run_design,
     spot_centroid,
     superposed_grating_efficiency,
-    toy_sorter_experiment,
     weak_grating_efficiency,
 )
 from ove.fields import ComplexField, Grid2D, LayeredElement, normalize, overlap
 from ove.propagation import PropagationSpec, free_space, propagate
-from ove.sources import FiberSpec, gaussian, plane_wave, tilt_angles
+from ove.sources import gaussian, plane_wave
 
 FIXTURE_PATH = os.path.join(os.path.dirname(__file__), "..", "tests", "fixtures",
                             "baselines.json")
 
 LANTERN_GRID = dict(nx=64, ny=64, dx=0.5, dy=0.5)
-LANTERN_ANGLE_BINS = (-1.0, 1.0)
+
+
+def design_block(cfg):
+    """``run_design(cfg)`` of a canned config: the pins every design
+    block records, under ``to_mapping`` of that config, and the run and
+    its crosstalk report."""
+    run, report = run_design(cfg)
+    block = {
+        "config": to_mapping(cfg),
+        "initial_loss": run.initial_loss,
+        "final_loss": run.loss_history[-1],
+        "loss_ratio": run.loss_history[-1] / run.initial_loss,
+        "coupling_matrix": report.matrix.tolist(),
+        "diagonal_mean": report.diagonal_mean,
+        "offdiag_mean": report.offdiag_mean,
+    }
+    return block, run, report
 
 
 def lantern_block() -> dict:
-    fiber = FiberSpec(core_radius_um=5.0, n_core=1.45, n_clad=1.444,
-                      wavelength_um=1.55)
-    grid = Grid2D(**LANTERN_GRID)
-    run, report = lantern_experiment(fiber, tilt_angles(grid, 1.55, LANTERN_ANGLE_BINS))
-    return {
-        "config": {
-            "fiber": {"core_radius_um": 5.0, "n_core": 1.45, "n_clad": 1.444},
-            "wavelength_um": 1.55,
-            "grid": LANTERN_GRID,
-            "angle_bins": list(LANTERN_ANGLE_BINS),
-            "nz": 48, "dz_um": 1.0,
-            "optimizer": {"step_size": 2e-3, "max_iters": 400, "seed": 11},
-        },
-        "initial_loss": run.initial_loss,
-        "final_loss": run.loss_history[-1],
-        "loss_ratio": run.loss_history[-1] / run.initial_loss,
-        "coupling_matrix": report.matrix.tolist(),
-        "diagonal_mean": report.diagonal_mean,
-        "offdiag_mean": report.offdiag_mean,
-        "worst_extinction_db": report.worst_extinction_db,
-    }
+    block, _, report = design_block(canned_config("lantern"))
+    return {**block, "worst_extinction_db": report.worst_extinction_db}
 
 
 def haar_grin_block() -> dict:
-    run, report = haar_grin_experiment()
-    grid = Grid2D(64, 64, 0.5, 0.5)
-    task = haar_grin_task(grid, 1.55)
-    centers = ring_positions(len(task.targets), 6.5)
+    cfg = canned_config("haar-grin")
+    block, run, report = design_block(cfg)
+    task = design_task(cfg)
+    window = 3 * cfg.task_spot_radius_um
+    centers = ring_positions(len(task.targets), cfg.task_spot_ring_um)
     worst = 0.0
     for inp, out, c in zip(task.inputs, run.outputs_after, centers):
-        cx, cy = spot_centroid(inp.with_values(out), window_radius_um=3 * 1.3)
+        cx, cy = spot_centroid(inp.with_values(out), window_radius_um=window)
         worst = max(worst, math.hypot(cx - c[0], cy - c[1]))
     return {
-        "config": {
-            "grid": LANTERN_GRID, "wavelength_um": 1.55,
-            "nz": 48, "dz_um": 1.5, "dn_max": 0.05,
-            "patch_extent_um": 12.0, "spot_ring_um": 6.5, "spot_radius_um": 1.3,
-            "optimizer": {"step_size": 6e-3, "max_iters": 400, "seed": 13},
-        },
-        "initial_loss": run.initial_loss,
-        "final_loss": run.loss_history[-1],
-        "loss_ratio": run.loss_history[-1] / run.initial_loss,
-        "coupling_matrix": report.matrix.tolist(),
-        "diagonal_mean": report.diagonal_mean,
-        "offdiag_mean": report.offdiag_mean,
+        **block,
         "worst_extinction_db": report.worst_extinction_db,
         "worst_spot_centroid_um": worst,
-        "centroid_window_radius_um": 3 * 1.3,
+        "centroid_window_radius_um": window,
     }
 
 
@@ -138,7 +128,7 @@ def holography_block() -> dict:
             "eta_per_output": opt_means, "per_output_detail": opt_per_output,
             "uniformity_max_over_min": opt_uniformity,
             "fitted_log_slope": opt_slope,
-            "optimizer": {"step_size": 2e-3, "max_iters": 400, "seed": 7},
+            "config": to_mapping(fanout_config(max(opt_m), opt_budget)),
         },
         "slope_gap": abs(opt_slope - sup_slope),
         "weak_grating_point": {
@@ -150,23 +140,9 @@ def holography_block() -> dict:
 
 
 def toy_sorter_block() -> dict:
-    """Small two-way mode sorter at its default settings."""
-    run, report = toy_sorter_experiment()
-    return {
-        "config": {
-            "grid": {"nx": 64, "ny": 64, "dx": 0.5, "dy": 0.5},
-            "angle_bins": [-1.5, 1.5], "spot_ring_um": 5.0, "spot_radius_um": 2.0,
-            "nz": 32, "dz_um": 1.5,
-            "optimizer": {"step_size": 2e-3, "max_iters": 300, "seed": 5},
-        },
-        "initial_loss": run.initial_loss,
-        "final_loss": run.loss_history[-1],
-        "loss_ratio": run.loss_history[-1] / run.initial_loss,
-        "coupling_matrix": report.matrix.tolist(),
-        "diagonal_mean": report.diagonal_mean,
-        "offdiag_mean": report.offdiag_mean,
-        "diag_over_offdiag": report.diagonal_mean / report.offdiag_mean,
-    }
+    """Small two-way mode sorter at its canned settings."""
+    block, _, report = design_block(canned_config("toy-sorter"))
+    return {**block, "diag_over_offdiag": report.diagonal_mean / report.offdiag_mean}
 
 
 def _rayleigh_sommerfeld(field: ComplexField, distance_um: float) -> ComplexField:

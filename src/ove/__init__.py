@@ -23,12 +23,13 @@ from .experiments import (
     fit_log_slope,
     ring_positions,
     spot_centroid,
-    haar_grin_experiment,
+    canned_config,
+    fanout_config,
     lantern_experiment,
-    toy_sorter_experiment,
     multiplexed_grating_volume,
     optimized_curve,
     optimized_fanout_efficiency,
+    run_design,
     superposed_curve,
     superposed_grating_efficiency,
     weak_grating_efficiency,
@@ -81,7 +82,7 @@ __all__ = [
     "weak_grating_efficiency", "multiplexed_grating_volume",
     "superposed_grating_efficiency", "optimized_fanout_efficiency",
     "superposed_curve", "optimized_curve", "fit_log_slope",
-    "lantern_experiment", "toy_sorter_experiment", "haar_grin_experiment",
+    "canned_config", "fanout_config", "run_design", "lantern_experiment",
     "ring_positions", "spot_centroid",
     "ConfigError", "DesignConfig", "parse_config", "serialize_config", "default_config",
     "export_volume", "import_volume", "export_field", "import_field",

@@ -3,8 +3,10 @@
 Every run writes all its artifacts under the chosen output directory.
 Design, propagate and holography runs also echo the fully resolved
 configuration to stdout and write a ``resolved.cfg`` copy of that echo;
-for holography that is its ``HolographySetup`` as a fanout design at the
-largest M. Nothing depends on wall-clock time, so re-running a command
+for holography that is ``experiments.fanout_config`` at the largest M.
+``ove design`` builds its task and starting design with the library's
+``design_task`` and ``initial_design``, so it runs what ``run_design``
+runs. Nothing depends on wall-clock time, so re-running a command
 reproduces its outputs byte for byte.
 
 Exit codes: 0 success, 1 run/validation failure, 2 usage error.
@@ -18,22 +20,18 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .config import ConfigError, DesignConfig, default_config, parse_config, serialize_config
-from .design import DesignRun, optimize, seeded_initial_volume
+from .design import DesignRun, optimize
 from .experiments import (
     CrosstalkReport,
     HolographySetup,
-    fanout_optimizer,
-    fanout_task,
-    haar_grin_task,
-    lantern_task,
+    design_task,
+    fanout_config,
+    initial_design,
     optimized_curve,
-    sorter_task,
     superposed_curve,
 )
-from .fields import IndexVolume, LayeredElement, MappingTask
+from .fields import IndexVolume, MappingTask
 from .interconnect import footprint_scaling, haar_filter_bank
 from .io import (
     atomic_write_text,
@@ -46,7 +44,7 @@ from .io import (
     write_csv,
 )
 from .propagation import propagate
-from .sources import HAAR_KINDS, gaussian, plane_wave, tilt_angles
+from .sources import HAAR_KINDS, gaussian, plane_wave
 
 __all__ = ["main"]
 
@@ -67,38 +65,6 @@ def _emit_config(cfg: DesignConfig, outdir: str):
 def _ensure_outdir(path: str) -> str:
     os.makedirs(path, exist_ok=True)
     return path
-
-
-def _fan_angles(cfg: DesignConfig) -> list[tuple[float, float]]:
-    """Symmetric fan of x-tilts spaced by ``task_angle_step_bins`` FFT bins."""
-    num = cfg.task_num_pairs
-    bins = [(k - (num - 1) / 2.0) * cfg.task_angle_step_bins for k in range(num)]
-    return tilt_angles(cfg.grid, cfg.wavelength_um, bins)
-
-
-def _build_task(cfg: DesignConfig) -> MappingTask:
-    grid, lam = cfg.grid, cfg.wavelength_um
-    ring, radius = cfg.task_spot_ring_um, cfg.task_spot_radius_um
-    if cfg.task_kind == "haar-grin":
-        return haar_grin_task(grid, lam, HAAR_KINDS, cfg.task_patch_extent_um, ring, radius)
-    if cfg.task_kind == "lantern":
-        return lantern_task(cfg.fiber, grid, _fan_angles(cfg), cfg.propagation)
-    if cfg.task_kind == "fanout":
-        return fanout_task(grid, lam, cfg.task_fan, ring, radius, cfg.propagation)
-    # custom, the mode sorter; config parsing rejects any other kind
-    return sorter_task(grid, lam, _fan_angles(cfg), ring, radius, cfg.propagation)
-
-
-def _initial_design(cfg: DesignConfig):
-    if cfg.element_kind == "volume":
-        return seeded_initial_volume(
-            cfg.grid, cfg.volume_nz, cfg.volume_dz_um, cfg.n0,
-            dn_min=cfg.dn_min, dn_max=cfg.dn_max, seed=cfg.optimizer.seed,
-        )
-    layers = tuple(np.zeros((cfg.grid.nx, cfg.grid.ny))
-                   for _ in range(cfg.layered_num_layers))
-    gaps = tuple(cfg.layered_gap_um for _ in range(cfg.layered_num_layers))
-    return LayeredElement(grid=cfg.grid, layers=layers, gaps=gaps, n_gap=1.0)
 
 
 def _export_design(design, outdir: str):
@@ -146,10 +112,10 @@ def _cmd_design(args) -> int:
     cfg = _load_config(args.config)
     if args.task_kind is not None:
         cfg = dataclasses.replace(cfg, task_kind=args.task_kind)
-    initial = _initial_design(cfg)
+    initial = initial_design(cfg)
     outdir = _ensure_outdir(args.out)
     _emit_config(cfg, outdir)
-    task = _build_task(cfg)
+    task = design_task(cfg)
     run = optimize(task, initial, cfg.loss, cfg.optimizer, cfg.propagation)
     _write_run_outputs(run, task, outdir)
     return 0
@@ -176,28 +142,15 @@ def _cmd_propagate(args) -> int:
     return 0
 
 
-def _holography_config(setup: HolographySetup, budget: float, fan: int) -> DesignConfig:
-    """The holography runs as a design config: ``setup``'s geometry and
-    propagation, dn bounds of +-``budget``, the 1-to-``fan`` fanout task
-    and the optimizer of the optimized scheme."""
-    return dataclasses.replace(
-        default_config(), wavelength_um=setup.wavelength_um, n0=setup.n0,
-        dn_min=-budget, dn_max=budget, grid=setup.grid,
-        volume_nz=setup.nz, volume_dz_um=setup.dz, task_kind="fanout", task_fan=fan,
-        task_spot_ring_um=setup.spot_ring_um, task_spot_radius_um=setup.spot_radius_um,
-        optimizer=fanout_optimizer(budget), propagation=setup.prop)
-
-
 def _cmd_holography(args) -> int:
     m_values = _parse_int_list(args.m)
     outdir = _ensure_outdir(args.out)
     setup = HolographySetup()
-    cfg = _holography_config(setup, args.budget, max(m_values))
-    _emit_config(cfg, outdir)
+    _emit_config(fanout_config(max(m_values), args.budget, setup), outdir)
     if args.scheme == "superposed":
         curve = superposed_curve(m_values, args.budget, setup)
     else:
-        curve, _runs = optimized_curve(m_values, args.budget, setup, cfg.optimizer)
+        curve, _runs = optimized_curve(m_values, args.budget, setup)
     write_csv(os.path.join(outdir, "efficiency.csv"), ["m", "eta_per_output"],
               list(zip(curve.m_values, curve.eta_per_output)))
     write_csv(os.path.join(outdir, "metrics.csv"), ["metric", "value"], [

@@ -115,8 +115,6 @@ class DesignRun:
     takes its outputs from one more evaluation, without one.
     """
 
-    config: OptimizerConfig
-    loss_spec: LossSpec
     initial_loss: float
     loss_history: tuple[float, ...]
     result: IndexVolume | LayeredElement
@@ -480,8 +478,6 @@ def optimize(task: MappingTask, initial_design: IndexVolume | LayeredElement,
     if outputs is None:
         outputs = evaluate(result, task, loss_spec, prop, with_gradient=False).outputs
     return DesignRun(
-        config=config,
-        loss_spec=loss_spec,
         initial_loss=first.loss,
         loss_history=tuple(history),
         result=result,

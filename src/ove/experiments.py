@@ -2,12 +2,18 @@
 
 holography         multiplexed-grating vs optimized-fanout efficiency
 lantern            plane-wave tilts routed into fiber LP modes
-haar_grin          Haar mask lobes routed to detector spots
+haar-grin          Haar mask lobes routed to detector spots
+toy-sorter         two tilted plane waves to two spots
 
-Each task kind has one builder here (``lantern_task``, ``sorter_task``,
-``fanout_task``, ``haar_grin_task``), shared with the CLI. It returns a
-:class:`MappingTask`: identity W for the three sorters, one input and a
-column of ones for the fanout.
+Each canned experiment is one ``ove design`` config: ``CANNED`` holds
+the lantern, Haar-GRIN and toy-sorter texts, ``fanout_config`` builds
+the fanout from a ``HolographySetup``. ``design_task`` and
+``initial_design`` turn a config into a task and a starting design for
+the CLI and the library alike, and ``run_design`` runs it. Each task
+kind has one builder (``lantern_task``, ``sorter_task``,
+``fanout_task``, ``haar_grin_task``). It returns a :class:`MappingTask`:
+identity W for the three sorters, one input and a column of ones for
+the fanout.
 
 An optimized experiment reports from its run: the crosstalk report and
 the fanout efficiencies are read from ``DesignRun.coupling_after``, the
@@ -28,13 +34,14 @@ of efficiency versus M.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.fft
 
-from .design import DesignRun, LossSpec, OptimizerConfig, optimize, seeded_initial_volume
-from .fields import ComplexField, Grid2D, IndexVolume, MappingTask
+from .config import DesignConfig, default_config, parse_config
+from .design import DesignRun, OptimizerConfig, optimize, seeded_initial_volume
+from .fields import ComplexField, Grid2D, IndexVolume, LayeredElement, MappingTask
 from .propagation import PropagationSpec, absorber_mask, propagate
 from .sources import (
     HAAR_KINDS,
@@ -54,14 +61,17 @@ __all__ = [
     "weak_grating_efficiency",
     "multiplexed_grating_volume",
     "superposed_grating_efficiency",
-    "fanout_optimizer",
+    "fanout_config",
     "optimized_fanout_efficiency",
     "superposed_curve",
     "optimized_curve",
     "fit_log_slope",
+    "CANNED",
+    "canned_config",
+    "design_task",
+    "initial_design",
+    "run_design",
     "lantern_experiment",
-    "toy_sorter_experiment",
-    "haar_grin_experiment",
     "ring_positions",
     "lantern_inputs",
     "lantern_task",
@@ -287,15 +297,26 @@ def ring_positions(count: int, ring_radius_um: float,
             for a in ang]
 
 
-def fanout_optimizer(dn_budget: float) -> OptimizerConfig:
-    """Default optimizer of the optimized fanout under a |dn| budget.
+def fanout_config(m: int, dn_budget: float,
+                  setup: HolographySetup = HolographySetup()) -> DesignConfig:
+    """The optimized 1-to-m fanout as a design config: ``setup``'s
+    geometry and propagation, dn bounds of +-``dn_budget`` and the
+    fanout task.
 
-    Aggressive but safeguarded: the step halving in optimize() keeps the
-    loss monotone even at this rate.
+    Its optimizer is aggressive but safeguarded: the step halving in
+    optimize() keeps the loss monotone even at this rate.
     """
+    if m < 1:
+        raise ValueError(f"need m >= 1 outputs, got {m}")
     if dn_budget <= 0:
         raise ValueError(f"dn budget must be positive, got {dn_budget}")
-    return OptimizerConfig(step_size=0.04 * dn_budget, max_iters=400, seed=7)
+    return replace(
+        default_config(), wavelength_um=setup.wavelength_um, n0=setup.n0,
+        dn_min=-dn_budget, dn_max=dn_budget, grid=setup.grid,
+        volume_nz=setup.nz, volume_dz_um=setup.dz, task_kind="fanout", task_fan=m,
+        task_spot_ring_um=setup.spot_ring_um, task_spot_radius_um=setup.spot_radius_um,
+        optimizer=OptimizerConfig(step_size=0.04 * dn_budget, max_iters=400, seed=7),
+        propagation=setup.prop)
 
 
 def optimized_fanout_efficiency(m: int, dn_budget: float,
@@ -305,22 +326,14 @@ def optimized_fanout_efficiency(m: int, dn_budget: float,
     """Jointly optimized 1-to-m fanout under the same |dn| budget.
 
     One normal plane wave in, m disjoint Gaussian spots out, optimized
-    end to end with the adjoint. Returns the per-output coupled power
+    end to end with the adjoint: ``run_design`` of ``fanout_config``,
+    under ``optimizer`` when given. Returns the per-output coupled power
     fractions and the full run record.
     """
-    if m < 1:
-        raise ValueError(f"need m >= 1 outputs, got {m}")
-    if dn_budget <= 0:
-        raise ValueError(f"dn budget must be positive, got {dn_budget}")
-    if optimizer is None:
-        optimizer = fanout_optimizer(dn_budget)
-
-    task = fanout_task(setup.grid, setup.wavelength_um, m, setup.spot_ring_um,
-                       setup.spot_radius_um, setup.prop)
-    initial = seeded_initial_volume(setup.grid, setup.nz, setup.dz, setup.n0,
-                                    dn_min=-dn_budget, dn_max=dn_budget,
-                                    seed=optimizer.seed)
-    run = optimize(task, initial, LossSpec(kind="mode-coupling"), optimizer, setup.prop)
+    cfg = fanout_config(m, dn_budget, setup)
+    if optimizer is not None:
+        cfg = replace(cfg, optimizer=optimizer)
+    run, _ = run_design(cfg)
     return run.coupling_after[:, 0], run
 
 
@@ -377,20 +390,18 @@ def superposed_curve(m_values, dn_budget: float,
     return EfficiencyCurve.fit(m_values, means)
 
 
-def optimized_curve(m_values, dn_budget: float,
-                    setup: HolographySetup = HolographySetup(),
-                    optimizer: OptimizerConfig | None = None,
+def optimized_curve(m_values, dn_budget: float, setup: HolographySetup = HolographySetup(),
                     ) -> tuple[EfficiencyCurve, list[DesignRun]]:
     means, runs = [], []
     for m in m_values:
-        etas, run = optimized_fanout_efficiency(m, dn_budget, setup, optimizer)
+        etas, run = optimized_fanout_efficiency(m, dn_budget, setup)
         means.append(float(np.mean(etas)))
         runs.append(run)
     return EfficiencyCurve.fit(m_values, means), runs
 
 
 # ---------------------------------------------------------------------------
-# Photonic-lantern style mode mapping
+# Task builders: lantern, sorter, fanout and Haar-GRIN
 # ---------------------------------------------------------------------------
 
 def lantern_inputs(grid: Grid2D, wavelength_um: float,
@@ -436,73 +447,8 @@ def fanout_task(grid: Grid2D, wavelength_um: float, fan: int, spot_ring_um: floa
                        np.ones((fan, 1)))
 
 
-def _volume_run(task: MappingTask, nz: int, dz: float, n0: float, dn_max: float,
-                optimizer: OptimizerConfig, prop: PropagationSpec,
-                ) -> tuple[DesignRun, CrosstalkReport]:
-    """Mode-coupling run from a seeded volume on [0, dn_max], and the crosstalk
-    report of its final design (from ``run.coupling_after``)."""
-    initial = seeded_initial_volume(task.grid, nz, dz, n0, dn_min=0.0, dn_max=dn_max,
-                                    seed=optimizer.seed)
-    run = optimize(task, initial, LossSpec(kind="mode-coupling"), optimizer, prop)
-    return run, CrosstalkReport.from_matrix(run.coupling_after, task.weights)
-
-
-def lantern_experiment(fiber: FiberSpec, angles: list[tuple[float, float]],
-                       grid: Grid2D | None = None, nz: int = 48, dz: float = 1.0,
-                       n0: float = 1.5, dn_max: float = 0.05,
-                       optimizer: OptimizerConfig | None = None,
-                       prop: PropagationSpec = PropagationSpec(),
-                       ) -> tuple[DesignRun, CrosstalkReport]:
-    """Optimize a volume that routes each tilted plane wave into its own
-    guided LP mode of the fiber.
-
-    Modes are consumed in (l, m, parity) order, so two inputs map to
-    {LP01, LP11}. More inputs than guided modes is rejected. The default
-    48 um device length gives the phase stroke a plane wave needs to
-    reach the mode waist; half that length caps LP01 coupling below 0.5.
-    """
-    if grid is None:
-        grid = Grid2D(64, 64, 0.5, 0.5)
-    if optimizer is None:
-        optimizer = OptimizerConfig(step_size=0.04 * dn_max, max_iters=400, seed=11)
-
-    return _volume_run(lantern_task(fiber, grid, angles, prop),
-                       nz, dz, n0, dn_max, optimizer, prop)
-
-
-def toy_sorter_experiment(grid: Grid2D | None = None, wavelength_um: float = 1.55,
-                          angle_bins: tuple[float, float] = (-1.5, 1.5),
-                          spot_ring_um: float = 5.0, spot_radius_um: float = 2.0,
-                          nz: int = 32, dz: float = 1.5,
-                          n0: float = 1.5, dn_max: float = 0.05,
-                          optimizer: OptimizerConfig | None = None,
-                          prop: PropagationSpec = PropagationSpec(),
-                          ) -> tuple[DesignRun, CrosstalkReport]:
-    """Smallest interesting sorter: two tilted plane waves to two spots.
-
-    Mostly a fast end-to-end check that the optimizer separates two
-    inputs cleanly; the recorded run doubles as a regression baseline.
-    Tilts are in discrete spectral bins (sin(theta) = bin * lam / window)
-    so the inputs stay exactly periodic on the grid.
-    """
-    if grid is None:
-        grid = Grid2D(64, 64, 0.5, 0.5)
-    if optimizer is None:
-        optimizer = OptimizerConfig(step_size=0.04 * dn_max, max_iters=300, seed=5)
-
-    task = sorter_task(grid, wavelength_um, tilt_angles(grid, wavelength_um, angle_bins),
-                       spot_ring_um, spot_radius_um, prop)
-    return _volume_run(task, nz, dz, n0, dn_max, optimizer, prop)
-
-
-# ---------------------------------------------------------------------------
-# Haar masks through a GRIN volume
-# ---------------------------------------------------------------------------
-
-def haar_grin_task(grid: Grid2D, wavelength_um: float,
-                   kinds=HAAR_KINDS, patch_extent_um: float = 12.0,
-                   spot_ring_um: float = 6.5, spot_radius_um: float = 1.3,
-                   ) -> MappingTask:
+def haar_grin_task(grid: Grid2D, wavelength_um: float, patch_extent_um: float,
+                   spot_ring_um: float, spot_radius_um: float) -> MappingTask:
     """Each Haar lobe (positive and, where present, negative) mapped to
     its own detector spot.
 
@@ -510,7 +456,7 @@ def haar_grin_task(grid: Grid2D, wavelength_um: float,
     cells, so its minus lobe is skipped rather than faked.
     """
     lobes: list[ComplexField] = []
-    for kind in kinds:
+    for kind in HAAR_KINDS:
         masks = haar_mask_field(grid, wavelength_um, kind, patch_extent_um)
         lobes.append(masks.plus)
         if masks.minus is not None:
@@ -520,26 +466,118 @@ def haar_grin_task(grid: Grid2D, wavelength_um: float,
     return MappingTask.from_fields(lobes, spots)
 
 
-def haar_grin_experiment(grid: Grid2D | None = None, wavelength_um: float = 1.55,
-                         nz: int = 48, dz: float = 1.5, n0: float = 1.5,
-                         dn_max: float = 0.05, kinds=HAAR_KINDS,
-                         patch_extent_um: float = 12.0,
-                         spot_ring_um: float = 6.5, spot_radius_um: float = 1.3,
-                         optimizer: OptimizerConfig | None = None,
-                         prop: PropagationSpec = PropagationSpec(),
-                         ) -> tuple[DesignRun, CrosstalkReport]:
-    """Optimize one volume that sends every Haar lobe to a distinct spot.
+# ---------------------------------------------------------------------------
+# Canned experiments: one config each, and the one builder from config to run
+# ---------------------------------------------------------------------------
 
-    The seven lobes overlap each other strongly (the uniform patch
-    overlaps every other lobe), so the joint mapping needs most of the
-    available phase stroke: 72 um of device at dn_max 0.05 is enough to
-    steer the 12 um patch onto a 6.5 um spot ring, 48 um is not.
+# Each canned experiment as ``ove design`` config text: the keys whose
+# value differs from the defaults, and its optimizer.max_iters.
+CANNED: dict[str, str] = {
+    # Two tilted plane waves (-1 and +1 FFT bins) onto LP01 and LP11 of
+    # the default fiber. The default 48 um device length gives the phase
+    # stroke a plane wave needs to reach the mode waist; half that length
+    # caps LP01 coupling below 0.5.
+    "lantern": """\
+optimizer.step_size = 0.002
+optimizer.max_iters = 400
+optimizer.seed = 11
+""",
+    # Every Haar lobe to a distinct spot. The seven lobes overlap each
+    # other strongly (the uniform patch overlaps every other lobe), so
+    # the joint mapping needs most of the available phase stroke: 72 um
+    # of device (48 slices of 1.5 um) at dn_max 0.05 is enough to steer
+    # the 12 um patch onto a 6.5 um spot ring, 48 um is not.
+    "haar-grin": """\
+task.kind = haar-grin
+volume.dz_um = 1.5
+optimizer.step_size = 0.006
+optimizer.max_iters = 400
+optimizer.seed = 13
+""",
+    # Smallest interesting sorter: two plane waves tilted by -1.5 and +1.5
+    # FFT bins, so they stay exactly periodic on the grid, to two spots.
+    # A fast end-to-end check that the optimizer separates two inputs.
+    "toy-sorter": """\
+task.kind = custom
+task.angle_step_bins = 3.0
+task.spot_ring_um = 5.0
+task.spot_radius_um = 2.0
+volume.nz = 32
+volume.dz_um = 1.5
+optimizer.step_size = 0.002
+optimizer.max_iters = 300
+optimizer.seed = 5
+""",
+}
+
+
+def canned_config(name: str) -> DesignConfig:
+    """The resolved config of canned experiment ``name``, a key of ``CANNED``."""
+    return parse_config(CANNED[name])
+
+
+def _fan_angles(cfg: DesignConfig) -> list[tuple[float, float]]:
+    """Symmetric fan of x-tilts spaced by ``task_angle_step_bins`` FFT bins."""
+    num = cfg.task_num_pairs
+    bins = [(k - (num - 1) / 2.0) * cfg.task_angle_step_bins for k in range(num)]
+    return tilt_angles(cfg.grid, cfg.wavelength_um, bins)
+
+
+def design_task(cfg: DesignConfig) -> MappingTask:
+    """The task of ``cfg.task_kind``, built from the config's task keys."""
+    grid, lam = cfg.grid, cfg.wavelength_um
+    ring, radius = cfg.task_spot_ring_um, cfg.task_spot_radius_um
+    if cfg.task_kind == "haar-grin":
+        return haar_grin_task(grid, lam, cfg.task_patch_extent_um, ring, radius)
+    if cfg.task_kind == "lantern":
+        return lantern_task(cfg.fiber, grid, _fan_angles(cfg), cfg.propagation)
+    if cfg.task_kind == "fanout":
+        return fanout_task(grid, lam, cfg.task_fan, ring, radius, cfg.propagation)
+    # custom, the mode sorter; config parsing rejects any other kind
+    return sorter_task(grid, lam, _fan_angles(cfg), ring, radius, cfg.propagation)
+
+
+def initial_design(cfg: DesignConfig) -> IndexVolume | LayeredElement:
+    """Where a design run starts: a volume seeded from
+    ``cfg.optimizer.seed`` within the dn bounds, or all-zero phases."""
+    if cfg.element_kind == "volume":
+        return seeded_initial_volume(
+            cfg.grid, cfg.volume_nz, cfg.volume_dz_um, cfg.n0,
+            dn_min=cfg.dn_min, dn_max=cfg.dn_max, seed=cfg.optimizer.seed,
+        )
+    layers = tuple(np.zeros((cfg.grid.nx, cfg.grid.ny))
+                   for _ in range(cfg.layered_num_layers))
+    gaps = tuple(cfg.layered_gap_um for _ in range(cfg.layered_num_layers))
+    return LayeredElement(grid=cfg.grid, layers=layers, gaps=gaps, n_gap=1.0)
+
+
+def _run(cfg: DesignConfig, task: MappingTask) -> tuple[DesignRun, CrosstalkReport]:
+    run = optimize(task, initial_design(cfg), cfg.loss, cfg.optimizer, cfg.propagation)
+    return run, CrosstalkReport.from_matrix(run.coupling_after, task.weights)
+
+
+def run_design(cfg: DesignConfig) -> tuple[DesignRun, CrosstalkReport]:
+    """The run ``ove design`` makes of ``cfg``, without its artifacts, and
+    the crosstalk report of its final design (from ``run.coupling_after``).
+
+    A canned experiment is ``run_design(canned_config(name))``, and a
+    variant of one is ``dataclasses.replace`` of that config.
     """
-    if grid is None:
-        grid = Grid2D(64, 64, 0.5, 0.5)
-    if optimizer is None:
-        optimizer = OptimizerConfig(step_size=0.12 * dn_max, max_iters=400, seed=13)
+    return _run(cfg, design_task(cfg))
 
-    task = haar_grin_task(grid, wavelength_um, kinds, patch_extent_um,
-                          spot_ring_um, spot_radius_um)
-    return _volume_run(task, nz, dz, n0, dn_max, optimizer, prop)
+
+def lantern_experiment(fiber: FiberSpec, angles: list[tuple[float, float]],
+                       optimizer: OptimizerConfig | None = None,
+                       ) -> tuple[DesignRun, CrosstalkReport]:
+    """The canned lantern with its own fiber and tilts: each tilted plane
+    wave into its own guided LP mode of ``fiber``.
+
+    Modes are consumed in (l, m, parity) order, so two inputs map to
+    {LP01, LP11}. More inputs than guided modes is rejected. The geometry
+    and, unless ``optimizer`` is given, the optimizer are
+    ``CANNED["lantern"]``'s.
+    """
+    cfg = canned_config("lantern")
+    if optimizer is not None:
+        cfg = replace(cfg, optimizer=optimizer)
+    return _run(cfg, lantern_task(fiber, cfg.grid, angles, cfg.propagation))

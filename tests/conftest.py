@@ -13,11 +13,11 @@ import os
 import pytest
 
 from ove.experiments import (
-    haar_grin_experiment,
+    canned_config,
     lantern_experiment,
     optimized_curve,
+    run_design,
     superposed_curve,
-    toy_sorter_experiment,
 )
 from testutil import LANTERN_FIBER, lantern_angles
 
@@ -37,12 +37,12 @@ def lantern_result():
 
 @pytest.fixture(scope="session")
 def haar_result():
-    return haar_grin_experiment()
+    return run_design(canned_config("haar-grin"))
 
 
 @pytest.fixture(scope="session")
 def toy_result():
-    return toy_sorter_experiment()
+    return run_design(canned_config("toy-sorter"))
 
 
 @pytest.fixture(scope="session")

@@ -8,25 +8,27 @@ pinned to a temp dir, so default output paths cannot leak into the repo.
 import importlib.util
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import ove.cli
 from ove.cli import main
-from ove.config import parse_config
+from ove.config import parse_config, serialize_config
 from ove.experiments import (
+    CANNED,
     CrosstalkReport,
-    haar_grin_experiment,
+    canned_config,
+    fanout_config,
     lantern_experiment,
     optimized_fanout_efficiency,
-    toy_sorter_experiment,
+    run_design,
 )
 from ove.fields import Grid2D, IndexVolume
 from ove.io import export_volume, import_field, import_volume, read_pgm
 from ove.propagation import propagate
-from ove.sources import FiberSpec, tilt_angles
-from testutil import LEGACY_RESOLVED, haar_bank_oracle
+from testutil import LANTERN_FIBER, LEGACY_RESOLVED, haar_bank_oracle, lantern_angles
 
 TINY_DESIGN = "\n".join([
     "grid.nx = 32",
@@ -289,46 +291,23 @@ def fanout_experiment(opt):
     return run, CrosstalkReport.from_matrix(run.coupling_after, np.ones((4, 1)))
 
 
-# Each canned experiment: the `ove design` keys that reproduce its
-# library defaults, and the experiment run under a given optimizer, as
-# (run, report).
-CANNED = {
-    "lantern": (
-        ["optimizer.step_size = 0.002", "optimizer.seed = 11"],
-        lambda opt: lantern_experiment(
-            FiberSpec(core_radius_um=5.0, n_core=1.45, n_clad=1.444, wavelength_um=1.55),
-            tilt_angles(Grid2D(64, 64, 0.5, 0.5), 1.55, (-1.0, 1.0)), optimizer=opt),
-    ),
-    "haar-grin": (
-        ["task.kind = haar-grin", "volume.dz_um = 1.5", "optimizer.step_size = 0.006",
-         "optimizer.seed = 13"],
-        lambda opt: haar_grin_experiment(optimizer=opt),
-    ),
-    "custom": (
-        ["task.kind = custom", "task.angle_step_bins = 3.0", "task.spot_ring_um = 5.0",
-         "task.spot_radius_um = 2.0", "volume.nz = 32", "volume.dz_um = 1.5",
-         "optimizer.step_size = 0.002", "optimizer.seed = 5"],
-        lambda opt: toy_sorter_experiment(optimizer=opt),
-    ),
-    "fanout": (
-        ["task.kind = fanout", "task.fan = 4", "task.spot_ring_um = 8.0",
-         "task.spot_radius_um = 2.0", "volume.nz = 32", "volume.dz_um = 0.5",
-         "dn_min = -0.05", "dn_max = 0.05", "propagation.absorber_width = 0",
-         "optimizer.step_size = 0.002", "optimizer.seed = 7"],
-        fanout_experiment,
-    ),
-}
-
-
-@pytest.mark.parametrize("kind", sorted(CANNED))
+@pytest.mark.parametrize("kind", [*sorted(CANNED), "fanout"])
 def test_design_reproduces_canned_experiment(tmp_path, kind):
-    keys, experiment = CANNED[kind]
-    text = "\n".join(keys + ["optimizer.max_iters = 2"]) + "\n"
+    # Each canned config, cut to two iterations and written out as
+    # `ove design` reads it, against its library entry point: the lantern
+    # with the test fiber and +-1-bin tilts, the fanout by its efficiency.
+    base = fanout_config(4, 0.05) if kind == "fanout" else canned_config(kind)
+    cfg = replace(base, optimizer=replace(base.optimizer, max_iters=2))
     path = tmp_path / "run.cfg"
-    path.write_text(text, encoding="utf-8")
+    path.write_text(serialize_config(cfg), encoding="utf-8")
     assert main(["design", str(path), "--out", "d"]) == 0
     got = [float(ln.split(",")[1]) for ln in read_csv_lines(tmp_path / "d" / "loss.csv")[1:]]
-    run, report = experiment(parse_config(text).optimizer)
+    if kind == "lantern":
+        run, report = lantern_experiment(LANTERN_FIBER, lantern_angles(), cfg.optimizer)
+    elif kind == "fanout":
+        run, report = fanout_experiment(cfg.optimizer)
+    else:
+        run, report = run_design(cfg)
     assert got == [run.initial_loss, *run.loss_history]
 
     # The CLI and the experiment report the same numbers, exactly.
@@ -474,7 +453,8 @@ class TestUsageErrors:
 
 def test_artifact_digests_repeat(tmp_path, capsys):
     # Two runs of the digest script into two directories print the same
-    # lines: one per artifact of the five designs and eight propagations.
+    # lines: one per artifact of the eight designs, eight propagations and
+    # one holography run.
     path = os.path.join(os.path.dirname(__file__), "..", "scripts", "artifact_digests.py")
     loader = importlib.util.spec_from_file_location("artifact_digests", path)
     script = importlib.util.module_from_spec(loader)
@@ -489,4 +469,6 @@ def test_artifact_digests_repeat(tmp_path, capsys):
     assert len(paths) == len(set(paths)) == written
     assert {"volume-tv/design.ivol", "layered/design.ivol", "volume-zero-iters/coupling.csv",
             "volume-paraxial-gaussian/output.cfield",
-            "volume-absorber-plane-tilted/output.cfield"} <= set(paths)
+            "volume-absorber-plane-tilted/output.cfield", "lantern/design.ivol",
+            "haar-grin/design.ivol", "fanout/design.ivol",
+            "holography/resolved.cfg"} <= set(paths)

@@ -8,23 +8,26 @@ tests/fixtures/baselines.json.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ove.config import default_config, to_mapping
 from ove.design import LossSpec, OptimizerConfig, evaluate
 from ove.experiments import (
+    CANNED,
     CrosstalkReport,
     EfficiencyCurve,
     HolographySetup,
+    canned_config,
+    design_task,
     fanout_task,
     fit_log_slope,
-    haar_grin_experiment,
-    haar_grin_task,
-    lantern_experiment,
     lantern_task,
     multiplexed_grating_volume,
     ring_positions,
+    run_design,
     sorter_task,
     spot_centroid,
     superposed_grating_efficiency,
@@ -33,7 +36,7 @@ from ove.experiments import (
 from ove.fields import ComplexField, Grid2D, IndexVolume, MappingTask, normalize
 from ove.propagation import PropagationSpec, propagate
 from ove.sources import gaussian, plane_wave, tilt_angles
-from testutil import LANTERN_FIBER, NO_ABSORBER, lantern_angles
+from testutil import LANTERN_FIBER, NO_ABSORBER
 
 LAM = 1.55
 
@@ -403,16 +406,16 @@ class TestLantern:
             ref["worst_extinction_db"], rel=1e-9)
 
     def test_single_angle_never_worsens(self):
-        cfg = OptimizerConfig(step_size=2e-3, max_iters=25, seed=3)
-        run, report = lantern_experiment(LANTERN_FIBER, [lantern_angles()[0]],
-                                         nz=16, optimizer=cfg)
+        cfg = replace(canned_config("lantern"), task_num_pairs=1, volume_nz=16,
+                      optimizer=OptimizerConfig(step_size=2e-3, max_iters=25, seed=3))
+        run, report = run_design(cfg)
         assert run.coupling_after[0, 0] >= run.coupling_before[0, 0] - 1e-12
         assert report.matrix.shape == (1, 1)
 
     def test_overdetermined_task_rejected(self):
-        angles = [(0.002 * k, 0.0) for k in range(5)]
+        cfg = replace(canned_config("lantern"), task_num_pairs=5, volume_nz=8)
         with pytest.raises(ValueError, match="overdetermined"):
-            lantern_experiment(LANTERN_FIBER, angles, nz=8)
+            run_design(cfg)
 
     def test_couplings_in_range(self, lantern_result):
         _, report = lantern_result
@@ -432,8 +435,7 @@ class TestHaarGrin:
 
     def test_output_spots_land_on_targets(self, haar_result):
         run, _ = haar_result
-        grid = run.result.grid
-        task = haar_grin_task(grid, LAM)
+        task = design_task(canned_config("haar-grin"))
         centers = ring_positions(len(task.targets), 6.5)
         for inp, (tx, ty) in zip(task.inputs, centers):
             out = propagate(run.result, inp)
@@ -444,16 +446,28 @@ class TestHaarGrin:
         # dn_max = 0 makes the seeded start literally free space, so a
         # zero-iteration "run" must score exactly like the bare medium.
         grid = Grid2D(64, 64, 0.5, 0.5)
-        cfg = OptimizerConfig(step_size=0.0, max_iters=0, seed=13)
-        run, report = haar_grin_experiment(grid=grid, nz=8, dn_max=0.0,
-                                           optimizer=cfg)
+        cfg = replace(canned_config("haar-grin"), volume_nz=8, dn_max=0.0,
+                      optimizer=OptimizerConfig(step_size=0.0, max_iters=0, seed=13))
+        run, report = run_design(cfg)
         assert not run.result.dn.any()
         vol = IndexVolume(grid=grid, nz=8, dz=1.5, n0=1.5,
                           dn=np.zeros((64, 64, 8)))
-        want = scored(vol, haar_grin_task(grid, LAM))
+        want = scored(vol, design_task(cfg))
         np.testing.assert_array_equal(report.matrix, want.matrix)
 
     def test_couplings_in_range(self, haar_result):
         _, report = haar_result
         assert report.matrix.min() >= 0.0
         assert report.matrix.max() <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("name", sorted(CANNED))
+def test_canned_config_sets_only_keys_off_their_default(name):
+    # One site per setting: a key that restated its default would be a
+    # second copy of it. The iteration count is always stated.
+    keys = [line.partition("=")[0].strip() for line in CANNED[name].splitlines()]
+    assert "optimizer.max_iters" in keys
+    got, default = to_mapping(canned_config(name)), to_mapping(default_config())
+    for key in keys:
+        if key != "optimizer.max_iters":
+            assert got[key] != default[key], key

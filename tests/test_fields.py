@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ove.design import DesignRun, LossSpec, OptimizerConfig
+from ove.design import DesignRun
 from ove.experiments import CrosstalkReport
 from ove.fields import (
     ComplexField,
@@ -337,8 +337,8 @@ ARRAY_RECORDS = {
     "IndexVolume": _volume,
     "LayeredElement": lambda: LayeredElement(grid=_G, layers=(np.zeros((4, 4)),), gaps=(1.0,)),
     "MappingTask": lambda: MappingTask.from_fields([_field()], [_field()]),
-    "DesignRun": lambda: DesignRun(OptimizerConfig(), LossSpec(), 1.0, (0.5,), _volume(),
-                                   np.zeros((1, 1)), np.zeros((1, 1)), (np.zeros((4, 4)),)),
+    "DesignRun": lambda: DesignRun(1.0, (0.5,), _volume(), np.zeros((1, 1)), np.zeros((1, 1)),
+                                   (np.zeros((4, 4)),)),
     "CrosstalkReport": lambda: CrosstalkReport(np.eye(2), 1.0, 0.0, math.inf),
 }
 
