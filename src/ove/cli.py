@@ -110,8 +110,6 @@ def _write_run_outputs(run: DesignRun, task: MappingTask, outdir: str):
 
 def _cmd_design(args) -> int:
     cfg = _load_config(args.config)
-    if args.task_kind is not None:
-        cfg = dataclasses.replace(cfg, task_kind=args.task_kind)
     initial = initial_design(cfg)
     outdir = _ensure_outdir(args.out)
     _emit_config(cfg, outdir)
@@ -218,15 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("design", help="optimize an element for the configured task")
     add_common(p)
-    p.set_defaults(fn=_cmd_design, task_kind=None)
-
-    p = sub.add_parser("lantern", help="design: plane waves to fiber modes")
-    add_common(p)
-    p.set_defaults(fn=_cmd_design, task_kind="lantern")
-
-    p = sub.add_parser("haar-grin", help="design: Haar lobes to detector spots")
-    add_common(p)
-    p.set_defaults(fn=_cmd_design, task_kind="haar-grin")
+    p.set_defaults(fn=_cmd_design)
 
     p = sub.add_parser("propagate", help="run a source through a stored volume")
     add_common(p)

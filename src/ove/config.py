@@ -5,11 +5,20 @@ ignored. Keys are dotted paths; every key has a typed default, unknown
 or duplicate keys are rejected, and parsing is total: all problems in a
 file are collected into one ConfigError instead of stopping at the
 first.
+
+``CONFIG_KEYS`` is the one table of keys: each entry holds a key's
+default, its parser, its range check or choices and, where it is not
+the usual one, its home in :class:`DesignConfig`. Parsing, the checks a
+``DesignConfig`` runs whenever it is built and serialization all read
+that table, so a ``dataclasses.replace`` variant is refused as a file
+with the same values is.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .design import LOSS_KINDS, LossSpec, OptimizerConfig
 from .fields import Grid2D
@@ -22,83 +31,100 @@ __all__ = ["DesignConfig", "ConfigError", "parse_config", "serialize_config",
 ELEMENT_KINDS = ("volume", "layered")
 TASK_KINDS = ("lantern", "haar-grin", "fanout", "custom")
 
-# Sentinel for "derive from dn_max at resolution time".
+# Sentinel for "derive from dn_max at resolution time": an unset
+# optimizer.step_size is 1% of the index budget.
 _AUTO = object()
+_STEP, _DN_MAX = "optimizer.step_size", "dn_max"
+
+# The DesignConfig fields that hold a spec object, and its type.
+_SPECS = {"grid": Grid2D, "loss": LossSpec, "optimizer": OptimizerConfig,
+          "propagation": PropagationSpec}
 
 
 def _type_int(raw: str) -> int:
     return int(raw, 10)
 
 
-def _type_float(raw: str) -> float:
-    v = float(raw)
-    if v != v:  # NaN never makes sense in a config
-        raise ValueError("nan")
-    return v
-
-
 class _Key:
-    def __init__(self, default, parse, check=None, choices=None):
+    def __init__(self, default, parse=None, check=None, choices=None, home=None):
         self.default = default
         self.parse = parse
         self.check = check
         self.choices = choices
+        self.home = home
+
+    def problem(self, key: str, value) -> str | None:
+        """Why ``value`` is not a valid value of ``key``, or None when it
+        is. A float must be finite: nan and inf make no sense in a config."""
+        if self.choices is not None:
+            if value not in self.choices:
+                return f"{key}: {value!r} is not one of {', '.join(self.choices)}"
+        elif (self.parse is float and not math.isfinite(value)
+              or self.check is not None and not self.check(value)):
+            return f"{key}: value {value} out of range"
+        return None
 
     def convert(self, key: str, raw: str):
-        if self.choices is not None:
-            if raw not in self.choices:
-                raise ValueError(
-                    f"{key}: {raw!r} is not one of {', '.join(self.choices)}"
-                )
-            return raw
-        try:
-            val = self.parse(raw)
-        except ValueError:
-            kind = "integer" if self.parse is _type_int else "number"
-            raise ValueError(f"{key}: cannot parse {raw!r} as {kind}") from None
-        if self.check is not None and not self.check(val):
-            raise ValueError(f"{key}: value {raw} out of range")
-        return val
+        value = raw
+        if self.choices is None:
+            try:
+                value = self.parse(raw)
+            except ValueError:
+                kind = "integer" if self.parse is _type_int else "number"
+                raise ValueError(f"{key}: cannot parse {raw!r} as {kind}") from None
+        problem = self.problem(key, value)
+        if problem is not None:
+            raise ValueError(problem)
+        return value
 
 
 def _choice(default, *choices):
-    return _Key(default, None, choices=choices)
+    return _Key(default, choices=choices)
 
 
 CONFIG_KEYS: dict[str, _Key] = {
-    "wavelength_um": _Key(1.55, _type_float, lambda v: v > 0),
-    "n0": _Key(1.5, _type_float, lambda v: v >= 1.0),
-    "dn_min": _Key(0.0, _type_float),
-    "dn_max": _Key(0.05, _type_float),
+    "wavelength_um": _Key(1.55, float, lambda v: v > 0),
+    "n0": _Key(1.5, float, lambda v: v >= 1.0),
+    "dn_min": _Key(0.0, float),
+    _DN_MAX: _Key(0.05, float),
     "grid.nx": _Key(64, _type_int, lambda v: v >= 2),
     "grid.ny": _Key(64, _type_int, lambda v: v >= 2),
-    "grid.dx_um": _Key(0.5, _type_float, lambda v: v > 0),
-    "grid.dy_um": _Key(0.5, _type_float, lambda v: v > 0),
+    "grid.dx_um": _Key(0.5, float, lambda v: v > 0, home="grid.dx"),
+    "grid.dy_um": _Key(0.5, float, lambda v: v > 0, home="grid.dy"),
     "element.kind": _choice("volume", *ELEMENT_KINDS),
     "volume.nz": _Key(48, _type_int, lambda v: v >= 1),
-    "volume.dz_um": _Key(1.0, _type_float, lambda v: v > 0),
+    "volume.dz_um": _Key(1.0, float, lambda v: v > 0),
     "layered.num_layers": _Key(3, _type_int, lambda v: v >= 1),
-    "layered.gap_um": _Key(50.0, _type_float, lambda v: v >= 0),
+    "layered.gap_um": _Key(50.0, float, lambda v: v >= 0),
     "task.kind": _choice("lantern", *TASK_KINDS),
     "task.num_pairs": _Key(2, _type_int, lambda v: v >= 1),
-    "task.angle_step_bins": _Key(2.0, _type_float, lambda v: v > 0),
+    "task.angle_step_bins": _Key(2.0, float, lambda v: v > 0),
     "task.fan": _Key(4, _type_int, lambda v: v >= 1),
-    "task.spot_radius_um": _Key(1.3, _type_float, lambda v: v > 0),
-    "task.spot_ring_um": _Key(6.5, _type_float, lambda v: v >= 0),
-    "task.patch_extent_um": _Key(12.0, _type_float, lambda v: v > 0),
-    "fiber.core_radius_um": _Key(5.0, _type_float, lambda v: v > 0),
-    "fiber.n_core": _Key(1.45, _type_float, lambda v: v >= 1.0),
-    "fiber.n_clad": _Key(1.444, _type_float, lambda v: v >= 1.0),
+    "task.spot_radius_um": _Key(1.3, float, lambda v: v > 0),
+    "task.spot_ring_um": _Key(6.5, float, lambda v: v >= 0),
+    "task.patch_extent_um": _Key(12.0, float, lambda v: v > 0),
+    "fiber.core_radius_um": _Key(5.0, float, lambda v: v > 0),
+    "fiber.n_core": _Key(1.45, float, lambda v: v >= 1.0),
+    "fiber.n_clad": _Key(1.444, float, lambda v: v >= 1.0),
     "loss.kind": _choice("mode-coupling", *LOSS_KINDS),
-    "optimizer.step_size": _Key(_AUTO, _type_float, lambda v: v >= 0),
+    _STEP: _Key(_AUTO, float, lambda v: v >= 0),
     "optimizer.max_iters": _Key(400, _type_int, lambda v: v >= 0),
     "optimizer.seed": _Key(0, _type_int, lambda v: v >= 0),
-    "optimizer.tv_weight": _Key(0.0, _type_float, lambda v: v >= 0),
+    "optimizer.tv_weight": _Key(0.0, float, lambda v: v >= 0, home="loss.tv_weight"),
     "propagation.transfer_model": _choice("exact-nonparaxial", *TRANSFER_MODELS),
     "propagation.evanescent_policy": _choice("zero", *EVANESCENT_POLICIES),
     # Width 0 disables the boundary absorber entirely.
-    "propagation.absorber_width": _Key(0.1, _type_float, lambda v: 0.0 <= v < 0.5),
+    "propagation.absorber_width": _Key(0.1, float, lambda v: 0.0 <= v < 0.5),
 }
+
+# Where each key's value lives in a DesignConfig, as an attribute path:
+# the key's own ``home`` if it has one; else the key itself when it
+# starts with a spec field (``grid.nx``); else the field named by the key
+# with its dots as underscores (``volume.nz`` -> ``volume_nz``).
+_HOMES = {key: spec.home or (key if key.partition(".")[0] in _SPECS
+                             else key.replace(".", "_"))
+          for key, spec in CONFIG_KEYS.items()}
+_read_homes = attrgetter(*_HOMES.values())
 
 
 class ConfigError(ValueError):
@@ -111,7 +137,12 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class DesignConfig:
-    """Fully resolved run settings (every default applied)."""
+    """Fully resolved run settings (every default applied).
+
+    Building one runs every check of ``CONFIG_KEYS`` and the two
+    cross-key checks, and raises one ConfigError that names each failing
+    key.
+    """
 
     wavelength_um: float
     n0: float
@@ -130,77 +161,42 @@ class DesignConfig:
     task_spot_radius_um: float
     task_spot_ring_um: float
     task_patch_extent_um: float
-    fiber: FiberSpec
+    fiber_core_radius_um: float
+    fiber_n_core: float
+    fiber_n_clad: float
     loss: LossSpec
     optimizer: OptimizerConfig
     propagation: PropagationSpec
 
+    def __post_init__(self):
+        errors = [problem for key, value in to_mapping(self).items()
+                  if (problem := CONFIG_KEYS[key].problem(key, value)) is not None]
+        if self.dn_max < self.dn_min:
+            errors.append(f"dn_max = {self.dn_max} is below dn_min = {self.dn_min}")
+        if self.fiber_n_core <= self.fiber_n_clad:
+            errors.append(f"fiber.n_core = {self.fiber_n_core} must exceed "
+                          f"fiber.n_clad = {self.fiber_n_clad}")
+        if errors:
+            raise ConfigError(errors)
 
-def _build(values: dict, errors: list[str]) -> DesignConfig | None:
-    """Assemble the typed config, folding constructor complaints into errors."""
-    if values["dn_max"] < values["dn_min"]:
-        errors.append(
-            f"dn_max = {values['dn_max']} is below dn_min = {values['dn_min']}"
-        )
-    if values["fiber.n_core"] <= values["fiber.n_clad"]:
-        errors.append(
-            f"fiber.n_core = {values['fiber.n_core']} must exceed "
-            f"fiber.n_clad = {values['fiber.n_clad']}"
-        )
-    step = values["optimizer.step_size"]
-    if step is _AUTO:
-        step = 0.01 * values["dn_max"] if values["dn_max"] > 0 else 1e-4
+    @property
+    def fiber(self) -> FiberSpec:
+        """The step-index fiber of the ``fiber.*`` keys, at ``wavelength_um``."""
+        return FiberSpec(self.fiber_core_radius_um, self.fiber_n_core,
+                         self.fiber_n_clad, self.wavelength_um)
 
-    def attempt(label, fn):
-        try:
-            return fn()
-        except ValueError as exc:
-            errors.append(f"{label}: {exc}")
-            return None
 
-    grid = attempt("grid", lambda: Grid2D(values["grid.nx"], values["grid.ny"],
-                                          values["grid.dx_um"], values["grid.dy_um"]))
-    fiber = attempt("fiber", lambda: FiberSpec(values["fiber.core_radius_um"],
-                                               values["fiber.n_core"],
-                                               values["fiber.n_clad"],
-                                               values["wavelength_um"]))
-    loss = attempt("loss", lambda: LossSpec(values["loss.kind"],
-                                            values["optimizer.tv_weight"]))
-    opt = attempt("optimizer", lambda: OptimizerConfig(
-        step_size=step,
-        max_iters=values["optimizer.max_iters"],
-        seed=values["optimizer.seed"],
-    ))
-    prop = attempt("propagation", lambda: PropagationSpec(
-        transfer_model=values["propagation.transfer_model"],
-        evanescent_policy=values["propagation.evanescent_policy"],
-        absorber_width=values["propagation.absorber_width"],
-    ))
-    if errors:
-        return None
-    return DesignConfig(
-        wavelength_um=values["wavelength_um"],
-        n0=values["n0"],
-        dn_min=values["dn_min"],
-        dn_max=values["dn_max"],
-        grid=grid,
-        element_kind=values["element.kind"],
-        volume_nz=values["volume.nz"],
-        volume_dz_um=values["volume.dz_um"],
-        layered_num_layers=values["layered.num_layers"],
-        layered_gap_um=values["layered.gap_um"],
-        task_kind=values["task.kind"],
-        task_num_pairs=values["task.num_pairs"],
-        task_angle_step_bins=values["task.angle_step_bins"],
-        task_fan=values["task.fan"],
-        task_spot_radius_um=values["task.spot_radius_um"],
-        task_spot_ring_um=values["task.spot_ring_um"],
-        task_patch_extent_um=values["task.patch_extent_um"],
-        fiber=fiber,
-        loss=loss,
-        optimizer=opt,
-        propagation=prop,
-    )
+def _build(values: dict) -> DesignConfig:
+    """The DesignConfig holding each key's value at its home."""
+    fields, specs = {}, {name: {} for name in _SPECS}
+    for key, home in _HOMES.items():
+        name, _, attr = home.partition(".")
+        if attr:
+            specs[name][attr] = values[key]
+        else:
+            fields[name] = values[key]
+    return DesignConfig(**fields, **{name: spec(**specs[name])
+                                     for name, spec in _SPECS.items()})
 
 
 def parse_config(text: str) -> DesignConfig:
@@ -234,10 +230,12 @@ def parse_config(text: str) -> DesignConfig:
         except ValueError as exc:
             errors.append(f"line {lineno}: {exc}")
 
-    cfg = _build(values, errors) if not errors else None
     if errors:
         raise ConfigError(errors)
-    return cfg
+    if values[_STEP] is _AUTO:
+        dn_max = values[_DN_MAX]
+        values[_STEP] = 0.01 * dn_max if dn_max > 0 else 1e-4
+    return _build(values)
 
 
 def _format_value(v) -> str:
@@ -252,39 +250,7 @@ def _format_value(v) -> str:
 
 def to_mapping(cfg: DesignConfig) -> dict[str, object]:
     """Flat key -> value view of a resolved config, in schema order."""
-    return {
-        "wavelength_um": cfg.wavelength_um,
-        "n0": cfg.n0,
-        "dn_min": cfg.dn_min,
-        "dn_max": cfg.dn_max,
-        "grid.nx": cfg.grid.nx,
-        "grid.ny": cfg.grid.ny,
-        "grid.dx_um": cfg.grid.dx,
-        "grid.dy_um": cfg.grid.dy,
-        "element.kind": cfg.element_kind,
-        "volume.nz": cfg.volume_nz,
-        "volume.dz_um": cfg.volume_dz_um,
-        "layered.num_layers": cfg.layered_num_layers,
-        "layered.gap_um": cfg.layered_gap_um,
-        "task.kind": cfg.task_kind,
-        "task.num_pairs": cfg.task_num_pairs,
-        "task.angle_step_bins": cfg.task_angle_step_bins,
-        "task.fan": cfg.task_fan,
-        "task.spot_radius_um": cfg.task_spot_radius_um,
-        "task.spot_ring_um": cfg.task_spot_ring_um,
-        "task.patch_extent_um": cfg.task_patch_extent_um,
-        "fiber.core_radius_um": cfg.fiber.core_radius_um,
-        "fiber.n_core": cfg.fiber.n_core,
-        "fiber.n_clad": cfg.fiber.n_clad,
-        "loss.kind": cfg.loss.kind,
-        "optimizer.step_size": cfg.optimizer.step_size,
-        "optimizer.max_iters": cfg.optimizer.max_iters,
-        "optimizer.seed": cfg.optimizer.seed,
-        "optimizer.tv_weight": cfg.loss.tv_weight,
-        "propagation.transfer_model": cfg.propagation.transfer_model,
-        "propagation.evanescent_policy": cfg.propagation.evanescent_policy,
-        "propagation.absorber_width": cfg.propagation.absorber_width,
-    }
+    return dict(zip(CONFIG_KEYS, _read_homes(cfg)))
 
 
 def serialize_config(cfg: DesignConfig) -> str:

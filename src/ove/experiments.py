@@ -533,7 +533,7 @@ def design_task(cfg: DesignConfig) -> MappingTask:
         return lantern_task(cfg.fiber, grid, _fan_angles(cfg), cfg.propagation)
     if cfg.task_kind == "fanout":
         return fanout_task(grid, lam, cfg.task_fan, ring, radius, cfg.propagation)
-    # custom, the mode sorter; config parsing rejects any other kind
+    # custom, the mode sorter; DesignConfig refuses any other kind
     return sorter_task(grid, lam, _fan_angles(cfg), ring, radius, cfg.propagation)
 
 

@@ -12,14 +12,7 @@ import os
 
 import pytest
 
-from ove.experiments import (
-    canned_config,
-    lantern_experiment,
-    optimized_curve,
-    run_design,
-    superposed_curve,
-)
-from testutil import LANTERN_FIBER, lantern_angles
+from ove.experiments import canned_config, optimized_curve, run_design, superposed_curve
 
 FIXTURES_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -32,7 +25,7 @@ def baselines() -> dict:
 
 @pytest.fixture(scope="session")
 def lantern_result():
-    return lantern_experiment(LANTERN_FIBER, lantern_angles())
+    return run_design(canned_config("lantern"))
 
 
 @pytest.fixture(scope="session")

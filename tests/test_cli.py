@@ -21,14 +21,13 @@ from ove.experiments import (
     CrosstalkReport,
     canned_config,
     fanout_config,
-    lantern_experiment,
     optimized_fanout_efficiency,
     run_design,
 )
 from ove.fields import Grid2D, IndexVolume
 from ove.io import export_volume, import_field, import_volume, read_pgm
 from ove.propagation import propagate
-from testutil import LANTERN_FIBER, LEGACY_RESOLVED, haar_bank_oracle, lantern_angles
+from testutil import LEGACY_RESOLVED, haar_bank_oracle
 
 TINY_DESIGN = "\n".join([
     "grid.nx = 32",
@@ -259,14 +258,14 @@ class TestDesign:
         assert after - before == {"only_here"}
 
 
-class TestLanternAndHaarSubcommands:
+class TestDesignTaskKinds:
     def test_lantern_smoke(self, tmp_path):
         path = tmp_path / "l.cfg"
         path.write_text("\n".join([
-            "grid.nx = 32", "grid.ny = 32", "volume.nz = 4",
+            "task.kind = lantern", "grid.nx = 32", "grid.ny = 32", "volume.nz = 4",
             "optimizer.max_iters = 2", "optimizer.step_size = 0.002",
         ]) + "\n", encoding="utf-8")
-        assert main(["lantern", str(path), "--out", "l"]) == 0
+        assert main(["design", str(path), "--out", "l"]) == 0
         metrics = dict(ln.split(",") for ln in
                        read_csv_lines(tmp_path / "l" / "metrics.csv")[1:])
         assert float(metrics["final_loss"]) <= float(metrics["initial_loss"])
@@ -277,10 +276,16 @@ class TestLanternAndHaarSubcommands:
             "task.kind = haar-grin", "volume.nz = 2",
             "optimizer.max_iters = 1", "optimizer.step_size = 0.006",
         ]) + "\n", encoding="utf-8")
-        assert main(["haar-grin", str(path), "--out", "h"]) == 0
+        assert main(["design", str(path), "--out", "h"]) == 0
         # Seven lobes: 3 signed kinds x 2 lobes + uniform's single lobe.
         coupling_lines = read_csv_lines(tmp_path / "h" / "coupling.csv")
         assert len(coupling_lines) == 1 + 49
+
+    @pytest.mark.parametrize("command", ["lantern", "haar-grin"])
+    def test_removed_shorthands_are_usage_errors(self, tmp_path, command):
+        # `ove design` with task.kind set is the one way to run a task kind.
+        assert main([command, "--out", "x"]) == 2
+        assert not (tmp_path / "x").exists()
 
 
 def fanout_experiment(opt):
@@ -294,20 +299,15 @@ def fanout_experiment(opt):
 @pytest.mark.parametrize("kind", [*sorted(CANNED), "fanout"])
 def test_design_reproduces_canned_experiment(tmp_path, kind):
     # Each canned config, cut to two iterations and written out as
-    # `ove design` reads it, against its library entry point: the lantern
-    # with the test fiber and +-1-bin tilts, the fanout by its efficiency.
+    # `ove design` reads it, against its library entry point: run_design,
+    # and for the fanout its efficiency.
     base = fanout_config(4, 0.05) if kind == "fanout" else canned_config(kind)
     cfg = replace(base, optimizer=replace(base.optimizer, max_iters=2))
     path = tmp_path / "run.cfg"
     path.write_text(serialize_config(cfg), encoding="utf-8")
     assert main(["design", str(path), "--out", "d"]) == 0
     got = [float(ln.split(",")[1]) for ln in read_csv_lines(tmp_path / "d" / "loss.csv")[1:]]
-    if kind == "lantern":
-        run, report = lantern_experiment(LANTERN_FIBER, lantern_angles(), cfg.optimizer)
-    elif kind == "fanout":
-        run, report = fanout_experiment(cfg.optimizer)
-    else:
-        run, report = run_design(cfg)
+    run, report = fanout_experiment(cfg.optimizer) if kind == "fanout" else run_design(cfg)
     assert got == [run.initial_loss, *run.loss_history]
 
     # The CLI and the experiment report the same numbers, exactly.

@@ -1,7 +1,10 @@
 """Config text parsing: defaults, validation, error accumulation, and the
 serialize/parse round trip."""
 
+import math
 import os
+import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -51,16 +54,20 @@ class TestDefaults:
 
 class TestValidation:
     def test_dn_bounds_error_names_both_keys(self):
-        with pytest.raises(ConfigError) as exc:
-            parse_config("dn_max = -0.2")
-        msg = str(exc.value)
-        assert "dn_max" in msg and "dn_min" in msg
+        for build in (lambda: parse_config("dn_max = -0.2"),
+                      lambda: replace(default_config(), dn_max=-0.2)):
+            with pytest.raises(ConfigError) as exc:
+                build()
+            msg = str(exc.value)
+            assert "dn_max" in msg and "dn_min" in msg
 
     def test_fiber_index_contrast_checked(self):
-        with pytest.raises(ConfigError) as exc:
-            parse_config("fiber.n_core = 1.4\nfiber.n_clad = 1.45")
-        msg = str(exc.value)
-        assert "fiber.n_core" in msg and "fiber.n_clad" in msg
+        for build in (lambda: parse_config("fiber.n_core = 1.4\nfiber.n_clad = 1.45"),
+                      lambda: replace(default_config(), fiber_n_core=1.4, fiber_n_clad=1.45)):
+            with pytest.raises(ConfigError) as exc:
+                build()
+            msg = str(exc.value)
+            assert "fiber.n_core" in msg and "fiber.n_clad" in msg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -87,27 +94,50 @@ class TestValidation:
         with pytest.raises(ConfigError, match="line 2"):
             parse_config("grid.nx = 32\nthis is not an assignment\n")
 
-    @pytest.mark.parametrize("line", [
-        "wavelength_um = 0",
-        "wavelength_um = nan",
-        "n0 = 0.9",
-        "grid.nx = 1",
-        "grid.dx_um = -0.5",
-        "volume.nz = 0",
-        "volume.dz_um = 0",
-        "layered.num_layers = 0",
-        "task.num_pairs = 0",
-        "task.spot_radius_um = 0",
-        "optimizer.step_size = -1e-3",
-        "optimizer.max_iters = -1",
-        "optimizer.seed = -2",
-        "optimizer.tv_weight = -0.5",
-        "propagation.absorber_width = 0.5",
-        "propagation.absorber_width = -0.1",
-    ])
+    # Each line's replace variant: the DesignConfig field it sets and the
+    # value, or, for a key held on a spec, a function of the config that
+    # builds that spec. The spec refuses the value itself, with a
+    # ValueError of its own, except optimizer.seed, which only the config
+    # checks.
+    OUT_OF_RANGE = {
+        "wavelength_um = 0": ("wavelength_um", 0.0),
+        "wavelength_um = nan": ("wavelength_um", math.nan),
+        "n0 = 0.9": ("n0", 0.9),
+        "grid.nx = 1": ("grid", lambda cfg: replace(cfg.grid, nx=1)),
+        "grid.dx_um = -0.5": ("grid", lambda cfg: replace(cfg.grid, dx=-0.5)),
+        "volume.nz = 0": ("volume_nz", 0),
+        "volume.dz_um = 0": ("volume_dz_um", 0.0),
+        "volume.dz_um = inf": ("volume_dz_um", math.inf),
+        "layered.num_layers = 0": ("layered_num_layers", 0),
+        "task.num_pairs = 0": ("task_num_pairs", 0),
+        "task.spot_radius_um = 0": ("task_spot_radius_um", 0.0),
+        "task.kind = sorter": ("task_kind", "sorter"),
+        "element.kind = layer": ("element_kind", "layer"),
+        "optimizer.step_size = -1e-3":
+            ("optimizer", lambda cfg: replace(cfg.optimizer, step_size=-1e-3)),
+        "optimizer.max_iters = -1":
+            ("optimizer", lambda cfg: replace(cfg.optimizer, max_iters=-1)),
+        "optimizer.seed = -2": ("optimizer", lambda cfg: replace(cfg.optimizer, seed=-2)),
+        "optimizer.tv_weight = -0.5":
+            ("loss", lambda cfg: replace(cfg.loss, tv_weight=-0.5)),
+        "propagation.absorber_width = 0.5":
+            ("propagation", lambda cfg: replace(cfg.propagation, absorber_width=0.5)),
+        "propagation.absorber_width = -0.1":
+            ("propagation", lambda cfg: replace(cfg.propagation, absorber_width=-0.1)),
+    }
+
+    @pytest.mark.parametrize("line", list(OUT_OF_RANGE))
     def test_out_of_range_values_rejected(self, line):
-        with pytest.raises(ConfigError):
+        key = line.partition(" = ")[0]
+        with pytest.raises(ConfigError, match=re.escape(key)):
             parse_config(line)
+        cfg = default_config()
+        field, value = self.OUT_OF_RANGE[line]
+        refused_by_spec = callable(value) and key != "optimizer.seed"
+        with pytest.raises(ValueError if refused_by_spec else ConfigError) as exc:
+            replace(cfg, **{field: value(cfg) if callable(value) else value})
+        if not refused_by_spec:
+            assert key in str(exc.value)
 
     @pytest.mark.parametrize("line,expected", [
         ("grid.nx = 12.5", "integer"),

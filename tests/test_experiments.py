@@ -12,8 +12,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ove.config import default_config, to_mapping
+from ove.config import default_config, parse_config, serialize_config, to_mapping
 from ove.design import LossSpec, OptimizerConfig, evaluate
 from ove.experiments import (
     CANNED,
@@ -22,6 +24,7 @@ from ove.experiments import (
     HolographySetup,
     canned_config,
     design_task,
+    fanout_config,
     fanout_task,
     fit_log_slope,
     lantern_task,
@@ -471,3 +474,36 @@ def test_canned_config_sets_only_keys_off_their_default(name):
     for key in keys:
         if key != "optimizer.max_iters":
             assert got[key] != default[key], key
+
+
+@pytest.mark.parametrize("base", [*sorted(CANNED), "fanout"])
+@given(data=st.data())
+@settings(max_examples=12, deadline=None)
+def test_replace_variant_is_the_config_it_serializes_to(base, data):
+    # A variant drawn by dataclasses.replace, the wavelength and the fiber
+    # among its keys, writes a file that parses back to it and builds the
+    # same task, at the variant's wavelength. Small grids, on which every
+    # task kind still fits its fiber, spots and patch.
+    cfg = fanout_config(4, 0.05) if base == "fanout" else canned_config(base)
+    n = data.draw(st.sampled_from([20, 24]), label="grid.nx")
+    dx = data.draw(st.floats(1.05, 1.2), label="grid.dx_um")
+    n_clad = data.draw(st.floats(1.44, 1.45), label="fiber.n_clad")
+    cfg = replace(
+        cfg, grid=Grid2D(n, n, dx, dx), fiber_n_clad=n_clad,
+        wavelength_um=data.draw(st.floats(1.3, 1.55), label="wavelength_um"),
+        n0=data.draw(st.floats(1.0, 1.6), label="n0"),
+        fiber_core_radius_um=data.draw(st.floats(5.0, 6.0), label="fiber.core_radius_um"),
+        # A contrast of 0.006 or more keeps LP11 guided at 1.55 um.
+        fiber_n_core=n_clad + data.draw(st.floats(0.006, 0.012), label="fiber contrast"),
+        propagation=replace(cfg.propagation, absorber_width=data.draw(
+            st.floats(0.0, 0.2), label="propagation.absorber_width")),
+    )
+    again = parse_config(serialize_config(cfg))
+    assert again == cfg
+
+    task, again_task = design_task(cfg), design_task(again)
+    for got, want in ((task.inputs, again_task.inputs), (task.targets, again_task.targets)):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.wavelength_um == b.wavelength_um == cfg.wavelength_um
+            np.testing.assert_array_equal(a.values, b.values)

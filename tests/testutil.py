@@ -24,11 +24,9 @@ NO_ABSORBER = PropagationSpec(absorber_width=0.0)
 # sigmoid projection became constants; it still sets their three keys.
 LEGACY_RESOLVED = os.path.join(os.path.dirname(__file__), "fixtures", "legacy_resolved.cfg")
 
-# Reference lantern geometry: +-1 spectral bin tilts on the default
-# 32 um window, default fiber. Must stay in sync with make_baselines.py.
+# The default config's fiber.
 LANTERN_FIBER = FiberSpec(core_radius_um=5.0, n_core=1.45, n_clad=1.444,
                           wavelength_um=1.55)
-LANTERN_GRID = Grid2D(64, 64, 0.5, 0.5)
 
 
 def traced_peak(fn):
@@ -41,12 +39,6 @@ def traced_peak(fn):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-
-
-def lantern_angles(grid: Grid2D = LANTERN_GRID,
-                   wavelength_um: float = 1.55) -> list[tuple[float, float]]:
-    window = grid.nx * grid.dx
-    return [(math.asin(b * wavelength_um / window), 0.0) for b in (-1.0, 1.0)]
 
 
 def fsum_power(field: ComplexField) -> float:
