@@ -23,15 +23,32 @@ speculative gradient: an accepted candidate brings the next iteration's
 gradient. An evaluation without a gradient keeps each input's output
 field in its place, so the run's last evaluation hands the outputs of
 ``result`` to the caller, and rendering them needs no further pass.
+
+What runs where: an evaluation with a gradient of two inputs or more on
+a grid of at least ``propagation._OVERLAP_MIN_SAMPLES`` samples uses the
+second core. One worker thread, owned and joined by the call, runs input
+i's adjoint sweep while the calling thread runs input i + 1's forward
+sweep; the calling thread waits for that adjoint before it forms input
+i + 1's overlaps, loss terms and seed. The adjoints run one at a time in
+input order, so the gradient, the loss and the coupling take their
+terms in the serial order and carry the serial loop's bits. The traces
+share a budget of one field more than the chain has steps: a forward
+sweep takes a field of it per trace append, waiting while there is
+none, and the adjoint gives one back per traced field it spends. Other
+evaluations run the serial loop on the calling thread.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import propagation
 from .fields import ComplexField, IndexVolume, LayeredElement, MappingTask
 from .propagation import PropagationSpec, Step, drift_adjoint, element_chain, forward_sweep
 
@@ -241,37 +258,82 @@ def _adjoint_sweep(steps: list[Step], trace: list[np.ndarray], g: np.ndarray,
     consuming ``trace``.
 
     Each step undoes its post drift, adds ``scale * Im(conj(u_k) g)`` to
-    ``grad_steps[k]`` (u_k is the traced field after kick k, popped from
+    ``grad_steps[k]`` (u_k is the traced field after kick k, the last in
     ``trace``), then undoes the kick and the pre drift. Nothing reads ``g``
     after step 0's term, so step 0 stops there: a volume's sweep runs nz
     drifts, one fewer than its forward pass, and a layered sweep undoes
-    one kick fewer than it has layers. Each distinct transfer is
-    conjugated once and held for the sweep. The kick and the gradient term
-    work in place and each traced field is dropped once used, so that
-    holding the conjugates raises no peak.
+    one kick fewer than it has layers.
+
+    The term is formed in u_k's own array, which then takes the undone
+    kick and becomes ``g``; u_k leaves ``trace`` only then, once ``g``'s
+    old array is freed, so a sweep never holds a popped field beside the
+    trace. The sweep keeps the conjugate of the transfer it last undid and
+    forms a new one only when the transfer changes: twice for a volume,
+    once per run of equal gaps for a layered element. So it holds ``g``,
+    a drift's spectrum and one conjugate transfer on top of what is left
+    of the trace.
     """
-    conj: dict[int, np.ndarray] = {}
+    held = h_conj = None
 
     def undrift(g: np.ndarray, h: np.ndarray) -> np.ndarray:
-        h_conj = conj.get(id(h))
-        if h_conj is None:
-            h_conj = conj[id(h)] = np.conj(h)
+        nonlocal held, h_conj
+        if h is not held:
+            held, h_conj = h, None  # the old conjugate is freed before the new one
+            h_conj = np.conj(h)
         return drift_adjoint(g, h_conj)
 
     for k in reversed(range(len(steps))):
         pre, kick, post = steps[k]
         if post is not None:
             g = undrift(g, post)
-        work = np.conj(trace.pop())
+        work = trace[-1]
+        np.conj(work, out=work)
         work *= g
         work.imag *= scale
         grad_steps[k] += work.imag
+        if k > 0:
+            g = np.multiply(np.conj(kick, out=work), g, out=work)
+        del work
+        trace.pop()
         if k == 0:
             break
-        g = np.multiply(np.conj(kick, out=work), g, out=work)
-        del work
         if pre is not None:
             g = undrift(g, pre)
+
+
+class _BudgetedTrace(list):
+    """A trace whose fields count against ``budget``, a semaphore shared by
+    every trace of one evaluation: an append takes one field of it, and
+    waits while there is none, and a pop gives one back."""
+
+    def __init__(self, budget: threading.Semaphore):
+        super().__init__()
+        self.budget = budget
+
+    def append(self, u: np.ndarray):
+        self.budget.acquire()
+        super().append(u)
+
+    def pop(self) -> np.ndarray:
+        u = super().pop()
+        self.budget.release()
+        return u
+
+
+def _adjoint_on_worker(budget: threading.Semaphore, steps: list[Step],
+                       trace: _BudgetedTrace, seeds: list[np.ndarray],
+                       grad_steps: np.ndarray, scale: float):
+    """:func:`_adjoint_sweep` of ``steps`` from the one seed in ``seeds``,
+    run on the worker. The seed is taken out of its list, so the sweep
+    holds the only reference and frees it after its first drift. If the
+    sweep fails, it gives back a field per step first, so that a forward
+    sweep waiting on ``budget`` runs to its end and its caller meets the
+    failure."""
+    try:
+        _adjoint_sweep(steps, trace, seeds.pop(), grad_steps, scale)
+    except BaseException:
+        budget.release(len(steps))
+        raise
 
 
 def evaluate(design: IndexVolume | LayeredElement, task: MappingTask, spec: LossSpec,
@@ -286,14 +348,29 @@ def evaluate(design: IndexVolume | LayeredElement, task: MappingTask, spec: Loss
     its loss term, input by input and in target order within an input.
     With a gradient the input's seed is the sum of those targets' seeds,
     since the adjoint is linear in its seed, and one adjoint sweep runs it
-    back; an input whose column of W is zero runs none. Without a
-    gradient no seed is built.
+    back; an input whose column of W is zero keeps no trace and runs none.
+    Without a gradient no seed is built.
+
+    With a gradient, two inputs or more and a grid of at least
+    ``propagation._OVERLAP_MIN_SAMPLES`` samples, the sweeps overlap on
+    two threads: one worker thread runs input i's adjoint while the
+    calling thread runs input i + 1's forward sweep. The calling thread
+    waits for that adjoint before it forms input i + 1's overlaps and
+    seed, and keeps the loss and the coupling; the adjoints run one at a
+    time in input order, so every sum takes its terms in the serial
+    order and the bits are the serial loop's. The traces together hold at
+    most one field more than the chain has steps: a forward sweep waits
+    for a field of that budget per step, and the adjoint before it gives
+    one back per step it undoes. The worker lives only for the call,
+    which joins it before it returns or raises; a failure on either
+    thread reaches the caller as it was raised. Smaller runs keep the
+    serial loop.
 
     The TV term, if any, is formed first and added last. ``design`` is
     dropped once its chain is formed, so while the sweeps run this call
-    holds the chain, the gradient, the TV gradient if TV is on, and one
-    trace at a time: nothing of the design. A caller that passes the
-    design as a temporary holds none of it either.
+    holds the chain, the gradient, the TV gradient if TV is on, and the
+    traces: nothing of the design. A caller that passes the design as a
+    temporary holds none of it either.
     """
     if spec.tv_weight > 0.0:
         tv, tv_grad = total_variation(_params_per_step(design))
@@ -309,32 +386,54 @@ def evaluate(design: IndexVolume | LayeredElement, task: MappingTask, spec: Loss
     coupling = np.empty(task.weights.shape)
     outputs = None if with_gradient else []
     total = 0.0  # summed in order; sum() compensates on Python >= 3.12
-    for i, inp in enumerate(task.inputs):
-        trace = [] if with_gradient else None
-        out = forward_sweep(steps, inp.values, trace)
-        if outputs is not None:
-            outputs.append(out)
-        out_conj = np.conj(out)
-        seed = None  # stays None without a gradient: no seed is built
-        for t, target in enumerate(task.targets):
-            # |overlap|^2 as fields.overlap forms it, on the raw array, so a
-            # non-finite output reaches the optimizer's check, not a field's.
-            c = complex(np.sum(out_conj * target.values) * area)
-            coupling[t, i] = abs(c) ** 2
-            weight = task.weights[t, i]
-            if weight > 0:
-                term, g = _entry_loss_and_seed(out, target, c, weight, spec.kind,
-                                               with_gradient)
-                total += term
-                if seed is None:
-                    seed = g
-                else:
-                    seed += g
-                del g
-        # Neither is read again: freeing them makes room for the adjoint.
-        del out, out_conj
-        if seed is not None:
-            _adjoint_sweep(steps, trace, seed, grad_steps, scale)
+    overlapped = (with_gradient and len(task.inputs) >= 2
+                  and task.grid.nx * task.grid.ny >= propagation._OVERLAP_MIN_SAMPLES)
+    with (ThreadPoolExecutor(max_workers=1, thread_name_prefix="ove-adjoint") if overlapped
+          else contextlib.nullcontext()) as pool:
+        budget = threading.Semaphore(len(steps) + 1) if overlapped else None
+        adjoint = None  # the worker's adjoint of the input before
+        for i, inp in enumerate(task.inputs):
+            trace = None
+            if with_gradient and np.any(task.weights[:, i] > 0):
+                trace = [] if budget is None else _BudgetedTrace(budget)
+            out = forward_sweep(steps, inp.values, trace)
+            if adjoint is not None:
+                adjoint.result()  # its working fields are freed before the overlaps
+                adjoint = None
+            if outputs is not None:
+                outputs.append(out)
+            out_conj = np.conj(out)
+            seed = None  # stays None without a gradient: no seed is built
+            for t, target in enumerate(task.targets):
+                # |overlap|^2 as fields.overlap forms it, on the raw array, so a
+                # non-finite output reaches the optimizer's check, not a field's.
+                c = complex(np.sum(out_conj * target.values) * area)
+                coupling[t, i] = abs(c) ** 2
+                weight = task.weights[t, i]
+                if weight > 0:
+                    term, g = _entry_loss_and_seed(out, target, c, weight, spec.kind,
+                                                   with_gradient)
+                    total += term
+                    if seed is None:
+                        seed = g
+                    else:
+                        seed += g
+                    del g
+            # Neither is read again: freeing them makes room for the adjoint.
+            del out, out_conj
+            if seed is None:
+                continue
+            if pool is None:
+                _adjoint_sweep(steps, trace, seed, grad_steps, scale)
+            else:
+                adjoint = pool.submit(_adjoint_on_worker, budget, steps, trace, [seed],
+                                      grad_steps, scale)
+                # The worker frees the seed after its first drift. The serial
+                # loop keeps it until the next input's: freeing it here made
+                # a 64² lantern evaluation page-fault a third more often.
+                del trace, seed
+        if adjoint is not None:
+            adjoint.result()
     if spec.tv_weight > 0.0:
         total += spec.tv_weight * tv
         if with_gradient:
@@ -404,7 +503,8 @@ def optimize(task: MappingTask, initial_design: IndexVolume | LayeredElement,
 
     While a candidate's sweeps run, the run holds five parameter-sized
     arrays (the initial design, Adam's iterate, m, v and the direction),
-    the candidate's chain, its gradient and one input's trace. It holds
+    the candidate's chain, its gradient and the traces (one input's, or on
+    the overlapped path of :func:`evaluate` one field more). It holds
     neither the candidate, which :func:`evaluate` drops once its chain is
     formed, nor the previous gradient: the gradient is taken out of an
     accepted :class:`Evaluation`, and the run keeps the record without it.

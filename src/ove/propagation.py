@@ -29,7 +29,8 @@ Every drift runs on ``scipy.fft`` (its ``fft2``/``ifft2`` transform both
 axes in one call, where ``numpy.fft`` loops over them in Python). The
 new spectrum is multiplied and inverse-transformed in place; the input
 field is never written, because it may be a traced field or the
-caller's.
+caller's. :func:`forward_sweep` multiplies each kick in place into the
+field a drift has just made, and never into the caller's or a traced one.
 
 Sign convention: time dependence exp(-i w t), forward propagation phase
 exp(+i kz z). A plane wave propagated a whole number of wavelengths in a
@@ -62,10 +63,20 @@ EVANESCENT_POLICIES = ("zero", "keep")
 # Absorber amplitude at the outermost sample of the super-Gaussian skirt.
 _EDGE_AMPLITUDE = 1e-3
 
-# Grids of at least this many samples form propagate's kicks one step
-# ahead on a worker thread; below it the thread handoff costs about what
-# the phasors it hides do (64 x 64 x 48 breaks even in the minimum of
-# 120 passes, 80 x 80 x 48 wins by 12-20%).
+# Grids of at least this many samples use the second core in two places:
+# propagate forms its kicks one step ahead on a worker thread, and
+# design.evaluate runs each input's adjoint on a worker thread while the
+# calling thread runs the next input's forward sweep. Overlapped over
+# serial time, 2-core host:
+#
+#   propagate, 48 slices     64 x 64: x1.00 (minimum of 120 passes)
+#                            80 x 80: x0.80-0.88
+#   evaluate with gradient,  64 x 64: 2 inputs x0.89-1.20, 7 inputs x0.84-0.88
+#   canned configs (median   80 x 80: 2 inputs x0.84-0.86, 7 inputs x0.78
+#   of 20-40 calls each)
+#
+# Below 80 x 80 the handoffs can cost what they hide, so both keep their
+# serial loops there.
 _OVERLAP_MIN_SAMPLES = 80 * 80
 
 
@@ -133,11 +144,13 @@ def transfer_function(grid: Grid2D, wavelength_um: float, n_medium: float,
 def absorber_mask(grid: Grid2D, width_fraction: float) -> np.ndarray | None:
     """Separable super-Gaussian amplitude skirt hugging the window edges.
 
-    Returns None when the width is zero (no absorption). The profile is 1
-    in the interior and falls to ~1e-3 at the outermost sample, following
-    exp(log(eps) * s^4) with s the normalized depth into the skirt.
+    Returns None when the skirt is at most half a sample deep on every
+    axis, zero width included: every sample of the mask would be 1.0, and
+    x * 1.0 == x. The profile is 1 in the interior and falls to ~1e-3 at
+    the outermost sample, following exp(log(eps) * s^4) with s the
+    normalized depth into the skirt.
     """
-    if width_fraction <= 0.0:
+    if width_fraction <= 0.5 / max(grid.nx, grid.ny):
         return None
 
     def profile(n: int) -> np.ndarray:
@@ -165,7 +178,8 @@ def drift(values: np.ndarray, h: np.ndarray) -> np.ndarray:
 def drift_adjoint(g: np.ndarray, h_conj: np.ndarray) -> np.ndarray:
     """Adjoint of ``drift(., h)``: the same step through ``h_conj`` =
     conj(h), which the caller forms, so that an adjoint sweep conjugates
-    each distinct transfer once and not on every call.
+    a transfer once for the steps in a row that share it, not on every
+    call.
 
     Like :func:`drift`, it never writes to ``g``."""
     spec = scipy.fft.fft2(g)
@@ -263,17 +277,26 @@ def forward_sweep(steps: Iterable[Step], values: np.ndarray,
 
     When ``trace`` is given, the field right after each kick is appended
     to it: that is what the adjoint sweep needs.
+
+    A kick is multiplied in place into a field that this sweep made and
+    nothing else holds: a drift's output, or without a trace the previous
+    kick's. Into ``values``, or a traced field after a zero gap, it is
+    multiplied into a new array. Either way the product is kick * u, with
+    the operands in that order, since numpy's complex product does not
+    give the same bits with them swapped.
     """
-    u = values
+    u, owned = values, False
     for pre, kick, post in steps:
         if pre is not None:
-            u = drift(u, pre)
-        u = kick * u
+            u, owned = drift(u, pre), True
+        u = np.multiply(kick, u, out=u if owned else None)
         del kick  # a lazily built kick can be freed once it is applied
         if trace is not None:
             trace.append(u)
         if post is not None:
-            u = drift(u, post)
+            u, owned = drift(u, post), True
+        else:
+            owned = trace is None
     return u
 
 

@@ -5,6 +5,7 @@ gradients against central finite differences, and the optimizer contract
 import dataclasses
 import itertools
 import math
+import threading
 import weakref
 
 import numpy as np
@@ -46,8 +47,10 @@ from ove.sources import gaussian
 from testutil import (
     NO_ABSORBER,
     UNITARY,
+    Boom,
     band_limited_field,
     band_limited_phases,
+    raise_on_call,
     smooth_random_volume,
     traced_peak,
 )
@@ -451,8 +454,8 @@ def reference_evaluate(design, task, spec, prop, with_gradient):
             if task.weights[t, i] > 0:
                 term, g = reference_term_and_seed(out, target, task.weights[t, i], spec.kind)
                 total += term
-                if with_gradient:  # the sweep consumes its trace: give it a copy
-                    _adjoint_sweep(steps, list(trace), g, grad_steps, scale)
+                if with_gradient:  # the sweep consumes its trace's fields: give it copies
+                    _adjoint_sweep(steps, [u.copy() for u in trace], g, grad_steps, scale)
     if spec.tv_weight > 0.0:
         tv, tv_grad = total_variation(_params_per_step(design))
         total += spec.tv_weight * tv
@@ -568,6 +571,231 @@ class TestWeightMatrix:
         want = evaluate(vol, only_first, LossSpec(), PropagationSpec(), with_gradient=True)
         assert got.loss == want.loss
         np.testing.assert_array_equal(got.grad, want.grad, strict=True)
+
+
+# ---------------------------------------------------------------------------
+# the overlapped evaluation
+# ---------------------------------------------------------------------------
+
+# evaluate's two paths. Every 16² grid takes the serial loop; lowering the
+# grid threshold to one sample forces the overlapped one, which runs each
+# input's adjoint on a worker thread beside the next input's forward sweep.
+PATHS = pytest.mark.parametrize("path", ["serial", "overlapped"])
+
+
+def use_path(monkeypatch, path):
+    assert SMALL.nx * SMALL.ny < ove.propagation._OVERLAP_MIN_SAMPLES
+    if path == "overlapped":
+        monkeypatch.setattr(ove.propagation, "_OVERLAP_MIN_SAMPLES", 1)
+
+
+def zero_column_task() -> MappingTask:
+    """3 inputs onto 3 targets with the middle input's column of W zero:
+    it runs no adjoint, between two inputs that do."""
+    ins = [band_limited_field(SMALL, LAM, s, k_fraction=0.5) for s in (1, 2, 3)]
+    tgts = [band_limited_field(SMALL, LAM, s, k_fraction=0.5) for s in (4, 5, 6)]
+    return MappingTask(ins, tgts, np.diag([1.0, 0.0, 0.7]))
+
+
+def evaluate_on_both_paths(monkeypatch, design, task, spec, prop):
+    """evaluate with a gradient on the serial path and then on the
+    overlapped one, each with the threads its adjoint sweeps ran on."""
+    threads = []
+    adjoint_sweep = ove.design._adjoint_sweep
+
+    def recorded(*args):
+        threads.append(threading.current_thread())
+        return adjoint_sweep(*args)
+
+    monkeypatch.setattr(ove.design, "_adjoint_sweep", recorded)
+    results = []
+    for path in ("serial", "overlapped"):
+        use_path(monkeypatch, path)
+        results.append((evaluate(design, task, spec, prop, with_gradient=True), threads[:]))
+        threads.clear()
+    return results
+
+
+def assert_same_evaluation(got, want):
+    assert got.loss == want.loss
+    np.testing.assert_array_equal(got.grad, want.grad, strict=True)
+    np.testing.assert_array_equal(got.coupling, want.coupling, strict=True)
+
+
+class TestOverlappedEvaluation:
+    @pytest.mark.parametrize("prop", [PropagationSpec(), NO_ABSORBER], ids=["absorber", "none"])
+    @pytest.mark.parametrize("tv_weight", [0.0, 1e-3])
+    @pytest.mark.parametrize("kind", FD_KINDS)
+    @pytest.mark.parametrize("design", sorted(EVALUATE_DESIGNS))
+    def test_matches_serial_bit_for_bit(self, monkeypatch, design, kind, tv_weight, prop):
+        # Three inputs, so two adjoints run beside a forward sweep, and
+        # every adjoint runs on the worker.
+        (serial, serial_threads), (overlapped, threads) = evaluate_on_both_paths(
+            monkeypatch, EVALUATE_DESIGNS[design](), inputs_task((1, 2, 3)),
+            LossSpec(kind=kind, tv_weight=tv_weight), prop)
+        assert_same_evaluation(overlapped, serial)
+        assert serial_threads == [threading.main_thread()] * 3
+        assert len(threads) == 3 and threading.main_thread() not in threads
+
+    TASKS = {
+        "zero-column": (zero_column_task, 2),
+        "shared-aaab": (lambda: inputs_task((1, 1, 1, 2)), 2),
+        "dense": (dense_task, 2),
+        "one-input": (lambda: inputs_task((1,)), 1),
+    }
+
+    @pytest.mark.parametrize("kind", FD_KINDS)
+    @pytest.mark.parametrize("design", sorted(EVALUATE_DESIGNS))
+    @pytest.mark.parametrize("task", sorted(TASKS))
+    def test_tasks_match_serial_bit_for_bit(self, monkeypatch, task, design, kind):
+        # An input with a zero column keeps no trace and runs no adjoint; a
+        # task of one input has nothing to overlap and keeps the serial loop.
+        make_task, adjoints = self.TASKS[task]
+        (serial, _), (overlapped, threads) = evaluate_on_both_paths(
+            monkeypatch, EVALUATE_DESIGNS[design](), make_task(), LossSpec(kind=kind),
+            PropagationSpec())
+        assert_same_evaluation(overlapped, serial)
+        assert len(threads) == adjoints
+        on_caller = [t is threading.main_thread() for t in threads]
+        assert on_caller == [task == "one-input"] * adjoints
+
+    @PATHS
+    def test_evaluation_without_gradient_is_serial(self, monkeypatch, path):
+        # Without a gradient there is no adjoint to overlap.
+        use_path(monkeypatch, path)
+        before = threading.active_count()
+        seen = []
+        sweep = ove.design.forward_sweep
+
+        def recorded(*args):
+            seen.append(threading.active_count())
+            return sweep(*args)
+
+        monkeypatch.setattr(ove.design, "forward_sweep", recorded)
+        evaluate(small_volume(), small_task(), LossSpec(), PropagationSpec(), with_gradient=False)
+        assert seen == [before] * 2
+
+
+def overlapped_case(kind="volume"):
+    """A design on an 80² grid, large enough for evaluate to overlap its
+    sweeps, and a task of two inputs."""
+    grid = Grid2D(80, 80, 0.5, 0.5)
+    assert grid.nx * grid.ny >= ove.propagation._OVERLAP_MIN_SAMPLES
+    if kind == "volume":
+        design = smooth_random_volume(grid, nz=6, dz=1.0, seed=41)
+    else:
+        design = LayeredElement(grid=grid, layers=tuple(band_limited_phases(grid, 3, seed=42)),
+                                gaps=(4.0, 0.0, 6.0))
+    ins = [band_limited_field(grid, LAM, s, k_fraction=0.5) for s in (43, 44)]
+    tgts = [band_limited_field(grid, LAM, s, k_fraction=0.5) for s in (45, 46)]
+    return design, MappingTask.from_fields(ins, tgts)
+
+
+class TestOverlapThreads:
+    """The worker thread of an overlapped evaluation, on the pattern of
+    propagate's: it lives only for the call, and a failure on either
+    thread reaches the caller as it was raised. Each call runs on a
+    thread of its own, joined with a timeout, so that a hang fails the
+    test: while it runs, the thread count is one above ``before``, and
+    two above with the worker."""
+
+    @staticmethod
+    def run(design, task):
+        return evaluate(design, task, LossSpec(), PropagationSpec(), with_gradient=True)
+
+    @classmethod
+    def run_joined(cls, design, task) -> list[Exception]:
+        """What the evaluation raised, run on a thread of its own."""
+        errors = []
+
+        def call():
+            try:
+                cls.run(design, task)
+            except Exception as exc:
+                errors.append(exc)
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive(), "the evaluation hung"
+        return errors
+
+    def test_no_thread_outlives_a_success(self, monkeypatch):
+        design, task = overlapped_case()
+        before = threading.active_count()
+        adjoint, seen = raise_on_call(ove.design._adjoint_sweep, 0)  # 0: never raises
+        monkeypatch.setattr(ove.design, "_adjoint_sweep", adjoint)
+        assert self.run_joined(design, task) == []
+        assert len(seen) == 2 and min(seen) == before + 2  # both ran on the worker
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_a_worker_failure(self, monkeypatch):
+        # The second drift of input 0's adjoint raises on the worker, while
+        # the caller runs input 1's forward sweep.
+        design, task = overlapped_case()
+        before = threading.active_count()
+        failing, seen = raise_on_call(drift_adjoint, 2)
+        monkeypatch.setattr(ove.design, "drift_adjoint", failing)
+        errors = self.run_joined(design, task)
+        assert [(type(e), str(e)) for e in errors] == [(Boom, "call 2")]
+        assert len(seen) == 2 and min(seen) == before + 2
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_a_caller_failure(self, monkeypatch):
+        # Input 1's second forward drift raises on the calling thread, while
+        # the worker runs input 0's adjoint.
+        design, task = overlapped_case()
+        before = threading.active_count()
+        drifts = design.nz + 1  # per forward sweep
+        failing, seen = raise_on_call(drift, drifts + 2)
+        monkeypatch.setattr(ove.propagation, "drift", failing)
+        errors = self.run_joined(design, task)
+        assert [(type(e), str(e)) for e in errors] == [(Boom, f"call {drifts + 2}")]
+        assert len(seen) == drifts + 2 and seen[-1] == before + 2
+        assert threading.active_count() == before
+
+    def test_a_forward_sweep_waiting_on_the_budget_is_released(self, monkeypatch):
+        # Input 0's adjoint fails only once input 1's forward sweep has
+        # filled the trace budget and waits for a field of it. The failure
+        # must release it.
+        design, task = overlapped_case()
+        before = threading.active_count()
+        waiting = threading.Event()
+
+        def append(trace, u):
+            if not trace.budget.acquire(blocking=False):
+                waiting.set()
+                trace.budget.acquire()
+            list.append(trace, u)
+
+        def failing(*args):
+            waiting.wait(timeout=30)
+            raise Boom("adjoint")
+
+        monkeypatch.setattr(ove.design._BudgetedTrace, "append", append)
+        monkeypatch.setattr(ove.design, "drift_adjoint", failing)
+        errors = self.run_joined(design, task)
+        assert waiting.is_set()
+        assert [type(e) for e in errors] == [Boom]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("kind", ["volume", "layered"])
+    def test_peak_within_two_fields_of_the_serial_loop(self, monkeypatch, kind):
+        # The serial loop peaks while it forms an input's overlaps, beside
+        # its full trace. The overlapped path forms them only once the
+        # adjoint before is done; while both sweeps run, the traces hold at
+        # most one field more than the chain has steps, beside the
+        # adjoint's g, a spectrum and one conjugate transfer. It measures
+        # about one (nx, ny) field above the serial peak; two are allowed.
+        # A first call warms the caches.
+        design, task = overlapped_case(kind)
+        self.run(design, task)
+        field = task.grid.nx * task.grid.ny * 16
+        _, overlapped = traced_peak(lambda: self.run(design, task))
+        monkeypatch.setattr(ove.propagation, "_OVERLAP_MIN_SAMPLES",
+                            task.grid.nx * task.grid.ny + 1)
+        _, serial = traced_peak(lambda: self.run(design, task))
+        assert overlapped <= serial + 2 * field, (overlapped - serial) / field
 
 
 # ---------------------------------------------------------------------------
@@ -853,13 +1081,16 @@ class TestOptimize:
         assert abs(a.loss - b.loss) <= 1e-12
         np.testing.assert_allclose(a.grad, b.grad, rtol=0, atol=1e-12)
 
+    @PATHS
     @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
-    def test_matches_reference_loop_bit_for_bit(self, case):
+    def test_matches_reference_loop_bit_for_bit(self, monkeypatch, case, path):
+        # The reference runs the serial loop; the run takes either path.
         task, design, spec, cfg, rejects = REFERENCE_CASES[case]()
         want, rejected = reference_optimize(task, design, spec, cfg, PropagationSpec())
         assert (rejected > 0) == rejects
         if case == "halvings-run-out":
             assert rejected == _MAX_HALVINGS
+        use_path(monkeypatch, path)
         run = optimize(task, design, spec, cfg, PropagationSpec())
         got = (_params_per_step(run.result), run.initial_loss, run.loss_history,
                run.coupling_before, run.coupling_after)
@@ -988,13 +1219,15 @@ class TestOptimize:
         assert run.loss_history[-1] < run.initial_loss
         assert all(run.result.dn[:, :, k].flags.c_contiguous for k in range(run.result.nz))
 
+    @PATHS
     @pytest.mark.parametrize("seeds", [(1, 1, 1, 1), (1, 2, 3), (1, 2, 1)],
                              ids=["repeated", "distinct", "repeated-split"])
     @pytest.mark.parametrize("iters", [0, 3])
-    def test_pass_counts(self, monkeypatch, seeds, iters):
+    def test_pass_counts(self, monkeypatch, seeds, iters, path):
         # One forward sweep per input per evaluation, and one adjoint
         # sweep per input for every evaluation but the last, however many
         # targets an input feeds. Every step of this run is accepted.
+        use_path(monkeypatch, path)
         calls = {"forward": 0, "adjoint": 0}
 
         def counted(name, fn):

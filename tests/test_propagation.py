@@ -44,9 +44,11 @@ from ove.sources import gaussian, plane_wave
 from testutil import (
     NO_ABSORBER,
     UNITARY,
+    Boom,
     band_limited_field,
     band_limited_phases,
     band_limited_volume,
+    raise_on_call,
     smooth_random_volume,
     traced_peak,
 )
@@ -145,6 +147,25 @@ def test_forward_sweep_leaves_input_and_trace_unchanged(design, spec):
         np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("design,spec", sweep_designs(),
+                         ids=["volume-absorber", "volume-fused", "layered"])
+def test_forward_sweep_matches_new_array_products_bit_for_bit(design, spec, traced):
+    # The sweep multiplies kicks in place where it can; each product must
+    # carry the bits of kick * u formed in a new array.
+    steps = element_chain(design, design.grid, LAM, spec)
+    values = random_complex((16, 16), 3)
+    u = values
+    for pre, kick, post in steps:
+        if pre is not None:
+            u = drift(u, pre)
+        u = kick * u
+        if post is not None:
+            u = drift(u, post)
+    got = forward_sweep(steps, values, [] if traced else None)
+    np.testing.assert_array_equal(got, u, strict=True)
+
+
 @given(model=st.sampled_from(TRANSFER_MODELS), policy=st.sampled_from(EVANESCENT_POLICIES),
        width=st.one_of(st.just(0.0), st.floats(0.05, 0.3)),
        kind=st.sampled_from(["volume", "layered"]), count=st.integers(1, 5),
@@ -196,6 +217,27 @@ def test_kicks_match_exp_formula_bit_for_bit(kind, width):
     want = np.exp(1j * phase) * factor
     got = np.stack([kick for _, kick, _ in element_chain(design, grid, LAM, spec)])
     np.testing.assert_array_equal(got, want, strict=True)
+
+
+@pytest.mark.filterwarnings("error")
+def test_skirt_of_half_a_sample_or_less_is_no_absorber():
+    # A skirt at most half a sample deep on every axis leaves every sample
+    # at 1.0, so there is no mask, and a subnormal width divides nothing.
+    # Half a sample of the 16-sample axis is a whole one of the 32-sample
+    # axis, so that width shades it.
+    grid = Grid2D(16, 32, 0.5, 0.5)
+    for width in (5e-324, 1e-9, 0.5 / 32):
+        assert absorber_mask(grid, width) is None
+    assert np.min(absorber_mask(grid, 0.5 / 16)) < 1.0
+    square = Grid2D(16, 16, 0.5, 0.5)
+    f = band_limited_field(square, LAM, seed=12)
+    vol = smooth_random_volume(square, nz=4, dz=1.0, seed=13)
+    layered = LayeredElement(grid=square, layers=tuple(band_limited_phases(square, 3, seed=14)),
+                             gaps=(2.0, 0.0, 3.0))
+    for design in (vol, layered):
+        want = propagate(design, f, NO_ABSORBER).values
+        got = propagate(design, f, PropagationSpec(absorber_width=5e-324)).values
+        np.testing.assert_array_equal(got, want, strict=True)
 
 
 def eager_chain(design, grid, spec):
@@ -300,24 +342,6 @@ def overlapped_designs():
     layered = LayeredElement(grid=grid, layers=tuple(band_limited_phases(grid, 3, seed=32)),
                              gaps=(2.0, 0.0, 3.0))
     return grid, vol, layered
-
-
-class Boom(Exception):
-    pass
-
-
-def raise_on_call(fn, n):
-    # A wrapper of fn that raises Boom on its n-th call (counting from 1)
-    # and records the thread count seen by each call.
-    seen = []
-
-    def wrapper(*args, **kwargs):
-        seen.append(threading.active_count())
-        if len(seen) == n:
-            raise Boom(f"call {n}")
-        return fn(*args, **kwargs)
-
-    return wrapper, seen
 
 
 @pytest.mark.parametrize("kind", ["volume", "layered"])

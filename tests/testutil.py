@@ -7,6 +7,7 @@ loop, and band-limited fields are built directly in the spectral domain.
 
 import math
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -39,6 +40,24 @@ def traced_peak(fn):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+class Boom(Exception):
+    pass
+
+
+def raise_on_call(fn, n):
+    """A wrapper of fn that raises Boom on its n-th call (counting from 1)
+    and records the thread count seen by each call."""
+    seen = []
+
+    def wrapper(*args, **kwargs):
+        seen.append(threading.active_count())
+        if len(seen) == n:
+            raise Boom(f"call {n}")
+        return fn(*args, **kwargs)
+
+    return wrapper, seen
 
 
 def fsum_power(field: ComplexField) -> float:
