@@ -8,7 +8,11 @@ and scipy 1.17.1, where every pin passes, all five blocks of the
 committed file came out different, thin_lens (no optimizer) included,
 with a worst relative difference of 9.6e-12. The ``provenance`` block
 records the versions, the FFT module ove calls and the platform, so a
-pin failure can be told apart from a platform change. The design blocks
+pin failure can be told apart from a platform change; it also records
+the complex dtype of each evaluation ``optimize`` makes (its start, its
+candidates and its closing evaluation of the result), since the
+candidates' dtype sets every loss history and so every optimized
+design. The design blocks
 run the canned configs of ``ove.experiments`` and record each one's
 ``config`` as ``to_mapping`` of the config that ran. Every pin that
 differs from the file being replaced is printed as old -> new with its
@@ -29,7 +33,9 @@ import scipy.fft
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from ove import design
 from ove.config import to_mapping
+from ove.design import LossSpec, OptimizerConfig
 from ove.experiments import (
     HolographySetup,
     canned_config,
@@ -43,7 +49,15 @@ from ove.experiments import (
     superposed_grating_efficiency,
     weak_grating_efficiency,
 )
-from ove.fields import ComplexField, Grid2D, LayeredElement, normalize, overlap
+from ove.fields import (
+    ComplexField,
+    Grid2D,
+    IndexVolume,
+    LayeredElement,
+    MappingTask,
+    normalize,
+    overlap,
+)
 from ove.propagation import PropagationSpec, free_space, propagate
 from ove.sources import gaussian, plane_wave
 
@@ -213,12 +227,33 @@ def fft_module() -> str:
     return "+".join(used) or "unknown"
 
 
+def optimizer_dtypes() -> dict:
+    """The complex dtype of each evaluation ``optimize`` makes, observed on
+    one tiny run: its start, its candidates and its closing evaluation of
+    the result."""
+    grid = Grid2D(8, 8, 0.5, 0.5)
+    src = plane_wave(grid, 1.55)
+    vol = IndexVolume(grid=grid, nz=2, dz=1.0, n0=1.5, dn=np.full((8, 8, 2), 0.025))
+    evaluate, seen = design.evaluate, []
+
+    def spy(*args, dtype=np.complex128, **kwargs):
+        seen.append(np.dtype(dtype).name)
+        return evaluate(*args, dtype=dtype, **kwargs)
+
+    with mock.patch.object(design, "evaluate", spy):
+        design.optimize(MappingTask.from_fields([src], [src]), vol, LossSpec(),
+                        OptimizerConfig(step_size=1e-3, max_iters=1))
+    start, *candidates, result = seen
+    return {"start": start, "candidates": "+".join(sorted(set(candidates))), "result": result}
+
+
 def provenance() -> dict:
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "fft_module": fft_module(),
+        "optimizer_dtypes": optimizer_dtypes(),
         "platform": platform.platform(),
     }
 

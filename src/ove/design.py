@@ -21,8 +21,18 @@ targets an input feeds (a fanout's whole column) sum their adjoint seeds
 and run back once. The optimizer evaluates each candidate once, with a
 speculative gradient: an accepted candidate brings the next iteration's
 gradient. An evaluation without a gradient keeps each input's output
-field in its place, so the run's last evaluation hands the outputs of
+field in its place, so the run's closing evaluation hands the outputs of
 ``result`` to the caller, and rendering them needs no further pass.
+
+Precision: an evaluation runs in complex128 unless its ``dtype`` says
+otherwise, and only :func:`optimize` says so. Its candidates run in
+complex64, which halves the chain and the traces and runs the kicks and
+the FFTs in single precision; their gradient is still summed in
+float64. So a run's loss history is complex64. Its start
+(``initial_loss``, ``coupling_before``) and a closing evaluation of its
+result (``coupling_after``, ``outputs_after``) run in complex128, as do
+:func:`propagation.propagate`, the finite-difference checks and every
+caller that passes no ``dtype``.
 
 What runs where: an evaluation with a gradient of two inputs or more on
 a grid of at least ``propagation._OVERLAP_MIN_SAMPLES`` samples uses the
@@ -49,7 +59,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import propagation
-from .fields import ComplexField, IndexVolume, LayeredElement, MappingTask
+from .fields import IndexVolume, LayeredElement, MappingTask
 from .propagation import PropagationSpec, Step, drift_adjoint, element_chain, forward_sweep
 
 __all__ = [
@@ -77,6 +87,10 @@ _MAX_HALVINGS = 60
 _BETA1 = 0.9
 _BETA2 = 0.999
 _EPS = 1e-8
+
+# The precision of optimize's candidate evaluations. Its start and its
+# closing evaluation of the result run in complex128, evaluate's default.
+_CANDIDATE_DTYPE = np.complex64
 
 # Amplitude of seeded_initial_volume's noise, relative to dn_max.
 _SEED_NOISE_RELATIVE = 1e-4
@@ -123,13 +137,17 @@ class DesignRun:
     :class:`Evaluation` records.
 
     initial_loss and coupling_before are the first record's, of the
-    initial design. loss_history[t] is the loss of the record accepted in
-    iteration t, so it is non-increasing and its last entry is the loss of
-    ``result``. coupling_after and outputs_after are the last accepted
-    record's, of ``result``, so reporting them needs no further pass:
-    outputs_after[i] is the output field values of input i. Only a run
-    whose last accepted record carries a gradient (its halvings ran out)
-    takes its outputs from one more evaluation, without one.
+    initial design, in complex128. loss_history[t] is the loss of the
+    record accepted in iteration t, a candidate evaluated in complex64, so
+    it is non-increasing and its last entry is the complex64 loss of
+    ``result``, which differs from its complex128 loss by about 1e-5
+    (2.8e-5 relative on the canned lantern). coupling_after and
+    outputs_after are a closing complex128 record's, of ``result``,
+    without a gradient, so reporting them needs no further pass:
+    outputs_after[i] is the complex128 output field values of input i,
+    equal to what :func:`propagation.propagate` makes of ``result``. A run
+    of no iterations takes them from its first record, which is of
+    ``result`` and has no gradient.
     """
 
     initial_loss: float
@@ -151,7 +169,10 @@ class Evaluation:
     matrix of |overlap|^2, the power fraction of each input delivered into
     each target. ``outputs[i]`` is input i's output field values, or None
     for an evaluation with a gradient. The loss and the coupling carry
-    the same bits with or without the gradient.
+    the same bits with or without the gradient. The loss, the coupling and
+    the float64 gradient hold the precision of the evaluation's ``dtype``:
+    complex64 for an optimizer's candidate, whose outputs are complex64
+    too, and complex128 otherwise.
     """
 
     loss: float
@@ -201,16 +222,17 @@ def total_variation(x: np.ndarray) -> tuple[float, np.ndarray]:
     return value, grad
 
 
-def _entry_loss_and_seed(out_values: np.ndarray, target: ComplexField, c: complex,
+def _entry_loss_and_seed(o: np.ndarray, t: np.ndarray, area: float, c: complex,
                          weight: float, kind: str,
                          with_seed: bool) -> tuple[float, np.ndarray | None]:
     """Loss term of one weight entry, and, if ``with_seed``, its cogradient
-    dL/d(conj(out)) as an array (else None). ``c`` is the overlap of the
-    output with the target."""
-    area = target.grid.cell_area
-    o, t = out_values, target.values
+    dL/d(conj(out)) as an array of the output's dtype (else None). ``o``
+    and ``t`` are the output and target values, of one dtype, ``area``
+    the grid's cell area and ``c`` the overlap of the output with the
+    target. ``c`` and ``weight`` are Python numbers, so that they take the
+    arrays' precision (a numpy scalar would promote them)."""
     if kind == "mode-coupling":
-        seed = -weight * np.conj(c) * t * area if with_seed else None
+        seed = -weight * c.conjugate() * t * area if with_seed else None
         return weight * (1.0 - abs(c) ** 2), seed
     # intensity-mse
     diff = np.abs(o) ** 2 - np.abs(t) ** 2
@@ -337,11 +359,21 @@ def _adjoint_on_worker(budget: threading.Semaphore, steps: list[Step],
 
 
 def evaluate(design: IndexVolume | LayeredElement, task: MappingTask, spec: LossSpec,
-             prop: PropagationSpec, *, with_gradient: bool) -> Evaluation:
+             prop: PropagationSpec, *, with_gradient: bool,
+             dtype: np.dtype = np.complex128) -> Evaluation:
     """The :class:`Evaluation` of ``design`` against ``task``, from one pass
     over the task's inputs. Its gradient is None unless ``with_gradient``;
     its outputs are None with it, so that no output outlives its input's
     sweeps while the gradient is built.
+
+    The sweeps run in the complex ``dtype``: the chain is built in it
+    (:func:`propagation.element_chain`), and each input's and target's
+    values are cast to it once per call, so every traced field, output
+    and seed is of it. At complex64 the overlaps are summed in single
+    precision and each step's gradient term is widened as it is added to
+    the float64 gradient; the TV term and the coupling stay float64. The
+    default, complex128, carries the bits of every pin and of
+    :func:`propagation.propagate`.
 
     Each input runs one forward sweep. Its overlap c_ti with each target
     gives coupling[t, i] = |c_ti|^2, and each target with W_ti > 0 adds
@@ -377,12 +409,13 @@ def evaluate(design: IndexVolume | LayeredElement, task: MappingTask, spec: Loss
         # Scaled now and added in place at the end: the same bits as
         # grad + tv_weight * tv_grad.
         tv_grad *= spec.tv_weight
-    steps = element_chain(design, task.grid, task.wavelength_um, prop)
+    steps = element_chain(design, task.grid, task.wavelength_um, prop, dtype=dtype)
     grad = None
     if with_gradient:
         grad, grad_steps, scale = _gradient_per_step(design, task.wavelength_um)
     del design
     area = task.grid.cell_area
+    targets = [target.values.astype(dtype, copy=False) for target in task.targets]
     coupling = np.empty(task.weights.shape)
     outputs = None if with_gradient else []
     total = 0.0  # summed in order; sum() compensates on Python >= 3.12
@@ -396,7 +429,7 @@ def evaluate(design: IndexVolume | LayeredElement, task: MappingTask, spec: Loss
             trace = None
             if with_gradient and np.any(task.weights[:, i] > 0):
                 trace = [] if budget is None else _BudgetedTrace(budget)
-            out = forward_sweep(steps, inp.values, trace)
+            out = forward_sweep(steps, inp.values.astype(dtype, copy=False), trace)
             if adjoint is not None:
                 adjoint.result()  # its working fields are freed before the overlaps
                 adjoint = None
@@ -404,14 +437,14 @@ def evaluate(design: IndexVolume | LayeredElement, task: MappingTask, spec: Loss
                 outputs.append(out)
             out_conj = np.conj(out)
             seed = None  # stays None without a gradient: no seed is built
-            for t, target in enumerate(task.targets):
+            for t, target in enumerate(targets):
                 # |overlap|^2 as fields.overlap forms it, on the raw array, so a
                 # non-finite output reaches the optimizer's check, not a field's.
-                c = complex(np.sum(out_conj * target.values) * area)
+                c = complex(np.sum(out_conj * target) * area)
                 coupling[t, i] = abs(c) ** 2
-                weight = task.weights[t, i]
+                weight = float(task.weights[t, i])
                 if weight > 0:
-                    term, g = _entry_loss_and_seed(out, target, c, weight, spec.kind,
+                    term, g = _entry_loss_and_seed(out, target, area, c, weight, spec.kind,
                                                    with_gradient)
                     total += term
                     if seed is None:
@@ -481,18 +514,22 @@ def optimize(task: MappingTask, initial_design: IndexVolume | LayeredElement,
     result, is its clip to [dn_min, dn_max]. Layer phases are unbounded.
     Each iteration proposes an Adam update; if the resulting loss is
     higher than the current one the step size is halved (sticky, up to
-    60 times) and the proposal recomputed from the same moments. The
+    60 times, and not at all once it is zero) and the proposal recomputed
+    from the same moments. The
     returned history is therefore non-increasing. Non-finite loss or
     gradient aborts with the iteration index in the message.
 
-    Each candidate is evaluated once. Before the last iteration that
-    evaluation also computes the gradient, speculatively: an accepted
-    candidate brings the gradient of the next iteration, a rejected one
-    wastes one adjoint sweep per input. The same evaluations
-    give the coupling matrices before and after, and the last iteration's
-    accepted candidate, evaluated without a gradient, gives the outputs,
-    so they cost no extra pass. Only a run whose halvings ran out ends on
-    a gradient evaluation; it evaluates ``result`` once more, without one.
+    Each candidate is evaluated once, in complex64
+    (``_CANDIDATE_DTYPE``). Before the last iteration that evaluation also
+    computes the gradient, speculatively: an accepted candidate brings the
+    gradient of the next iteration, a rejected one wastes one adjoint
+    sweep per input. So ``loss_history`` is complex64 losses, each
+    compared with the one before it, the first with the start's. Two
+    evaluations run in complex128: the start, with a gradient, which gives
+    ``initial_loss`` and ``coupling_before``, and a closing one of
+    ``result`` without a gradient, which gives ``coupling_after`` and
+    ``outputs_after``. A run of no iterations has no closing evaluation:
+    its start, without a gradient, is of ``result``.
 
     Adam's iterate, m, v and the direction are allocated once, in the
     layout of the gradient (slice-major for a volume, so each candidate's
@@ -507,18 +544,20 @@ def optimize(task: MappingTask, initial_design: IndexVolume | LayeredElement,
     the overlapped path of :func:`evaluate` one field more). It holds
     neither the candidate, which :func:`evaluate` drops once its chain is
     formed, nor the previous gradient: the gradient is taken out of an
-    accepted :class:`Evaluation`, and the run keeps the record without it.
+    accepted :class:`Evaluation`, and the run keeps only its loss. Adam's
+    iterate, m, v and the direction are freed before the closing
+    evaluation.
 
     ``config.seed`` is not read here: it only seeds the start, which the
     caller builds with ``seeded_initial_volume``.
     """
     z = _params_per_step(initial_design)
-    current = evaluate(_with_params(initial_design, z.copy(order="K")), task, loss_spec, prop,
-                       with_gradient=config.max_iters > 0)
-    if not math.isfinite(current.loss):
-        raise ArithmeticError(f"non-finite loss at iteration 0: {current.loss}")
-    grad, current = current.grad, replace(current, grad=None)
-    first = current
+    first = evaluate(_with_params(initial_design, z.copy(order="K")), task, loss_spec, prop,
+                     with_gradient=config.max_iters > 0)
+    if not math.isfinite(first.loss):
+        raise ArithmeticError(f"non-finite loss at iteration 0: {first.loss}")
+    grad, first = first.grad, replace(first, grad=None)
+    current_loss = first.loss
 
     m = np.zeros_like(z)
     v = np.zeros_like(z)
@@ -547,7 +586,7 @@ def optimize(task: MappingTask, initial_design: IndexVolume | LayeredElement,
         # The line search does not need it. Freed here, and with only
         # ``grad`` naming an accepted candidate's gradient below, no
         # gradient but the candidate's own is live while it is evaluated.
-        del grad
+        grad = None
 
         accepted = False
         for _ in range(_MAX_HALVINGS):
@@ -555,33 +594,38 @@ def optimize(task: MappingTask, initial_design: IndexVolume | LayeredElement,
             # hands a call's argument references to the callee, so
             # evaluate frees it once its chain is formed.
             cand = evaluate(_candidate(initial_design, z, lr, direction), task, loss_spec,
-                            prop, with_gradient=t < config.max_iters)
+                            prop, with_gradient=t < config.max_iters, dtype=_CANDIDATE_DTYPE)
             if not math.isfinite(cand.loss):
                 raise ArithmeticError(f"non-finite loss at iteration {t}")
-            if cand.loss <= current.loss:
+            if cand.loss <= current_loss:
                 direction *= lr
                 z -= direction  # z - lr * direction, as the candidate formed it
-                grad, current = cand.grad, replace(cand, grad=None)
-                del cand  # else the next iteration's ``del grad`` frees nothing
+                grad, current_loss = cand.grad, cand.loss
+                del cand  # else the next iteration's ``grad = None`` frees nothing
                 accepted = True
                 break
             del cand
             lr *= 0.5
-        history.append(current.loss)
+            if lr == 0.0:
+                # A zero step proposes the current design again. Its complex64
+                # loss can round above the complex128 start's, and halving
+                # would only repeat it.
+                break
+        history.append(current_loss)
         if not accepted:
             # Step size exhausted; remaining iterations cannot move.
-            history.extend([current.loss] * (config.max_iters - t))
+            history.extend([current_loss] * (config.max_iters - t))
             break
 
     result = _with_params(initial_design, z)
-    outputs = current.outputs
-    if outputs is None:
-        outputs = evaluate(result, task, loss_spec, prop, with_gradient=False).outputs
+    del z, m, v, direction, grad  # Adam's state is not read again
+    last = first if config.max_iters == 0 else evaluate(result, task, loss_spec, prop,
+                                                        with_gradient=False)
     return DesignRun(
         initial_loss=first.loss,
         loss_history=tuple(history),
         result=result,
         coupling_before=first.coupling,
-        coupling_after=current.coupling,
-        outputs_after=outputs,
+        coupling_after=last.coupling,
+        outputs_after=last.outputs,
     )

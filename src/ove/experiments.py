@@ -17,9 +17,9 @@ the fanout.
 
 An optimized experiment reports from its run: the crosstalk report and
 the fanout efficiencies are read from ``DesignRun.coupling_after``, the
-coupling of the final design from the optimizer's last evaluation, so
-the finished design is not propagated again. A design that has no run
-is scored from one evaluation without a gradient:
+coupling of the final design from the optimizer's closing complex128
+evaluation, so the finished design is not propagated again. A design
+that has no run is scored from one evaluation without a gradient:
 ``CrosstalkReport.from_matrix(evaluate(design, task, spec, prop,
 with_gradient=False).coupling, task.weights)``.
 

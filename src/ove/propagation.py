@@ -23,7 +23,9 @@ worker thread while the calling thread runs step k; every drift and
 every transfer lookup stays on the calling thread, and the arithmetic
 and its order are the same as a serial walk's.
 :func:`element_chain` is the same steps as a list, for callers that walk
-the chain more than once.
+the chain more than once. Both builders take a complex ``dtype``:
+complex128, the default and :func:`propagate`'s, or complex64, which a
+design evaluation asks for when the optimizer evaluates a candidate.
 
 Every drift runs on ``scipy.fft`` (its ``fft2``/``ifft2`` transform both
 axes in one call, where ``numpy.fft`` loops over them in Python). The
@@ -42,7 +44,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 import scipy.fft
@@ -74,9 +76,15 @@ _EDGE_AMPLITUDE = 1e-3
 #   evaluate with gradient,  64 x 64: 2 inputs x0.89-1.20, 7 inputs x0.84-0.88
 #   canned configs (median   80 x 80: 2 inputs x0.84-0.86, 7 inputs x0.78
 #   of 20-40 calls each)
+#   the same in complex64    64 x 64: 2 inputs x1.23, 7 inputs x1.29
+#   (median of 20-30 paired  80 x 80: 2 inputs x1.04, 7 inputs x0.97
+#   calls each)              96 x 96: 2 inputs x0.98-1.00, 7 inputs x0.86
+#                          128 x 128: 2 inputs x0.97, 7 inputs x0.76
 #
 # Below 80 x 80 the handoffs can cost what they hide, so both keep their
-# serial loops there.
+# serial loops there. Complex64 sweeps hide less behind each handoff and
+# break even nearer 96 x 96 with 2 inputs. One threshold still serves both
+# dtypes: at 80 x 80 complex64 loses 4% with 2 inputs and gains 3% with 7.
 _OVERLAP_MIN_SAMPLES = 80 * 80
 
 
@@ -207,54 +215,70 @@ def free_space(field: ComplexField, distance_um: float, n_medium: float = 1.0,
 Step = tuple[np.ndarray | None, np.ndarray, np.ndarray | None]
 
 
-def _unit_phasors(phase: np.ndarray) -> np.ndarray:
-    """exp(1j * phase), filled by cos and sin: they cost less than the
-    complex exp and give the same bits (the tests check ==)."""
-    out = np.empty(phase.shape, dtype=complex)
+def _unit_phasors(phase: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """exp(1j * phase) as ``dtype``, filled by cos and sin: they cost less
+    than the complex exp and give the same bits (the tests check ==). The
+    phase is rounded to ``dtype``'s real precision first, so that cos and
+    sin run at that precision."""
+    out = np.empty(phase.shape, dtype=dtype)
+    phase = phase.astype(out.real.dtype, copy=False)
     np.cos(phase, out=out.real)
     np.sin(phase, out=out.imag)
     return out
 
 
-def _kick(phase: np.ndarray, factor: np.ndarray | None) -> np.ndarray:
-    """exp(1j * phase) times the absorber ``factor`` (None: no absorber)."""
-    kick = _unit_phasors(phase)
+def _kick(phase: np.ndarray, factor: np.ndarray | None, dtype: np.dtype) -> np.ndarray:
+    """exp(1j * phase) times the absorber ``factor`` (None: no absorber),
+    as ``dtype``; ``factor`` is already of its real precision."""
+    kick = _unit_phasors(phase, dtype)
     if factor is not None:
         kick *= factor
     return kick
 
 
 def _iter_steps(design: IndexVolume | LayeredElement, grid: Grid2D,
-                wavelength_um: float, spec: PropagationSpec) -> Iterator[Step]:
+                wavelength_um: float, spec: PropagationSpec,
+                dtype: np.dtype = np.complex128) -> Iterator[Step]:
     """The steps of :func:`element_chain`, built one at a time: a step's
     kick is formed when the step is drawn, so a walk that drops each step
     before it draws the next holds one kick. The design and the grid are
     checked and every transfer is looked up here, before the first step
-    is drawn, so drawing a step only forms its kick."""
+    is drawn, so drawing a step only forms its kick.
+
+    Every kick and transfer is of the complex ``dtype``. Below complex128
+    each distinct transfer and the absorber factor are cast once here, so
+    steps that share a transfer share one array, as they share the cached
+    complex128 one."""
     if not isinstance(design, (IndexVolume, LayeredElement)):
         raise TypeError(f"cannot propagate through {type(design).__name__}")
     if grid != design.grid:
         raise ValueError(f"grid mismatch: field {grid} vs design {design.grid}")
+    real = np.finfo(dtype).dtype
 
+    @cache
     def transfer(n_medium: float, distance_um: float) -> np.ndarray:
         return transfer_function(grid, wavelength_um, n_medium, distance_um,
-                                 spec.transfer_model, spec.evanescent_policy)
+                                 spec.transfer_model, spec.evanescent_policy
+                                 ).astype(dtype, copy=False)
 
     mask = absorber_mask(grid, spec.absorber_width)
     if isinstance(design, IndexVolume):
-        factor = None if mask is None else mask * mask
+        factor = None if mask is None else (mask * mask).astype(real, copy=False)
         k0_dz = (2.0 * np.pi / wavelength_um) * design.dz
         h_half, h_full = transfer(design.n0, 0.5 * design.dz), transfer(design.n0, design.dz)
         last = design.nz - 1
-        return ((h_half if k == 0 else None, _kick(k0_dz * design.dn[:, :, k], factor),
+        return ((h_half if k == 0 else None, _kick(k0_dz * design.dn[:, :, k], factor, dtype),
                  h_half if k == last else h_full)
                 for k in range(design.nz))
+    factor = None if mask is None else mask.astype(real, copy=False)
     posts = [transfer(design.n_gap, gap) if gap > 0 else None for gap in design.gaps]
-    return ((None, _kick(phase, mask), post) for phase, post in zip(design.layers, posts))
+    return ((None, _kick(phase, factor, dtype), post)
+            for phase, post in zip(design.layers, posts))
 
 
 def element_chain(design: IndexVolume | LayeredElement, grid: Grid2D,
-                  wavelength_um: float, spec: PropagationSpec) -> list[Step]:
+                  wavelength_um: float, spec: PropagationSpec, *,
+                  dtype: np.dtype = np.complex128) -> list[Step]:
     """The ``(pre transfer, kick, post transfer)`` steps of ``design`` (see
     the module docstring) seen by fields on ``grid`` at ``wavelength_um``,
     as a list that holds every kick: for callers that walk the chain more
@@ -265,8 +289,11 @@ def element_chain(design: IndexVolume | LayeredElement, grid: Grid2D,
     ``None`` skips a drift. A volume's first step is ``(H(dz/2), kick_0,
     H(dz))``, middle ones ``(None, kick_k, H(dz))`` and the last ``(None,
     kick_{nz-1}, H(dz/2))``; one slice gives ``(H(dz/2), kick_0,
-    H(dz/2))``. Kicks are C-contiguous (nx, ny) arrays."""
-    return list(_iter_steps(design, grid, wavelength_um, spec))
+    H(dz/2))``. Kicks are C-contiguous (nx, ny) arrays of the complex
+    ``dtype``, and so is every transfer: complex64 halves the chain and
+    runs its kicks and drifts in single precision (see
+    :func:`_iter_steps`)."""
+    return list(_iter_steps(design, grid, wavelength_um, spec, dtype))
 
 
 def forward_sweep(steps: Iterable[Step], values: np.ndarray,

@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 import ove.design
 import ove.propagation
 from ove.design import (
+    _CANDIDATE_DTYPE,
     _MAX_HALVINGS,
+    Evaluation,
     LossSpec,
     OptimizerConfig,
     _adjoint_sweep,
@@ -597,9 +599,10 @@ def zero_column_task() -> MappingTask:
     return MappingTask(ins, tgts, np.diag([1.0, 0.0, 0.7]))
 
 
-def evaluate_on_both_paths(monkeypatch, design, task, spec, prop):
-    """evaluate with a gradient on the serial path and then on the
-    overlapped one, each with the threads its adjoint sweeps ran on."""
+def evaluate_on_both_paths(monkeypatch, design, task, spec, prop, dtype=np.complex128):
+    """evaluate with a gradient in ``dtype`` on the serial path and then
+    on the overlapped one, each with the threads its adjoint sweeps ran
+    on."""
     threads = []
     adjoint_sweep = ove.design._adjoint_sweep
 
@@ -611,7 +614,8 @@ def evaluate_on_both_paths(monkeypatch, design, task, spec, prop):
     results = []
     for path in ("serial", "overlapped"):
         use_path(monkeypatch, path)
-        results.append((evaluate(design, task, spec, prop, with_gradient=True), threads[:]))
+        results.append((evaluate(design, task, spec, prop, with_gradient=True, dtype=dtype),
+                        threads[:]))
         threads.clear()
     return results
 
@@ -779,23 +783,163 @@ class TestOverlapThreads:
         assert [type(e) for e in errors] == [Boom]
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
     @pytest.mark.parametrize("kind", ["volume", "layered"])
-    def test_peak_within_two_fields_of_the_serial_loop(self, monkeypatch, kind):
+    def test_peak_within_two_fields_of_the_serial_loop(self, monkeypatch, kind, dtype):
         # The serial loop peaks while it forms an input's overlaps, beside
         # its full trace. The overlapped path forms them only once the
         # adjoint before is done; while both sweeps run, the traces hold at
         # most one field more than the chain has steps, beside the
         # adjoint's g, a spectrum and one conjugate transfer. It measures
-        # about one (nx, ny) field above the serial peak; two are allowed.
-        # A first call warms the caches.
+        # about one (nx, ny) field above the serial peak; two are allowed,
+        # each of the evaluation's dtype. Below complex128 each step's term
+        # is widened to the float64 gradient through a buffer of numpy's
+        # (at most getbufsize() float64s), which the adjoint on the worker
+        # holds beside a forward sweep that may be at its peak; it is
+        # allowed too. A first call warms the caches.
         design, task = overlapped_case(kind)
-        self.run(design, task)
-        field = task.grid.nx * task.grid.ny * 16
-        _, overlapped = traced_peak(lambda: self.run(design, task))
+
+        def run():
+            return evaluate(design, task, LossSpec(), PropagationSpec(), with_gradient=True,
+                            dtype=dtype)
+
+        run()
+        samples = task.grid.nx * task.grid.ny
+        field = samples * np.dtype(dtype).itemsize
+        widening = 0 if dtype == np.complex128 else min(samples, np.getbufsize()) * 8
+        _, overlapped = traced_peak(run)
         monkeypatch.setattr(ove.propagation, "_OVERLAP_MIN_SAMPLES",
                             task.grid.nx * task.grid.ny + 1)
-        _, serial = traced_peak(lambda: self.run(design, task))
-        assert overlapped <= serial + 2 * field, (overlapped - serial) / field
+        _, serial = traced_peak(run)
+        assert overlapped <= serial + 2 * field + widening, (overlapped - serial) / field
+
+
+# ---------------------------------------------------------------------------
+# evaluations in complex64
+# ---------------------------------------------------------------------------
+
+def assert_agrees_with_complex128(design, task, spec, prop) -> Evaluation:
+    """evaluate with a gradient in complex64 against the default
+    complex128: the loss and the coupling within rtol 1e-4, the gradient
+    within a relative L2 error of 1e-4. Returns the complex64 one."""
+    want = evaluate(design, task, spec, prop, with_gradient=True)
+    got = evaluate(design, task, spec, prop, with_gradient=True, dtype=np.complex64)
+    assert got.loss == pytest.approx(want.loss, rel=1e-4)
+    np.testing.assert_allclose(got.coupling, want.coupling, rtol=1e-4)
+    assert np.linalg.norm(got.grad - want.grad) <= 1e-4 * np.linalg.norm(want.grad)
+    return got
+
+
+class TestComplex64:
+    """``evaluate(..., dtype=np.complex64)``, which the optimizer's
+    candidates run: it agrees with complex128 to single precision, every
+    array of its sweeps is complex64, and its overlapped path carries the
+    serial loop's bits as complex128's does."""
+
+    @pytest.mark.parametrize("prop", [PropagationSpec(), NO_ABSORBER], ids=["absorber", "none"])
+    @pytest.mark.parametrize("tv_weight", [0.0, 1e-3])
+    @pytest.mark.parametrize("kind", FD_KINDS)
+    @pytest.mark.parametrize("design", sorted(EVALUATE_DESIGNS))
+    def test_agrees_with_complex128(self, design, kind, tv_weight, prop):
+        assert_agrees_with_complex128(EVALUATE_DESIGNS[design](), inputs_task((1, 2, 3)),
+                                      LossSpec(kind=kind, tv_weight=tv_weight), prop)
+
+    @pytest.mark.parametrize("kind", FD_KINDS)
+    @pytest.mark.parametrize("design", ["volume", "layered"])
+    def test_overlapped_agrees_with_complex128(self, monkeypatch, design, kind):
+        # On an 80² grid both evaluations overlap their sweeps.
+        threads = []
+        adjoint_sweep = ove.design._adjoint_sweep
+
+        def recorded(*args):
+            threads.append(threading.current_thread())
+            return adjoint_sweep(*args)
+
+        monkeypatch.setattr(ove.design, "_adjoint_sweep", recorded)
+        design, task = overlapped_case(design)
+        assert_agrees_with_complex128(design, task, LossSpec(kind=kind), PropagationSpec())
+        assert len(threads) == 4 and threading.main_thread() not in threads
+
+    @pytest.mark.parametrize("kind", FD_KINDS)
+    @pytest.mark.parametrize("design", sorted(EVALUATE_DESIGNS))
+    def test_overlapped_matches_serial_bit_for_bit(self, monkeypatch, design, kind):
+        (serial, _), (overlapped, threads) = evaluate_on_both_paths(
+            monkeypatch, EVALUATE_DESIGNS[design](), inputs_task((1, 2, 3)),
+            LossSpec(kind=kind, tv_weight=1e-3), PropagationSpec(), dtype=np.complex64)
+        assert_same_evaluation(overlapped, serial)
+        assert len(threads) == 3 and threading.main_thread() not in threads
+
+    @PATHS
+    @pytest.mark.parametrize("kind", FD_KINDS)
+    @pytest.mark.parametrize("design", sorted(EVALUATE_DESIGNS))
+    def test_every_array_of_the_sweeps_is_complex64(self, monkeypatch, design, kind, path):
+        # A float64 or complex128 array anywhere in the chain, the casts or
+        # the seed would promote the sweeps back to complex128. The absorber
+        # factor is float32: a float64 one would leave the kicks complex64
+        # but form each in complex128. The gradient, the TV term (on here)
+        # and the coupling stay float64, and propagate keeps complex128 and
+        # its bits.
+        use_path(monkeypatch, path)
+        design, task = EVALUATE_DESIGNS[design](), inputs_task((1, 2, 3))
+        prop = PropagationSpec()
+        before = propagate(design, task.inputs[0], prop).values
+        seen = {}
+
+        def note(name, *arrays):
+            seen.setdefault(name, set()).update(a.dtype for a in arrays if a is not None)
+
+        sweep, adjoint = ove.design.forward_sweep, ove.design._adjoint_sweep
+        fwd_drift, adj_drift = ove.propagation.drift, ove.design.drift_adjoint
+        kick = ove.propagation._kick
+
+        def recorded_kick(phase, factor, dtype):
+            note("factor", factor)
+            return kick(phase, factor, dtype)
+
+        def recorded_sweep(steps, values, trace=None):
+            for pre, kick, post in steps:
+                note("kick", kick)
+                note("transfer", pre, post)
+            note("input", values)
+            out = sweep(steps, values, trace)
+            note("traced", *(trace or ()))
+            note("output", out)
+            return out
+
+        def recorded_adjoint(steps, trace, g, grad_steps, scale):
+            note("seed", g)
+            return adjoint(steps, trace, g, grad_steps, scale)
+
+        def recorded_drift(values, h):
+            note("drift", values, h)
+            return fwd_drift(values, h)
+
+        def recorded_drift_adjoint(g, h_conj):
+            note("adjoint drift", g, h_conj)
+            return adj_drift(g, h_conj)
+
+        monkeypatch.setattr(ove.propagation, "_kick", recorded_kick)
+        monkeypatch.setattr(ove.design, "forward_sweep", recorded_sweep)
+        monkeypatch.setattr(ove.design, "_adjoint_sweep", recorded_adjoint)
+        monkeypatch.setattr(ove.propagation, "drift", recorded_drift)
+        monkeypatch.setattr(ove.design, "drift_adjoint", recorded_drift_adjoint)
+        spec = LossSpec(kind=kind, tv_weight=1e-3)
+        ev = evaluate(design, task, spec, prop, with_gradient=True, dtype=np.complex64)
+        c64 = {np.dtype(np.complex64)}
+        names = ("kick", "transfer", "input", "traced", "output", "seed", "drift",
+                 "adjoint drift")
+        factor = seen.pop("factor")
+        assert seen == dict.fromkeys(names, c64) and factor == {np.dtype(np.float32)}
+        assert ev.grad.dtype == np.float64 and ev.coupling.dtype == np.float64
+        assert type(ev.loss) is float
+        seen.clear()
+        ev = evaluate(design, task, spec, prop, with_gradient=False, dtype=np.complex64)
+        seen.pop("factor")
+        assert {out.dtype for out in ev.outputs} == c64 and set(seen) <= set(names)
+        assert all(dtypes <= c64 for dtypes in seen.values())  # no trace: an empty set
+        monkeypatch.undo()
+        np.testing.assert_array_equal(propagate(design, task.inputs[0], prop).values, before,
+                                      strict=True)
 
 
 # ---------------------------------------------------------------------------
@@ -907,9 +1051,11 @@ def reference_optimize(task, initial_design, loss_spec, config, prop):
     """The optimizer loop as written before evaluations were shared: an
     evaluation without a gradient per candidate, one with a gradient again
     after acceptance, and a coupling pass of its own before and after.
-    Adam runs at its published defaults on an unclipped iterate z; a
-    volume's design is z clipped to its dn bounds. Returns the run's fields
-    and the number of rejected candidates."""
+    The start is evaluated in complex128 and every candidate, and its
+    gradient, in ``_CANDIDATE_DTYPE``; the coupling passes run
+    ``propagate``. Adam runs at its published defaults on an unclipped
+    iterate z; a volume's design is z clipped to its dn bounds. Returns the
+    run's fields and the number of rejected candidates."""
     def at(zz):
         if isinstance(initial_design, IndexVolume):
             return initial_design.with_dn(
@@ -937,7 +1083,8 @@ def reference_optimize(task, initial_design, loss_spec, config, prop):
         for _ in range(_MAX_HALVINGS):
             z_new = z - lr * direction
             cand = at(z_new)
-            cand_loss = evaluate(cand, task, loss_spec, prop, with_gradient=False).loss
+            cand_loss = evaluate(cand, task, loss_spec, prop, with_gradient=False,
+                                 dtype=_CANDIDATE_DTYPE).loss
             if cand_loss <= current_loss:
                 z, design, current_loss = z_new, cand, cand_loss
                 accepted = True
@@ -949,7 +1096,8 @@ def reference_optimize(task, initial_design, loss_spec, config, prop):
             history.extend([current_loss] * (config.max_iters - t))
             break
         if t < config.max_iters:
-            accepted_ev = evaluate(design, task, loss_spec, prop, with_gradient=True)
+            accepted_ev = evaluate(design, task, loss_spec, prop, with_gradient=True,
+                                   dtype=_CANDIDATE_DTYPE)
             current_loss, grad = accepted_ev.loss, accepted_ev.grad
     coupling_after = reference_coupling(design, task, prop)
     return (_params_per_step(design), initial_loss, tuple(history), coupling_before,
@@ -987,13 +1135,20 @@ REFERENCE_CASES = {
 
 
 class TestOptimize:
-    def test_zero_step_returns_initial(self):
+    def test_zero_step_returns_initial(self, monkeypatch):
+        # The complex64 candidate of a zero step is the start itself; it is
+        # evaluated once, not halved, whether or not its loss rounds above
+        # the complex128 start's (on this design it does).
         task = small_task()
         vol = small_volume()
         cfg = OptimizerConfig(step_size=0.0, max_iters=1)
+        calls = []
+        monkeypatch.setattr(ove.design, "evaluate",
+                            lambda *args, **kwargs: calls.append(1) or evaluate(*args, **kwargs))
         run = optimize(task, vol, LossSpec(), cfg, NO_ABSORBER)
         np.testing.assert_array_equal(run.result.dn, vol.dn)
         assert run.loss_history == (run.initial_loss,)
+        assert len(calls) == 3  # the start, the one candidate and the closing evaluation
 
     def test_zero_iterations_evaluate_only(self):
         task = small_task()
@@ -1061,8 +1216,13 @@ class TestOptimize:
         cfg = OptimizerConfig(step_size=1e-3, max_iters=7)
         run = optimize(task, vol, LossSpec(), cfg, NO_ABSORBER)
         assert len(run.loss_history) <= cfg.max_iters
-        final = evaluate(run.result, task, LossSpec(), NO_ABSORBER, with_gradient=False).loss
-        assert abs(run.loss_history[-1] - final) <= 1e-9
+        # The history holds the accepted candidates' losses, evaluated in
+        # complex64; the last is the result's, to the bit.
+        final = evaluate(run.result, task, LossSpec(), NO_ABSORBER, with_gradient=False,
+                         dtype=_CANDIDATE_DTYPE).loss
+        assert run.loss_history[-1] == final
+        exact = evaluate(run.result, task, LossSpec(), NO_ABSORBER, with_gradient=False).loss
+        assert abs(run.loss_history[-1] - exact) <= 1e-4 * exact
         assert run.coupling_before.shape == (2, 2)
         assert run.coupling_after.shape == (2, 2)
 
@@ -1121,21 +1281,49 @@ class TestOptimize:
             np.testing.assert_array_equal(out, propagate(run.result, inp, prop).values,
                                           strict=True)
 
-    def test_halvings_run_out_evaluate_result_without_gradient(self, monkeypatch):
-        # Iteration 1 rejects every candidate, so the run ends on its
-        # initial, gradient evaluation; one more, without a gradient, gives
-        # the outputs.
-        task, design, spec, cfg, _ = REFERENCE_CASES["halvings-run-out"]()
+    @staticmethod
+    def recorded_evaluations(monkeypatch, case):
+        """The run of a REFERENCE_CASES entry, and (design, with_gradient,
+        dtype) of each evaluation it made."""
+        task, design, spec, cfg, _ = REFERENCE_CASES[case]()
         calls = []
 
-        def recorded(design, *args, with_gradient):
-            calls.append((design, with_gradient))
-            return evaluate(design, *args, with_gradient=with_gradient)
+        def recorded(design, *args, with_gradient, dtype=np.complex128):
+            calls.append((design, with_gradient, np.dtype(dtype)))
+            return evaluate(design, *args, with_gradient=with_gradient, dtype=dtype)
 
         monkeypatch.setattr(ove.design, "evaluate", recorded)
-        run = optimize(task, design, spec, cfg, PropagationSpec())
-        assert [g for _, g in calls] == [True] * (1 + _MAX_HALVINGS) + [False]
+        return optimize(task, design, spec, cfg, PropagationSpec()), calls
+
+    def test_halvings_run_out_evaluate_result_without_gradient(self, monkeypatch):
+        # Iteration 1 rejects every candidate, so the run ends on its
+        # initial design; the closing evaluation, in complex128 and without
+        # a gradient, gives the outputs, as it does for every run.
+        run, calls = self.recorded_evaluations(monkeypatch, "halvings-run-out")
+        c64, c128 = np.dtype(_CANDIDATE_DTYPE), np.dtype(np.complex128)
+        assert [(g, d) for _, g, d in calls] == \
+            [(True, c128)] + [(True, c64)] * _MAX_HALVINGS + [(False, c128)]
         assert calls[-1][0] is run.result
+
+    @pytest.mark.parametrize("case", ["volume-absorber", "layered-zero-gap-halving",
+                                      "max-iters-1", "max-iters-0"])
+    def test_candidates_in_complex64_start_and_result_in_complex128(self, monkeypatch, case):
+        # The start, with a gradient, and the closing evaluation of the
+        # result, without one, run in complex128; every candidate between
+        # them in complex64, with a gradient before the last iteration. A
+        # run of no iterations evaluates its start alone, without a gradient.
+        run, calls = self.recorded_evaluations(monkeypatch, case)
+        c64, c128 = np.dtype(_CANDIDATE_DTYPE), np.dtype(np.complex128)
+        iters = REFERENCE_CASES[case]()[3].max_iters
+        if iters == 0:
+            assert [(g, d) for _, g, d in calls] == [(False, c128)]
+            return
+        (_, *first), *candidates, (last, *closing) = calls
+        assert first == [True, c128] and closing == [False, c128]
+        assert last is run.result
+        assert {d for _, _, d in candidates} == {c64}
+        assert candidates[-1][1] is False and candidates[0][1] == (iters > 1)
+        assert run.outputs_after[0].dtype == c128
 
     # Runs that accept at least three steps, with the absorber on and two
     # inputs: a 32-slice volume, and 32 layers, whose rejected first
@@ -1163,9 +1351,9 @@ class TestOptimize:
             candidates.append(weakref.ref(cand))
             return cand
 
-        def chain(*args):
+        def chain(*args, **kwargs):
             starts.append(len(grads))
-            return element_chain(*args)
+            return element_chain(*args, **kwargs)
 
         def gradient_per_step(*args):
             grad = _gradient_per_step(*args)
@@ -1186,19 +1374,30 @@ class TestOptimize:
         accepted = sum(b < a for a, b in zip((run.initial_loss,) + run.loss_history,
                                               run.loss_history))
         assert accepted >= 3
-        assert len(seen) == len(grads) + 1  # every evaluation, the last without a gradient
-        assert [n for n, _ in seen] == list(range(len(seen)))
-        assert all(live == [None] * len(live) for _, live in seen)
+        # Every evaluation: the last candidate and the closing evaluation of
+        # the result run without a gradient. The closing one holds the
+        # result, which the run returns, and nothing else.
+        assert len(seen) == len(grads) + 2
+        assert [n for n, _ in seen] == list(range(len(grads) + 1)) + [len(grads)]
+        *sweeps, (_, closing) = seen
+        assert all(live == [None] * len(live) for _, live in sweeps)
+        assert [x is run.result for x in closing] == \
+            [False] * (len(candidates) - 1) + [True] + [False] * len(grads)
 
     @pytest.mark.parametrize("case", sorted(LIVE_SET_CASES))
     def test_iteration_peaks_at_its_live_set(self, case):
         # An iteration holds 5 parameter-sized arrays (the initial design,
         # Adam's iterate, m, v and direction), the chain's kicks, one
         # gradient and one input's trace, plus a dozen (nx, ny) fields: the
-        # sweeps' working fields, and the array and list objects of 32 steps
-        # (8 to 9 fields measured). The initial design is rebuilt inside the
-        # traced call, so it counts; a first run warms the transfer and
-        # absorber caches.
+        # sweeps' working fields and, below complex128, the casts of the
+        # inputs, the targets and the transfers. Its fields are of the
+        # candidates' dtype. The array and list objects of the steps do not
+        # shrink with the dtype: up to 1 kB a step is allowed, and about
+        # 0.6 kB is measured. The start, in complex128, holds fields twice
+        # that size but not Adam's three arrays; the closing evaluation
+        # holds neither a gradient nor a trace. The initial design is
+        # rebuilt inside the traced call, so it counts; a first run warms
+        # the transfer and absorber caches.
         design, cfg = self.LIVE_SET_CASES[case]()
         task = small_task()
         optimize(task, design, LossSpec(), OptimizerConfig(max_iters=0), PropagationSpec())
@@ -1207,8 +1406,8 @@ class TestOptimize:
             PropagationSpec()))
         param = _params_per_step(design).nbytes
         steps = len(element_chain(design, SMALL, LAM, PropagationSpec()))
-        field = SMALL.nx * SMALL.ny * 16
-        bound = 5 * param + steps * field + param + steps * field + 12 * field
+        field = SMALL.nx * SMALL.ny * np.dtype(_CANDIDATE_DTYPE).itemsize
+        bound = 5 * param + steps * field + param + steps * field + 12 * field + 1024 * steps
         assert peak <= bound, f"peak {peak} B, bound {bound} B"
 
     def test_volume_result_is_slice_major(self):
@@ -1225,8 +1424,10 @@ class TestOptimize:
     @pytest.mark.parametrize("iters", [0, 3])
     def test_pass_counts(self, monkeypatch, seeds, iters, path):
         # One forward sweep per input per evaluation, and one adjoint
-        # sweep per input for every evaluation but the last, however many
-        # targets an input feeds. Every step of this run is accepted.
+        # sweep per input for every evaluation but the last candidate and
+        # the closing one, however many targets an input feeds. Every step
+        # of this run is accepted. A run of no iterations evaluates its
+        # start alone, without a gradient.
         use_path(monkeypatch, path)
         calls = {"forward": 0, "adjoint": 0}
 
@@ -1244,7 +1445,8 @@ class TestOptimize:
                        OptimizerConfig(step_size=2e-3, max_iters=iters), PropagationSpec())
         assert len(run.loss_history) == iters
         distinct = len(set(seeds))
-        assert calls == {"forward": distinct * (1 + iters), "adjoint": distinct * iters}
+        evaluations = 1 + iters + (iters > 0)
+        assert calls == {"forward": distinct * evaluations, "adjoint": distinct * iters}
 
 
 # ---------------------------------------------------------------------------
