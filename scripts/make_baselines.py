@@ -33,7 +33,7 @@ import scipy.fft
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from ove import design
+from ove import design, propagation
 from ove.config import to_mapping
 from ove.design import LossSpec, OptimizerConfig
 from ove.experiments import (
@@ -216,14 +216,17 @@ def lens_block() -> dict:
 
 
 def fft_module() -> str:
-    """The FFT module ove's propagator calls, observed on one tiny step."""
+    """The FFT module ove's propagator calls, observed on one tiny step:
+    the public ``numpy.fft`` or ``scipy.fft`` entries, or the pocketfft
+    binding every drift calls, named by the module that defines it."""
     grid = Grid2D(8, 8, 0.5, 0.5)
     used = []
-    for module in (np.fft, scipy.fft):
-        with mock.patch.object(module, "fft2", wraps=module.fft2) as spy:
+    for label, module, name in (("numpy.fft", np.fft, "fft2"), ("scipy.fft", scipy.fft, "fft2"),
+                                (propagation._c2c.__module__, propagation, "_c2c")):
+        with mock.patch.object(module, name, wraps=getattr(module, name)) as spy:
             free_space(plane_wave(grid, 1.55), 1.0)
         if spy.called:
-            used.append(module.__name__)
+            used.append(label)
     return "+".join(used) or "unknown"
 
 

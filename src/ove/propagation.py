@@ -27,12 +27,16 @@ the chain more than once. Both builders take a complex ``dtype``:
 complex128, the default and :func:`propagate`'s, or complex64, which a
 design evaluation asks for when the optimizer evaluates a candidate.
 
-Every drift runs on ``scipy.fft`` (its ``fft2``/``ifft2`` transform both
-axes in one call, where ``numpy.fft`` loops over them in Python). The
-new spectrum is multiplied and inverse-transformed in place; the input
-field is never written, because it may be a traced field or the
-caller's. :func:`forward_sweep` multiplies each kick in place into the
-field a drift has just made, and never into the caller's or a traced one.
+Every drift runs on pocketfft, the library behind ``scipy.fft``, through
+its own binding ``_c2c``: the call ``scipy.fft.fft2``/``ifft2`` make for a
+2-D complex field, so the transforms and their bits are the same, without
+the few microseconds of dispatch and argument checks ``scipy.fft`` spends
+on each call (about a third of a 64 x 64 complex64 drift on an x86-64
+host). The new spectrum is multiplied and inverse-transformed in place;
+the input field is never written, because it may be a traced field or
+the caller's. :func:`forward_sweep` multiplies each kick in place into
+the field a drift has just made, and never into the caller's or a traced
+one.
 
 Sign convention: time dependence exp(-i w t), forward propagation phase
 exp(+i kz z). A plane wave propagated a whole number of wavelengths in a
@@ -47,7 +51,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 
 import numpy as np
-import scipy.fft
+from scipy.fft._pocketfft.pypocketfft import c2c as _c2c
 
 from .fields import ComplexField, Grid2D, IndexVolume, LayeredElement
 
@@ -71,20 +75,23 @@ _EDGE_AMPLITUDE = 1e-3
 # calling thread runs the next input's forward sweep. Overlapped over
 # serial time, 2-core host:
 #
-#   propagate, 48 slices     64 x 64: x1.00 (minimum of 120 passes)
-#                            80 x 80: x0.80-0.88
-#   evaluate with gradient,  64 x 64: 2 inputs x0.89-1.20, 7 inputs x0.84-0.88
-#   canned configs (median   80 x 80: 2 inputs x0.84-0.86, 7 inputs x0.78
-#   of 20-40 calls each)
-#   the same in complex64    64 x 64: 2 inputs x1.23, 7 inputs x1.29
-#   (median of 20-30 paired  80 x 80: 2 inputs x1.04, 7 inputs x0.97
-#   calls each)              96 x 96: 2 inputs x0.98-1.00, 7 inputs x0.86
-#                          128 x 128: 2 inputs x0.97, 7 inputs x0.76
+#   propagate, 48 slices     64 x 64: x0.86 (minimum of 120 passes)
+#                            80 x 80: x0.72
+#                            96 x 96: x0.66
+#   evaluate with gradient,  64 x 64: 2 inputs x0.95, 7 inputs x0.79
+#   canned configs at dx     80 x 80: 2 inputs x0.90, 7 inputs x0.76
+#   0.5 um (median of 30     96 x 96: 2 inputs x0.91, 7 inputs x0.69
+#   paired calls each)
+#   the same in complex64    64 x 64: 2 inputs x1.07, 7 inputs x0.97
+#                            80 x 80: 2 inputs x0.97, 7 inputs x0.82
+#                            96 x 96: 2 inputs x0.97, 7 inputs x0.75
 #
-# Below 80 x 80 the handoffs can cost what they hide, so both keep their
-# serial loops there. Complex64 sweeps hide less behind each handoff and
-# break even nearer 96 x 96 with 2 inputs. One threshold still serves both
-# dtypes: at 80 x 80 complex64 loses 4% with 2 inputs and gains 3% with 7.
+# Below 80 x 80 the handoffs can cost what they hide: the optimizer's
+# complex64 candidates with 2 inputs, such as the 64 x 64 lantern's, lose
+# 7% there, so both keep their serial loops. From 80 x 80 every row gains.
+# These ratios move with how busy the host's second core is (2 inputs in
+# complex128 at 64 x 64 have read from x0.89 to x1.20), so a lower
+# threshold needs harness pairs of its own.
 _OVERLAP_MIN_SAMPLES = 80 * 80
 
 
@@ -175,12 +182,16 @@ def absorber_mask(grid: Grid2D, width_fraction: float) -> np.ndarray | None:
 def drift(values: np.ndarray, h: np.ndarray) -> np.ndarray:
     """One spectral step: FFT, multiply by H, inverse FFT.
 
-    Runs on ``scipy.fft``. ``values`` is left as it is: only its new
-    spectrum is multiplied and inverse-transformed in place.
+    Both transforms are pocketfft's ``c2c`` over axes (0, 1) on one
+    thread, with the arguments ``scipy.fft.fft2`` and ``ifft2(...,
+    overwrite_x=True)`` pass it: the forward one unnormalized into a new
+    spectrum, the inverse one scaled by 1 / (nx ny) in place. ``values``
+    is left as it is: only its new spectrum is multiplied and
+    inverse-transformed in place.
     """
-    spec = scipy.fft.fft2(values)
+    spec = _c2c(values, (0, 1), True, 0, None, 1)
     spec *= h
-    return scipy.fft.ifft2(spec, overwrite_x=True)
+    return _c2c(spec, (0, 1), False, 2, spec, 1)
 
 
 def drift_adjoint(g: np.ndarray, h_conj: np.ndarray) -> np.ndarray:
@@ -189,10 +200,11 @@ def drift_adjoint(g: np.ndarray, h_conj: np.ndarray) -> np.ndarray:
     a transfer once for the steps in a row that share it, not on every
     call.
 
-    Like :func:`drift`, it never writes to ``g``."""
-    spec = scipy.fft.fft2(g)
+    Like :func:`drift`, it runs on pocketfft's binding and never writes
+    to ``g``."""
+    spec = _c2c(g, (0, 1), True, 0, None, 1)
     spec *= h_conj
-    return scipy.fft.ifft2(spec, overwrite_x=True)
+    return _c2c(spec, (0, 1), False, 2, spec, 1)
 
 
 def free_space(field: ComplexField, distance_um: float, n_medium: float = 1.0,

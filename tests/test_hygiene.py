@@ -1,7 +1,7 @@
 """Source hygiene: every name the package, the scripts and the tests import
-is used, every name a module exports in ``__all__`` is defined in it, and
-importing the package starts no thread. The repo has no linter, so these
-stdlib checks are the gate."""
+is used, every name a module exports in ``__all__`` is defined in it,
+one package module binds pocketfft, and importing the package starts no
+thread. The repo has no linter, so these stdlib checks are the gate."""
 
 import ast
 import os
@@ -95,6 +95,29 @@ def test_every_export_is_defined():
             for path in CHECKED
             for line, name in undefined_exports(path.read_text())]
     assert not hits, "__all__ names nothing defined:\n" + "\n".join(hits)
+
+
+def imported_modules(source: str) -> set[str]:
+    """Dotted names of every module an import statement names, each
+    ``from a import b`` counted as both ``a`` and ``a.b``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names |= {node.module} | {f"{node.module}.{a.name}" for a in node.names}
+    return names
+
+
+def test_one_module_binds_pocketfft():
+    # Every transform of a pass goes through propagation's one binding;
+    # a second module importing pocketfft would be a second FFT path.
+    private = "scipy.fft._pocketfft"
+    binders = [path.name for path in sorted(ROOT.glob("src/ove/*.py"))
+               if any(name == private or name.startswith(private + ".")
+                      for name in imported_modules(path.read_text()))]
+    assert binders == ["propagation.py"]
+    assert private in imported_modules("from scipy.fft import _pocketfft")
 
 
 def test_import_starts_no_thread():

@@ -366,8 +366,8 @@ def test_no_thread_outlives_propagate(kind):
 
 
 def test_drifts_and_lookups_stay_on_the_calling_thread():
-    # Every FFT, transfer lookup and absorber lookup runs on the thread
-    # that calls propagate, where perfbench's wrappers count them; only
+    # Every FFT (each a call of the pocketfft binding), transfer lookup
+    # and absorber lookup runs on the thread that calls propagate; only
     # the kicks are formed on the worker.
     def spy(module, name, threads):
         fn = getattr(module, name)
@@ -384,14 +384,12 @@ def test_drifts_and_lookups_stay_on_the_calling_thread():
     for design in (vol, layered):
         threads = {}
         with contextlib.ExitStack() as stack:
-            for module, name in ((scipy.fft, "fft2"), (scipy.fft, "ifft2"),
-                                 (propagation, "transfer_function"),
-                                 (propagation, "absorber_mask"), (propagation, "_kick")):
-                stack.enter_context(spy(module, name, threads))
+            for name in ("_c2c", "transfer_function", "absorber_mask", "_kick"):
+                stack.enter_context(spy(propagation, name, threads))
             propagate(design, f)
         kick_threads = threads.pop("_kick")
         assert threads == {name: {caller} for name in
-                           ("fft2", "ifft2", "transfer_function", "absorber_mask")}
+                           ("_c2c", "transfer_function", "absorber_mask")}
         assert caller not in kick_threads
 
 
@@ -400,7 +398,9 @@ FFT_NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn")
 
 def test_propagation_runs_on_scipy_fft():
     # One backend: free space, a forward sweep and an adjoint sweep call
-    # scipy.fft.fft2 / ifft2 once each per drift and numpy.fft never.
+    # the pocketfft binding behind scipy.fft twice per drift, one forward
+    # transform and one inverse, and the public numpy.fft and scipy.fft
+    # entries never.
     field = gaussian(Grid2D(16, 16, 0.5, 0.5), LAM, waist_um=2.0)
     vol = smooth_random_volume(field.grid, nz=4, dz=1.0, seed=3)
     steps = element_chain(vol, field.grid, LAM, PropagationSpec())
@@ -409,13 +409,16 @@ def test_propagation_runs_on_scipy_fft():
         spies = {f"{module.__name__}.{name}": stack.enter_context(
                      mock.patch.object(module, name, wraps=getattr(module, name)))
                  for module in (np.fft, scipy.fft) for name in FFT_NAMES}
+        binding = stack.enter_context(
+            mock.patch.object(propagation, "_c2c", wraps=propagation._c2c))
         free_space(field, 5.0)
         trace = []
         out = forward_sweep(steps, field.values, trace)
         _adjoint_sweep(steps, trace, out, grad_steps, scale)
     drifts = 1 + (vol.nz + 1) + vol.nz  # free space, nz + 1 forward, nz adjoint
-    calls = {name: spy.call_count for name, spy in spies.items() if spy.call_count}
-    assert calls == {"scipy.fft.fft2": drifts, "scipy.fft.ifft2": drifts}
+    assert {name: spy.call_count for name, spy in spies.items() if spy.call_count} == {}
+    directions = [call.args[2] for call in binding.call_args_list]
+    assert directions == [True, False] * drifts
 
 
 def test_make_baselines_records_scipy_fft():
@@ -423,7 +426,30 @@ def test_make_baselines_records_scipy_fft():
     loader = importlib.util.spec_from_file_location("make_baselines", path)
     make_baselines = importlib.util.module_from_spec(loader)
     loader.loader.exec_module(make_baselines)
-    assert make_baselines.fft_module() == "scipy.fft"
+    assert make_baselines.fft_module() == "scipy.fft._pocketfft.pypocketfft"
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+@pytest.mark.parametrize("shape", [(16, 16), (12, 20)], ids=["square", "12x20"])
+@pytest.mark.parametrize("layout", ["C", "strided"])
+@pytest.mark.parametrize("step", [drift, drift_adjoint])
+def test_drift_is_public_scipy_fft_bit_for_bit(step, layout, shape, dtype):
+    # The binding makes the very call scipy.fft.fft2 / ifft2 make, so a
+    # drift equals the public pair to the last bit and leaves its input
+    # alone. A scipy release that changes the private binding fails here.
+    rng = np.random.default_rng(41)
+
+    def draw(size):
+        return (rng.standard_normal(size) + 1j * rng.standard_normal(size)).astype(dtype)
+
+    h = draw(shape)
+    u = draw(shape) if layout == "C" else draw((2 * shape[0], 3 * shape[1]))[::2, ::3]
+    assert u.flags.c_contiguous == (layout == "C")
+    before = u.copy()
+    out = step(u, h)
+    assert out.dtype == dtype
+    np.testing.assert_array_equal(out, scipy.fft.ifft2(scipy.fft.fft2(u) * h))
+    np.testing.assert_array_equal(u, before)
 
 
 # ---------------------------------------------------------------------------
