@@ -9,10 +9,11 @@ committed file came out different, thin_lens (no optimizer) included,
 with a worst relative difference of 9.6e-12. The ``provenance`` block
 records the versions, the FFT module ove calls and the platform, so a
 pin failure can be told apart from a platform change; it also records
-the complex dtype of each evaluation ``optimize`` makes (its start, its
-candidates and its closing evaluation of the result), since the
-candidates' dtype sets every loss history and so every optimized
-design. The design blocks
+the complex dtype of each evaluation ``optimize`` makes (its start's
+loss, its start's gradient, its candidates and its closing evaluation of
+the result) and the dtype of Adam's state, since the gradients' and the
+state's precision set every loss history and so every optimized design.
+The design blocks
 run the canned configs of ``ove.experiments`` and record each one's
 ``config`` as ``to_mapping`` of the config that ran. Every pin that
 differs from the file being replaced is printed as old -> new with its
@@ -231,23 +232,32 @@ def fft_module() -> str:
 
 
 def optimizer_dtypes() -> dict:
-    """The complex dtype of each evaluation ``optimize`` makes, observed on
-    one tiny run: its start, its candidates and its closing evaluation of
-    the result."""
+    """The dtypes ``optimize`` runs in, observed on one tiny run: the
+    complex dtype of each evaluation it makes (its start's loss, without a
+    gradient; its start's gradient; its candidates; its closing evaluation
+    of the result) and the dtype of Adam's state, as each candidate is
+    formed from it."""
     grid = Grid2D(8, 8, 0.5, 0.5)
     src = plane_wave(grid, 1.55)
     vol = IndexVolume(grid=grid, nz=2, dz=1.0, n0=1.5, dn=np.full((8, 8, 2), 0.025))
-    evaluate, seen = design.evaluate, []
+    evaluate, candidate, seen, state = design.evaluate, design._candidate, [], set()
 
     def spy(*args, dtype=np.complex128, **kwargs):
         seen.append(np.dtype(dtype).name)
         return evaluate(*args, dtype=dtype, **kwargs)
 
-    with mock.patch.object(design, "evaluate", spy):
+    def formed(initial, z, lr, direction):
+        state.update((z.dtype.name, direction.dtype.name))
+        return candidate(initial, z, lr, direction)
+
+    with mock.patch.object(design, "evaluate", spy), \
+            mock.patch.object(design, "_candidate", formed):
         design.optimize(MappingTask.from_fields([src], [src]), vol, LossSpec(),
                         OptimizerConfig(step_size=1e-3, max_iters=1))
-    start, *candidates, result = seen
-    return {"start": start, "candidates": "+".join(sorted(set(candidates))), "result": result}
+    start_report, start_gradient, *candidates, result = seen
+    return {"start_report": start_report, "start_gradient": start_gradient,
+            "candidates": "+".join(sorted(set(candidates))), "result": result,
+            "state": "+".join(sorted(state))}
 
 
 def provenance() -> dict:

@@ -28,11 +28,17 @@ Precision: an evaluation runs in complex128 unless its ``dtype`` says
 otherwise, and only :func:`optimize` says so. Its candidates run in
 complex64, which halves the chain and the traces and runs the kicks and
 the FFTs in single precision; their gradient is still summed in
-float64. So a run's loss history is complex64. Its start
-(``initial_loss``, ``coupling_before``) and a closing evaluation of its
-result (``coupling_after``, ``outputs_after``) run in complex128, as do
+float64. So a run's loss history is complex64. Its start is two
+evaluations of the initial design: one in complex128 without a gradient
+(``initial_loss``, ``coupling_before``) and one in complex64 with a
+gradient, Adam's first, so no evaluation of a run keeps a complex128
+trace. A closing evaluation of its result (``coupling_after``,
+``outputs_after``) runs in complex128, as do
 :func:`propagation.propagate`, the finite-difference checks and every
-caller that passes no ``dtype``.
+caller that passes no ``dtype``. Adam reads each float64 gradient once,
+as float32, and keeps its iterate, m, v and direction in float32, the
+precision of the candidates and of the exported designs; a candidate is
+widened to float64 before it is clipped to the dn bounds.
 
 What runs where: an evaluation with a gradient of two inputs or more on
 a grid of at least ``propagation._OVERLAP_MIN_SAMPLES`` samples uses the
@@ -88,9 +94,14 @@ _BETA1 = 0.9
 _BETA2 = 0.999
 _EPS = 1e-8
 
-# The precision of optimize's candidate evaluations. Its start and its
-# closing evaluation of the result run in complex128, evaluate's default.
+# The precision of optimize's candidate evaluations and of the start's
+# gradient. Its start's loss and its closing evaluation of the result run
+# in complex128, evaluate's default.
 _CANDIDATE_DTYPE = np.complex64
+
+# The precision of Adam's iterate, m, v and direction: the candidates'
+# own, and that of the exported designs.
+_STATE_DTYPE = np.float32
 
 # Amplitude of seeded_initial_volume's noise, relative to dn_max.
 _SEED_NOISE_RELATIVE = 1e-4
@@ -117,7 +128,8 @@ class OptimizerConfig:
     step_size defaults to 1% of the default index-contrast budget. Zero is
     tolerated in both step_size and max_iters so a run can be used as a pure
     evaluation pass: step 0 iterates without moving, max_iters 0 skips the
-    loop entirely.
+    loop entirely. Adam steps in float32, so step_size must be a finite
+    float32 too.
     """
 
     step_size: float = 5e-4
@@ -125,8 +137,9 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.step_size >= 0 and math.isfinite(self.step_size)):
-            raise ValueError(f"step_size must be finite and >= 0, got {self.step_size}")
+        if not 0 <= self.step_size <= float(np.finfo(_STATE_DTYPE).max):
+            raise ValueError(f"step_size must be >= 0 and finite in float32, "
+                             f"got {self.step_size}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
 
@@ -137,17 +150,20 @@ class DesignRun:
     :class:`Evaluation` records.
 
     initial_loss and coupling_before are the first record's, of the
-    initial design, in complex128. loss_history[t] is the loss of the
+    initial design, in complex128 and without a gradient; Adam's first
+    gradient comes from a second record of it, in complex64, of which the
+    run keeps nothing else. loss_history[t] is the loss of the
     record accepted in iteration t, a candidate evaluated in complex64, so
     it is non-increasing and its last entry is the complex64 loss of
     ``result``, which differs from its complex128 loss by about 1e-5
-    (2.8e-5 relative on the canned lantern). coupling_after and
+    (2.9e-5 relative on the canned lantern). coupling_after and
     outputs_after are a closing complex128 record's, of ``result``,
     without a gradient, so reporting them needs no further pass:
     outputs_after[i] is the complex128 output field values of input i,
     equal to what :func:`propagation.propagate` makes of ``result``. A run
     of no iterations takes them from its first record, which is of
-    ``result`` and has no gradient.
+    ``result``. A run that accepts no step returns the initial design
+    itself as ``result``.
     """
 
     initial_loss: float
@@ -251,10 +267,13 @@ def _params_per_step(design: IndexVolume | LayeredElement) -> np.ndarray:
 
 def _with_params(design: IndexVolume | LayeredElement,
                  params: np.ndarray) -> IndexVolume | LayeredElement:
-    """``design`` with ``params``; a volume's are clipped to its dn bounds
-    in place, so ``params`` is spent, and layer phases have none. The
+    """``design`` with ``params``, widened to float64; a volume's are then
+    clipped to its dn bounds in place, so float64 ``params`` are spent,
+    and layer phases have none. The widening comes first: a bound cast to
+    float32 can lie outside itself (float32(0.05) = 0.0500000007). The
     design keeps its own copy, in the layout of ``params``."""
     if isinstance(design, IndexVolume):
+        params = params.astype(np.float64, copy=False)
         return design.with_dn(np.clip(params, design.dn_min, design.dn_max, out=params))
     return design.with_layers(tuple(params[k] for k in range(params.shape[0])))
 
@@ -497,9 +516,10 @@ def seeded_initial_volume(grid, nz: int, dz: float, n0: float,
 
 def _candidate(design: IndexVolume | LayeredElement, z: np.ndarray, lr: float,
                direction: np.ndarray) -> IndexVolume | LayeredElement:
-    """``design`` at ``z - lr * direction``, formed and clipped in one
-    temporary, which the candidate's own copy replaces. A caller that
-    passes the result straight on holds no name of it."""
+    """``design`` at ``z - lr * direction``, formed in one temporary of
+    Adam's precision and widened and clipped in a float64 one, which the
+    candidate's own copy replaces. A caller that passes the result
+    straight on holds no name of it."""
     params = np.multiply(lr, direction)
     return _with_params(design, np.subtract(z, params, out=params))
 
@@ -519,53 +539,71 @@ def optimize(task: MappingTask, initial_design: IndexVolume | LayeredElement,
     returned history is therefore non-increasing. Non-finite loss or
     gradient aborts with the iteration index in the message.
 
-    Each candidate is evaluated once, in complex64
-    (``_CANDIDATE_DTYPE``). Before the last iteration that evaluation also
-    computes the gradient, speculatively: an accepted candidate brings the
-    gradient of the next iteration, a rejected one wastes one adjoint
-    sweep per input. So ``loss_history`` is complex64 losses, each
-    compared with the one before it, the first with the start's. Two
-    evaluations run in complex128: the start, with a gradient, which gives
-    ``initial_loss`` and ``coupling_before``, and a closing one of
-    ``result`` without a gradient, which gives ``coupling_after`` and
-    ``outputs_after``. A run of no iterations has no closing evaluation:
-    its start, without a gradient, is of ``result``.
+    The start is evaluated twice: in complex128 without a gradient, which
+    gives ``initial_loss`` and ``coupling_before``, and, if any iteration
+    runs, in complex64 (``_CANDIDATE_DTYPE``) with a gradient, Adam's
+    first. Each candidate is evaluated once, in complex64. Before the last
+    iteration that evaluation also computes the gradient, speculatively:
+    an accepted candidate brings the gradient of the next iteration, a
+    rejected one wastes one adjoint sweep per input. So every gradient
+    Adam reads is complex64, and ``loss_history`` is complex64 losses,
+    each compared with the one before it, the first with the start's
+    complex128 loss. A closing evaluation of ``result``, in complex128 and
+    without a gradient, gives ``coupling_after`` and ``outputs_after``. A
+    run of no iterations has neither the start's gradient nor a closing
+    evaluation: its start is of ``result``.
 
-    Adam's iterate, m, v and the direction are allocated once, in the
-    layout of the gradient (slice-major for a volume, so each candidate's
-    ``dn[:, :, k]`` is contiguous), and updated in place with the
-    operands, and the order, of the textbook update; the spent gradient
-    holds m / (1 - beta1^t). So an update writes no parameter-sized
-    temporary, and a candidate one, which its own copy replaces.
+    Adam's iterate, m, v and the direction are float32
+    (``_STATE_DTYPE``), the candidates' precision: the iterate starts at
+    the initial design rounded to float32, and each float64 gradient is
+    read once, cast to float32, checked to be finite and freed. They are
+    allocated once, in the layout of the gradient (slice-major for a
+    volume, so each candidate's ``dn[:, :, k]`` is contiguous), and
+    updated in place with the operands, and the order, of the textbook
+    update; the spent float32 gradient holds m / (1 - beta1^t). So an
+    update writes no parameter-sized temporary but that float32
+    gradient. A candidate is formed in a float32 temporary and widened to
+    float64 before it is clipped, since float32(dn_max) can lie above
+    dn_max; its own float64 copy replaces both. A run that accepts no step
+    returns the initial design itself, not its float32 rounding.
 
-    While a candidate's sweeps run, the run holds five parameter-sized
-    arrays (the initial design, Adam's iterate, m, v and the direction),
-    the candidate's chain, its gradient and the traces (one input's, or on
-    the overlapped path of :func:`evaluate` one field more). It holds
-    neither the candidate, which :func:`evaluate` drops once its chain is
-    formed, nor the previous gradient: the gradient is taken out of an
-    accepted :class:`Evaluation`, and the run keeps only its loss. Adam's
-    iterate, m, v and the direction are freed before the closing
-    evaluation.
+    While a candidate's sweeps run, the run holds two float64
+    parameter-sized arrays (the initial design and the candidate's
+    gradient), Adam's four float32 ones (its iterate, m, v and the
+    direction), the candidate's complex64 chain and the traces (one
+    input's, or on the overlapped path of :func:`evaluate` one field
+    more). It holds neither the candidate, which :func:`evaluate` drops
+    once its chain is formed, nor the previous gradient: the gradient is
+    taken out of an accepted :class:`Evaluation`, and the run keeps only
+    its loss. Adam's state is freed before the closing evaluation.
 
     ``config.seed`` is not read here: it only seeds the start, which the
     caller builds with ``seeded_initial_volume``.
     """
-    z = _params_per_step(initial_design)
-    first = evaluate(_with_params(initial_design, z.copy(order="K")), task, loss_spec, prop,
-                     with_gradient=config.max_iters > 0)
+    first = evaluate(_with_params(initial_design, _params_per_step(initial_design)), task,
+                     loss_spec, prop, with_gradient=False)
     if not math.isfinite(first.loss):
         raise ArithmeticError(f"non-finite loss at iteration 0: {first.loss}")
-    grad, first = first.grad, replace(first, grad=None)
     current_loss = first.loss
+    grad = None
+    if config.max_iters > 0:
+        # The closing evaluation gives the result's outputs; the start's
+        # would be held through every iteration.
+        first = replace(first, outputs=None)
+        grad = evaluate(_with_params(initial_design, _params_per_step(initial_design)), task,
+                        loss_spec, prop, with_gradient=True, dtype=_CANDIDATE_DTYPE).grad
 
+    z = _params_per_step(initial_design).astype(_STATE_DTYPE)
     m = np.zeros_like(z)
     v = np.zeros_like(z)
     direction = np.empty_like(z)
     lr = config.step_size
     history: list[float] = []
+    moved = False  # whether a step was accepted, so ``z`` names the result
 
     for t in range(1, config.max_iters + 1):
+        # Read once, in Adam's precision; the float64 gradient is freed here.
+        grad = grad.astype(_STATE_DTYPE)
         if not np.all(np.isfinite(grad)):
             raise ArithmeticError(f"non-finite gradient at iteration {t - 1}")
         # m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g g and
@@ -602,7 +640,7 @@ def optimize(task: MappingTask, initial_design: IndexVolume | LayeredElement,
                 z -= direction  # z - lr * direction, as the candidate formed it
                 grad, current_loss = cand.grad, cand.loss
                 del cand  # else the next iteration's ``grad = None`` frees nothing
-                accepted = True
+                accepted = moved = True
                 break
             del cand
             lr *= 0.5
@@ -617,7 +655,8 @@ def optimize(task: MappingTask, initial_design: IndexVolume | LayeredElement,
             history.extend([current_loss] * (config.max_iters - t))
             break
 
-    result = _with_params(initial_design, z)
+    # Unmoved, the result is the start itself, not its float32 rounding.
+    result = _with_params(initial_design, z if moved else _params_per_step(initial_design))
     del z, m, v, direction, grad  # Adam's state is not read again
     last = first if config.max_iters == 0 else evaluate(result, task, loss_spec, prop,
                                                         with_gradient=False)

@@ -18,6 +18,7 @@ import ove.propagation
 from ove.design import (
     _CANDIDATE_DTYPE,
     _MAX_HALVINGS,
+    _STATE_DTYPE,
     Evaluation,
     LossSpec,
     OptimizerConfig,
@@ -52,6 +53,7 @@ from testutil import (
     Boom,
     band_limited_field,
     band_limited_phases,
+    make_baselines,
     raise_on_call,
     smooth_random_volume,
     traced_peak,
@@ -1051,12 +1053,16 @@ def reference_optimize(task, initial_design, loss_spec, config, prop):
     """The optimizer loop as written before evaluations were shared: an
     evaluation without a gradient per candidate, one with a gradient again
     after acceptance, and a coupling pass of its own before and after.
-    The start is evaluated in complex128 and every candidate, and its
-    gradient, in ``_CANDIDATE_DTYPE``; the coupling passes run
-    ``propagate``. Adam runs at its published defaults on an unclipped
-    iterate z; a volume's design is z clipped to its dn bounds. Returns the
-    run's fields and the number of rejected candidates."""
+    The start's loss is evaluated in complex128, and its gradient, every
+    candidate and each candidate's gradient in ``_CANDIDATE_DTYPE``; the
+    coupling passes run ``propagate``. Adam runs at its published defaults
+    in ``_STATE_DTYPE`` on an unclipped iterate z, which starts at the
+    initial design rounded to it; a candidate is z widened to float64 and
+    clipped to its dn bounds. Until a step is accepted the design is the
+    initial one. Returns the run's fields and the number of rejected
+    candidates."""
     def at(zz):
+        zz = zz.astype(np.float64)
         if isinstance(initial_design, IndexVolume):
             return initial_design.with_dn(
                 np.clip(zz, initial_design.dn_min, initial_design.dn_max))
@@ -1064,10 +1070,12 @@ def reference_optimize(task, initial_design, loss_spec, config, prop):
 
     z = _params_per_step(initial_design)
     design = at(z)
+    z = z.astype(_STATE_DTYPE)
     coupling_before = reference_coupling(design, task, prop)
-    first = evaluate(design, task, loss_spec, prop, with_gradient=True)
-    current_loss, grad = first.loss, first.grad
+    current_loss = evaluate(design, task, loss_spec, prop, with_gradient=False).loss
     initial_loss = current_loss
+    grad = evaluate(design, task, loss_spec, prop, with_gradient=True,
+                    dtype=_CANDIDATE_DTYPE).grad.astype(_STATE_DTYPE)
     m = np.zeros_like(z)
     v = np.zeros_like(z)
     lr = config.step_size
@@ -1079,6 +1087,7 @@ def reference_optimize(task, initial_design, loss_spec, config, prop):
         m_hat = m / (1.0 - 0.9**t)
         v_hat = v / (1.0 - 0.999**t)
         direction = m_hat / (np.sqrt(v_hat) + 1e-8)
+        assert direction.dtype == _STATE_DTYPE
         accepted = False
         for _ in range(_MAX_HALVINGS):
             z_new = z - lr * direction
@@ -1098,7 +1107,7 @@ def reference_optimize(task, initial_design, loss_spec, config, prop):
         if t < config.max_iters:
             accepted_ev = evaluate(design, task, loss_spec, prop, with_gradient=True,
                                    dtype=_CANDIDATE_DTYPE)
-            current_loss, grad = accepted_ev.loss, accepted_ev.grad
+            current_loss, grad = accepted_ev.loss, accepted_ev.grad.astype(_STATE_DTYPE)
     coupling_after = reference_coupling(design, task, prop)
     return (_params_per_step(design), initial_loss, tuple(history), coupling_before,
             coupling_after), rejected
@@ -1136,9 +1145,11 @@ REFERENCE_CASES = {
 
 class TestOptimize:
     def test_zero_step_returns_initial(self, monkeypatch):
-        # The complex64 candidate of a zero step is the start itself; it is
-        # evaluated once, not halved, whether or not its loss rounds above
-        # the complex128 start's (on this design it does).
+        # The candidate of a zero step is the start rounded to Adam's
+        # float32; it is evaluated once, in complex64, not halved, whether
+        # or not its loss rounds above the complex128 start's (on this
+        # design it does). A run that accepts no step returns the start
+        # itself.
         task = small_task()
         vol = small_volume()
         cfg = OptimizerConfig(step_size=0.0, max_iters=1)
@@ -1148,7 +1159,9 @@ class TestOptimize:
         run = optimize(task, vol, LossSpec(), cfg, NO_ABSORBER)
         np.testing.assert_array_equal(run.result.dn, vol.dn)
         assert run.loss_history == (run.initial_loss,)
-        assert len(calls) == 3  # the start, the one candidate and the closing evaluation
+        # the start's loss, the start's gradient, the one candidate and the
+        # closing evaluation
+        assert len(calls) == 4
 
     def test_zero_iterations_evaluate_only(self):
         task = small_task()
@@ -1187,6 +1200,32 @@ class TestOptimize:
         run = optimize(task, vol, LossSpec(), cfg, NO_ABSORBER)
         assert np.all(run.result.dn >= run.result.dn_min)
         assert np.all(run.result.dn <= run.result.dn_max)
+
+    def test_bounds_float32_cannot_hold_are_clipped_in_float64(self, monkeypatch):
+        # Neither bound of a +-0.05 volume is a float32: each rounds outward
+        # (float32(0.05) = 0.0500000007). Adam's float32 candidate is
+        # widened before it is clipped, so every candidate, and the result,
+        # builds, and test_projection_safety_clip's huge steps land voxels
+        # on both bounds exactly.
+        assert float(np.float32(0.05)) > 0.05 and float(np.float32(-0.05)) < -0.05
+        base = small_volume()
+        vol = IndexVolume(grid=SMALL, nz=base.nz, dz=base.dz, n0=base.n0,
+                          dn=2.0 * base.dn - 0.05, dn_min=-0.05, dn_max=0.05)
+        extremes, formed = [], ove.design._candidate
+
+        def candidate(*args):
+            cand = formed(*args)
+            extremes.append((cand.dn.min(), cand.dn.max()))
+            return cand
+
+        monkeypatch.setattr(ove.design, "_candidate", candidate)
+        cfg = OptimizerConfig(step_size=0.05, max_iters=5)  # huge steps
+        run = optimize(small_task(), vol, LossSpec(), cfg, NO_ABSORBER)
+        assert len(extremes) >= cfg.max_iters
+        assert set(extremes) == {(-0.05, 0.05)}
+        assert run.loss_history[-1] < run.initial_loss
+        assert run.result.dn.min() == run.result.dn_min
+        assert run.result.dn.max() == run.result.dn_max
 
     def test_deterministic(self):
         # The seed only seeds the start (seeded_initial_volume); from the
@@ -1302,24 +1341,29 @@ class TestOptimize:
         run, calls = self.recorded_evaluations(monkeypatch, "halvings-run-out")
         c64, c128 = np.dtype(_CANDIDATE_DTYPE), np.dtype(np.complex128)
         assert [(g, d) for _, g, d in calls] == \
-            [(True, c128)] + [(True, c64)] * _MAX_HALVINGS + [(False, c128)]
+            [(False, c128), (True, c64)] + [(True, c64)] * _MAX_HALVINGS + [(False, c128)]
         assert calls[-1][0] is run.result
 
     @pytest.mark.parametrize("case", ["volume-absorber", "layered-zero-gap-halving",
                                       "max-iters-1", "max-iters-0"])
     def test_candidates_in_complex64_start_and_result_in_complex128(self, monkeypatch, case):
-        # The start, with a gradient, and the closing evaluation of the
-        # result, without one, run in complex128; every candidate between
-        # them in complex64, with a gradient before the last iteration. A
-        # run of no iterations evaluates its start alone, without a gradient.
+        # The start's loss, without a gradient, and the closing evaluation
+        # of the result, without one, run in complex128. The start's
+        # gradient, of the same design, and every candidate run in
+        # complex64, the candidates with a gradient before the last
+        # iteration, so no complex128 evaluation builds a trace. A run of
+        # no iterations evaluates its start alone, without a gradient.
         run, calls = self.recorded_evaluations(monkeypatch, case)
         c64, c128 = np.dtype(_CANDIDATE_DTYPE), np.dtype(np.complex128)
         iters = REFERENCE_CASES[case]()[3].max_iters
         if iters == 0:
             assert [(g, d) for _, g, d in calls] == [(False, c128)]
             return
-        (_, *first), *candidates, (last, *closing) = calls
-        assert first == [True, c128] and closing == [False, c128]
+        (start, *first), (start_again, *first_gradient), *candidates, (last, *closing) = calls
+        assert first == [False, c128] and first_gradient == [True, c64]
+        assert closing == [False, c128]
+        np.testing.assert_array_equal(_params_per_step(start_again), _params_per_step(start),
+                                      strict=True)
         assert last is run.result
         assert {d for _, _, d in candidates} == {c64}
         assert candidates[-1][1] is False and candidates[0][1] == (iters > 1)
@@ -1374,11 +1418,12 @@ class TestOptimize:
         accepted = sum(b < a for a, b in zip((run.initial_loss,) + run.loss_history,
                                               run.loss_history))
         assert accepted >= 3
-        # Every evaluation: the last candidate and the closing evaluation of
-        # the result run without a gradient. The closing one holds the
-        # result, which the run returns, and nothing else.
-        assert len(seen) == len(grads) + 2
-        assert [n for n, _ in seen] == list(range(len(grads) + 1)) + [len(grads)]
+        # Every evaluation: the start's loss, the last candidate and the
+        # closing evaluation of the result run without a gradient. The
+        # closing one holds the result, which the run returns, and nothing
+        # else.
+        assert len(seen) == len(grads) + 3
+        assert [n for n, _ in seen] == [0] + list(range(len(grads) + 1)) + [len(grads)]
         *sweeps, (_, closing) = seen
         assert all(live == [None] * len(live) for _, live in sweeps)
         assert [x is run.result for x in closing] == \
@@ -1386,18 +1431,19 @@ class TestOptimize:
 
     @pytest.mark.parametrize("case", sorted(LIVE_SET_CASES))
     def test_iteration_peaks_at_its_live_set(self, case):
-        # An iteration holds 5 parameter-sized arrays (the initial design,
-        # Adam's iterate, m, v and direction), the chain's kicks, one
-        # gradient and one input's trace, plus a dozen (nx, ny) fields: the
+        # An iteration holds two float64 parameter-sized arrays (the
+        # initial design and the candidate's gradient) and Adam's four
+        # float32 ones (its iterate, m, v and direction), the chain's
+        # kicks, one input's trace, plus a dozen (nx, ny) fields: the
         # sweeps' working fields and, below complex128, the casts of the
         # inputs, the targets and the transfers. Its fields are of the
         # candidates' dtype. The array and list objects of the steps do not
         # shrink with the dtype: up to 1 kB a step is allowed, and about
-        # 0.6 kB is measured. The start, in complex128, holds fields twice
-        # that size but not Adam's three arrays; the closing evaluation
-        # holds neither a gradient nor a trace. The initial design is
-        # rebuilt inside the traced call, so it counts; a first run warms
-        # the transfer and absorber caches.
+        # 0.6 kB is measured. The start's gradient is complex64 too and
+        # holds no Adam state; its complex128 loss and the closing
+        # evaluation hold neither a gradient nor a trace. The initial
+        # design is rebuilt inside the traced call, so it counts; a first
+        # run warms the transfer and absorber caches.
         design, cfg = self.LIVE_SET_CASES[case]()
         task = small_task()
         optimize(task, design, LossSpec(), OptimizerConfig(max_iters=0), PropagationSpec())
@@ -1405,10 +1451,45 @@ class TestOptimize:
             task, _with_params(design, _params_per_step(design)), LossSpec(), cfg,
             PropagationSpec()))
         param = _params_per_step(design).nbytes
+        state = param // 8 * np.dtype(_STATE_DTYPE).itemsize
         steps = len(element_chain(design, SMALL, LAM, PropagationSpec()))
         field = SMALL.nx * SMALL.ny * np.dtype(_CANDIDATE_DTYPE).itemsize
-        bound = 5 * param + steps * field + param + steps * field + 12 * field + 1024 * steps
+        bound = 2 * param + 4 * state + steps * field + steps * field + 12 * field + 1024 * steps
         assert peak <= bound, f"peak {peak} B, bound {bound} B"
+
+    @pytest.mark.parametrize("case", sorted(LIVE_SET_CASES))
+    def test_no_evaluation_traces_in_complex128(self, monkeypatch, case):
+        # The start is two evaluations of one design: its loss in
+        # complex128 without a gradient, then Adam's first gradient in
+        # complex64. So every forward sweep that keeps a trace runs in
+        # complex64, and the complex128 sweeps (the start's loss and the
+        # closing evaluation) keep none.
+        design, cfg = self.LIVE_SET_CASES[case]()
+        calls, sweeps = [], []
+
+        def recorded(design, *args, with_gradient, dtype=np.complex128):
+            calls.append((with_gradient, np.dtype(dtype)))
+            return evaluate(design, *args, with_gradient=with_gradient, dtype=dtype)
+
+        def sweep(steps, values, trace=None):
+            sweeps.append((values.dtype, trace is not None))
+            return forward_sweep(steps, values, trace)
+
+        monkeypatch.setattr(ove.design, "evaluate", recorded)
+        monkeypatch.setattr(ove.design, "forward_sweep", sweep)
+        task = small_task()
+        optimize(task, design, LossSpec(), cfg, PropagationSpec())
+        c64, c128 = np.dtype(_CANDIDATE_DTYPE), np.dtype(np.complex128)
+        assert calls[:2] == [(False, c128), (True, c64)]
+        assert {d for d, traced in sweeps if traced} == {c64}
+        assert [traced for d, traced in sweeps if d == c128] == [False] * 2 * len(task.inputs)
+
+    def test_make_baselines_records_the_run_dtypes(self, baselines):
+        # The provenance of the pins names the dtypes the run has now.
+        want = {"start_report": "complex128", "start_gradient": "complex64",
+                "candidates": "complex64", "result": "complex128", "state": "float32"}
+        assert make_baselines().optimizer_dtypes() == want
+        assert baselines["provenance"]["optimizer_dtypes"] == want
 
     def test_volume_result_is_slice_major(self):
         # Adam's state lives in the gradient's slice-major layout, so every
@@ -1424,10 +1505,10 @@ class TestOptimize:
     @pytest.mark.parametrize("iters", [0, 3])
     def test_pass_counts(self, monkeypatch, seeds, iters, path):
         # One forward sweep per input per evaluation, and one adjoint
-        # sweep per input for every evaluation but the last candidate and
-        # the closing one, however many targets an input feeds. Every step
-        # of this run is accepted. A run of no iterations evaluates its
-        # start alone, without a gradient.
+        # sweep per input for every evaluation but the start's loss, the
+        # last candidate and the closing one, however many targets an
+        # input feeds. Every step of this run is accepted. A run of no
+        # iterations evaluates its start alone, without a gradient.
         use_path(monkeypatch, path)
         calls = {"forward": 0, "adjoint": 0}
 
@@ -1445,7 +1526,7 @@ class TestOptimize:
                        OptimizerConfig(step_size=2e-3, max_iters=iters), PropagationSpec())
         assert len(run.loss_history) == iters
         distinct = len(set(seeds))
-        evaluations = 1 + iters + (iters > 0)
+        evaluations = 1 + (iters > 0) + iters + (iters > 0)
         assert calls == {"forward": distinct * evaluations, "adjoint": distinct * iters}
 
 
@@ -1459,6 +1540,7 @@ class TestSpecs:
         dict(step_size=math.nan),
         dict(step_size=math.inf),
         dict(step_size=-math.inf),
+        dict(step_size=1e39),  # above float32's largest finite value
         dict(max_iters=-1),
     ])
     def test_optimizer_config_rejects(self, kwargs):

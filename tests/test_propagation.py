@@ -3,9 +3,7 @@ spreading, slab phase, GRIN self-imaging, thin-lens focusing, plus the
 unitarity/reciprocity/linearity identities."""
 
 import contextlib
-import importlib.util
 import math
-import os
 import threading
 from unittest import mock
 
@@ -48,6 +46,7 @@ from testutil import (
     band_limited_field,
     band_limited_phases,
     band_limited_volume,
+    make_baselines,
     raise_on_call,
     smooth_random_volume,
     traced_peak,
@@ -422,11 +421,7 @@ def test_propagation_runs_on_scipy_fft():
 
 
 def test_make_baselines_records_scipy_fft():
-    path = os.path.join(os.path.dirname(__file__), "..", "scripts", "make_baselines.py")
-    loader = importlib.util.spec_from_file_location("make_baselines", path)
-    make_baselines = importlib.util.module_from_spec(loader)
-    loader.loader.exec_module(make_baselines)
-    assert make_baselines.fft_module() == "scipy.fft._pocketfft.pypocketfft"
+    assert make_baselines().fft_module() == "scipy.fft._pocketfft.pypocketfft"
 
 
 @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])

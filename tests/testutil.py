@@ -5,6 +5,7 @@ overlap are accumulated with math.fsum, the Haar bank is a plain nested
 loop, and band-limited fields are built directly in the spectral domain.
 """
 
+import importlib.util
 import math
 import os
 import threading
@@ -24,6 +25,15 @@ NO_ABSORBER = PropagationSpec(absorber_width=0.0)
 # The default config's resolved.cfg from before Adam's decay rates and the
 # sigmoid projection became constants; it still sets their three keys.
 LEGACY_RESOLVED = os.path.join(os.path.dirname(__file__), "fixtures", "legacy_resolved.cfg")
+
+def make_baselines():
+    """scripts/make_baselines.py, loaded as a module; nothing runs."""
+    path = os.path.join(os.path.dirname(__file__), "..", "scripts", "make_baselines.py")
+    spec = importlib.util.spec_from_file_location("make_baselines", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 # The default config's fiber.
 LANTERN_FIBER = FiberSpec(core_radius_um=5.0, n_core=1.45, n_clad=1.444,
