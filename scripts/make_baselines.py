@@ -11,8 +11,9 @@ records the versions, the FFT module ove calls and the platform, so a
 pin failure can be told apart from a platform change; it also records
 the complex dtype of each evaluation ``optimize`` makes (its start's
 loss, its start's gradient, its candidates and its closing evaluation of
-the result) and the dtype of Adam's state, since the gradients' and the
-state's precision set every loss history and so every optimized design.
+the result) and the dtypes of Adam's state and of the gradients it
+reads, since their precision sets every loss history and so every
+optimized design.
 The design blocks
 run the canned configs of ``ove.experiments`` and record each one's
 ``config`` as ``to_mapping`` of the config that ran. Every pin that
@@ -232,32 +233,37 @@ def fft_module() -> str:
 
 
 def optimizer_dtypes() -> dict:
-    """The dtypes ``optimize`` runs in, observed on one tiny run: the
-    complex dtype of each evaluation it makes (its start's loss, without a
-    gradient; its start's gradient; its candidates; its closing evaluation
-    of the result) and the dtype of Adam's state, as each candidate is
-    formed from it."""
+    """The dtypes ``optimize`` runs in, observed on one tiny run of two
+    iterations: the complex dtype of each evaluation it makes (its start's
+    loss, without a gradient; its start's gradient; its candidates; its
+    closing evaluation of the result), the dtype of Adam's state, as each
+    candidate's steps are formed from it, and that of every gradient Adam
+    reads."""
     grid = Grid2D(8, 8, 0.5, 0.5)
     src = plane_wave(grid, 1.55)
     vol = IndexVolume(grid=grid, nz=2, dz=1.0, n0=1.5, dn=np.full((8, 8, 2), 0.025))
-    evaluate, candidate, seen, state = design.evaluate, design._candidate, [], set()
+    evaluate, adam_candidate = design.evaluate, design._adam_candidate
+    seen, state, gradient = [], set(), set()
 
     def spy(*args, dtype=np.complex128, **kwargs):
         seen.append(np.dtype(dtype).name)
-        return evaluate(*args, dtype=dtype, **kwargs)
+        ev = evaluate(*args, dtype=dtype, **kwargs)
+        if ev.grad is not None:
+            gradient.add(ev.grad.dtype.name)
+        return ev
 
-    def formed(initial, z, lr, direction):
-        state.update((z.dtype.name, direction.dtype.name))
-        return candidate(initial, z, lr, direction)
+    def formed(z, m, v, t, lr):
+        state.update(a.dtype.name for a in (z, m, v))
+        return adam_candidate(z, m, v, t, lr)
 
     with mock.patch.object(design, "evaluate", spy), \
-            mock.patch.object(design, "_candidate", formed):
+            mock.patch.object(design, "_adam_candidate", formed):
         design.optimize(MappingTask.from_fields([src], [src]), vol, LossSpec(),
-                        OptimizerConfig(step_size=1e-3, max_iters=1))
+                        OptimizerConfig(step_size=1e-3, max_iters=2))
     start_report, start_gradient, *candidates, result = seen
     return {"start_report": start_report, "start_gradient": start_gradient,
             "candidates": "+".join(sorted(set(candidates))), "result": result,
-            "state": "+".join(sorted(state))}
+            "state": "+".join(sorted(state)), "gradient": "+".join(sorted(gradient))}
 
 
 def provenance() -> dict:

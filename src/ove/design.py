@@ -27,18 +27,20 @@ field in its place, so the run's closing evaluation hands the outputs of
 Precision: an evaluation runs in complex128 unless its ``dtype`` says
 otherwise, and only :func:`optimize` says so. Its candidates run in
 complex64, which halves the chain and the traces and runs the kicks and
-the FFTs in single precision; their gradient is still summed in
-float64. So a run's loss history is complex64. Its start is two
-evaluations of the initial design: one in complex128 without a gradient
-(``initial_loss``, ``coupling_before``) and one in complex64 with a
-gradient, Adam's first, so no evaluation of a run keeps a complex128
-trace. A closing evaluation of its result (``coupling_after``,
-``outputs_after``) runs in complex128, as do
+the FFTs in single precision; their gradient is summed in float32, the
+real precision of complex64. So a run's loss history is complex64. Its
+start is two evaluations of the initial design: one in complex128
+without a gradient (``initial_loss``, ``coupling_before``) and one in
+complex64 with a gradient, Adam's first, so no evaluation of a run keeps
+a complex128 trace. A closing evaluation of its result
+(``coupling_after``, ``outputs_after``) runs in complex128, as do
 :func:`propagation.propagate`, the finite-difference checks and every
-caller that passes no ``dtype``. Adam reads each float64 gradient once,
-as float32, and keeps its iterate, m, v and direction in float32, the
-precision of the candidates and of the exported designs; a candidate is
-widened to float64 before it is clipped to the dn bounds.
+caller that passes no ``dtype``; their gradient is float64. Adam reads
+each float32 gradient in place and keeps its iterate, m and v in
+float32, the precision of the candidates and of the exported designs. A
+candidate is never a whole array: the chain forms its parameters from
+Adam's state a block of steps at a time, as it forms their kicks,
+widened to float64 before they are clipped to the dn bounds.
 
 What runs where: an evaluation with a gradient of two inputs or more on
 a grid of at least ``propagation._OVERLAP_MIN_SAMPLES`` samples uses the
@@ -59,6 +61,7 @@ from __future__ import annotations
 import contextlib
 import math
 import threading
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -99,9 +102,15 @@ _EPS = 1e-8
 # in complex128, evaluate's default.
 _CANDIDATE_DTYPE = np.complex64
 
-# The precision of Adam's iterate, m, v and direction: the candidates'
-# own, and that of the exported designs.
+# The precision of Adam's iterate, m and v: the candidates' own, their
+# gradients', and that of the exported designs.
 _STATE_DTYPE = np.float32
+
+# Adam forms a candidate's steps, and moves its iterate, in blocks of
+# whole steps of about this many samples (at least one step): a 64 x 64
+# lantern block is 8 slices, so each numpy call works on 128 kB of
+# float32 rather than on one 16 kB slice, and the block stays in cache.
+_BLOCK_SAMPLES = 1 << 15
 
 # Amplitude of seeded_initial_volume's noise, relative to dn_max.
 _SEED_NOISE_RELATIVE = 1e-4
@@ -186,9 +195,10 @@ class Evaluation:
     each target. ``outputs[i]`` is input i's output field values, or None
     for an evaluation with a gradient. The loss and the coupling carry
     the same bits with or without the gradient. The loss, the coupling and
-    the float64 gradient hold the precision of the evaluation's ``dtype``:
+    the gradient hold the precision of the evaluation's ``dtype``:
     complex64 for an optimizer's candidate, whose outputs are complex64
-    too, and complex128 otherwise.
+    too and whose gradient is float32, and complex128 otherwise, with a
+    float64 gradient.
     """
 
     loss: float
@@ -256,40 +266,51 @@ def _entry_loss_and_seed(o: np.ndarray, t: np.ndarray, area: float, c: complex,
     return weight * float(np.sum(diff**2)) * area, seed
 
 
-def _params_per_step(design: IndexVolume | LayeredElement) -> np.ndarray:
-    """A copy of ``design``'s parameters laid out as :func:`_gradient_per_step`
-    lays out a gradient: slice-major for a volume, one layer after another
-    for a layered element."""
-    if isinstance(design, IndexVolume):
-        return np.moveaxis(np.moveaxis(design.dn, -1, 0).copy(), 0, -1)
-    return np.stack(design.layers)
+def _by_step(design: IndexVolume | LayeredElement, a: np.ndarray) -> np.ndarray:
+    """``a``, shaped as ``design``'s parameters, as a view indexed by chain
+    step: (nz, nx, ny) for a volume, ``a`` itself for a layered element."""
+    return np.moveaxis(a, -1, 0) if isinstance(design, IndexVolume) else a
+
+
+def _params_per_step(design: IndexVolume | LayeredElement,
+                     params: Callable[[int], np.ndarray] | None = None) -> np.ndarray:
+    """A float64 copy of ``design``'s parameters, or of the per-step
+    ``params`` that stand in for them (see :func:`propagation._iter_steps`),
+    laid out as :func:`_gradient_per_step` lays out a gradient:
+    slice-major for a volume, one layer after another for a layered
+    element."""
+    if params is None:
+        params = propagation._own_params(design)
+    volume = isinstance(design, IndexVolume)
+    out = np.empty((design.nz if volume else design.num_layers, design.grid.nx, design.grid.ny))
+    for k in range(out.shape[0]):
+        out[k] = params(k)
+    return np.moveaxis(out, 0, -1) if volume else out
 
 
 def _with_params(design: IndexVolume | LayeredElement,
                  params: np.ndarray) -> IndexVolume | LayeredElement:
-    """``design`` with ``params``, widened to float64; a volume's are then
-    clipped to its dn bounds in place, so float64 ``params`` are spent,
-    and layer phases have none. The widening comes first: a bound cast to
-    float32 can lie outside itself (float32(0.05) = 0.0500000007). The
-    design keeps its own copy, in the layout of ``params``."""
+    """``design`` with the float64 ``params``, shaped as its own; the design
+    keeps its own copy, in the layout of ``params``."""
     if isinstance(design, IndexVolume):
-        params = params.astype(np.float64, copy=False)
-        return design.with_dn(np.clip(params, design.dn_min, design.dn_max, out=params))
-    return design.with_layers(tuple(params[k] for k in range(params.shape[0])))
+        return design.with_dn(params)
+    return design.with_layers(tuple(params))
 
 
-def _gradient_per_step(design: IndexVolume | LayeredElement,
-                       wavelength_um: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Zeroed gradient, its view indexed by chain step, and the factor
-    2 d(kick phase)/d(parameter): 2 k0 dz for dn, 2 for a layer phase.
+def _gradient_per_step(design: IndexVolume | LayeredElement, wavelength_um: float,
+                       dtype: np.dtype = np.complex128) -> tuple[np.ndarray, np.ndarray, float]:
+    """Zeroed gradient of the real precision of the complex ``dtype``, its
+    view indexed by chain step, and the factor 2 d(kick phase)/d(parameter):
+    2 k0 dz for dn, 2 for a layer phase.
 
     A volume's gradient is stored slice-major, so each ``grad_steps[k]``
     is contiguous; the (nx, ny, nz) gradient is a view of it."""
+    real = np.finfo(dtype).dtype
     if isinstance(design, IndexVolume):
-        grad_steps = np.zeros((design.nz, design.grid.nx, design.grid.ny))
+        grad_steps = np.zeros((design.nz, design.grid.nx, design.grid.ny), dtype=real)
         return (np.moveaxis(grad_steps, 0, -1), grad_steps,
                 2.0 * ((2.0 * np.pi / wavelength_um) * design.dz))
-    grad = np.zeros((design.num_layers, design.grid.nx, design.grid.ny))
+    grad = np.zeros((design.num_layers, design.grid.nx, design.grid.ny), dtype=real)
     return grad, grad, 2.0
 
 
@@ -379,20 +400,30 @@ def _adjoint_on_worker(budget: threading.Semaphore, steps: list[Step],
 
 def evaluate(design: IndexVolume | LayeredElement, task: MappingTask, spec: LossSpec,
              prop: PropagationSpec, *, with_gradient: bool,
-             dtype: np.dtype = np.complex128) -> Evaluation:
+             dtype: np.dtype = np.complex128,
+             params: Callable[[int], np.ndarray] | None = None) -> Evaluation:
     """The :class:`Evaluation` of ``design`` against ``task``, from one pass
     over the task's inputs. Its gradient is None unless ``with_gradient``;
     its outputs are None with it, so that no output outlives its input's
     sweeps while the gradient is built.
 
+    ``params``, if given, forms step k's parameters (a float64 (nx, ny)
+    array of dn or of layer phase) in place of ``design``'s own, when the
+    chain forms step k's kick (see :func:`propagation._iter_steps`); the
+    design gives the rest. So the design evaluated need never exist as a
+    whole array: this is how :func:`optimize` evaluates its candidates.
+    With TV on, the whole parameter array is formed from ``params`` for
+    the TV term, before the chain, and freed.
+
     The sweeps run in the complex ``dtype``: the chain is built in it
     (:func:`propagation.element_chain`), and each input's and target's
     values are cast to it once per call, so every traced field, output
-    and seed is of it. At complex64 the overlaps are summed in single
-    precision and each step's gradient term is widened as it is added to
-    the float64 gradient; the TV term and the coupling stay float64. The
-    default, complex128, carries the bits of every pin and of
-    :func:`propagation.propagate`.
+    and seed is of it. The gradient takes its real precision: at
+    complex64 the overlaps are summed in single precision and each step's
+    gradient term is added to a float32 gradient; the TV term and the
+    coupling stay float64, and the TV gradient is added to the float32
+    one last. The default, complex128, carries the bits of every pin and
+    of :func:`propagation.propagate`, and a float64 gradient.
 
     Each input runs one forward sweep. Its overlap c_ti with each target
     gives coupling[t, i] = |c_ti|^2, and each target with W_ti > 0 adds
@@ -417,22 +448,23 @@ def evaluate(design: IndexVolume | LayeredElement, task: MappingTask, spec: Loss
     thread reaches the caller as it was raised. Smaller runs keep the
     serial loop.
 
-    The TV term, if any, is formed first and added last. ``design`` is
-    dropped once its chain is formed, so while the sweeps run this call
-    holds the chain, the gradient, the TV gradient if TV is on, and the
-    traces: nothing of the design. A caller that passes the design as a
-    temporary holds none of it either.
+    The TV term, if any, is formed first and added last. ``design`` and
+    ``params`` are dropped once the chain is formed, so while the sweeps
+    run this call holds the chain, the gradient, the TV gradient if TV is
+    on, and the traces: nothing of the design. A caller that passes the
+    design as a temporary holds none of it either.
     """
     if spec.tv_weight > 0.0:
-        tv, tv_grad = total_variation(_params_per_step(design))
+        tv, tv_grad = total_variation(_params_per_step(design, params))
         # Scaled now and added in place at the end: the same bits as
         # grad + tv_weight * tv_grad.
         tv_grad *= spec.tv_weight
-    steps = element_chain(design, task.grid, task.wavelength_um, prop, dtype=dtype)
+    steps = element_chain(design, task.grid, task.wavelength_um, prop, dtype=dtype,
+                          params=params)
     grad = None
     if with_gradient:
-        grad, grad_steps, scale = _gradient_per_step(design, task.wavelength_um)
-    del design
+        grad, grad_steps, scale = _gradient_per_step(design, task.wavelength_um, dtype)
+    del design, params
     area = task.grid.cell_area
     targets = [target.values.astype(dtype, copy=False) for target in task.targets]
     coupling = np.empty(task.weights.shape)
@@ -514,14 +546,65 @@ def seeded_initial_volume(grid, nz: int, dz: float, n0: float,
                        dn_min=dn_min, dn_max=dn_max)
 
 
-def _candidate(design: IndexVolume | LayeredElement, z: np.ndarray, lr: float,
-               direction: np.ndarray) -> IndexVolume | LayeredElement:
-    """``design`` at ``z - lr * direction``, formed in one temporary of
-    Adam's precision and widened and clipped in a float64 one, which the
-    candidate's own copy replaces. A caller that passes the result
-    straight on holds no name of it."""
-    params = np.multiply(lr, direction)
-    return _with_params(design, np.subtract(z, params, out=params))
+def _block_steps(design: IndexVolume | LayeredElement) -> int:
+    """How many chain steps of ``design`` make one block: about
+    ``_BLOCK_SAMPLES`` samples, and at least one step."""
+    return max(1, _BLOCK_SAMPLES // (design.grid.nx * design.grid.ny))
+
+
+def _adam_candidate(z: np.ndarray, m: np.ndarray, v: np.ndarray, t: int,
+                    lr: float) -> Callable[[slice], np.ndarray]:
+    """Steps ``ks`` (a slice) of Adam's candidate z - lr * d, in float32 and
+    in a new array, for an iterate ``z`` and moments ``m`` and ``v``
+    indexed by step (see :func:`_by_step`). Adam's direction d = m_hat /
+    (sqrt(v_hat) + eps), m_hat = m / (1 - beta1^t) and v_hat = v / (1 -
+    beta2^t), is formed from those steps of m and v alone, with the
+    operands, and the order, of the textbook update, in two temporaries
+    of their size. Every operation is elementwise, so the bits do not
+    depend on the slice."""
+    c1, c2 = 1.0 - _BETA1**t, 1.0 - _BETA2**t
+
+    def at(ks: slice) -> np.ndarray:
+        d = np.divide(v[ks], c2)
+        np.sqrt(d, out=d)
+        d += _EPS
+        d = np.divide(np.divide(m[ks], c1), d, out=d)
+        d *= lr
+        return np.subtract(z[ks], d, out=d)
+    return at
+
+
+def _design_params(design: IndexVolume | LayeredElement,
+                   z_at: Callable[[slice], np.ndarray]) -> Callable[[int], np.ndarray]:
+    """The per-step parameters (see :func:`propagation._iter_steps`) of
+    ``design`` at Adam's float32 ``z_at(ks)``: widened to float64, then,
+    for a volume, clipped to its dn bounds in place, and checked to be
+    finite, so that a non-finite candidate fails while its chain is
+    formed, before any sweep. The widening comes first: a bound cast to
+    float32 can lie outside itself (float32(0.05) = 0.0500000007).
+
+    Step k is formed with the other steps of its block (:func:`_block_steps`)
+    when the chain first asks for one of them, and handed out as a view of
+    the block, which is held until the chain moves on to the next block."""
+    volume = isinstance(design, IndexVolume)
+    bounds = (design.dn_min, design.dn_max) if volume else None
+    size = _block_steps(design)
+    start, block = 0, None
+
+    def params(k: int) -> np.ndarray:
+        nonlocal start, block
+        if block is None or not 0 <= k - start < len(block):
+            start, block = k - k % size, None  # the old block is freed first
+            p = z_at(slice(start, start + size)).astype(np.float64)
+            if volume:
+                np.clip(p, *bounds, out=p)
+            finite = np.isfinite(p).all(axis=(1, 2))
+            if not finite.all():
+                raise ValueError(f"the parameters of step {start + int(np.argmin(finite))} "
+                                 f"must be finite")
+            block = p
+        return block[k - start]
+    return params
 
 
 def optimize(task: MappingTask, initial_design: IndexVolume | LayeredElement,
@@ -537,7 +620,8 @@ def optimize(task: MappingTask, initial_design: IndexVolume | LayeredElement,
     60 times, and not at all once it is zero) and the proposal recomputed
     from the same moments. The
     returned history is therefore non-increasing. Non-finite loss or
-    gradient aborts with the iteration index in the message.
+    gradient aborts with the iteration index in the message; a
+    non-finite candidate fails before its sweeps.
 
     The start is evaluated twice: in complex128 without a gradient, which
     gives ``initial_loss`` and ``coupling_before``, and, if any iteration
@@ -553,35 +637,39 @@ def optimize(task: MappingTask, initial_design: IndexVolume | LayeredElement,
     run of no iterations has neither the start's gradient nor a closing
     evaluation: its start is of ``result``.
 
-    Adam's iterate, m, v and the direction are float32
-    (``_STATE_DTYPE``), the candidates' precision: the iterate starts at
-    the initial design rounded to float32, and each float64 gradient is
-    read once, cast to float32, checked to be finite and freed. They are
-    allocated once, in the layout of the gradient (slice-major for a
-    volume, so each candidate's ``dn[:, :, k]`` is contiguous), and
-    updated in place with the operands, and the order, of the textbook
-    update; the spent float32 gradient holds m / (1 - beta1^t). So an
-    update writes no parameter-sized temporary but that float32
-    gradient. A candidate is formed in a float32 temporary and widened to
-    float64 before it is clipped, since float32(dn_max) can lie above
-    dn_max; its own float64 copy replaces both. A run that accepts no step
-    returns the initial design itself, not its float32 rounding.
+    Adam's iterate, m and v are float32 (``_STATE_DTYPE``), the
+    candidates' precision: the iterate starts at the initial design
+    rounded to float32. They are allocated once, indexed by chain step
+    (slice-major for a volume). Each gradient is float32 and is read in
+    place: checked to be finite, spent by the update of m and v, which
+    runs in place over the whole arrays with the operands, and the order,
+    of the textbook update, and freed. Adam's direction is never stored:
+    :func:`_adam_candidate` forms a block of a candidate's steps
+    (:func:`_block_steps`) from z, m and v when the chain first asks for
+    one of them, and :func:`_design_params` widens the block to float64,
+    clips it and checks it, since float32(dn_max) can lie above dn_max,
+    before the chain forms the block's kicks from it. An accepted step
+    moves z by the same blocks. Only ``result`` is built as a whole
+    design, from z by the same per-step function; a run that accepts no
+    step returns the initial design itself, not its float32 rounding.
 
-    While a candidate's sweeps run, the run holds two float64
-    parameter-sized arrays (the initial design and the candidate's
-    gradient), Adam's four float32 ones (its iterate, m, v and the
-    direction), the candidate's complex64 chain and the traces (one
-    input's, or on the overlapped path of :func:`evaluate` one field
-    more). It holds neither the candidate, which :func:`evaluate` drops
-    once its chain is formed, nor the previous gradient: the gradient is
-    taken out of an accepted :class:`Evaluation`, and the run keeps only
-    its loss. Adam's state is freed before the closing evaluation.
+    While a candidate's sweeps run, the run holds one float64
+    parameter-sized array (the initial design), Adam's three float32 ones
+    (its iterate, m and v), the candidate's float32 gradient, its
+    complex64 chain and the traces (one input's, or on the overlapped
+    path of :func:`evaluate` one field more). It holds neither the
+    candidate, of which no more than a block is formed at a time (with
+    TV on, :func:`evaluate` forms a whole array for the TV term and frees
+    it before the chain), nor the previous gradient: the gradient is taken out of an
+    accepted :class:`Evaluation`, and the run keeps only its loss. The
+    update of v takes a float32 temporary of the gradient's size, freed
+    before the first candidate is formed. Adam's moments are freed before
+    the result is built, and its iterate before the closing evaluation.
 
     ``config.seed`` is not read here: it only seeds the start, which the
     caller builds with ``seeded_initial_volume``.
     """
-    first = evaluate(_with_params(initial_design, _params_per_step(initial_design)), task,
-                     loss_spec, prop, with_gradient=False)
+    first = evaluate(initial_design, task, loss_spec, prop, with_gradient=False)
     if not math.isfinite(first.loss):
         raise ArithmeticError(f"non-finite loss at iteration 0: {first.loss}")
     current_loss = first.loss
@@ -590,54 +678,49 @@ def optimize(task: MappingTask, initial_design: IndexVolume | LayeredElement,
         # The closing evaluation gives the result's outputs; the start's
         # would be held through every iteration.
         first = replace(first, outputs=None)
-        grad = evaluate(_with_params(initial_design, _params_per_step(initial_design)), task,
-                        loss_spec, prop, with_gradient=True, dtype=_CANDIDATE_DTYPE).grad
+        grad = evaluate(initial_design, task, loss_spec, prop, with_gradient=True,
+                        dtype=_CANDIDATE_DTYPE).grad
 
-    z = _params_per_step(initial_design).astype(_STATE_DTYPE)
+    z = _by_step(initial_design, _params_per_step(initial_design)).astype(_STATE_DTYPE)
     m = np.zeros_like(z)
     v = np.zeros_like(z)
-    direction = np.empty_like(z)
     lr = config.step_size
     history: list[float] = []
     moved = False  # whether a step was accepted, so ``z`` names the result
 
     for t in range(1, config.max_iters + 1):
-        # Read once, in Adam's precision; the float64 gradient is freed here.
-        grad = grad.astype(_STATE_DTYPE)
+        grad = _by_step(initial_design, grad)  # float32, read in place
         if not np.all(np.isfinite(grad)):
             raise ArithmeticError(f"non-finite gradient at iteration {t - 1}")
-        # m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g g and
-        # direction = (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps),
+        # m = beta1 m + (1 - beta1) g and v = beta2 v + (1 - beta2) g g,
         # with the same products and sums in the same order.
         m *= _BETA1
         v *= _BETA2
-        np.multiply(1.0 - _BETA2, grad, out=direction)
-        direction *= grad
-        v += direction
+        sq = np.multiply(1.0 - _BETA2, grad)
+        sq *= grad
+        v += sq
         grad *= 1.0 - _BETA1
         m += grad
-        np.divide(m, 1.0 - _BETA1**t, out=grad)
-        np.divide(v, 1.0 - _BETA2**t, out=direction)
-        np.sqrt(direction, out=direction)
-        direction += _EPS
-        np.divide(grad, direction, out=direction)
-        # The line search does not need it. Freed here, and with only
-        # ``grad`` naming an accepted candidate's gradient below, no
-        # gradient but the candidate's own is live while it is evaluated.
-        grad = None
+        # Spent. Freed here, and with only ``grad`` naming an accepted
+        # candidate's gradient below, no gradient but the candidate's own
+        # is live while it is evaluated.
+        grad = sq = None
 
         accepted = False
         for _ in range(_MAX_HALVINGS):
-            # The candidate is passed on as a temporary: CPython (3.11 on)
-            # hands a call's argument references to the callee, so
-            # evaluate frees it once its chain is formed.
-            cand = evaluate(_candidate(initial_design, z, lr, direction), task, loss_spec,
-                            prop, with_gradient=t < config.max_iters, dtype=_CANDIDATE_DTYPE)
+            step = _adam_candidate(z, m, v, t, lr)
+            # The candidate's parameters are passed on as a temporary:
+            # CPython (3.11 on) hands a call's argument references to the
+            # callee, so evaluate frees them once its chain is formed.
+            cand = evaluate(initial_design, task, loss_spec, prop,
+                            with_gradient=t < config.max_iters, dtype=_CANDIDATE_DTYPE,
+                            params=_design_params(initial_design, step))
             if not math.isfinite(cand.loss):
                 raise ArithmeticError(f"non-finite loss at iteration {t}")
             if cand.loss <= current_loss:
-                direction *= lr
-                z -= direction  # z - lr * direction, as the candidate formed it
+                size = _block_steps(initial_design)
+                for ks in (slice(k, k + size) for k in range(0, len(z), size)):
+                    z[ks] = step(ks)  # z - lr * d, as the candidate formed it
                 grad, current_loss = cand.grad, cand.loss
                 del cand  # else the next iteration's ``grad = None`` frees nothing
                 accepted = moved = True
@@ -649,15 +732,19 @@ def optimize(task: MappingTask, initial_design: IndexVolume | LayeredElement,
                 # loss can round above the complex128 start's, and halving
                 # would only repeat it.
                 break
+        del step  # it names z, m and v, which are freed below
         history.append(current_loss)
         if not accepted:
             # Step size exhausted; remaining iterations cannot move.
             history.extend([current_loss] * (config.max_iters - t))
             break
 
-    # Unmoved, the result is the start itself, not its float32 rounding.
-    result = _with_params(initial_design, z if moved else _params_per_step(initial_design))
-    del z, m, v, direction, grad  # Adam's state is not read again
+    del m, v  # Adam's moments are not read again
+    result = initial_design  # unmoved, the start itself, not its float32 rounding
+    if moved:
+        result = _with_params(initial_design, _params_per_step(
+            initial_design, _design_params(initial_design, z.__getitem__)))
+    del z
     last = first if config.max_iters == 0 else evaluate(result, task, loss_spec, prop,
                                                         with_gradient=False)
     return DesignRun(

@@ -45,7 +45,7 @@ homogeneous medium therefore returns to its input phase.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache, lru_cache
@@ -248,14 +248,28 @@ def _kick(phase: np.ndarray, factor: np.ndarray | None, dtype: np.dtype) -> np.n
     return kick
 
 
+def _own_params(design: IndexVolume | LayeredElement) -> Callable[[int], np.ndarray]:
+    """Step k's parameters of ``design``: its slice ``dn[:, :, k]`` for a
+    volume, its phase ``layers[k]`` for a layered element."""
+    if isinstance(design, IndexVolume):
+        return lambda k: design.dn[:, :, k]
+    return design.layers.__getitem__
+
+
 def _iter_steps(design: IndexVolume | LayeredElement, grid: Grid2D,
                 wavelength_um: float, spec: PropagationSpec,
-                dtype: np.dtype = np.complex128) -> Iterator[Step]:
+                dtype: np.dtype = np.complex128,
+                params: Callable[[int], np.ndarray] | None = None) -> Iterator[Step]:
     """The steps of :func:`element_chain`, built one at a time: a step's
     kick is formed when the step is drawn, so a walk that drops each step
     before it draws the next holds one kick. The design and the grid are
     checked and every transfer is looked up here, before the first step
     is drawn, so drawing a step only forms its kick.
+
+    Step k's kick reads ``params(k)``, a float64 (nx, ny) array of dn or
+    of layer phase, which it calls when the step is drawn; by default
+    that is the design's own slice or layer (:func:`_own_params`). The
+    design gives everything else: the grid, dz and n0, the gaps.
 
     Every kick and transfer is of the complex ``dtype``. Below complex128
     each distinct transfer and the absorber factor are cast once here, so
@@ -265,6 +279,8 @@ def _iter_steps(design: IndexVolume | LayeredElement, grid: Grid2D,
         raise TypeError(f"cannot propagate through {type(design).__name__}")
     if grid != design.grid:
         raise ValueError(f"grid mismatch: field {grid} vs design {design.grid}")
+    if params is None:
+        params = _own_params(design)
     real = np.finfo(dtype).dtype
 
     @cache
@@ -279,18 +295,18 @@ def _iter_steps(design: IndexVolume | LayeredElement, grid: Grid2D,
         k0_dz = (2.0 * np.pi / wavelength_um) * design.dz
         h_half, h_full = transfer(design.n0, 0.5 * design.dz), transfer(design.n0, design.dz)
         last = design.nz - 1
-        return ((h_half if k == 0 else None, _kick(k0_dz * design.dn[:, :, k], factor, dtype),
+        return ((h_half if k == 0 else None, _kick(k0_dz * params(k), factor, dtype),
                  h_half if k == last else h_full)
                 for k in range(design.nz))
     factor = None if mask is None else mask.astype(real, copy=False)
     posts = [transfer(design.n_gap, gap) if gap > 0 else None for gap in design.gaps]
-    return ((None, _kick(phase, factor, dtype), post)
-            for phase, post in zip(design.layers, posts))
+    return ((None, _kick(params(k), factor, dtype), post) for k, post in enumerate(posts))
 
 
 def element_chain(design: IndexVolume | LayeredElement, grid: Grid2D,
                   wavelength_um: float, spec: PropagationSpec, *,
-                  dtype: np.dtype = np.complex128) -> list[Step]:
+                  dtype: np.dtype = np.complex128,
+                  params: Callable[[int], np.ndarray] | None = None) -> list[Step]:
     """The ``(pre transfer, kick, post transfer)`` steps of ``design`` (see
     the module docstring) seen by fields on ``grid`` at ``wavelength_um``,
     as a list that holds every kick: for callers that walk the chain more
@@ -303,9 +319,10 @@ def element_chain(design: IndexVolume | LayeredElement, grid: Grid2D,
     kick_{nz-1}, H(dz/2))``; one slice gives ``(H(dz/2), kick_0,
     H(dz/2))``. Kicks are C-contiguous (nx, ny) arrays of the complex
     ``dtype``, and so is every transfer: complex64 halves the chain and
-    runs its kicks and drifts in single precision (see
+    runs its kicks and drifts in single precision. ``params``, if given,
+    forms each step's parameters in place of the design's own (see
     :func:`_iter_steps`)."""
-    return list(_iter_steps(design, grid, wavelength_um, spec, dtype))
+    return list(_iter_steps(design, grid, wavelength_um, spec, dtype, params))
 
 
 def forward_sweep(steps: Iterable[Step], values: np.ndarray,
@@ -325,6 +342,7 @@ def forward_sweep(steps: Iterable[Step], values: np.ndarray,
     give the same bits with them swapped.
     """
     u, owned = values, False
+    del values  # a cast made for this sweep is freed once a drift or kick replaces it
     for pre, kick, post in steps:
         if pre is not None:
             u, owned = drift(u, pre), True

@@ -447,7 +447,11 @@ def reference_evaluate(design, task, spec, prop, with_gradient):
     steps = element_chain(design, task.grid, task.wavelength_um, prop)
     grad = None
     if with_gradient:
-        grad, grad_steps, scale = _gradient_per_step(design, task.wavelength_um)
+        # A float64 gradient of its own, indexed by step as evaluate's is.
+        _, _, scale = _gradient_per_step(design, task.wavelength_um)
+        volume = isinstance(design, IndexVolume)
+        grad_steps = np.zeros((design.nz if volume else design.num_layers, *task.grid.shape))
+        grad = np.moveaxis(grad_steps, 0, -1) if volume else grad_steps
     coupling = np.empty(task.weights.shape)
     total = 0.0
     for i, inp in enumerate(task.inputs):
@@ -794,11 +798,10 @@ class TestOverlapThreads:
         # most one field more than the chain has steps, beside the
         # adjoint's g, a spectrum and one conjugate transfer. It measures
         # about one (nx, ny) field above the serial peak; two are allowed,
-        # each of the evaluation's dtype. Below complex128 each step's term
-        # is widened to the float64 gradient through a buffer of numpy's
-        # (at most getbufsize() float64s), which the adjoint on the worker
-        # holds beside a forward sweep that may be at its peak; it is
-        # allowed too. A first call warms the caches.
+        # each of the evaluation's dtype. The gradient takes the real
+        # precision of that dtype, so no step's term is widened through a
+        # cast buffer of numpy's, and none is allowed. A first call warms
+        # the caches.
         design, task = overlapped_case(kind)
 
         def run():
@@ -806,14 +809,12 @@ class TestOverlapThreads:
                             dtype=dtype)
 
         run()
-        samples = task.grid.nx * task.grid.ny
-        field = samples * np.dtype(dtype).itemsize
-        widening = 0 if dtype == np.complex128 else min(samples, np.getbufsize()) * 8
+        field = task.grid.nx * task.grid.ny * np.dtype(dtype).itemsize
         _, overlapped = traced_peak(run)
         monkeypatch.setattr(ove.propagation, "_OVERLAP_MIN_SAMPLES",
                             task.grid.nx * task.grid.ny + 1)
         _, serial = traced_peak(run)
-        assert overlapped <= serial + 2 * field + widening, (overlapped - serial) / field
+        assert overlapped <= serial + 2 * field, (overlapped - serial) / field
 
 
 # ---------------------------------------------------------------------------
@@ -878,9 +879,10 @@ class TestComplex64:
         # A float64 or complex128 array anywhere in the chain, the casts or
         # the seed would promote the sweeps back to complex128. The absorber
         # factor is float32: a float64 one would leave the kicks complex64
-        # but form each in complex128. The gradient, the TV term (on here)
-        # and the coupling stay float64, and propagate keeps complex128 and
-        # its bits.
+        # but form each in complex128. The gradient is float32, so each
+        # step's term is added without a cast; the TV term (on here) and
+        # the coupling stay float64, and propagate keeps complex128 and its
+        # bits.
         use_path(monkeypatch, path)
         design, task = EVALUATE_DESIGNS[design](), inputs_task((1, 2, 3))
         prop = PropagationSpec()
@@ -932,7 +934,7 @@ class TestComplex64:
                  "adjoint drift")
         factor = seen.pop("factor")
         assert seen == dict.fromkeys(names, c64) and factor == {np.dtype(np.float32)}
-        assert ev.grad.dtype == np.float64 and ev.coupling.dtype == np.float64
+        assert ev.grad.dtype == np.float32 and ev.coupling.dtype == np.float64
         assert type(ev.loss) is float
         seen.clear()
         ev = evaluate(design, task, spec, prop, with_gradient=False, dtype=np.complex64)
@@ -942,6 +944,22 @@ class TestComplex64:
         monkeypatch.undo()
         np.testing.assert_array_equal(propagate(design, task.inputs[0], prop).values, before,
                                       strict=True)
+
+    @PATHS
+    @pytest.mark.parametrize("tv_weight", [0.0, 1e-3])
+    @pytest.mark.parametrize("design", sorted(EVALUATE_DESIGNS))
+    def test_complex128_gradient_stays_float64(self, monkeypatch, design, tv_weight, path):
+        # Only a complex64 evaluation sums its gradient in float32. The
+        # complex128 one, which the FD checks read, is float64 on either
+        # path, with the bits of the per-pair loop summed into a float64
+        # gradient of its own.
+        use_path(monkeypatch, path)
+        args = (EVALUATE_DESIGNS[design](), small_task(), LossSpec(tv_weight=tv_weight),
+                PropagationSpec())
+        got = evaluate(*args, with_gradient=True).grad
+        _, want, _ = reference_evaluate(*args, with_gradient=True)
+        assert want.dtype == np.float64
+        np.testing.assert_array_equal(got, want, strict=True)
 
 
 # ---------------------------------------------------------------------------
@@ -1203,26 +1221,34 @@ class TestOptimize:
 
     def test_bounds_float32_cannot_hold_are_clipped_in_float64(self, monkeypatch):
         # Neither bound of a +-0.05 volume is a float32: each rounds outward
-        # (float32(0.05) = 0.0500000007). Adam's float32 candidate is
-        # widened before it is clipped, so every candidate, and the result,
-        # builds, and test_projection_safety_clip's huge steps land voxels
-        # on both bounds exactly.
+        # (float32(0.05) = 0.0500000007). Each step of Adam's float32
+        # candidate is widened before it is clipped, so every candidate,
+        # and the result, builds its chain, and test_projection_safety_clip's
+        # huge steps land voxels on both bounds exactly.
         assert float(np.float32(0.05)) > 0.05 and float(np.float32(-0.05)) < -0.05
         base = small_volume()
         vol = IndexVolume(grid=SMALL, nz=base.nz, dz=base.dz, n0=base.n0,
                           dn=2.0 * base.dn - 0.05, dn_min=-0.05, dn_max=0.05)
-        extremes, formed = [], ove.design._candidate
+        extremes, design_params = [], ove.design._design_params
 
-        def candidate(*args):
-            cand = formed(*args)
-            extremes.append((cand.dn.min(), cand.dn.max()))
-            return cand
+        def spied(*args):
+            params, steps = design_params(*args), []
+            extremes.append(steps)
 
-        monkeypatch.setattr(ove.design, "_candidate", candidate)
+            def recorded(k):
+                p = params(k)
+                steps.append((p.min(), p.max()))
+                return p
+            return recorded
+
+        monkeypatch.setattr(ove.design, "_design_params", spied)
         cfg = OptimizerConfig(step_size=0.05, max_iters=5)  # huge steps
         run = optimize(small_task(), vol, LossSpec(), cfg, NO_ABSORBER)
-        assert len(extremes) >= cfg.max_iters
-        assert set(extremes) == {(-0.05, 0.05)}
+        # Every candidate and the result form each step once.
+        assert len(extremes) >= cfg.max_iters + 1
+        assert all(len(steps) == vol.nz for steps in extremes)
+        assert {(min(lo for lo, _ in steps), max(hi for _, hi in steps))
+                for steps in extremes} == {(-0.05, 0.05)}
         assert run.loss_history[-1] < run.initial_loss
         assert run.result.dn.min() == run.result.dn_min
         assert run.result.dn.max() == run.result.dn_max
@@ -1299,6 +1325,23 @@ class TestOptimize:
         np.testing.assert_array_equal(got[3], want[3], strict=True)
         np.testing.assert_array_equal(got[4], want[4], strict=True)
 
+    @pytest.mark.parametrize("case", ["volume-absorber", "volume-tv", "layered-zero-gap-halving"])
+    def test_any_block_size_gives_the_same_run(self, monkeypatch, case):
+        # On these grids one block holds every step. Blocks of one step, and
+        # of three with a short last one, run the same elementwise
+        # arithmetic, so the run carries the same bits.
+        task, design, spec, cfg, _ = REFERENCE_CASES[case]()
+        want = optimize(task, design, spec, cfg, PropagationSpec())
+        steps = len(element_chain(design, SMALL, LAM, PropagationSpec()))
+        assert ove.design._block_steps(design) >= steps
+        for size in (1, 3):
+            monkeypatch.setattr(ove.design, "_BLOCK_SAMPLES", size * SMALL.nx * SMALL.ny)
+            assert ove.design._block_steps(design) == size
+            run = optimize(task, design, spec, cfg, PropagationSpec())
+            assert run.loss_history == want.loss_history
+            np.testing.assert_array_equal(_params_per_step(run.result),
+                                          _params_per_step(want.result), strict=True)
+
     # (REFERENCE_CASES entry, propagation spec)
     OUTPUT_CASES = {
         "volume-absorber": ("volume-absorber", PropagationSpec()),
@@ -1327,9 +1370,9 @@ class TestOptimize:
         task, design, spec, cfg, _ = REFERENCE_CASES[case]()
         calls = []
 
-        def recorded(design, *args, with_gradient, dtype=np.complex128):
+        def recorded(design, *args, with_gradient, dtype=np.complex128, **kwargs):
             calls.append((design, with_gradient, np.dtype(dtype)))
-            return evaluate(design, *args, with_gradient=with_gradient, dtype=dtype)
+            return evaluate(design, *args, with_gradient=with_gradient, dtype=dtype, **kwargs)
 
         monkeypatch.setattr(ove.design, "evaluate", recorded)
         return optimize(task, design, spec, cfg, PropagationSpec()), calls
@@ -1383,20 +1426,31 @@ class TestOptimize:
 
     @pytest.mark.parametrize("case", sorted(LIVE_SET_CASES))
     def test_sweeps_start_without_the_candidate_or_an_older_gradient(self, monkeypatch, case):
-        # When an evaluation's first forward sweep starts, the design it
-        # evaluates is gone (its chain is formed), and so is every gradient
-        # of an earlier evaluation: the accepted one that formed Adam's
-        # direction, and any rejected candidate's.
+        # Every evaluation but the closing one evaluates the initial design,
+        # each candidate's per-step parameters standing in for its own.
+        # When an evaluation's first forward sweep starts, every candidate's
+        # per-step function and every step it formed are gone (its chain is
+        # formed), and so is every gradient of an earlier evaluation: the
+        # accepted one that updated Adam's moments, and any rejected
+        # candidate's. The result, built from the same per-step function,
+        # leaves neither behind either.
         design, cfg = self.LIVE_SET_CASES[case]()
-        candidates, grads, starts, seen = [], [], [], []
+        formed, grads, starts, seen, chained = [], [], [], [], []
+        design_params = ove.design._design_params
 
-        def with_params(*args):
-            cand = _with_params(*args)
-            candidates.append(weakref.ref(cand))
-            return cand
+        def spied(*args):
+            params = design_params(*args)
+
+            def recorded(k):
+                p = params(k)
+                formed.extend((weakref.ref(p), weakref.ref(p.base)))  # the step and its block
+                return p
+            formed.append(weakref.ref(recorded))
+            return recorded
 
         def chain(*args, **kwargs):
             starts.append(len(grads))
+            chained.append(args[0])
             return element_chain(*args, **kwargs)
 
         def gradient_per_step(*args):
@@ -1407,10 +1461,10 @@ class TestOptimize:
         def sweep(*args):
             if starts:
                 older = grads[:starts.pop()]
-                seen.append((len(older), [r() for r in candidates + older]))
+                seen.append((len(older), [r() for r in formed + older]))
             return forward_sweep(*args)
 
-        monkeypatch.setattr(ove.design, "_with_params", with_params)
+        monkeypatch.setattr(ove.design, "_design_params", spied)
         monkeypatch.setattr(ove.design, "element_chain", chain)
         monkeypatch.setattr(ove.design, "_gradient_per_step", gradient_per_step)
         monkeypatch.setattr(ove.design, "forward_sweep", sweep)
@@ -1424,26 +1478,23 @@ class TestOptimize:
         # else.
         assert len(seen) == len(grads) + 3
         assert [n for n, _ in seen] == [0] + list(range(len(grads) + 1)) + [len(grads)]
-        *sweeps, (_, closing) = seen
-        assert all(live == [None] * len(live) for _, live in sweeps)
-        assert [x is run.result for x in closing] == \
-            [False] * (len(candidates) - 1) + [True] + [False] * len(grads)
+        assert formed and all(live == [None] * len(live) for _, live in seen)
+        assert chained[-1] is run.result and all(d is design for d in chained[:-1])
 
     @pytest.mark.parametrize("case", sorted(LIVE_SET_CASES))
     def test_iteration_peaks_at_its_live_set(self, case):
-        # An iteration holds two float64 parameter-sized arrays (the
-        # initial design and the candidate's gradient) and Adam's four
-        # float32 ones (its iterate, m, v and direction), the chain's
-        # kicks, one input's trace, plus a dozen (nx, ny) fields: the
-        # sweeps' working fields and, below complex128, the casts of the
-        # inputs, the targets and the transfers. Its fields are of the
-        # candidates' dtype. The array and list objects of the steps do not
-        # shrink with the dtype: up to 1 kB a step is allowed, and about
-        # 0.6 kB is measured. The start's gradient is complex64 too and
-        # holds no Adam state; its complex128 loss and the closing
-        # evaluation hold neither a gradient nor a trace. The initial
-        # design is rebuilt inside the traced call, so it counts; a first
-        # run warms the transfer and absorber caches.
+        # An iteration holds one float64 parameter-sized array (the
+        # initial design) and four float32 ones (Adam's iterate, m and v,
+        # and the candidate's gradient), the chain's kicks, one input's
+        # trace, plus a dozen (nx, ny) fields: the sweeps' working fields
+        # and, below complex128, the casts of the inputs, the targets and
+        # the transfers. Its fields are of the candidates' dtype. The array
+        # and list objects of the steps do not shrink with the dtype: up to
+        # 1 kB a step is allowed, and about 0.6 kB is measured. The start's
+        # gradient is complex64 too and holds no Adam state; its complex128
+        # loss and the closing evaluation hold neither a gradient nor a
+        # trace. The initial design is rebuilt inside the traced call, so
+        # it counts; a first run warms the transfer and absorber caches.
         design, cfg = self.LIVE_SET_CASES[case]()
         task = small_task()
         optimize(task, design, LossSpec(), OptimizerConfig(max_iters=0), PropagationSpec())
@@ -1454,7 +1505,7 @@ class TestOptimize:
         state = param // 8 * np.dtype(_STATE_DTYPE).itemsize
         steps = len(element_chain(design, SMALL, LAM, PropagationSpec()))
         field = SMALL.nx * SMALL.ny * np.dtype(_CANDIDATE_DTYPE).itemsize
-        bound = 2 * param + 4 * state + steps * field + steps * field + 12 * field + 1024 * steps
+        bound = param + 4 * state + steps * field + steps * field + 12 * field + 1024 * steps
         assert peak <= bound, f"peak {peak} B, bound {bound} B"
 
     @pytest.mark.parametrize("case", sorted(LIVE_SET_CASES))
@@ -1467,9 +1518,9 @@ class TestOptimize:
         design, cfg = self.LIVE_SET_CASES[case]()
         calls, sweeps = [], []
 
-        def recorded(design, *args, with_gradient, dtype=np.complex128):
+        def recorded(design, *args, with_gradient, dtype=np.complex128, **kwargs):
             calls.append((with_gradient, np.dtype(dtype)))
-            return evaluate(design, *args, with_gradient=with_gradient, dtype=dtype)
+            return evaluate(design, *args, with_gradient=with_gradient, dtype=dtype, **kwargs)
 
         def sweep(steps, values, trace=None):
             sweeps.append((values.dtype, trace is not None))
@@ -1487,9 +1538,40 @@ class TestOptimize:
     def test_make_baselines_records_the_run_dtypes(self, baselines):
         # The provenance of the pins names the dtypes the run has now.
         want = {"start_report": "complex128", "start_gradient": "complex64",
-                "candidates": "complex64", "result": "complex128", "state": "float32"}
+                "candidates": "complex64", "result": "complex128", "state": "float32",
+                "gradient": "float32"}
         assert make_baselines().optimizer_dtypes() == want
         assert baselines["provenance"]["optimizer_dtypes"] == want
+
+    @pytest.mark.parametrize("case", ["volume-absorber", "volume-tv", "layered-zero-gap-halving"])
+    def test_non_finite_candidate_step_fails_before_its_sweeps(self, monkeypatch, case):
+        # A NaN, which a volume's clip keeps, or an infinite layer phase,
+        # which has no bound, in one step of the first candidate fails
+        # while that step's parameters are formed: for the chain, or with
+        # TV on for the TV term first. The candidate runs no sweep.
+        task, design, spec, cfg, _ = REFERENCE_CASES[case]()
+        bad = np.nan if isinstance(design, IndexVolume) else np.inf
+        adam_candidate, sweeps = ove.design._adam_candidate, []
+
+        def poisoned(*args):
+            at = adam_candidate(*args)
+
+            def step(ks):
+                z = at(ks)
+                if ks.start <= 1 < ks.stop:
+                    z[1 - ks.start, 0, 0] = bad
+                return z
+            return step
+
+        def sweep(*args):
+            sweeps.append(1)
+            return forward_sweep(*args)
+
+        monkeypatch.setattr(ove.design, "_adam_candidate", poisoned)
+        monkeypatch.setattr(ove.design, "forward_sweep", sweep)
+        with pytest.raises(ValueError, match="step 1 must be finite"):
+            optimize(task, design, spec, cfg, PropagationSpec())
+        assert len(sweeps) == 2 * len(task.inputs)  # the start's two evaluations
 
     def test_volume_result_is_slice_major(self):
         # Adam's state lives in the gradient's slice-major layout, so every
