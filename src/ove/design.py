@@ -660,11 +660,12 @@ def optimize(task: MappingTask, initial_design: IndexVolume | LayeredElement,
     path of :func:`evaluate` one field more). It holds neither the
     candidate, of which no more than a block is formed at a time (with
     TV on, :func:`evaluate` forms a whole array for the TV term and frees
-    it before the chain), nor the previous gradient: the gradient is taken out of an
-    accepted :class:`Evaluation`, and the run keeps only its loss. The
-    update of v takes a float32 temporary of the gradient's size, freed
-    before the first candidate is formed. Adam's moments are freed before
-    the result is built, and its iterate before the closing evaluation.
+    it before the chain), nor the previous gradient: the gradient is
+    taken out of an accepted :class:`Evaluation`, and the run keeps only
+    its loss. The update of v takes a float32 temporary of the gradient's
+    size, freed before the first candidate is formed. Adam's moments are
+    freed before the result is built, and its iterate before the closing
+    evaluation.
 
     ``config.seed`` is not read here: it only seeds the start, which the
     caller builds with ``seeded_initial_volume``.
