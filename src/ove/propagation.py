@@ -91,7 +91,11 @@ _EDGE_AMPLITUDE = 1e-3
 # 7% there, so both keep their serial loops. From 80 x 80 every row gains.
 # These ratios move with how busy the host's second core is (2 inputs in
 # complex128 at 64 x 64 have read from x0.89 to x1.20), so a lower
-# threshold needs harness pairs of its own.
+# threshold needs harness pairs of its own. So does removing either
+# path: with every sweep on the calling thread, harness pairs read the
+# benchmark's 128 x 128 layered step_pairs 12% and its propagate 41% worse
+# in one sitting, and 8% and 5% better in a later one. Both paths stay:
+# across those sittings they cost up to 9% and saved up to 29%.
 _OVERLAP_MIN_SAMPLES = 80 * 80
 
 
@@ -359,13 +363,17 @@ def forward_sweep(steps: Iterable[Step], values: np.ndarray,
 
 def _one_ahead(steps: Iterator[Step], pool: ThreadPoolExecutor) -> Iterator[Step]:
     """The steps of ``steps`` in order, each drawn on ``pool`` while the
-    caller runs the step before it. A caller that stops early, by an
-    error of its own, leaves the step drawn ahead unread, together with
-    any error drawing it raised: the caller's error is the one reported."""
+    caller runs the step before it. A step is handed over by popping it
+    from a list, so this generator keeps no reference to it while the
+    caller runs it, and its kick is freed once the caller drops it. A
+    caller that stops early, by an error of its own, leaves the step
+    drawn ahead unread, together with any error drawing it raised: the
+    caller's error is the one reported."""
     ahead = pool.submit(next, steps, None)
-    while (step := ahead.result()) is not None:
-        ahead = pool.submit(next, steps, None)
-        yield step
+    while ahead.result() is not None:
+        drawn = [ahead.result()]
+        ahead = pool.submit(next, steps, None)  # frees the future that held the step
+        yield drawn.pop()
 
 
 def propagate(design: IndexVolume | LayeredElement, field: ComplexField,

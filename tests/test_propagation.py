@@ -5,6 +5,8 @@ unitarity/reciprocity/linearity identities."""
 import contextlib
 import math
 import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -316,11 +318,16 @@ def test_bad_design_raises_before_any_drift():
 
 def test_propagate_holds_one_kick_not_the_volumes():
     # A pass through an 80x80x64 volume adds a few (nx, ny) complex arrays
-    # on top of the volume and the input field: the field, its spectrum,
-    # and up to two kicks, the current one and the next, which the worker
-    # thread forms ahead. Building every kick at once adds >= 16 B per
-    # voxel (6.6 MB here). The caches are warmed first: the transfer
-    # functions and the absorber are shared by every pass on the grid.
+    # on top of the volume and the input field. It peaks at 5.1 fields
+    # while a drift holds the field it reads and its new spectrum and the
+    # worker thread forms the next kick: the kick, its float64 phase (half
+    # a field) and about one field of numpy's buffers for the cos and sin
+    # that fill its strided real and imaginary parts, beside the float64
+    # absorber factor (half a field). The kick just applied is freed
+    # before the drift. Six fields are allowed. Building every kick at
+    # once adds >= 16 B per voxel (6.6 MB here). The caches are warmed
+    # first: the transfer functions and the absorber are shared by every
+    # pass on the grid.
     grid = Grid2D(80, 80, 0.5, 0.5)
     assert grid.nx * grid.ny >= propagation._OVERLAP_MIN_SAMPLES
     vol = IndexVolume(grid=grid, nz=64, dz=1.0, n0=1.5,
@@ -328,7 +335,24 @@ def test_propagate_holds_one_kick_not_the_volumes():
     f = gaussian(grid, LAM, waist_um=5.0)
     propagate(vol, f)
     _, peak = traced_peak(lambda: propagate(vol, f))
-    assert peak < 8 * grid.nx * grid.ny * 16, f"peak {peak} B"
+    field = grid.nx * grid.ny * 16
+    assert peak < 6 * field, f"peak {peak / field:.2f} fields"
+
+
+def test_steps_drawn_ahead_are_not_kept_once_handed_over():
+    # The generator that draws each step on the worker keeps no reference
+    # to a step it has handed over, so the caller frees a kick as soon as
+    # it drops it, before it draws the next step.
+    grid = Grid2D(16, 16, 0.5, 0.5)
+    vol = smooth_random_volume(grid, nz=3, dz=1.0, seed=3)
+    kicks = []
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for _, kick, _ in propagation._one_ahead(
+                propagation._iter_steps(vol, grid, LAM, PropagationSpec()), pool):
+            kicks.append(weakref.ref(kick))
+            del kick
+            assert kicks[-1]() is None
+    assert len(kicks) == vol.nz
 
 
 def overlapped_designs():
