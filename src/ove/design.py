@@ -43,17 +43,21 @@ Adam's state a block of steps at a time, as it forms their kicks,
 widened to float64 before they are clipped to the dn bounds.
 
 What runs where: an evaluation with a gradient of two inputs or more on
-a grid of at least ``propagation._OVERLAP_MIN_SAMPLES`` samples uses the
-second core. One worker thread, owned and joined by the call, runs input
+a grid of at least ``propagation._OVERLAP_MIN_SAMPLES`` samples runs on
+two threads. One worker thread, owned and joined by the call, runs input
 i's adjoint sweep while the calling thread runs input i + 1's forward
-sweep; the calling thread waits for that adjoint before it forms input
-i + 1's overlaps, loss terms and seed. The adjoints run one at a time in
-input order, so the gradient, the loss and the coupling take their
-terms in the serial order and carry the serial loop's bits. The traces
-share a budget of one field more than the chain has steps: a forward
-sweep takes a field of it per trace append, waiting while there is
-none, and the adjoint gives one back per traced field it spends. Other
-evaluations run the serial loop on the calling thread.
+sweep. Unlike :func:`propagation.propagate`'s worker it is not bound off
+its caller's CPU, so the scheduler may keep both threads on one core;
+the comment at ``propagation._OVERLAP_MIN_SAMPLES`` gives the
+measurements behind that. The calling thread waits for that adjoint
+before it forms input i + 1's overlaps, loss terms and seed. The
+adjoints run one at a time in input order, so the gradient, the loss
+and the coupling take their terms in the serial order and carry the
+serial loop's bits. The traces share a budget of one field more than
+the chain has steps: a forward sweep takes a field of it per trace
+append, waiting while there is none, and the adjoint gives one back per
+traced field it spends. Other evaluations run the serial loop on the
+calling thread.
 """
 
 from __future__ import annotations

@@ -21,7 +21,10 @@ chain once, holds at most two (nx, ny) kicks, not one per slice. On grids
 of 80 x 80 samples and more it draws step k + 1, forming its kick, on a
 worker thread while the calling thread runs step k; every drift and
 every transfer lookup stays on the calling thread, and the arithmetic
-and its order are the same as a serial walk's.
+and its order are the same as a serial walk's. The worker binds itself
+to the CPUs its caller may use except the one the caller runs on
+(:func:`_leave_out_cpu`), so that the two threads run on two cores
+instead of taking turns on one.
 :func:`element_chain` is the same steps as a list, for callers that walk
 the chain more than once. Both builders take a complex ``dtype``:
 complex128, the default and :func:`propagate`'s, or complex64, which a
@@ -45,6 +48,7 @@ homogeneous medium therefore returns to its input phase.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -69,33 +73,40 @@ EVANESCENT_POLICIES = ("zero", "keep")
 # Absorber amplitude at the outermost sample of the super-Gaussian skirt.
 _EDGE_AMPLITUDE = 1e-3
 
-# Grids of at least this many samples use the second core in two places:
+# Grids of at least this many samples use a second thread in two places:
 # propagate forms its kicks one step ahead on a worker thread, and
 # design.evaluate runs each input's adjoint on a worker thread while the
 # calling thread runs the next input's forward sweep. Overlapped over
-# serial time, 2-core host:
+# serial time, 2-core host, one process, the modes alternating call by
+# call; minimum of N calls, the range over two such runs:
 #
-#   propagate, 48 slices     64 x 64: x0.86 (minimum of 120 passes)
-#                            80 x 80: x0.72
-#                            96 x 96: x0.66
-#   evaluate with gradient,  64 x 64: 2 inputs x0.95, 7 inputs x0.79
-#   canned configs at dx     80 x 80: 2 inputs x0.90, 7 inputs x0.76
-#   0.5 um (median of 30     96 x 96: 2 inputs x0.91, 7 inputs x0.69
-#   paired calls each)
-#   the same in complex64    64 x 64: 2 inputs x1.07, 7 inputs x0.97
-#                            80 x 80: 2 inputs x0.97, 7 inputs x0.82
-#                            96 x 96: 2 inputs x0.97, 7 inputs x0.75
+#   propagate, 48 slices,    64 x 64: x1.04-1.05 (N = 120)
+#   its worker bound off     80 x 80: x0.59-0.96
+#   its caller's CPU         96 x 96: x0.65-0.79
+#                  128 x 128 x 96: x0.52-0.89 (N = 45)
+#   evaluate with gradient,  64 x 64: 2 inputs x0.95-1.04, 7 inputs x1.00-1.08
+#   canned configs at dx     80 x 80: 2 inputs x1.06-1.63, 7 inputs x1.00-1.02
+#   0.5 um, its worker       96 x 96: 2 inputs x1.00-1.04, 7 inputs x1.00-1.02
+#   unbound (N = 60 with 2 inputs, 30 with 7)
+#   the same in complex64    64 x 64: 2 inputs x1.10-1.39, 7 inputs x1.06-1.10
+#                            80 x 80: 2 inputs x1.06-1.08, 7 inputs x1.05-1.09
+#                            96 x 96: 2 inputs x1.05-1.12, 7 inputs x1.04-1.09
 #
-# Below 80 x 80 the handoffs can cost what they hide: the optimizer's
-# complex64 candidates with 2 inputs, such as the 64 x 64 lantern's, lose
-# 7% there, so both keep their serial loops. From 80 x 80 every row gains.
-# These ratios move with how busy the host's second core is (2 inputs in
-# complex128 at 64 x 64 have read from x0.89 to x1.20), so a lower
-# threshold needs harness pairs of its own. So does removing either
-# path: with every sweep on the calling thread, harness pairs read the
-# benchmark's 128 x 128 layered step_pairs 12% and its propagate 41% worse
-# in one sitting, and 8% and 5% better in a later one. Both paths stay:
-# across those sittings they cost up to 9% and saved up to 29%.
+# The scheduler keeps an unbound worker on its caller's CPU (/proc/stat:
+# the second CPU gained at most 1 user jiffy in any unbound row), so the
+# two threads take turns on one core; unbound, propagate read x1.08-1.19.
+# Bound, the overlapped calls put 38-56% of their user time on the second
+# CPU, and evaluate read x0.66-1.06 from 80 x 80. evaluate's worker stays
+# unbound all the same: in 14 harness pairs, binding it raised the layered
+# benchmark's raw steps per second by only 4% and made its set-up, which
+# runs no thread, 28% slower (13 of 14): with the second CPU in use, the
+# host ran the process's single-threaded phases slower for more of the
+# time (BENCH_28.json). Below 80 x 80 the handoffs can cost more than they
+# hide, bound or not: bound, propagate read x1.04-1.05 at 64 x 64, and
+# the optimizer's 2-input complex64 candidates, such as the 64 x 64
+# lantern's, x1.05-1.08. So both keep their serial loops there. These
+# ratios move with how busy the host is, so a lower threshold needs
+# harness pairs of its own; so does removing or binding either path.
 _OVERLAP_MIN_SAMPLES = 80 * 80
 
 
@@ -234,10 +245,12 @@ Step = tuple[np.ndarray | None, np.ndarray, np.ndarray | None]
 def _unit_phasors(phase: np.ndarray, dtype: np.dtype) -> np.ndarray:
     """exp(1j * phase) as ``dtype``, filled by cos and sin: they cost less
     than the complex exp and give the same bits (the tests check ==). The
-    phase is rounded to ``dtype``'s real precision first, so that cos and
-    sin run at that precision."""
+    phase is rounded to ``dtype``'s real precision first, into a C-ordered
+    array, so that cos and sin run at that precision and read it in the
+    kick's own order: a slice of an imported, x-fastest volume is copied
+    once instead of being written through transposed."""
     out = np.empty(phase.shape, dtype=dtype)
-    phase = phase.astype(out.real.dtype, copy=False)
+    phase = phase.astype(out.real.dtype, order="C", copy=False)
     np.cos(phase, out=out.real)
     np.sin(phase, out=out.imag)
     return out
@@ -376,6 +389,33 @@ def _one_ahead(steps: Iterator[Step], pool: ThreadPoolExecutor) -> Iterator[Step
         yield drawn.pop()
 
 
+def _caller_cpu() -> int | None:
+    """The CPU the calling thread runs on, field 39 of
+    /proc/thread-self/stat, or None where that cannot be read."""
+    try:
+        with open("/proc/thread-self/stat", "rb") as f:
+            stat = f.read()
+        # Field 2 is the thread's name in parentheses, which may hold spaces
+        # and parentheses itself; the fields after it start at field 3.
+        return int(stat[stat.rindex(b")") + 2:].split()[39 - 3])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _leave_out_cpu(cpu: int | None) -> None:
+    """Narrow the calling thread's affinity to the CPUs it may use minus
+    ``cpu``. Where ``cpu`` is None, nothing is left, or the calls are
+    missing (AttributeError) or fail, the thread stays as it is."""
+    if cpu is None:
+        return
+    try:
+        others = os.sched_getaffinity(0) - {cpu}
+        if others:
+            os.sched_setaffinity(0, others)  # pid 0: this thread, not its process
+    except (AttributeError, OSError):
+        pass
+
+
 def propagate(design: IndexVolume | LayeredElement, field: ComplexField,
               spec: PropagationSpec = PropagationSpec()) -> ComplexField:
     """Forward pass through either design family (see the module docstring).
@@ -384,11 +424,14 @@ def propagate(design: IndexVolume | LayeredElement, field: ComplexField,
     of the design and the field, not a kick per slice. On grids of
     ``_OVERLAP_MIN_SAMPLES`` samples or more, one worker thread forms the
     next step's kick while this thread runs the current step's drifts and
-    kick product; the worker lives only for the call, which joins it
-    before it returns or raises."""
+    kick product. This thread reads the CPU it runs on before the worker
+    starts, and the worker, as it starts, leaves that CPU out of its own
+    affinity; this thread's affinity is never changed. The worker lives
+    only for the call, which joins it before it returns or raises."""
     steps = _iter_steps(design, field.grid, field.wavelength_um, spec)
     if field.grid.nx * field.grid.ny < _OVERLAP_MIN_SAMPLES:
         return field.with_values(forward_sweep(steps, field.values))
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="ove-kicks") as pool:
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="ove-kicks",
+                            initializer=_leave_out_cpu, initargs=(_caller_cpu(),)) as pool:
         return field.with_values(forward_sweep(_one_ahead(steps, pool), field.values))
 

@@ -2,9 +2,11 @@
 gradients against central finite differences, and the optimizer contract
 (clipping to the dn bounds, determinism, descent, bookkeeping)."""
 
+import contextlib
 import dataclasses
 import itertools
 import math
+import os
 import threading
 import weakref
 
@@ -49,12 +51,14 @@ from ove.propagation import (
 from ove.sources import gaussian
 from testutil import (
     NO_ABSORBER,
+    TWO_CPUS,
     UNITARY,
     Boom,
     band_limited_field,
     band_limited_phases,
     make_baselines,
     raise_on_call,
+    record_binding,
     smooth_random_volume,
     traced_peak,
 )
@@ -815,6 +819,31 @@ class TestOverlapThreads:
                             task.grid.nx * task.grid.ny + 1)
         _, serial = traced_peak(run)
         assert overlapped <= serial + 2 * field, (overlapped - serial) / field
+
+
+@TWO_CPUS
+class TestAdjointWorkerCPU:
+    """Unlike propagate's, the adjoint worker of an overlapped evaluation
+    is left unbound (the comment at propagation._OVERLAP_MIN_SAMPLES says
+    why), and the caller's affinity is never changed, whether the call
+    returns or raises on either thread."""
+
+    @pytest.mark.parametrize("failing", [None, "worker", "caller"])
+    @pytest.mark.parametrize("kind", ["volume", "layered"])
+    def test_worker_is_left_unbound(self, monkeypatch, kind, failing):
+        design, task = overlapped_case(kind)
+        reads, bindings = record_binding(monkeypatch)
+        before = os.sched_getaffinity(0)
+        if failing == "worker":  # input 0's first adjoint drift
+            wrapper, _ = raise_on_call(drift_adjoint, 1)
+            monkeypatch.setattr(ove.design, "drift_adjoint", wrapper)
+        elif failing == "caller":  # input 1's forward sweep, beside input 0's adjoint
+            wrapper, _ = raise_on_call(forward_sweep, 2)
+            monkeypatch.setattr(ove.design, "forward_sweep", wrapper)
+        with pytest.raises(Boom) if failing else contextlib.nullcontext():
+            TestOverlapThreads.run(design, task)
+        assert os.sched_getaffinity(0) == before
+        assert reads == [] and bindings == []
 
 
 # ---------------------------------------------------------------------------

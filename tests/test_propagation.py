@@ -3,7 +3,9 @@ spreading, slab phase, GRIN self-imaging, thin-lens focusing, plus the
 unitarity/reciprocity/linearity identities."""
 
 import contextlib
+import errno
 import math
+import os
 import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -43,13 +45,16 @@ from ove.io import export_volume, import_volume
 from ove.sources import gaussian, plane_wave
 from testutil import (
     NO_ABSORBER,
+    TWO_CPUS,
     UNITARY,
     Boom,
+    allowed_cpus,
     band_limited_field,
     band_limited_phases,
     band_limited_volume,
     make_baselines,
     raise_on_call,
+    record_binding,
     smooth_random_volume,
     traced_peak,
 )
@@ -218,6 +223,37 @@ def test_kicks_match_exp_formula_bit_for_bit(kind, width):
     want = np.exp(1j * phase) * factor
     got = np.stack([kick for _, kick, _ in element_chain(design, grid, LAM, spec)])
     np.testing.assert_array_equal(got, want, strict=True)
+
+
+@WIDTHS
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+def test_kicks_do_not_depend_on_the_layout_of_dn(dtype, width):
+    # Each kick is formed from its slice's phase rounded into a C-ordered
+    # array, so C-ordered, F-ordered (as imported) and slice-major copies
+    # of one volume give the same kicks, byte for byte: signed zeros, of
+    # dn and of its sines, included. The grid is not square, so that a
+    # transposed write could not pass.
+    grid = Grid2D(16, 24, 0.5, 0.5)
+    rng = np.random.default_rng(17)
+    dn = rng.uniform(-0.05, 0.05, (16, 24, 5))
+    dn[::3, ::2] = -0.0
+    dn[1::3, ::2] = 0.0
+    layouts = {
+        "C": np.ascontiguousarray(dn),
+        "F": np.asfortranarray(dn),
+        "slice-major": np.moveaxis(np.ascontiguousarray(np.moveaxis(dn, -1, 0)), 0, -1),
+    }
+    spec = PropagationSpec(absorber_width=width)
+    kicks = {}
+    for name, values in layouts.items():
+        design = IndexVolume(grid=grid, nz=5, dz=2.0, n0=1.5, dn=values, dn_min=-0.05)
+        assert design.dn.flags.c_contiguous == (name == "C")
+        assert design.dn.flags.f_contiguous == (name == "F")
+        chain = element_chain(design, grid, LAM, spec, dtype=dtype)
+        assert all(kick.flags.c_contiguous and kick.dtype == dtype for _, kick, _ in chain)
+        kicks[name] = [kick.tobytes() for _, kick, _ in chain]
+    assert np.signbit(np.stack([k for _, k, _ in chain]).imag).any()
+    assert kicks["F"] == kicks["C"] and kicks["slice-major"] == kicks["C"]
 
 
 @pytest.mark.filterwarnings("error")
@@ -414,6 +450,105 @@ def test_drifts_and_lookups_stay_on_the_calling_thread():
         assert threads == {name: {caller} for name in
                            ("_c2c", "transfer_function", "absorber_mask")}
         assert caller not in kick_threads
+
+
+def assert_worker_left_out_its_callers_cpu(reads, bindings):
+    """The calling thread read a CPU it may use, and the worker, another
+    thread, bound itself to every other CPU the caller may use."""
+    caller, allowed = threading.get_ident(), allowed_cpus()
+    assert len(reads) == len(bindings) == 1
+    (reader, cpu), (worker, pid, mask, after) = reads[0], bindings[0]
+    assert reader == caller and worker != caller and pid == 0
+    assert cpu in allowed and mask == after == allowed - {cpu}
+
+
+def unbound(monkeypatch, how) -> list:
+    """Leave propagate's worker unbound: os.sched_setaffinity raises
+    OSError (each refused mask is appended to the list returned), is
+    missing, or the caller's CPU cannot be read."""
+    refused = []
+    if how == "raises":
+        def refuse(pid, mask):
+            refused.append(set(mask))
+            raise OSError(errno.EPERM, "not permitted")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    elif how == "missing":
+        monkeypatch.delattr(os, "sched_setaffinity")
+    else:
+        def no_proc(path, *args):
+            raise FileNotFoundError(errno.ENOENT, "no such file", path)
+
+        monkeypatch.setattr(propagation, "open", no_proc, raising=False)
+        assert propagation._caller_cpu() is None
+    return refused
+
+
+@TWO_CPUS
+def test_caller_cpu_is_the_cpu_the_thread_runs_on():
+    # A thread allowed only one CPU can run on no other, so that is the
+    # one it must read. Each such thread is the test's own and ends here.
+    read = {}
+
+    def pinned(cpu):
+        os.sched_setaffinity(0, {cpu})
+        read[cpu] = propagation._caller_cpu()
+
+    for cpu in allowed_cpus():
+        thread = threading.Thread(target=pinned, args=(cpu,))
+        thread.start()
+        thread.join()
+    assert read == {cpu: cpu for cpu in allowed_cpus()}
+
+
+@TWO_CPUS
+@pytest.mark.parametrize("failing", [None, "_kick", "drift"], ids=["returns", "worker-raises",
+                                                                 "caller-raises"])
+@pytest.mark.parametrize("kind", ["volume", "layered"])
+def test_kick_worker_leaves_out_the_callers_cpu(monkeypatch, kind, failing):
+    # propagate's worker binds itself to every CPU its caller may use but
+    # the one the caller was on, so that the two threads do not share a
+    # core; the caller's own affinity is never changed, whether the call
+    # returns or raises on either thread.
+    grid, vol, layered = overlapped_designs()
+    design = vol if kind == "volume" else layered
+    f = band_limited_field(grid, LAM, seed=35)
+    reads, bindings = record_binding(monkeypatch)
+    before = os.sched_getaffinity(0)
+    if failing is None:
+        propagate(design, f)
+    else:
+        wrapper, _ = raise_on_call(getattr(propagation, failing), 2)
+        monkeypatch.setattr(propagation, failing, wrapper)
+        with pytest.raises(Boom, match="call 2"):
+            propagate(design, f)
+    assert os.sched_getaffinity(0) == before
+    assert_worker_left_out_its_callers_cpu(reads, bindings)
+
+
+@TWO_CPUS
+@pytest.mark.parametrize("how", ["raises", "missing", "unreadable"])
+def test_unbound_kick_worker_gives_the_serial_bits(monkeypatch, how):
+    # A worker that cannot be bound runs unbound, and the pass keeps the
+    # serial loop's bits.
+    grid, vol, layered = overlapped_designs()
+    f = band_limited_field(grid, LAM, seed=36)
+    refused = unbound(monkeypatch, how)
+    for design in (vol, layered):
+        threads = set()
+        kick = propagation._kick
+
+        def recorded(*args):
+            threads.add(threading.get_ident())
+            return kick(*args)
+
+        monkeypatch.setattr(propagation, "_kick", recorded)
+        got = propagate(design, f).values
+        assert threading.get_ident() not in threads  # the kicks ran on the worker
+        monkeypatch.setattr(propagation, "_kick", kick)
+        want = forward_sweep(element_chain(design, grid, LAM, PropagationSpec()), f.values)
+        np.testing.assert_array_equal(got, want, strict=True)
+    assert len(refused) == (2 if how == "raises" else 0)
 
 
 FFT_NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn")

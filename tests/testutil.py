@@ -12,7 +12,9 @@ import threading
 import tracemalloc
 
 import numpy as np
+import pytest
 
+from ove import propagation
 from ove.fields import ComplexField, Grid2D, IndexVolume, normalize
 from ove.propagation import PropagationSpec
 from ove.sources import FiberSpec
@@ -68,6 +70,39 @@ def raise_on_call(fn, n):
         return fn(*args, **kwargs)
 
     return wrapper, seen
+
+
+def allowed_cpus() -> set[int]:
+    """The CPUs the calling thread may run on; none where that cannot be
+    read."""
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    return set(getaffinity(0)) if getaffinity else set()
+
+
+# propagate's worker is bound only where its caller leaves it a CPU of its own.
+TWO_CPUS = pytest.mark.skipif(len(allowed_cpus()) < 2, reason="fewer than two CPUs allowed")
+
+
+def record_binding(monkeypatch):
+    """Spies on ``propagation._caller_cpu`` and on the real
+    ``os.sched_setaffinity``. Returns two lists, filled as ove runs: the
+    (thread id, CPU) of each read of a caller's CPU, and the (thread id,
+    pid, mask asked for, affinity after the call) of each binding."""
+    reads, bindings = [], []
+    caller_cpu, setaffinity = propagation._caller_cpu, os.sched_setaffinity
+
+    def read():
+        cpu = caller_cpu()
+        reads.append((threading.get_ident(), cpu))
+        return cpu
+
+    def bind(pid, mask):
+        setaffinity(pid, mask)
+        bindings.append((threading.get_ident(), pid, set(mask), os.sched_getaffinity(0)))
+
+    monkeypatch.setattr(propagation, "_caller_cpu", read)
+    monkeypatch.setattr(os, "sched_setaffinity", bind)
+    return reads, bindings
 
 
 def fsum_power(field: ComplexField) -> float:
