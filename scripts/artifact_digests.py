@@ -18,11 +18,7 @@ printed as one ``sha256  path`` line, path relative to OUTDIR, in sorted
 order. Nothing the CLI writes depends on wall-clock time, so two
 checkouts that compute the same bits print the same lines, and comparing
 them takes one ``diff``. The default grid of 96 x 96 samples is large
-enough for ``propagate`` to form its kicks on a worker thread, and for
-every design of two inputs or more (the sorters, the lantern and the
-Haar-GRIN) to run each input's adjoint on a worker thread beside the
-next input's forward sweep; the one-input fanout keeps the serial loop.
-The window is 16 um whatever the grid.
+enough for ``propagate`` to form its kicks on a worker thread. The window is 16 um whatever the grid.
 """
 
 import argparse

@@ -42,31 +42,15 @@ candidate is never a whole array: the chain forms its parameters from
 Adam's state a block of steps at a time, as it forms their kicks,
 widened to float64 before they are clipped to the dn bounds.
 
-What runs where: an evaluation with a gradient of two inputs or more on
-a grid of at least ``propagation._OVERLAP_MIN_SAMPLES`` samples runs on
-two threads. One worker thread, owned and joined by the call, runs input
-i's adjoint sweep while the calling thread runs input i + 1's forward
-sweep. Unlike :func:`propagation.propagate`'s worker it is not bound off
-its caller's CPU, so the scheduler may keep both threads on one core;
-the comment at ``propagation._OVERLAP_MIN_SAMPLES`` gives the
-measurements behind that. The calling thread waits for that adjoint
-before it forms input i + 1's overlaps, loss terms and seed. The
-adjoints run one at a time in input order, so the gradient, the loss
-and the coupling take their terms in the serial order and carry the
-serial loop's bits. The traces share a budget of one field more than
-the chain has steps: a forward sweep takes a field of it per trace
-append, waiting while there is none, and the adjoint gives one back per
-traced field it spends. Other evaluations run the serial loop on the
-calling thread.
+What runs where: every evaluation runs its sweeps one after another on
+the calling thread and starts no thread; the comment at
+``propagation._OVERLAP_MIN_SAMPLES`` says why.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
-import threading
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -367,41 +351,6 @@ def _adjoint_sweep(steps: list[Step], trace: list[np.ndarray], g: np.ndarray,
             g = undrift(g, pre)
 
 
-class _BudgetedTrace(list):
-    """A trace whose fields count against ``budget``, a semaphore shared by
-    every trace of one evaluation: an append takes one field of it, and
-    waits while there is none, and a pop gives one back."""
-
-    def __init__(self, budget: threading.Semaphore):
-        super().__init__()
-        self.budget = budget
-
-    def append(self, u: np.ndarray):
-        self.budget.acquire()
-        super().append(u)
-
-    def pop(self) -> np.ndarray:
-        u = super().pop()
-        self.budget.release()
-        return u
-
-
-def _adjoint_on_worker(budget: threading.Semaphore, steps: list[Step],
-                       trace: _BudgetedTrace, seeds: list[np.ndarray],
-                       grad_steps: np.ndarray, scale: float):
-    """:func:`_adjoint_sweep` of ``steps`` from the one seed in ``seeds``,
-    run on the worker. The seed is taken out of its list, so the sweep
-    holds the only reference and frees it after its first drift. If the
-    sweep fails, it gives back a field per step first, so that a forward
-    sweep waiting on ``budget`` runs to its end and its caller meets the
-    failure."""
-    try:
-        _adjoint_sweep(steps, trace, seeds.pop(), grad_steps, scale)
-    except BaseException:
-        budget.release(len(steps))
-        raise
-
-
 def evaluate(design: IndexVolume | LayeredElement, task: MappingTask, spec: LossSpec,
              prop: PropagationSpec, *, with_gradient: bool,
              dtype: np.dtype = np.complex128,
@@ -437,26 +386,11 @@ def evaluate(design: IndexVolume | LayeredElement, task: MappingTask, spec: Loss
     back; an input whose column of W is zero keeps no trace and runs none.
     Without a gradient no seed is built.
 
-    With a gradient, two inputs or more and a grid of at least
-    ``propagation._OVERLAP_MIN_SAMPLES`` samples, the sweeps overlap on
-    two threads: one worker thread runs input i's adjoint while the
-    calling thread runs input i + 1's forward sweep. The calling thread
-    waits for that adjoint before it forms input i + 1's overlaps and
-    seed, and keeps the loss and the coupling; the adjoints run one at a
-    time in input order, so every sum takes its terms in the serial
-    order and the bits are the serial loop's. The traces together hold at
-    most one field more than the chain has steps: a forward sweep waits
-    for a field of that budget per step, and the adjoint before it gives
-    one back per step it undoes. The worker lives only for the call,
-    which joins it before it returns or raises; a failure on either
-    thread reaches the caller as it was raised. Smaller runs keep the
-    serial loop.
-
     The TV term, if any, is formed first and added last. ``design`` and
     ``params`` are dropped once the chain is formed, so while the sweeps
     run this call holds the chain, the gradient, the TV gradient if TV is
-    on, and the traces: nothing of the design. A caller that passes the
-    design as a temporary holds none of it either.
+    on, and one input's trace: nothing of the design. A caller that passes
+    the design as a temporary holds none of it either.
     """
     if spec.tv_weight > 0.0:
         tv, tv_grad = total_variation(_params_per_step(design, params))
@@ -474,54 +408,36 @@ def evaluate(design: IndexVolume | LayeredElement, task: MappingTask, spec: Loss
     coupling = np.empty(task.weights.shape)
     outputs = None if with_gradient else []
     total = 0.0  # summed in order; sum() compensates on Python >= 3.12
-    overlapped = (with_gradient and len(task.inputs) >= 2
-                  and task.grid.nx * task.grid.ny >= propagation._OVERLAP_MIN_SAMPLES)
-    with (ThreadPoolExecutor(max_workers=1, thread_name_prefix="ove-adjoint") if overlapped
-          else contextlib.nullcontext()) as pool:
-        budget = threading.Semaphore(len(steps) + 1) if overlapped else None
-        adjoint = None  # the worker's adjoint of the input before
-        for i, inp in enumerate(task.inputs):
-            trace = None
-            if with_gradient and np.any(task.weights[:, i] > 0):
-                trace = [] if budget is None else _BudgetedTrace(budget)
-            out = forward_sweep(steps, inp.values.astype(dtype, copy=False), trace)
-            if adjoint is not None:
-                adjoint.result()  # its working fields are freed before the overlaps
-                adjoint = None
-            if outputs is not None:
-                outputs.append(out)
-            out_conj = np.conj(out)
-            seed = None  # stays None without a gradient: no seed is built
-            for t, target in enumerate(targets):
-                # |overlap|^2 as fields.overlap forms it, on the raw array, so a
-                # non-finite output reaches the optimizer's check, not a field's.
-                c = complex(np.sum(out_conj * target) * area)
-                coupling[t, i] = abs(c) ** 2
-                weight = float(task.weights[t, i])
-                if weight > 0:
-                    term, g = _entry_loss_and_seed(out, target, area, c, weight, spec.kind,
-                                                   with_gradient)
-                    total += term
-                    if seed is None:
-                        seed = g
-                    else:
-                        seed += g
-                    del g
-            # Neither is read again: freeing them makes room for the adjoint.
-            del out, out_conj
-            if seed is None:
-                continue
-            if pool is None:
-                _adjoint_sweep(steps, trace, seed, grad_steps, scale)
-            else:
-                adjoint = pool.submit(_adjoint_on_worker, budget, steps, trace, [seed],
-                                      grad_steps, scale)
-                # The worker frees the seed after its first drift. The serial
-                # loop keeps it until the next input's: freeing it here made
-                # a 64² lantern evaluation page-fault a third more often.
-                del trace, seed
-        if adjoint is not None:
-            adjoint.result()
+    for i, inp in enumerate(task.inputs):
+        trace = [] if with_gradient and np.any(task.weights[:, i] > 0) else None
+        out = forward_sweep(steps, inp.values.astype(dtype, copy=False), trace)
+        if outputs is not None:
+            outputs.append(out)
+        out_conj = np.conj(out)
+        seed = None  # stays None without a gradient: no seed is built
+        for t, target in enumerate(targets):
+            # |overlap|^2 as fields.overlap forms it, on the raw array, so a
+            # non-finite output reaches the optimizer's check, not a field's.
+            c = complex(np.sum(out_conj * target) * area)
+            coupling[t, i] = abs(c) ** 2
+            weight = float(task.weights[t, i])
+            if weight > 0:
+                term, g = _entry_loss_and_seed(out, target, area, c, weight, spec.kind,
+                                               with_gradient)
+                total += term
+                if seed is None:
+                    seed = g
+                else:
+                    seed += g
+                del g
+        # Neither is read again: freeing them makes room for the adjoint.
+        del out, out_conj
+        if seed is None:
+            continue
+        # ``seed`` keeps its array until the next input's: handing the sweep
+        # the only reference, which it frees after its first drift, made a
+        # 64² lantern evaluation page-fault a third more often.
+        _adjoint_sweep(steps, trace, seed, grad_steps, scale)
     if spec.tv_weight > 0.0:
         total += spec.tv_weight * tv
         if with_gradient:
@@ -660,8 +576,7 @@ def optimize(task: MappingTask, initial_design: IndexVolume | LayeredElement,
     While a candidate's sweeps run, the run holds one float64
     parameter-sized array (the initial design), Adam's three float32 ones
     (its iterate, m and v), the candidate's float32 gradient, its
-    complex64 chain and the traces (one input's, or on the overlapped
-    path of :func:`evaluate` one field more). It holds neither the
+    complex64 chain and one input's trace. It holds neither the
     candidate, of which no more than a block is formed at a time (with
     TV on, :func:`evaluate` forms a whole array for the TV term and frees
     it before the chain), nor the previous gradient: the gradient is

@@ -73,40 +73,27 @@ EVANESCENT_POLICIES = ("zero", "keep")
 # Absorber amplitude at the outermost sample of the super-Gaussian skirt.
 _EDGE_AMPLITUDE = 1e-3
 
-# Grids of at least this many samples use a second thread in two places:
-# propagate forms its kicks one step ahead on a worker thread, and
-# design.evaluate runs each input's adjoint on a worker thread while the
-# calling thread runs the next input's forward sweep. Overlapped over
-# serial time, 2-core host, one process, the modes alternating call by
-# call; minimum of N calls, the range over two such runs:
+# Grids of at least this many samples run propagate with a second
+# thread, which forms its kicks one step ahead. Overlapped over serial
+# time, 2-core host, one process, the modes alternating call by call;
+# minimum of N calls, the range over two such runs, the worker bound off
+# its caller's CPU:
 #
 #   propagate, 48 slices,    64 x 64: x1.04-1.05 (N = 120)
-#   its worker bound off     80 x 80: x0.59-0.96
-#   its caller's CPU         96 x 96: x0.65-0.79
+#                            80 x 80: x0.59-0.96
+#                            96 x 96: x0.65-0.79
 #                  128 x 128 x 96: x0.52-0.89 (N = 45)
-#   evaluate with gradient,  64 x 64: 2 inputs x0.95-1.04, 7 inputs x1.00-1.08
-#   canned configs at dx     80 x 80: 2 inputs x1.06-1.63, 7 inputs x1.00-1.02
-#   0.5 um, its worker       96 x 96: 2 inputs x1.00-1.04, 7 inputs x1.00-1.02
-#   unbound (N = 60 with 2 inputs, 30 with 7)
-#   the same in complex64    64 x 64: 2 inputs x1.10-1.39, 7 inputs x1.06-1.10
-#                            80 x 80: 2 inputs x1.06-1.08, 7 inputs x1.05-1.09
-#                            96 x 96: 2 inputs x1.05-1.12, 7 inputs x1.04-1.09
 #
 # The scheduler keeps an unbound worker on its caller's CPU (/proc/stat:
-# the second CPU gained at most 1 user jiffy in any unbound row), so the
+# the second CPU gained at most 1 user jiffy in any unbound run), so the
 # two threads take turns on one core; unbound, propagate read x1.08-1.19.
-# Bound, the overlapped calls put 38-56% of their user time on the second
-# CPU, and evaluate read x0.66-1.06 from 80 x 80. evaluate's worker stays
-# unbound all the same: in 14 harness pairs, binding it raised the layered
-# benchmark's raw steps per second by only 4% and made its set-up, which
-# runs no thread, 28% slower (13 of 14): with the second CPU in use, the
-# host ran the process's single-threaded phases slower for more of the
-# time (BENCH_28.json). Below 80 x 80 the handoffs can cost more than they
-# hide, bound or not: bound, propagate read x1.04-1.05 at 64 x 64, and
-# the optimizer's 2-input complex64 candidates, such as the 64 x 64
-# lantern's, x1.05-1.08. So both keep their serial loops there. These
+# Below 80 x 80 the handoffs cost more than they hide, bound or not. These
 # ratios move with how busy the host is, so a lower threshold needs
-# harness pairs of its own; so does removing or binding either path.
+# harness pairs of its own. design.evaluate runs no worker, because an
+# unbound adjoint worker shared its caller's core and hid nothing, a bound
+# one made the layered benchmark's single-threaded set-up 28% slower
+# (BENCH_28.json), and the serial loop gives the same bits with layered
+# step_pairs 5.6% lower than the unbound worker (BENCH_29.json).
 _OVERLAP_MIN_SAMPLES = 80 * 80
 
 
