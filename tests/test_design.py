@@ -50,9 +50,11 @@ from ove.sources import gaussian
 from testutil import (
     NO_ABSORBER,
     UNITARY,
+    Boom,
     band_limited_field,
     band_limited_phases,
     make_baselines,
+    raise_on_call,
     record_binding,
     smooth_random_volume,
     traced_peak,
@@ -503,6 +505,21 @@ class TestEvaluate:
         np.testing.assert_array_equal(got.grad, want_grad, strict=True)
         np.testing.assert_array_equal(got.coupling, want_coupling, strict=True)
 
+    @pytest.mark.parametrize("prop", [PARAXIAL_KEEP, NO_ABSORBER, UNITARY],
+                             ids=["paraxial-keep", "no-absorber", "unitary"])
+    @pytest.mark.parametrize("kind", FD_KINDS)
+    @pytest.mark.parametrize("design", sorted(EVALUATE_DESIGNS))
+    def test_every_propagation_matches_per_pair_loop_bit_for_bit(self, design, kind, prop):
+        # Three distinct inputs, with TV on, under the transfers and
+        # absorber settings other than the default.
+        args = (EVALUATE_DESIGNS[design](), inputs_task((1, 2, 3)),
+                LossSpec(kind=kind, tv_weight=1e-3), prop)
+        got = evaluate(*args, with_gradient=True)
+        want_loss, want_grad, want_coupling = reference_evaluate(*args, with_gradient=True)
+        assert got.loss == want_loss
+        np.testing.assert_array_equal(got.grad, want_grad, strict=True)
+        np.testing.assert_array_equal(got.coupling, want_coupling, strict=True)
+
     @pytest.mark.parametrize("seeds", [(1, 1, 1, 2), (1, 2, 1)], ids=["aaab", "aba"])
     @pytest.mark.parametrize("kind", FD_KINDS)
     @pytest.mark.parametrize("design", sorted(EVALUATE_DESIGNS))
@@ -580,6 +597,92 @@ class TestWeightMatrix:
         np.testing.assert_array_equal(got.grad, want.grad, strict=True)
 
 
+def zero_column_task() -> MappingTask:
+    """3 inputs onto 3 targets with the middle input's column of W zero:
+    it runs no adjoint, between two inputs that do."""
+    ins = [band_limited_field(SMALL, LAM, s, k_fraction=0.5) for s in (1, 2, 3)]
+    tgts = [band_limited_field(SMALL, LAM, s, k_fraction=0.5) for s in (4, 5, 6)]
+    return MappingTask(ins, tgts, np.diag([1.0, 0.0, 0.7]))
+
+
+def counted_sweeps(monkeypatch) -> dict[str, int]:
+    """Counts evaluate's forward and adjoint sweeps as they run."""
+    calls = {"forward": 0, "adjoint": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(ove.design, "forward_sweep", counted("forward", ove.design.forward_sweep))
+    monkeypatch.setattr(ove.design, "_adjoint_sweep",
+                        counted("adjoint", ove.design._adjoint_sweep))
+    return calls
+
+
+class TestTaskShapes:
+    """Tasks whose W is not a plain identity, each with the adjoint sweeps
+    it runs with a gradient: one per input whose column of W is not zero,
+    however many targets it feeds."""
+
+    TASKS = {
+        "zero-column": (zero_column_task, 2),
+        "shared-aaab": (lambda: inputs_task((1, 1, 1, 2)), 2),
+        "shared-aba": (lambda: inputs_task((1, 2, 1)), 2),
+        "dense": (dense_task, 2),
+        "one-input": (lambda: inputs_task((1,)), 1),
+    }
+
+    @pytest.mark.parametrize("kind", FD_KINDS)
+    @pytest.mark.parametrize("design", sorted(EVALUATE_DESIGNS))
+    @pytest.mark.parametrize("task", ["zero-column", "one-input"])
+    def test_matches_entry_loop_bit_for_bit(self, monkeypatch, task, design, kind):
+        # Every input feeds at most one target, so each seed runs back
+        # unchanged; the zero column's input keeps no trace.
+        make_task, adjoints = self.TASKS[task]
+        args = (EVALUATE_DESIGNS[design](), make_task(), LossSpec(kind=kind),
+                PropagationSpec())
+        want_loss, want_grad, want_coupling = reference_evaluate(*args, with_gradient=True)
+        calls = counted_sweeps(monkeypatch)
+        got = evaluate(*args, with_gradient=True)
+        assert calls == {"forward": len(args[1].inputs), "adjoint": adjoints}
+        assert got.loss == want_loss and got.outputs is None
+        np.testing.assert_array_equal(got.grad, want_grad, strict=True)
+        np.testing.assert_array_equal(got.coupling, want_coupling, strict=True)
+
+    @pytest.mark.parametrize("kind", FD_KINDS)
+    @pytest.mark.parametrize("design", sorted(EVALUATE_DESIGNS))
+    @pytest.mark.parametrize("task", sorted(TASKS))
+    def test_without_gradient_runs_forward_sweeps_only(self, monkeypatch, task, design, kind):
+        # One forward sweep per input and no adjoint; the outputs are
+        # propagate's, and the loss and coupling the entry loop's.
+        design = EVALUATE_DESIGNS[design]()
+        task = self.TASKS[task][0]()
+        args = (design, task, LossSpec(kind=kind), PropagationSpec())
+        want_loss, want_grad, want_coupling = reference_evaluate(*args, with_gradient=False)
+        calls = counted_sweeps(monkeypatch)
+        got = evaluate(*args, with_gradient=False)
+        assert calls == {"forward": len(task.inputs), "adjoint": 0}
+        assert got.loss == want_loss and got.grad is None and want_grad is None
+        np.testing.assert_array_equal(got.coupling, want_coupling, strict=True)
+        monkeypatch.undo()
+        assert len(got.outputs) == len(task.inputs)
+        for out, inp in zip(got.outputs, task.inputs):
+            np.testing.assert_array_equal(out, propagate(design, inp, PropagationSpec()).values,
+                                          strict=True)
+
+    @pytest.mark.parametrize("kind", FD_KINDS)
+    @pytest.mark.parametrize("design", sorted(EVALUATE_DESIGNS))
+    @pytest.mark.parametrize("task", sorted(TASKS))
+    def test_complex64_agrees_with_complex128(self, monkeypatch, task, design, kind):
+        make_task, adjoints = self.TASKS[task]
+        calls = counted_sweeps(monkeypatch)
+        got = assert_agrees_with_complex128(EVALUATE_DESIGNS[design](), make_task(),
+                                            LossSpec(kind=kind), PropagationSpec())
+        assert calls["adjoint"] == 2 * adjoints and got.grad.dtype == np.float32
+
+
 # ---------------------------------------------------------------------------
 # the thread an evaluation runs on
 # ---------------------------------------------------------------------------
@@ -631,6 +734,42 @@ class TestCallingThread:
         assert {(thread, count) for _, thread, count in seen} == {(caller, before)}
         assert reads == [] and bindings == []
 
+    # Each wrapper raises on its second call: input 0's second forward
+    # drift, input 0's second adjoint drift, or the chain's second kick.
+    FAILING = {
+        "forward-drift": (ove.propagation, "drift"),
+        "adjoint-drift": (ove.design, "drift_adjoint"),
+        "kick": (ove.propagation, "_kick"),
+    }
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    @pytest.mark.parametrize("kind", ["volume", "layered"])
+    @pytest.mark.parametrize("failing", sorted(FAILING))
+    def test_a_failure_reaches_the_caller_as_raised(self, monkeypatch, failing, kind, dtype):
+        # The failure leaves no thread, binds no CPU, and spoils nothing
+        # for the next evaluation, which gives the bits of one before it.
+        design, task = large_case(kind)
+
+        def run():
+            return evaluate(design, task, LossSpec(), PropagationSpec(), with_gradient=True,
+                            dtype=dtype)
+
+        want = run()
+        reads, bindings = record_binding(monkeypatch)
+        before = threading.active_count()
+        module, name = self.FAILING[failing]
+        wrapper, seen = raise_on_call(getattr(module, name), 2)
+        monkeypatch.setattr(module, name, wrapper)
+        with pytest.raises(Boom, match="^call 2$"):
+            run()
+        assert seen == [before] * 2 and threading.active_count() == before
+        assert reads == [] and bindings == []
+        monkeypatch.undo()
+        got = run()
+        assert got.loss == want.loss
+        np.testing.assert_array_equal(got.grad, want.grad, strict=True)
+        np.testing.assert_array_equal(got.coupling, want.coupling, strict=True)
+
 
 # ---------------------------------------------------------------------------
 # evaluations in complex64
@@ -660,6 +799,13 @@ class TestComplex64:
     def test_agrees_with_complex128(self, design, kind, tv_weight, prop):
         assert_agrees_with_complex128(EVALUATE_DESIGNS[design](), inputs_task((1, 2, 3)),
                                       LossSpec(kind=kind, tv_weight=tv_weight), prop)
+
+    @pytest.mark.parametrize("kind", FD_KINDS)
+    @pytest.mark.parametrize("design", ["volume", "layered"])
+    def test_agrees_with_complex128_on_an_80_grid(self, design, kind):
+        # A grid past propagate's worker threshold, of two inputs.
+        design, task = large_case(design)
+        assert_agrees_with_complex128(design, task, LossSpec(kind=kind), PropagationSpec())
 
     @pytest.mark.parametrize("kind", FD_KINDS)
     @pytest.mark.parametrize("design", sorted(EVALUATE_DESIGNS))
