@@ -6,8 +6,9 @@ Everything returned here carries unit power on its grid.
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,6 +154,20 @@ def spot_target(grid: Grid2D, wavelength_um: float, center: tuple[float, float],
 # LP mode solver
 # ---------------------------------------------------------------------------
 
+def _transverse(n_eff: float | np.ndarray,
+                fiber: FiberSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Core and cladding transverse parameters u, w at effective index n_eff."""
+    k0a = 2.0 * np.pi / fiber.wavelength_um * fiber.core_radius_um
+    u = k0a * np.sqrt(np.maximum(fiber.n_core**2 - n_eff**2, 0.0))
+    w = k0a * np.sqrt(np.maximum(n_eff**2 - fiber.n_clad**2, 0.0))
+    return u, w
+
+
+def _mismatch(u, w, j_l, j_next, k_l, k_next):
+    """u J_{l+1}(u) K_l(w) - w K_{l+1}(w) J_l(u) from its Bessel values."""
+    return u * j_next * k_l - w * k_next * j_l
+
+
 def _dispersion_mismatch(n_eff: float | np.ndarray, l: int,
                          fiber: FiberSpec) -> float | np.ndarray:
     """Continuous form of the weakly-guiding LP matching condition.
@@ -162,27 +177,41 @@ def _dispersion_mismatch(n_eff: float | np.ndarray, l: int,
     product (not a ratio) so there are no poles inside the scan range.
     ``n_eff`` is a scalar or an array of effective indices.
     """
-    k0a = 2.0 * np.pi / fiber.wavelength_um * fiber.core_radius_um
-    u = k0a * np.sqrt(np.maximum(fiber.n_core**2 - n_eff**2, 0.0))
-    w = k0a * np.sqrt(np.maximum(n_eff**2 - fiber.n_clad**2, 0.0))
-    return (u * special.jv(l + 1, u) * special.kv(l, w)
-            - w * special.kv(l + 1, w) * special.jv(l, u))
+    u, w = _transverse(n_eff, fiber)
+    return _mismatch(u, w, special.jv(l, u), special.jv(l + 1, u),
+                     special.kv(l, w), special.kv(l + 1, w))
 
 
-def _guided_roots(l: int, fiber: FiberSpec) -> list[float]:
-    """All guided effective indices for azimuthal order l, descending."""
+def _mismatch_scan(grid: np.ndarray, fiber: FiberSpec) -> Iterator[np.ndarray]:
+    """``_dispersion_mismatch(grid, l, fiber)`` for l = 0, 1, ... in turn.
+
+    u and w are formed once, and each J_l(u), K_l(w) array is evaluated
+    once and serves orders l - 1 and l.
+    """
+    u, w = _transverse(grid, fiber)
+    j_l, k_l = special.jv(0, u), special.kv(0, w)
+    for l in itertools.count():
+        j_next, k_next = special.jv(l + 1, u), special.kv(l + 1, w)
+        yield _mismatch(u, w, j_l, j_next, k_l, k_next)
+        j_l, k_l = j_next, k_next
+
+
+def _guided_orders(fiber: FiberSpec) -> list[list[float]]:
+    """Guided effective indices of each azimuthal order l = 0, 1, ...,
+    descending, up to the first order above 0 with none.
+
+    A bracket is a scan interval whose left end is an exact zero or
+    whose ends differ in sign; ``brentq`` refines the latter on the
+    scalar mismatch.
+    """
     lo = fiber.n_clad + _NEFF_EDGE_MARGIN * (fiber.n_core - fiber.n_clad)
     hi = fiber.n_core - _NEFF_EDGE_MARGIN * (fiber.n_core - fiber.n_clad)
     grid = np.linspace(lo, hi, _NEFF_SCAN_POINTS)
-    vals = _dispersion_mismatch(grid, l, fiber)
-
-    roots = []
-    for i in range(len(grid) - 1):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            roots.append(grid[i])
-            continue
-        if a * b < 0.0:
+    orders: list[list[float]] = []
+    for l, vals in enumerate(_mismatch_scan(grid, fiber)):
+        left, right = vals[:-1], vals[1:]
+        roots = [float(grid[i]) for i in np.flatnonzero(left == 0.0)]
+        for i in np.flatnonzero(left * right < 0.0):
             try:
                 r = brentq(_dispersion_mismatch, grid[i], grid[i + 1],
                            args=(l, fiber), xtol=_NEFF_TOLERANCE)
@@ -192,28 +221,16 @@ def _guided_roots(l: int, fiber: FiberSpec) -> list[float]:
                     f"({grid[i]:.12f}, {grid[i + 1]:.12f}): {exc}"
                 ) from exc
             roots.append(float(r))
-    return sorted(roots, reverse=True)
-
-
-def _sample_lp(fiber: FiberSpec, grid: Grid2D, l: int, n_eff: float,
-               parity: str | None) -> np.ndarray:
-    k0a = 2.0 * np.pi / fiber.wavelength_um * fiber.core_radius_um
-    u = k0a * np.sqrt(max(fiber.n_core**2 - n_eff**2, 0.0))
-    w = k0a * np.sqrt(max(n_eff**2 - fiber.n_clad**2, 0.0))
-    x, y = grid.meshgrid()
-    r = np.hypot(x, y) / fiber.core_radius_um  # radius in core units
-    inside = r <= 1.0
-    radial = np.where(
-        inside,
-        special.jv(l, u * np.minimum(r, 1.0)) / special.jv(l, u),
-        special.kv(l, w * np.maximum(r, 1.0)) / special.kv(l, w),
-    )
-    if l == 0:
-        azimuthal = 1.0
-    else:
-        phi = np.arctan2(y, x)
-        azimuthal = np.cos(l * phi) if parity == "cos" else np.sin(l * phi)
-    return radial * azimuthal
+        if not roots:
+            if l > 0:
+                return orders
+            # l = 0 always guides LP01 (FiberSpec guarantees V > 0); an empty
+            # scan means the bracketing grid missed a root hugging the n_core edge.
+            raise RuntimeError(
+                f"LP root scan found no l=0 mode despite V={fiber.v_number:.3f}; "
+                "bracketing grid too coarse"
+            )
+        orders.append(sorted(roots, reverse=True))
 
 
 def lp_modes(fiber: FiberSpec, grid: Grid2D) -> list[LPMode]:
@@ -225,38 +242,43 @@ def lp_modes(fiber: FiberSpec, grid: Grid2D) -> list[LPMode]:
     (l, m, parity), unit power, and orthonormalized on the sampled grid
     (a Gram-Schmidt pass removes the residual discretization-level
     non-orthogonality of the analytic profiles).
+
+    Each Bessel function is evaluated once. The scan evaluates J_l(u)
+    and K_l(w) once per order on the whole n_eff grid. Each (l, m)
+    group has one radial profile, shared by its cos and sin parities: one
+    J_l call on the grid's distinct core radii and one K_l call on its
+    distinct cladding radii, each with r = 1 appended for the normalizer,
+    gathered back onto the samples.
     """
     if fiber.core_radius_um > 0.4 * min(grid.window_um):
         raise ValueError(
             f"core radius {fiber.core_radius_um} um too large for window {grid.window_um} um"
         )
 
+    x, y = grid.meshgrid()
+    # Radius in core units; equal radii get equal profile values, so the
+    # Bessel functions run on the distinct radii (ascending) only.
+    radii, where = np.unique(np.hypot(x, y) / fiber.core_radius_um, return_inverse=True)
+    inside = int(np.searchsorted(radii, 1.0, side="right"))  # radii r <= 1
+    core = np.append(radii[:inside], 1.0)
+    clad = np.append(radii[inside:], 1.0)
+    phi = np.arctan2(y, x)
+
     found: list[tuple[int, int, str | None, float]] = []  # (l, m, parity, n_eff)
-    l = 0
-    while True:
-        roots = _guided_roots(l, fiber)
-        if not roots:
-            if l > 0:
-                break
-            # l = 0 always guides LP01 (FiberSpec guarantees V > 0); an empty
-            # scan means the bracketing grid missed a root hugging the n_core edge.
-            raise RuntimeError(
-                f"LP root scan found no l=0 mode despite V={fiber.v_number:.3f}; "
-                "bracketing grid too coarse"
-            )
+    sampled: list[np.ndarray] = []
+    for l, roots in enumerate(_guided_orders(fiber)):
         for m, n_eff in enumerate(roots, start=1):
+            u, w = _transverse(n_eff, fiber)
+            j = special.jv(l, u * core)
+            k = special.kv(l, w * clad)
+            radial = np.concatenate([j[:-1] / j[-1], k[:-1] / k[-1]])[where].reshape(x.shape)
             if l == 0:
                 found.append((l, m, None, n_eff))
+                sampled.append(radial.astype(np.complex128))
             else:
-                found.append((l, m, "cos", n_eff))
-                found.append((l, m, "sin", n_eff))
-        l += 1
-
-    parity_rank = {None: 0, "cos": 0, "sin": 1}
-    found.sort(key=lambda t: (t[0], t[1], parity_rank[t[2]]))
-
-    sampled = [_sample_lp(fiber, grid, l, n_eff, parity).astype(np.complex128)
-               for (l, m, parity, n_eff) in found]
+                for parity, azimuthal in (("cos", np.cos(l * phi)), ("sin", np.sin(l * phi))):
+                    found.append((l, m, parity, n_eff))
+                    sampled.append((radial * azimuthal).astype(np.complex128))
 
     # Gram-Schmidt on the sampled grid, in (l, m, parity) order.
     area = grid.cell_area

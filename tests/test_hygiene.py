@@ -1,7 +1,8 @@
 """Source hygiene: every name the package, the scripts and the tests import
 is used, every name a module exports in ``__all__`` is defined in it,
-one package module binds pocketfft, and importing the package starts no
-thread. The repo has no linter, so these stdlib checks are the gate."""
+every function and class of the package is referred to, one package
+module binds pocketfft, and importing the package starts no thread. The
+repo has no linter, so these stdlib checks are the gate."""
 
 import ast
 import os
@@ -95,6 +96,86 @@ def test_every_export_is_defined():
             for path in CHECKED
             for line, name in undefined_exports(path.read_text())]
     assert not hits, "__all__ names nothing defined:\n" + "\n".join(hits)
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def statement_references(source: str) -> list[tuple[str | None, set[str]]]:
+    """For each top-level statement, the function or class it defines
+    (None for any other statement) and every name it refers to: read as a
+    name or an attribute, imported from a module, or listed in
+    ``__all__``."""
+    out = []
+    for node in ast.parse(source).body:
+        refs = set()
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                refs.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                refs.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                refs |= {a.name for a in n.names}
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets):
+            refs |= {e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant)}
+        out.append((node.name if isinstance(node, DEFINITIONS) else None, refs))
+    return out
+
+
+def unreferenced_definitions(package: list[str], program: dict[str, str],
+                             tests: dict[str, str]) -> list[tuple[str, int, str]]:
+    """(path, line, name) of each top-level function or class of the
+    ``package`` paths (keys of ``program``) that no statement but its own
+    definition refers to. A public name may be referred to from
+    ``program`` or ``tests``; a private one (leading underscore) only
+    counts as used from ``program``."""
+    def refs(sources):
+        return [(path, own, names) for path, source in sources.items()
+                for own, names in statement_references(source)]
+    in_program, in_tests = refs(program), refs(tests)
+    hits = []
+    for path in package:
+        for node in ast.parse(program[path]).body:
+            if not isinstance(node, DEFINITIONS):
+                continue
+            seen = in_program if node.name.startswith("_") else in_program + in_tests
+            if not any(node.name in names for where, own, names in seen
+                       if (where, own) != (path, node.name)):
+                hits.append((path, node.lineno, node.name))
+    return hits
+
+
+def test_reference_checker_flags_dead_and_test_only_helpers():
+    package = textwrap.dedent("""
+        __all__ = ["exported"]
+        def exported(): pass
+        def tested(): pass
+        def _helper(): pass
+        def _tested_helper(): pass
+        def _recursive(n): return _recursive(n - 1)
+        class Unused: pass
+        class _Used: pass
+        def caller(): return _helper() + pkg.missing
+    """)
+    script = "import pkg\nprint(pkg._Used)\n"
+    tests = "from pkg import tested, _tested_helper\ndef test(): tested(); _tested_helper()\n"
+    hits = unreferenced_definitions(["pkg.py"], {"pkg.py": package, "run.py": script},
+                                    {"test_pkg.py": tests})
+    assert hits == [("pkg.py", 6, "_tested_helper"), ("pkg.py", 7, "_recursive"),
+                    ("pkg.py", 8, "Unused"), ("pkg.py", 10, "caller")]
+
+
+def test_every_package_definition_is_referenced():
+    # A replaced helper must go, not live on as dead code or as a fork
+    # that only the tests still call.
+    package = sorted(ROOT.glob("src/ove/*.py"))
+    program = {str(p.relative_to(ROOT)): p.read_text()
+               for p in [*package, *ROOT.glob("scripts/*.py")]}
+    tests = {str(p.relative_to(ROOT)): p.read_text() for p in ROOT.glob("tests/*.py")}
+    hits = [f"{path}:{line}: {name}" for path, line, name in unreferenced_definitions(
+        [str(p.relative_to(ROOT)) for p in package], program, tests)]
+    assert not hits, "defined but never referred to:\n" + "\n".join(hits)
 
 
 def imported_modules(source: str) -> set[str]:

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ove import propagation
+from ove.config import default_config
 from ove.design import _adjoint_sweep, _gradient_per_step
 from ove.fields import (
     ComplexField,
@@ -42,7 +43,7 @@ from ove.propagation import (
     transfer_function,
 )
 from ove.io import export_volume, import_volume
-from ove.sources import gaussian, plane_wave
+from ove.sources import gaussian, lp_modes, plane_wave
 from testutil import (
     NO_ABSORBER,
     TWO_CPUS,
@@ -727,6 +728,23 @@ class TestBpm:
         mode = gaussian(g, LAM, waist_um=w_mode)
         out = propagate(vol, mode, UNITARY)
         assert abs(overlap(normalize(out), mode)) >= 0.99
+
+    def test_step_index_fiber_guides_lp01(self):
+        # The default fiber (V = 2.67) as a step-index volume, 200 um long:
+        # LP01 must stay in itself and advance at its own n_eff. The pass
+        # keeps |c|^2 = 0.99917 and is off by dn_eff = +3.7e-6.
+        fiber = default_config().fiber
+        g = Grid2D(64, 64, 0.5, 0.5)
+        nz, dz = 200, 1.0
+        lp01 = lp_modes(fiber, g)[0]
+        xs, ys = g.meshgrid()
+        core = np.where(np.hypot(xs, ys) <= fiber.core_radius_um, 0.006, 0.0)
+        vol = IndexVolume(grid=g, nz=nz, dz=dz, n0=fiber.n_clad,
+                          dn=np.repeat(core[:, :, None], nz, axis=2))
+        c = overlap(lp01.field, propagate(vol, lp01.field, PropagationSpec(absorber_width=0.1)))
+        k0L = 2.0 * math.pi / fiber.wavelength_um * nz * dz
+        assert abs(c) ** 2 >= 0.999
+        assert abs(np.angle(c * np.exp(-1j * lp01.n_eff * k0L)) / k0L) <= 1e-5
 
     def test_power_conserved_through_phase_screens(self):
         g = Grid2D(64, 64, 0.5, 0.5)

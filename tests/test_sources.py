@@ -1,15 +1,21 @@
 """Source and target generators: tilted plane waves, LP fiber modes,
 Gaussians, spot targets, Haar masks."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy import special
+from scipy.optimize import brentq
 
+from ove import sources
+from ove.config import default_config
 from ove.fields import ComplexField, Grid2D, overlap, power
 from ove.sources import (
     _NEFF_EDGE_MARGIN,
     _NEFF_SCAN_POINTS,
+    _NEFF_TOLERANCE,
     HAAR_KINDS,
     FiberSpec,
     gaussian,
@@ -20,6 +26,7 @@ from ove.sources import (
     spot_target,
     tilt_angles,
     _dispersion_mismatch,
+    _mismatch_scan,
 )
 from testutil import mirror_values
 
@@ -33,6 +40,72 @@ def fiber_with_v(v: float, n_core=1.45, n_clad=1.444, lam=LAM) -> FiberSpec:
     radius = v * lam / (2.0 * math.pi * na)
     return FiberSpec(core_radius_um=radius, n_core=n_core, n_clad=n_clad,
                      wavelength_um=lam)
+
+
+def scan_grid(fiber: FiberSpec) -> np.ndarray:
+    edge = _NEFF_EDGE_MARGIN * (fiber.n_core - fiber.n_clad)
+    return np.linspace(fiber.n_clad + edge, fiber.n_core - edge, _NEFF_SCAN_POINTS)
+
+
+def reference_lp_modes(fiber: FiberSpec, grid: Grid2D) -> list[tuple]:
+    """(l, m, parity, n_eff, values) of each mode, written out directly: a
+    fresh mismatch scan per order, a loop over its intervals, the same
+    brentq, and the J and K branches on every sample joined by np.where."""
+    k0a = 2.0 * np.pi / fiber.wavelength_um * fiber.core_radius_um
+    n_grid = scan_grid(fiber)
+    x, y = grid.meshgrid()
+    r = np.hypot(x, y) / fiber.core_radius_um
+    phi = np.arctan2(y, x)
+    modes = []
+    for l in itertools.count():
+        vals = _dispersion_mismatch(n_grid, l, fiber)
+        roots = []
+        for i in range(len(n_grid) - 1):
+            if vals[i] == 0.0:
+                roots.append(float(n_grid[i]))
+            elif vals[i] * vals[i + 1] < 0.0:
+                roots.append(float(brentq(_dispersion_mismatch, n_grid[i], n_grid[i + 1],
+                                          args=(l, fiber), xtol=_NEFF_TOLERANCE)))
+        if not roots:
+            break
+        for m, n_eff in enumerate(sorted(roots, reverse=True), start=1):
+            u = k0a * np.sqrt(max(fiber.n_core**2 - n_eff**2, 0.0))
+            w = k0a * np.sqrt(max(n_eff**2 - fiber.n_clad**2, 0.0))
+            radial = np.where(
+                r <= 1.0,
+                special.jv(l, u * np.minimum(r, 1.0)) / special.jv(l, u),
+                special.kv(l, w * np.maximum(r, 1.0)) / special.kv(l, w),
+            )
+            if l == 0:
+                modes.append((l, m, None, n_eff, radial * 1.0))
+            else:
+                modes.append((l, m, "cos", n_eff, radial * np.cos(l * phi)))
+                modes.append((l, m, "sin", n_eff, radial * np.sin(l * phi)))
+    ortho = []
+    for *key, v in modes:
+        v = v.astype(np.complex128)
+        for *_, q in ortho:
+            v = v - (np.sum(np.conj(q) * v) * grid.cell_area) * q
+        ortho.append((*key, v / np.sqrt(np.sum(np.abs(v) ** 2) * grid.cell_area)))
+    return ortho
+
+
+class CountingSpecial:
+    """Stands in for ``scipy.special`` and records (name, order, argument
+    size) of each ``jv`` and ``kv`` call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        fn = getattr(special, name)
+        if name not in ("jv", "kv"):
+            return fn
+
+        def counted(order, arg):
+            self.calls.append((name, order, np.size(arg)))
+            return fn(order, arg)
+        return counted
 
 
 def one_bin_angle(grid=GRID, lam=LAM, bins: float = 1.0) -> float:
@@ -149,17 +222,54 @@ class TestLpModes:
 
     @pytest.mark.parametrize("v", [1.0, 2.5, 5.0])
     def test_array_scan_matches_scalar_calls(self, v):
-        # The root scan evaluates the whole n_eff grid in one call; brentq
-        # refines on scalar calls. Every sign must agree, so the brackets
-        # (and the roots) are those of a loop of scalar calls.
+        # The root scan shares each Bessel array between neighbouring
+        # orders; brentq refines on scalar calls. The shared scan must give
+        # the bits of a fresh array call per order, and every sign must
+        # agree with a loop of scalar calls, so the brackets (and the
+        # roots) are those of the scalar function.
         fiber = fiber_with_v(v)
-        edge = _NEFF_EDGE_MARGIN * (fiber.n_core - fiber.n_clad)
-        grid = np.linspace(fiber.n_clad + edge, fiber.n_core - edge, _NEFF_SCAN_POINTS)
-        for l in range(4):
-            scan = _dispersion_mismatch(grid, l, fiber)
+        grid = scan_grid(fiber)
+        for l, scan in zip(range(4), _mismatch_scan(grid, fiber)):
+            np.testing.assert_array_equal(scan, _dispersion_mismatch(grid, l, fiber))
             loop = np.array([_dispersion_mismatch(n, l, fiber) for n in grid])
             np.testing.assert_array_equal(np.sign(scan), np.sign(loop))
             np.testing.assert_allclose(scan, loop, rtol=0, atol=1e-12 * np.max(np.abs(loop)))
+
+    @pytest.mark.parametrize("fiber, grid", [
+        (default_config().fiber, GRID),
+        *[(fiber_with_v(v), GRID) for v in (0.5, 1.0, 2.5, 5.0, 6.0)],
+        (fiber_with_v(2.5), Grid2D(63, 80, 0.5, 0.4)),
+    ], ids=["canned", "v0.5", "v1", "v2.5", "v5", "v6", "63x80"])
+    def test_bits_of_the_direct_solver(self, fiber, grid):
+        got = lp_modes(fiber, grid)
+        want = reference_lp_modes(fiber, grid)
+        assert [(m.l, m.m, m.parity, m.n_eff) for m in got] == [w[:4] for w in want]
+        assert all(type(m.n_eff) is float for m in got)
+        for mode, (*_, values) in zip(got, want):
+            assert np.array_equal(mode.field.values, values)
+
+    def test_each_bessel_function_is_evaluated_once(self, monkeypatch):
+        counter = CountingSpecial()
+        monkeypatch.setattr(sources, "special", counter)
+        fiber = fiber_with_v(5.0)
+        groups = sorted({(m.l, m.m) for m in lp_modes(fiber, GRID)})
+        x, y = GRID.meshgrid()
+        distinct = np.unique(np.hypot(x, y)).size
+        # brentq's calls are scalar; the rest is the scan or the profiles.
+        scan = sorted((name, order) for name, order, size in counter.calls
+                      if size == _NEFF_SCAN_POINTS)
+        profile = [(name, order, size) for name, order, size in counter.calls
+                   if 1 < size != _NEFF_SCAN_POINTS]
+        # Orders 0..L scan J and K of orders 0..L+1, each once.
+        last = max(l for l, _ in groups) + 1
+        assert scan == sorted((name, order) for name in ("jv", "kv")
+                              for order in range(last + 2))
+        # One J and one K call per (l, m) group, on the distinct radii and
+        # r = 1 once per call for the normalizer.
+        assert sorted((name, order) for name, order, _ in profile) == sorted(
+            (name, l) for name in ("jv", "kv") for l, _ in groups)
+        assert all(size <= distinct for *_, size in profile)
+        assert sum(size for *_, size in profile) <= len(groups) * (distinct + 2)
 
     def test_oversized_core_rejected(self):
         fiber = FiberSpec(core_radius_um=14.0, n_core=1.45, n_clad=1.444,
