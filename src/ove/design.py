@@ -460,8 +460,9 @@ def seeded_initial_volume(grid, nz: int, dz: float, n0: float,
     rng = np.random.default_rng(seed)
     mid = 0.5 * (dn_min + dn_max)
     amp = _SEED_NOISE_RELATIVE * dn_max
-    dn = mid + rng.uniform(-amp, amp, size=(grid.nx, grid.ny, nz))
-    dn = np.clip(dn, dn_min, dn_max)
+    dn = rng.uniform(-amp, amp, size=(grid.nx, grid.ny, nz))
+    dn += mid
+    np.clip(dn, dn_min, dn_max, out=dn)
     return IndexVolume(grid=grid, nz=nz, dz=dz, n0=n0, dn=dn,
                        dn_min=dn_min, dn_max=dn_max)
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,10 +33,13 @@ __all__ = [
 
 HAAR_KINDS = ("vertical", "horizontal", "diagonal", "uniform")
 
-# Root scan resolution for the LP dispersion relation.
+# Root search grid for the LP dispersion relation.
 _NEFF_SCAN_POINTS = 2000
 _NEFF_TOLERANCE = 1e-12
 _NEFF_EDGE_MARGIN = 1e-9
+# Grid points added at each end of a root interval's index range, so that
+# rounding in the u-to-n_eff map cannot leave the root's bracket outside.
+_INDEX_PAD = 2
 
 
 @dataclass(frozen=True)
@@ -163,55 +166,112 @@ def _transverse(n_eff: float | np.ndarray,
     return u, w
 
 
-def _mismatch(u, w, j_l, j_next, k_l, k_next):
-    """u J_{l+1}(u) K_l(w) - w K_{l+1}(w) J_l(u) from its Bessel values."""
-    return u * j_next * k_l - w * k_next * j_l
-
-
-def _dispersion_mismatch(n_eff: float | np.ndarray, l: int,
+def _dispersion_mismatch(n_eff: float | np.ndarray, l: int | np.ndarray,
                          fiber: FiberSpec) -> float | np.ndarray:
     """Continuous form of the weakly-guiding LP matching condition.
 
     Zero exactly where u J_{l+1}(u) K_l(w) = w K_{l+1}(w) J_l(u), with
     u, w the usual core/cladding transverse parameters. Written as a
-    product (not a ratio) so there are no poles inside the scan range.
-    ``n_eff`` is a scalar or an array of effective indices.
+    product (not a ratio) so there are no poles inside the search range.
+    ``n_eff`` is a scalar or an array of effective indices, and ``l`` an
+    order or an array of orders, one per index.
     """
     u, w = _transverse(n_eff, fiber)
-    return _mismatch(u, w, special.jv(l, u), special.jv(l + 1, u),
-                     special.kv(l, w), special.kv(l + 1, w))
+    j_l, j_next = special.jv(l, u), special.jv(l + 1, u)
+    k_l, k_next = special.kv(l, w), special.kv(l + 1, w)
+    return u * j_next * k_l - w * k_next * j_l
 
 
-def _mismatch_scan(grid: np.ndarray, fiber: FiberSpec) -> Iterator[np.ndarray]:
-    """``_dispersion_mismatch(grid, l, fiber)`` for l = 0, 1, ... in turn.
+def _u_intervals(v: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Order, lower end and upper end of each u-interval that can hold a
+    guided root, for orders l = 0, 1, ... up to the first with none.
 
-    u and w are formed once, and each J_l(u), K_l(w) array is evaluated
-    once and serves orders l - 1 and l.
+    LP_lm lies alone in (j_{1,m-1}, j_{0,m}) for l = 0, with j_{1,0} = 0,
+    and in (j_{l-1,m}, j_{l,m}) for l >= 1 (Gloge, Appl. Opt. 10, 2252,
+    1971). An interval counts if its lower end is below V.
     """
-    u, w = _transverse(grid, fiber)
-    j_l, k_l = special.jv(0, u), special.kv(0, w)
+    zeros: list[np.ndarray] = []  # zeros of J_0, J_1, ..., each reaching past v
+
+    def of(n: int) -> np.ndarray:
+        while len(zeros) <= n:
+            # j_{0,m} > (m - 1/4) pi, and the zeros of J_n interlace with those
+            # of J_{n-1}, so nt zeros reach past v; the loop makes sure.
+            nt = int(np.searchsorted(zeros[-1], v)) + 1 if zeros else int(v / np.pi + 1.25)
+            found = special.jn_zeros(len(zeros), nt)
+            while found[-1] < v:
+                nt *= 2
+                found = special.jn_zeros(len(zeros), nt)
+            zeros.append(found)
+        return zeros[n]
+
+    orders: list[int] = []
+    lower_ends: list[float] = []
+    upper_ends: list[float] = []
     for l in itertools.count():
-        j_next, k_next = special.jv(l + 1, u), special.kv(l + 1, w)
-        yield _mismatch(u, w, j_l, j_next, k_l, k_next)
-        j_l, k_l = j_next, k_next
+        lower = np.append(0.0, of(1)) if l == 0 else of(l - 1)
+        k = int(np.searchsorted(lower, v))
+        if k == 0:
+            return np.array(orders), np.array(lower_ends), np.array(upper_ends)
+        orders += [l] * k
+        lower_ends += lower[:k].tolist()
+        upper_ends += of(l)[:k].tolist()
 
 
 def _guided_orders(fiber: FiberSpec) -> list[list[float]]:
     """Guided effective indices of each azimuthal order l = 0, 1, ...,
     descending, up to the first order above 0 with none.
 
-    A bracket is a scan interval whose left end is an exact zero or
-    whose ends differ in sign; ``brentq`` refines the latter on the
-    scalar mismatch.
+    The roots are those of a sign scan of ``_dispersion_mismatch`` over
+    the ``_NEFF_SCAN_POINTS`` n_eff grid, found without the scan. Each
+    u-interval of :func:`_u_intervals` maps to an index range of the
+    grid, widened by ``_INDEX_PAD`` points. Where the range's ends
+    differ in sign, bisection on grid indices finds its bracket, all
+    ranges of all orders in one array call per step; elsewhere the range
+    is scanned. The mismatch is always evaluated on arrays of grid
+    points, which give the whole-grid array's values bit for bit. A
+    point where it is exactly 0 is a root; ``brentq`` refines each
+    bracket on the scalar mismatch, so the roots are the scan's.
     """
-    lo = fiber.n_clad + _NEFF_EDGE_MARGIN * (fiber.n_core - fiber.n_clad)
-    hi = fiber.n_core - _NEFF_EDGE_MARGIN * (fiber.n_core - fiber.n_clad)
-    grid = np.linspace(lo, hi, _NEFF_SCAN_POINTS)
-    orders: list[list[float]] = []
-    for l, vals in enumerate(_mismatch_scan(grid, fiber)):
+    edge = _NEFF_EDGE_MARGIN * (fiber.n_core - fiber.n_clad)
+    grid = np.linspace(fiber.n_clad + edge, fiber.n_core - edge, _NEFF_SCAN_POINTS)
+    last = _NEFF_SCAN_POINTS - 1
+    ls, u_lo, u_hi = _u_intervals(fiber.v_number)
+    # n_eff falls as u rises: (u_lo, u_hi) spans n_eff(u_hi) to n_eff(u_lo).
+    k0a = 2.0 * np.pi / fiber.wavelength_um * fiber.core_radius_um
+    n_core2 = fiber.n_core**2
+    a = np.searchsorted(grid, np.sqrt(np.maximum(n_core2 - (u_hi / k0a)**2, 0.0)))
+    b = np.searchsorted(grid, np.sqrt(np.maximum(n_core2 - (u_lo / k0a)**2, 0.0)))
+    a = np.clip(a - 1 - _INDEX_PAD, 0, last)
+    b = np.clip(b + _INDEX_PAD, 0, last)
+
+    zeros: set[tuple[int, int]] = set()     # (l, i): the mismatch at grid[i] is 0
+    brackets: set[tuple[int, int]] = set()  # (l, i): a sign change in (grid[i], grid[i + 1])
+    fa, fb = np.split(_dispersion_mismatch(grid[np.concatenate([a, b])],
+                                           np.concatenate([ls, ls]), fiber), 2)
+    bisect = fa * fb < 0.0
+    for l, i, j in zip(ls[~bisect].tolist(), a[~bisect].tolist(), b[~bisect].tolist()):
+        vals = _dispersion_mismatch(grid[i:j + 1], l, fiber)
         left, right = vals[:-1], vals[1:]
-        roots = [float(grid[i]) for i in np.flatnonzero(left == 0.0)]
-        for i in np.flatnonzero(left * right < 0.0):
+        zeros.update((l, i + k) for k in np.flatnonzero(left == 0.0).tolist())
+        brackets.update((l, i + k) for k in np.flatnonzero(left * right < 0.0).tolist())
+    ls, a, b, fa, fb = ls[bisect], a[bisect], b[bisect], fa[bisect], fb[bisect]
+    # Halve every range at once until each spans one grid interval; a closed
+    # range stays put, since its midpoint is its left end.
+    for _ in range(int(np.max(b - a, initial=1) - 1).bit_length()):
+        mid = (a + b) // 2
+        fm = _dispersion_mismatch(grid[mid], ls, fiber)
+        exact = fm == 0.0
+        zeros.update(zip(ls[exact].tolist(), mid[exact].tolist()))
+        right = (fm < 0.0) == (fa < 0.0)  # the sign change lies right of mid
+        a, fa = np.where(right, mid, a), np.where(right, fm, fa)
+        b, fb = np.where(right, b, mid), np.where(right, fb, fm)
+    found = fa * fb < 0.0
+    brackets.update(zip(ls[found].tolist(), a[found].tolist()))
+
+    orders: list[list[float]] = []
+    for l in itertools.count():
+        roots = [float(grid[i]) for m, i in zeros if m == l]
+        for i in sorted(i for m, i in brackets if m == l):
             try:
                 r = brentq(_dispersion_mismatch, grid[i], grid[i + 1],
                            args=(l, fiber), xtol=_NEFF_TOLERANCE)
@@ -224,11 +284,13 @@ def _guided_orders(fiber: FiberSpec) -> list[list[float]]:
         if not roots:
             if l > 0:
                 return orders
-            # l = 0 always guides LP01 (FiberSpec guarantees V > 0); an empty
-            # scan means the bracketing grid missed a root hugging the n_core edge.
+            # l = 0 always guides LP01 (FiberSpec guarantees V > 0), but near
+            # cutoff LP01 sits just above n_clad (b = 2.7e-8 at V = 0.45):
+            # below V of about 0.415 its root lies inside the grid's edge margin.
             raise RuntimeError(
-                f"LP root scan found no l=0 mode despite V={fiber.v_number:.3f}; "
-                "bracketing grid too coarse"
+                f"LP01 not resolved at V={fiber.v_number:.3f}: its n_eff lies within "
+                f"{_NEFF_EDGE_MARGIN:g} (n_core - n_clad) of n_clad, inside the "
+                "root search's edge margin"
             )
         orders.append(sorted(roots, reverse=True))
 
@@ -236,19 +298,22 @@ def _guided_orders(fiber: FiberSpec) -> list[list[float]]:
 def lp_modes(fiber: FiberSpec, grid: Grid2D) -> list[LPMode]:
     """All guided LP modes of the fiber, sampled on the grid.
 
-    Solves the scalar dispersion relation by a bracketed root scan over
-    effective index in (n_clad, n_core), azimuthal orders scanned until
-    the first order with no guided root. Returned modes are ordered by
-    (l, m, parity), unit power, and orthonormalized on the sampled grid
-    (a Gram-Schmidt pass removes the residual discretization-level
+    Solves the scalar dispersion relation for effective indices in
+    (n_clad, n_core), order by order until the first order with no
+    guided root. Each root lies alone between two consecutive Bessel
+    zeros, so bisection on the 2,000-point n_eff grid finds its bracket
+    from at most 13 mismatch points, and ``brentq`` refines it (see
+    :func:`_guided_orders`). Returned modes are ordered by (l, m,
+    parity), unit power, and orthonormalized on the sampled grid (a
+    Gram-Schmidt pass removes the residual discretization-level
     non-orthogonality of the analytic profiles).
 
-    Each Bessel function is evaluated once. The scan evaluates J_l(u)
-    and K_l(w) once per order on the whole n_eff grid. Each (l, m)
-    group has one radial profile, shared by its cos and sin parities: one
-    J_l call on the grid's distinct core radii and one K_l call on its
-    distinct cladding radii, each with r = 1 appended for the normalizer,
-    gathered back onto the samples.
+    Each (l, m) group has one radial profile, shared by its cos and sin
+    parities: one J_l call on the grid's distinct core radii and one K_l
+    call on its distinct cladding radii, each with r = 1 appended for
+    the normalizer, gathered back onto the samples. LP01 is always
+    guided, but below V of about 0.415 its n_eff lies within the search's
+    edge margin of n_clad, and a RuntimeError says so.
     """
     if fiber.core_radius_um > 0.4 * min(grid.window_um):
         raise ValueError(

@@ -1570,3 +1570,7 @@ class TestSpecs:
         assert np.all(a.dn >= a.dn_min) and np.all(a.dn <= a.dn_max)
         mid = 0.5 * (a.dn_min + a.dn_max)
         assert np.max(np.abs(a.dn - mid)) <= 1e-4 * a.dn_max
+        # Built in place, it keeps the bits of the out-of-place formula.
+        amp = 1e-4 * a.dn_max
+        noise = np.random.default_rng(3).uniform(-amp, amp, size=(SMALL.nx, SMALL.ny, 4))
+        assert np.array_equal(a.dn, np.clip(mid + noise, a.dn_min, a.dn_max))

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 from scipy.optimize import brentq
 
@@ -26,7 +28,7 @@ from ove.sources import (
     spot_target,
     tilt_angles,
     _dispersion_mismatch,
-    _mismatch_scan,
+    _guided_orders,
 )
 from testutil import mirror_values
 
@@ -47,28 +49,39 @@ def scan_grid(fiber: FiberSpec) -> np.ndarray:
     return np.linspace(fiber.n_clad + edge, fiber.n_core - edge, _NEFF_SCAN_POINTS)
 
 
-def reference_lp_modes(fiber: FiberSpec, grid: Grid2D) -> list[tuple]:
-    """(l, m, parity, n_eff, values) of each mode, written out directly: a
-    fresh mismatch scan per order, a loop over its intervals, the same
-    brentq, and the J and K branches on every sample joined by np.where."""
-    k0a = 2.0 * np.pi / fiber.wavelength_um * fiber.core_radius_um
+def reference_guided_orders(fiber: FiberSpec) -> list[list[float]]:
+    """Roots of each order l = 0, 1, ..., descending, by a sign scan of
+    the whole n_eff grid: a fresh mismatch array per order, a bracket
+    wherever neighbours differ in sign, and the same brentq, up to the
+    first order above 0 with none. Raises RuntimeError when l = 0 has
+    none."""
     n_grid = scan_grid(fiber)
+    orders = []
+    for l in itertools.count():
+        vals = _dispersion_mismatch(n_grid, l, fiber)
+        left, right = vals[:-1], vals[1:]
+        roots = [float(n_grid[i]) for i in np.flatnonzero(left == 0.0)]
+        for i in np.flatnonzero(left * right < 0.0):
+            roots.append(float(brentq(_dispersion_mismatch, n_grid[i], n_grid[i + 1],
+                                      args=(l, fiber), xtol=_NEFF_TOLERANCE)))
+        if not roots:
+            if l == 0:
+                raise RuntimeError(f"no l=0 root at V={fiber.v_number}")
+            return orders
+        orders.append(sorted(roots, reverse=True))
+
+
+def reference_lp_modes(fiber: FiberSpec, grid: Grid2D) -> list[tuple]:
+    """(l, m, parity, n_eff, values) of each mode, written out directly:
+    the roots of the full scan, and the J and K branches on every sample
+    joined by np.where."""
+    k0a = 2.0 * np.pi / fiber.wavelength_um * fiber.core_radius_um
     x, y = grid.meshgrid()
     r = np.hypot(x, y) / fiber.core_radius_um
     phi = np.arctan2(y, x)
     modes = []
-    for l in itertools.count():
-        vals = _dispersion_mismatch(n_grid, l, fiber)
-        roots = []
-        for i in range(len(n_grid) - 1):
-            if vals[i] == 0.0:
-                roots.append(float(n_grid[i]))
-            elif vals[i] * vals[i + 1] < 0.0:
-                roots.append(float(brentq(_dispersion_mismatch, n_grid[i], n_grid[i + 1],
-                                          args=(l, fiber), xtol=_NEFF_TOLERANCE)))
-        if not roots:
-            break
-        for m, n_eff in enumerate(sorted(roots, reverse=True), start=1):
+    for l, roots in enumerate(reference_guided_orders(fiber)):
+        for m, n_eff in enumerate(roots, start=1):
             u = k0a * np.sqrt(max(fiber.n_core**2 - n_eff**2, 0.0))
             w = k0a * np.sqrt(max(n_eff**2 - fiber.n_clad**2, 0.0))
             radial = np.where(
@@ -221,19 +234,31 @@ class TestLpModes:
         assert keys == sorted(keys)
 
     @pytest.mark.parametrize("v", [1.0, 2.5, 5.0])
-    def test_array_scan_matches_scalar_calls(self, v):
-        # The root scan shares each Bessel array between neighbouring
-        # orders; brentq refines on scalar calls. The shared scan must give
-        # the bits of a fresh array call per order, and every sign must
-        # agree with a loop of scalar calls, so the brackets (and the
-        # roots) are those of the scalar function.
+    def test_mismatch_on_any_grid_subset_matches_the_grid_array(self, v):
+        # The root search evaluates the mismatch on single grid points,
+        # scattered index arrays with one order per point, and slices. Each
+        # must give the whole-grid array's bits, so its signs (and the
+        # brackets brentq refines) are those of a full scan. brentq's
+        # scalar calls may differ in the last bits, but not in sign.
         fiber = fiber_with_v(v)
         grid = scan_grid(fiber)
-        for l, scan in zip(range(4), _mismatch_scan(grid, fiber)):
-            np.testing.assert_array_equal(scan, _dispersion_mismatch(grid, l, fiber))
+        rng = np.random.default_rng(0)
+        full = {l: _dispersion_mismatch(grid, l, fiber) for l in range(4)}
+        for l in range(4):
+            for i in range(len(grid)):
+                assert _dispersion_mismatch(grid[i:i + 1], l, fiber)[0] == full[l][i]
             loop = np.array([_dispersion_mismatch(n, l, fiber) for n in grid])
-            np.testing.assert_array_equal(np.sign(scan), np.sign(loop))
-            np.testing.assert_allclose(scan, loop, rtol=0, atol=1e-12 * np.max(np.abs(loop)))
+            np.testing.assert_array_equal(np.sign(full[l]), np.sign(loop))
+            np.testing.assert_allclose(full[l], loop, rtol=0, atol=1e-12 * np.max(np.abs(loop)))
+            for size in (2, 3, 17, 400):
+                idx = rng.choice(len(grid), size, replace=False)
+                assert np.array_equal(_dispersion_mismatch(grid[idx], l, fiber), full[l][idx])
+                run = slice(idx.min(), idx.max() + 1)
+                assert np.array_equal(_dispersion_mismatch(grid[run], l, fiber), full[l][run])
+        idx = rng.choice(len(grid), 64)
+        orders = rng.integers(0, 4, 64)
+        assert np.array_equal(_dispersion_mismatch(grid[idx], orders, fiber),
+                              [full[l][i] for l, i in zip(orders, idx)])
 
     @pytest.mark.parametrize("fiber, grid", [
         (default_config().fiber, GRID),
@@ -248,28 +273,92 @@ class TestLpModes:
         for mode, (*_, values) in zip(got, want):
             assert np.array_equal(mode.field.values, values)
 
-    def test_each_bessel_function_is_evaluated_once(self, monkeypatch):
+    @pytest.mark.parametrize("fiber", [
+        default_config().fiber, fiber_with_v(5.0), fiber_with_v(6.0),
+        fiber_with_v(special.jn_zeros(1, 1)[0] + 1e-9),
+    ], ids=["canned", "v5", "v6", "lp02-lp21-in-margin"])
+    def test_root_search_evaluates_few_mismatch_points(self, fiber, monkeypatch):
         counter = CountingSpecial()
         monkeypatch.setattr(sources, "special", counter)
-        fiber = fiber_with_v(5.0)
+        search = []  # the Bessel calls made by the mismatch
+        arrays = []  # (orders, n_eff) of each array call of the mismatch
+        mismatch = sources._dispersion_mismatch
+        refining = []
+
+        def refine(*args, **kwargs):
+            refining.append(True)
+            try:
+                return brentq(*args, **kwargs)
+            finally:
+                refining.pop()
+
+        def recorded(n_eff, l, fiber):
+            start = len(counter.calls)
+            vals = mismatch(n_eff, l, fiber)
+            search.extend(counter.calls[start:])
+            del counter.calls[start:]
+            if np.ndim(n_eff):
+                arrays.append((np.broadcast_to(l, np.shape(n_eff)), n_eff))
+            else:  # only brentq makes scalar calls
+                assert refining
+            return vals
+
+        monkeypatch.setattr(sources, "brentq", refine)
+        monkeypatch.setattr(sources, "_dispersion_mismatch", recorded)
         groups = sorted({(m.l, m.m) for m in lp_modes(fiber, GRID)})
-        x, y = GRID.meshgrid()
-        distinct = np.unique(np.hypot(x, y)).size
-        # brentq's calls are scalar; the rest is the scan or the profiles.
-        scan = sorted((name, order) for name, order, size in counter.calls
-                      if size == _NEFF_SCAN_POINTS)
-        profile = [(name, order, size) for name, order, size in counter.calls
-                   if 1 < size != _NEFF_SCAN_POINTS]
-        # Orders 0..L scan J and K of orders 0..L+1, each once.
-        last = max(l for l, _ in groups) + 1
-        assert scan == sorted((name, order) for name in ("jv", "kv")
-                              for order in range(last + 2))
+        # No Bessel call of the search covers the n_eff grid.
+        assert max(size for *_, size in search) < _NEFF_SCAN_POINTS
+        # A range whose ends agree in sign is scanned: one call on a run of
+        # consecutive grid points. Every other point is a range end (two per
+        # range) or a bisection midpoint (at most ceil(log2 2000) per range).
+        grid = scan_grid(fiber)
+        budget = math.ceil(math.log2(_NEFF_SCAN_POINTS)) + 2
+        scanned, points = {}, {}
+        for orders, n_eff in arrays:
+            idx = np.searchsorted(grid, n_eff)
+            assert np.array_equal(grid[idx], n_eff)
+            if n_eff.size > 2 and np.all(np.diff(idx) == 1):
+                assert np.all(orders == orders[0])
+                scanned[int(orders[0])] = scanned.get(int(orders[0]), 0) + 1
+            else:
+                for l in orders.tolist():
+                    points[l] = points.get(l, 0) + 1
+        for l, count in points.items():
+            guided = sum(1 for g, _ in groups if g == l)
+            assert count <= budget * guided + 2 * scanned.get(l, 0), (l, count, guided)
         # One J and one K call per (l, m) group, on the distinct radii and
         # r = 1 once per call for the normalizer.
+        x, y = GRID.meshgrid()
+        distinct = np.unique(np.hypot(x, y)).size
+        profile = counter.calls
         assert sorted((name, order) for name, order, _ in profile) == sorted(
             (name, l) for name in ("jv", "kv") for l, _ in groups)
         assert all(size <= distinct for *_, size in profile)
         assert sum(size for *_, size in profile) <= len(groups) * (distinct + 2)
+
+    def test_lp01_inside_the_edge_margin_is_reported(self):
+        # Near cutoff LP01 sits just above n_clad; below V of about 0.415 its
+        # root lies inside the search's 1e-9 edge margin.
+        with pytest.raises(RuntimeError, match="inside the root search's edge margin"):
+            lp_modes(fiber_with_v(0.3), GRID)
+        fiber = fiber_with_v(0.45)
+        (mode,) = lp_modes(fiber, GRID)
+        b = (mode.n_eff**2 - fiber.n_clad**2) / (fiber.n_core**2 - fiber.n_clad**2)
+        assert (mode.l, mode.m) == (0, 1)
+        assert _NEFF_EDGE_MARGIN < b < 1e-7
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(v=st.floats(0.35, 20.0),
+           indices=st.sampled_from([(1.45, 1.444), (1.6, 1.4), (3.5, 3.0)]))
+    def test_root_search_finds_the_roots_of_the_full_scan(self, v, indices):
+        fiber = fiber_with_v(v, *indices)
+        try:
+            want = reference_guided_orders(fiber)
+        except RuntimeError:
+            with pytest.raises(RuntimeError):
+                _guided_orders(fiber)
+            return
+        assert _guided_orders(fiber) == want
 
     def test_oversized_core_rejected(self):
         fiber = FiberSpec(core_radius_um=14.0, n_core=1.45, n_clad=1.444,
